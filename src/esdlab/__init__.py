@@ -45,6 +45,7 @@ from .hermitization import (
     log_det_field,
     log_potential,
     regularized_log_det,
+    shifted_singular_values,
 )
 from .limits import (
     CircularLaw,

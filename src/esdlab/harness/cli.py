@@ -59,7 +59,11 @@ def main(argv=None):
             overrides["output_dir"] = args.out
         threads = os.environ.get("ESDLAB_THREADS")
         if threads is not None:
-            overrides["threads"] = int(threads)
+            try:
+                overrides["threads"] = int(threads)
+            except ValueError:
+                raise ConfigurationError(
+                    f"ESDLAB_THREADS must be an integer, got {threads!r}") from None
         elif args.threads is not None:
             overrides["threads"] = args.threads
         if overrides.get("threads", cfg.threads) < 1:

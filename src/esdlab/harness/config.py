@@ -85,6 +85,13 @@ def _reject_unknown(d, allowed, where):
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _int_field(raw, key, default):
+    try:
+        return int(raw.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{key} must be an integer, got {raw[key]!r}") from None
+
+
 def dist_from_dict(d):
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigurationError("distribution spec must be an object with a 'kind'")
@@ -253,6 +260,8 @@ def config_from_dict(raw):
             raise ConfigurationError("trials must be a positive integer below 2^20")
         kw["n_list"] = tuple(int(n) for n in n_list)
         kw["trials"] = trials
+        if "dist_x" not in raw:
+            raise ConfigurationError(f"{experiment} config requires dist_x")
         kw["dist_x"] = dist_from_dict(raw["dist_x"])
         kw["base"] = base_from_dict(raw.get("base", {"kind": "zero"}))
 
@@ -308,14 +317,15 @@ def config_from_dict(raw):
         kw["mass_check"] = bool(raw.get("mass_check", False))
         kw["mp_oracle"] = bool(raw.get("mp_oracle", False))
     elif experiment == "tails":
-        kw["distance_n"] = int(raw.get("distance_n", 2000))
-        kw["distance_d"] = int(raw.get("distance_d", 1000))
-        kw["distance_trials"] = int(raw.get("distance_trials", 200))
-        if not 1 <= kw["distance_d"] < kw["distance_n"]:
-            raise ConfigurationError("tails needs 1 <= distance_d < distance_n")
+        kw["distance_n"] = _int_field(raw, "distance_n", 2000)
+        kw["distance_d"] = _int_field(raw, "distance_d", 1000)
+        kw["distance_trials"] = _int_field(raw, "distance_trials", 200)
+        if not 1 <= kw["distance_d"] < kw["distance_n"] or kw["distance_trials"] < 1:
+            raise ConfigurationError(
+                "tails needs 1 <= distance_d < distance_n and distance_trials >= 1")
     elif experiment == "lemmas":
-        kw["lemma_cases"] = int(raw.get("lemma_cases", 500))
-        kw["max_size"] = int(raw.get("max_size", 30))
+        kw["lemma_cases"] = _int_field(raw, "lemma_cases", 500)
+        kw["max_size"] = _int_field(raw, "max_size", 30)
         if not 1 <= kw["lemma_cases"] < 2**20 or kw["max_size"] < 4:
             raise ConfigurationError("lemmas needs 1 <= lemma_cases < 2^20 and max_size >= 4")
 

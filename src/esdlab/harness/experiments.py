@@ -22,7 +22,7 @@ import numpy as np
 
 from ..ensembles import assemble, build_base_matrix, build_iid_matrix
 from ..errors import ConfigurationError
-from ..hermitization import log_det_at, regularized_log_det
+from ..hermitization import log_det_at, regularized_log_det, shifted_singular_values
 from ..limits import (
     MeasureH,
     circular_log_potential,
@@ -264,8 +264,9 @@ def run_hermitization_check(cfg, out_dir):
             a = assemble(m, x, "shift")
             metrics = {}
             for i, z in enumerate(cfg.z_grid):
-                f_n = log_det_at(a, z)
-                f_reg = regularized_log_det(a, z, eps)
+                s = shifted_singular_values(a, z)
+                f_n = log_det_at(a, z, s=s)
+                f_reg = regularized_log_det(a, z, eps, s=s)
                 metrics[f"f_n_z{i}"] = f_n
                 metrics[f"f_reg_z{i}"] = f_reg
                 metrics[f"potential_gap_z{i}"] = abs(f_n - references[z]) \
@@ -394,22 +395,19 @@ def run_tail_suite(cfg, out_dir):
                 f"{ratios.min():.4f} at i = {i_values[label]}"))
 
     # distance-to-subspace experiment (fixed random subspace, fresh rows)
+    from ..ensembles import sample_array
     nd, d = cfg.distance_n, cfg.distance_d
     aux = RngStream(cfg.master_seed, _SUBSPACE_STREAM)
     basis = (aux.uniforms(nd * d) - 0.5) + 1j * (aux.uniforms(nd * d) - 0.5)
     q, _ = np.linalg.qr(basis.reshape(nd, d))
-
-    def dist_trial(t):
-        from ..ensembles import sample_array
-        row = sample_array(cfg.dist_x, _stream(cfg, nd, t, ROLE_X), nd)
-        v = row.astype(np.complex128)
-        dist = float(np.linalg.norm(v - q @ (q.conj().T @ v)))
-        return TrialRecord("tails", nd, t, _trial_seed(cfg, nd, t),
-                           {"subspace_distance": dist})
-
-    dist_records = _map_trials(dist_trial, cfg.distance_trials, cfg.threads)
-    result.records.extend(dist_records)
-    dist = np.array([r.metrics["subspace_distance"] for r in dist_records])
+    # one fresh row per trial, stacked as columns and projected in one product
+    rows = np.stack([sample_array(cfg.dist_x, _stream(cfg, nd, t, ROLE_X), nd)
+                     for t in range(cfg.distance_trials)], axis=1).astype(np.complex128)
+    dist = np.linalg.norm(rows - q @ (q.conj().T @ rows), axis=0)
+    result.records.extend(
+        TrialRecord("tails", nd, t, _trial_seed(cfg, nd, t),
+                    {"subspace_distance": float(dist[t])})
+        for t in range(cfg.distance_trials))
     bound = thr["distance_constant"] * math.sqrt(nd - d)
     result.gates.append(GateResult(
         "distance_lower_bound", bool(np.all(dist >= bound)),

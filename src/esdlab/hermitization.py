@@ -71,16 +71,38 @@ class LogPotentialGrid:
         return int(np.sum(np.isneginf(self.values)))
 
 
-def log_det_at(a, z):
-    """f_n(z) = (1/n) log |det(A/sqrt(n) - zI)|, via singular values."""
+def shifted_singular_values(a, z):
+    """Singular values of A/sqrt(n) - zI, decreasing, from one SVD.
+
+    The shift is subtracted on the diagonal of the scaled matrix, so a
+    real A at a real z stays in real arithmetic; only a non-real z (or a
+    complex A) makes the decomposed matrix complex.
+    """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ConfigurationError("log-determinant field requires a square matrix")
     n = m.shape[0]
-    s = singular_values(m / math.sqrt(n) - complex(z) * np.eye(n))
+    z = complex(z)
+    shifted = m / math.sqrt(n)
+    if z.imag != 0.0:
+        shifted = shifted.astype(np.complex128, copy=False)
+    else:
+        z = z.real
+    shifted[np.diag_indices(n)] -= z
+    return singular_values(shifted)
+
+
+def log_det_at(a, z, *, s=None):
+    """f_n(z) = (1/n) log |det(A/sqrt(n) - zI)|, via singular values.
+
+    ``s`` may carry ``shifted_singular_values(a, z)`` computed by the
+    caller, so that one SVD serves several reductions at the same shift.
+    """
+    if s is None:
+        s = shifted_singular_values(a, z)
     if s[0] == 0.0 or s[-1] < 1e-300 * s[0]:
         return MINUS_INFINITY
-    return float(np.sum(np.log(s))) / n
+    return float(np.sum(np.log(s))) / s.size
 
 
 def log_det_field(a, spec):
@@ -92,18 +114,17 @@ def log_det_field(a, spec):
     return LogPotentialGrid(spec, values)
 
 
-def regularized_log_det(a, z, eps):
+def regularized_log_det(a, z, eps, *, s=None):
     """(1/2n) log det((A/sqrt(n) - zI)(A/sqrt(n) - zI)* + eps I).
 
     Always finite for eps > 0, monotone increasing in eps, and at least
-    the unregularized value.
+    the unregularized value.  ``s`` is as in ``log_det_at``.
     """
     if eps <= 0.0:
         raise ConfigurationError("regularization eps must be positive")
-    m = as_matrix(a)
-    n = m.shape[0]
-    s = singular_values(m / math.sqrt(n) - complex(z) * np.eye(n))
-    return float(np.sum(np.log(s * s + eps))) / (2.0 * n)
+    if s is None:
+        s = shifted_singular_values(a, z)
+    return float(np.sum(np.log(s * s + eps))) / (2.0 * s.size)
 
 
 def log_potential(mu, z):

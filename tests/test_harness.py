@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from esdlab import ConfigurationError, EmpiricalMeasure2D
+from esdlab import ConfigurationError, EmpiricalMeasure2D, RngStream
 from esdlab.harness import (
     config_from_dict,
     config_to_dict,
@@ -225,6 +225,54 @@ def test_hermitize_field_csv_schema(tmp_path):
     assert len(lines) == 3
 
 
+def test_hermitize_takes_one_svd_per_shift(tmp_path, monkeypatch):
+    from esdlab import hermitization
+    complex_input = []
+    svd = hermitization.singular_values
+
+    def counting(m):
+        complex_input.append(np.iscomplexobj(m))
+        return svd(m)
+
+    monkeypatch.setattr(hermitization, "singular_values", counting)
+    raw = {"schema_version": 1, "experiment": "hermitize", "master_seed": 3,
+           "n_list": [30], "trials": 2, "dist_x": {"kind": "real_gaussian"},
+           "base": {"kind": "zero"}, "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}
+    run_experiment(config_from_dict(raw), tmp_path)
+    assert len(complex_input) == 8  # 2 trials x 4 shifts
+    assert sum(complex_input) == 2  # only the non-real shift is complex
+
+
+def test_tails_batched_distances_match_row_by_row(tmp_path):
+    from esdlab.ensembles import sample_array
+    from esdlab.harness import experiments as ex
+    raw = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
+           "n_list": [20], "trials": 2, "dist_x": {"kind": "bernoulli"},
+           "base": {"kind": "zero"}, "distance_n": 100, "distance_d": 50,
+           "distance_trials": 5}
+    cfg = config_from_dict(raw)
+    result = run_experiment(cfg, tmp_path)
+    got = [r.metrics["subspace_distance"] for r in result.records
+           if "subspace_distance" in r.metrics]
+    assert len(got) == 5
+    aux = RngStream(3, ex._SUBSPACE_STREAM)
+    basis = (aux.uniforms(100 * 50) - 0.5) + 1j * (aux.uniforms(100 * 50) - 0.5)
+    q, _ = np.linalg.qr(basis.reshape(100, 50))
+    for t, dist in enumerate(got):
+        v = sample_array(cfg.dist_x, ex._stream(cfg, 100, t, ex.ROLE_X), 100)
+        v = v.astype(np.complex128)
+        assert dist == pytest.approx(np.linalg.norm(v - q @ (q.conj().T @ v)), rel=1e-12)
+
+
+def test_tails_distance_fields_validated():
+    raw = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
+           "n_list": [20], "trials": 2, "dist_x": {"kind": "bernoulli"},
+           "distance_n": 100, "distance_d": 50}
+    for bad in ({"distance_trials": 0}, {"distance_n": "x"}, {"distance_d": None}):
+        with pytest.raises(ConfigurationError):
+            config_from_dict({**raw, **bad})
+
+
 def test_ds_csv_schema(tmp_path):
     raw = {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
            "x_min": 1.0, "x_max": 2.0, "x_step": 0.25}
@@ -264,6 +312,25 @@ def test_cli_config_error_exits_two(tmp_path):
     # experiment / subcommand mismatch is also a configuration error
     path = _write_config(tmp_path, _circular_raw(), name="c2.json")
     assert cli_main(["lemmas", "--config", path]) == 2
+
+
+def test_cli_non_integer_env_threads_exits_two(tmp_path, monkeypatch):
+    path = _write_config(tmp_path, _circular_raw(n=30, trials=2))
+    monkeypatch.setenv("ESDLAB_THREADS", "abc")
+    assert cli_main(["circular", "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_cli_missing_dist_x_exits_two(tmp_path):
+    raw = _circular_raw()
+    del raw["dist_x"]
+    path = _write_config(tmp_path, raw)
+    assert cli_main(["circular", "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_cli_non_integer_lemma_cases_exits_two(tmp_path):
+    path = _write_config(tmp_path, {"schema_version": 1, "experiment": "lemmas",
+                                    "master_seed": 5, "lemma_cases": "x"})
+    assert cli_main(["lemmas", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_cli_numerical_failure_exits_three(tmp_path):

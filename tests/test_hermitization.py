@@ -27,7 +27,9 @@ from esdlab import (
     log_potential,
     regularized_log_det,
     scalar_distribution,
+    shifted_singular_values,
 )
+from esdlab import hermitization
 from esdlab.limits import CircularLaw
 
 
@@ -91,6 +93,60 @@ def test_far_field_asymptotics():
         assert abs(log_det_at(a, z) - math.log(abs(z))) <= bound
         # grid invariant: beyond ||A/sqrt(n)|| + 1 the field dominates
         assert log_det_at(a, z) >= math.log(abs(z) - norm) - 1e-12
+
+
+# ----------------------------------------------------- the shifted spectrum
+
+_SHIFTS = (0.0, 0.5, 2.0, 0.5 + 0.5j)
+
+
+def _complex_route(a, z):
+    """Singular values through a complex identity shift and a complex SVD."""
+    n = a.shape[0]
+    return np.linalg.svd(a / math.sqrt(n) - complex(z) * np.eye(n), compute_uv=False)
+
+
+def test_shifted_singular_values_match_complex_route():
+    a = _gaussian(50, 5)
+    for z in _SHIFTS:
+        s = shifted_singular_values(a, z)
+        ref = _complex_route(a, z)
+        assert np.all(np.diff(s) <= 0.0)
+        assert np.max(np.abs(s - ref)) <= 1e-12 * ref[0]
+
+
+def test_shifted_matrix_is_complex_only_at_non_real_shift(monkeypatch):
+    dtypes = []
+    svd = hermitization.singular_values
+
+    def spy(m):
+        dtypes.append(m.dtype)
+        return svd(m)
+
+    monkeypatch.setattr(hermitization, "singular_values", spy)
+    a = _gaussian(50, 5)
+    for z in _SHIFTS:
+        shifted_singular_values(a, z)
+    assert dtypes == [np.float64, np.float64, np.float64, np.complex128]
+
+
+def test_shifted_singular_values_requires_square():
+    with pytest.raises(ConfigurationError):
+        shifted_singular_values(np.ones((3, 4)), 0.5)
+
+
+def test_log_det_reductions_of_the_shared_spectrum():
+    a = _gaussian(50, 5)
+    n, eps = 50, 50.0 ** -0.1
+    for z in _SHIFTS:
+        ref = _complex_route(a, z)
+        s = shifted_singular_values(a, z)
+        f_n = float(np.sum(np.log(ref))) / n
+        f_reg = float(np.sum(np.log(ref * ref + eps))) / (2.0 * n)
+        assert log_det_at(a, z) == pytest.approx(f_n, rel=0, abs=1e-13)
+        assert regularized_log_det(a, z, eps) == pytest.approx(f_reg, rel=0, abs=1e-13)
+        assert log_det_at(a, z, s=s) == log_det_at(a, z)
+        assert regularized_log_det(a, z, eps, s=s) == regularized_log_det(a, z, eps)
 
 
 # -------------------------------------------------------------- regularization
