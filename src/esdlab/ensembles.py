@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
-from .rng import RngStream
+from .rng import RngStream, words_to_uniforms
 
 SCALAR_KINDS = (
     "bernoulli",
@@ -91,9 +91,10 @@ def _polar_pairs(rng, count):
     while got < count:
         need = count - got
         batch = max(32, int(need * 1.35) + 8)
-        words = rng.raw(2 * batch)
-        u = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53 * 2.0 - 1.0
-        v = ((words[1::2] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53 * 2.0 - 1.0
+        uv = words_to_uniforms(rng.raw(2 * batch))
+        uv *= 2.0
+        uv -= 1.0
+        u, v = uv[0::2], uv[1::2]
         s = u * u + v * v
         accepted = np.flatnonzero(s < 1.0)
         if accepted.size >= need:
@@ -115,8 +116,15 @@ def sample_array(dist, rng, count):
         raise ConfigurationError("dist must be a ScalarDistribution")
     kind = dist.kind
     if kind == "bernoulli":
+        # the top bit of each word picks the sign (1 -> +1.0, 0 -> -1.0),
+        # converted in place in the memory of the words
         words = rng.raw(count)
-        return np.where((words >> np.uint64(63)).astype(bool), 1.0, -1.0)
+        words >>= np.uint64(63)
+        x = words.view(np.float64)
+        np.copyto(x, words.view(np.int64), casting="unsafe")
+        x *= 2.0
+        x -= 1.0
+        return x
     if kind == "uniform_centered":
         return (2.0 * rng.uniforms(count) - 1.0) * math.sqrt(3.0)
     if kind == "two_point_asymmetric":

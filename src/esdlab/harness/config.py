@@ -85,17 +85,44 @@ def _reject_unknown(d, allowed, where):
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _int_field(raw, key, default):
+def _as_int(value, what):
+    """``int(value)``; anything that does not convert is a ConfigurationError."""
     try:
-        return int(raw.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{key} must be an integer, got {raw[key]!r}") from None
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _as_float(value, what):
+    """``float(value)``; anything that does not convert is a ConfigurationError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}") from None
+
+
+def _as_list(values, what):
+    if not isinstance(values, (list, tuple)):
+        raise ConfigurationError(f"{what} must be a list, got {values!r}")
+    return values
+
+
+def _float_tuple(values, what):
+    return tuple(_as_float(v, f"{what} entry") for v in _as_list(values, what))
+
+
+def _int_field(raw, key, default):
+    return _as_int(raw.get(key, default), key)
+
+
+def _float_field(raw, key, default):
+    return _as_float(raw.get(key, default), key)
 
 
 def dist_from_dict(d):
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigurationError("distribution spec must be an object with a 'kind'")
-    params = {k: v for k, v in d.items() if k != "kind"}
+    params = {k: _as_float(v, f"distribution parameter {k}") for k, v in d.items() if k != "kind"}
     return scalar_distribution(d["kind"], **params)
 
 
@@ -117,17 +144,23 @@ def base_from_dict(d):
         return base_zero()
     if kind == "two_block_diagonal":
         _reject_unknown(d, {"kind", "a", "b", "split", "scale_by_sqrt_n"}, "base spec")
-        return base_two_block(d["a"], d["b"], d.get("split", 0.5),
-                              d.get("scale_by_sqrt_n", False))
+        return base_two_block(_as_float(d.get("a"), "base a"), _as_float(d.get("b"), "base b"),
+                              _float_field(d, "split", 0.5), d.get("scale_by_sqrt_n", False))
     if kind == "low_rank":
         _reject_unknown(d, {"kind", "rank", "magnitude"}, "base spec")
-        return base_low_rank(d["rank"], d["magnitude"])
+        return base_low_rank(_as_int(d.get("rank"), "base rank"),
+                             _as_float(d.get("magnitude"), "base magnitude"))
     if kind == "diagonal_from_measure":
         _reject_unknown(d, {"kind", "atoms"}, "base spec")
-        return base_diagonal_from_measure([_as_complex(t) for t in d["atoms"]])
+        return base_diagonal_from_measure(
+            [_as_complex(t) for t in _as_list(d.get("atoms"), "base atoms")])
     if kind == "explicit":
         _reject_unknown(d, {"kind", "entries"}, "base spec")
-        return base_explicit([[_as_complex(e) for e in row] for row in d["entries"]])
+        rows = [[_as_complex(e) for e in _as_list(row, "base entries row")]
+                for row in _as_list(d.get("entries"), "base entries")]
+        if any(len(row) != len(rows) for row in rows):
+            raise ConfigurationError("explicit base matrix must be square")
+        return base_explicit(rows)
     raise ConfigurationError(f"unknown base matrix kind {kind!r}")
 
 
@@ -150,7 +183,7 @@ def _as_complex(v):
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        return complex(_as_float(v[0], "real part"), _as_float(v[1], "imaginary part"))
     raise ConfigurationError(f"expected a number or [re, im] pair, got {v!r}")
 
 
@@ -208,12 +241,13 @@ def _validate_profile(p):
         raise ConfigurationError("profile must be an object with a 'kind'")
     if p["kind"] == "constant":
         _reject_unknown(p, {"kind", "value"}, "profile")
-        if float(p.get("value", 1.0)) <= 0.0:
+        value = _as_float(p.get("value", 1.0), "profile value")
+        if value <= 0.0:
             raise ConfigurationError("constant profile value must be positive")
-        return {"kind": "constant", "value": float(p.get("value", 1.0))}
+        return {"kind": "constant", "value": value}
     if p["kind"] == "ramp":
         _reject_unknown(p, {"kind", "low", "high"}, "profile")
-        lo, hi = float(p["low"]), float(p["high"])
+        lo, hi = _as_float(p.get("low"), "ramp low"), _as_float(p.get("high"), "ramp high")
         if not 0.0 < lo <= hi:
             raise ConfigurationError("ramp profile needs 0 < low <= high")
         return {"kind": "ramp", "low": lo, "high": hi}
@@ -238,13 +272,13 @@ def config_from_dict(raw):
     if not isinstance(thresholds, dict):
         raise ConfigurationError("thresholds must be an object")
     _reject_unknown(thresholds, DEFAULT_THRESHOLDS[experiment], f"{experiment} thresholds")
-    thresholds = {k: float(v) for k, v in thresholds.items()}
+    thresholds = {k: _as_float(v, f"threshold {k}") for k, v in thresholds.items()}
 
     kw = dict(
         experiment=experiment,
         master_seed=raw["master_seed"],
         output_dir=str(raw.get("output_dir", "out")),
-        threads=int(raw.get("threads", 1)),
+        threads=_int_field(raw, "threads", 1),
         thresholds=thresholds,
     )
     if kw["threads"] < 1:
@@ -253,12 +287,14 @@ def config_from_dict(raw):
     if experiment in ("circular", "universality", "hermitize", "tails"):
         n_list = raw.get("n_list")
         trials = raw.get("trials")
-        if not isinstance(n_list, list) or not n_list or any(int(n) < 1 for n in n_list):
+        if not isinstance(n_list, list) or not n_list:
+            raise ConfigurationError("n_list must be a nonempty list of positive sizes")
+        kw["n_list"] = tuple(_as_int(n, "n_list entry") for n in n_list)
+        if min(kw["n_list"]) < 1:
             raise ConfigurationError("n_list must be a nonempty list of positive sizes")
         # trial indices are packed below the size bits of the stream index
         if not isinstance(trials, int) or not 1 <= trials < 2**20:
             raise ConfigurationError("trials must be a positive integer below 2^20")
-        kw["n_list"] = tuple(int(n) for n in n_list)
         kw["trials"] = trials
         if "dist_x" not in raw:
             raise ConfigurationError(f"{experiment} config requires dist_x")
@@ -296,24 +332,26 @@ def config_from_dict(raw):
         if reference not in ("circular", "ds"):
             raise ConfigurationError("reference must be 'circular' or 'ds'")
         kw["reference"] = reference
-        kw["eps_exponent"] = float(raw.get("eps_exponent", 0.1))
+        kw["eps_exponent"] = _float_field(raw, "eps_exponent", 0.1)
         if kw["eps_exponent"] <= 0.0:
             raise ConfigurationError("eps_exponent must be positive")
     elif experiment == "ds_solve":
-        atoms = raw.get("h_atoms", [0.0])
-        weights = raw.get("h_weights", [1.0] if len(atoms) == 1 else None)
-        if weights is None or len(weights) != len(atoms):
+        atoms = _float_tuple(raw.get("h_atoms", [0.0]), "h_atoms")
+        weights = _float_tuple(raw.get("h_weights", [1.0] if len(atoms) == 1 else []),
+                               "h_weights")
+        if not weights or len(weights) != len(atoms):
             raise ConfigurationError("h_weights must match h_atoms")
-        kw["h_atoms"] = tuple(float(t) for t in atoms)
-        kw["h_weights"] = tuple(float(w) for w in weights)
-        kw["c"] = float(raw.get("c", 1.0))
-        kw["x_min"] = float(raw.get("x_min", 0.1))
-        kw["x_max"] = float(raw.get("x_max", 3.9))
-        kw["x_step"] = float(raw.get("x_step", 1.0 / 400.0))
+        kw["h_atoms"] = atoms
+        kw["h_weights"] = weights
+        kw["c"] = _float_field(raw, "c", 1.0)
+        kw["x_min"] = _float_field(raw, "x_min", 0.1)
+        kw["x_max"] = _float_field(raw, "x_max", 3.9)
+        kw["x_step"] = _float_field(raw, "x_step", 1.0 / 400.0)
         if not kw["x_min"] < kw["x_max"] or kw["x_step"] <= 0.0:
             raise ConfigurationError("ds_solve needs x_min < x_max and positive x_step")
-        kw["eta_schedule"] = tuple(float(e) for e in raw.get("eta_schedule", (1e-1, 1e-2, 1e-3, 1e-4)))
-        kw["agreement_tol"] = float(raw.get("agreement_tol", 1e-3))
+        kw["eta_schedule"] = _float_tuple(raw.get("eta_schedule", (1e-1, 1e-2, 1e-3, 1e-4)),
+                                          "eta_schedule")
+        kw["agreement_tol"] = _float_field(raw, "agreement_tol", 1e-3)
         kw["mass_check"] = bool(raw.get("mass_check", False))
         kw["mp_oracle"] = bool(raw.get("mp_oracle", False))
     elif experiment == "tails":

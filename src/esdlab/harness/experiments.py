@@ -397,13 +397,20 @@ def run_tail_suite(cfg, out_dir):
     # distance-to-subspace experiment (fixed random subspace, fresh rows)
     from ..ensembles import sample_array
     nd, d = cfg.distance_n, cfg.distance_d
+    # [B | V]: the basis B (real parts drawn first, then imaginary parts,
+    # row-major), then one fresh row per trial as a column, in trial order
+    w = np.empty((nd, d + cfg.distance_trials), dtype=np.complex128)
     aux = RngStream(cfg.master_seed, _SUBSPACE_STREAM)
-    basis = (aux.uniforms(nd * d) - 0.5) + 1j * (aux.uniforms(nd * d) - 0.5)
-    q, _ = np.linalg.qr(basis.reshape(nd, d))
-    # one fresh row per trial, stacked as columns and projected in one product
-    rows = np.stack([sample_array(cfg.dist_x, _stream(cfg, nd, t, ROLE_X), nd)
-                     for t in range(cfg.distance_trials)], axis=1).astype(np.complex128)
-    dist = np.linalg.norm(rows - q @ (q.conj().T @ rows), axis=0)
+    for part in (w.real, w.imag):
+        basis_part = aux.uniforms(nd * d)
+        basis_part -= 0.5
+        part[:, :d] = basis_part.reshape(nd, d)
+    for t in range(cfg.distance_trials):
+        w[:, d + t] = sample_array(cfg.dist_x, _stream(cfg, nd, t, ROLE_X), nd)
+    # [B | V] = Q R with Q = [Q1 | Q2], Q1 spanning B, so the projection of
+    # row t off span(B) is Q2 R[d:, d + t]: its norm needs R alone
+    r = np.linalg.qr(w, mode="r")
+    dist = np.linalg.norm(r[d:, d:], axis=0)
     result.records.extend(
         TrialRecord("tails", nd, t, _trial_seed(cfg, nd, t),
                     {"subspace_distance": float(dist[t])})

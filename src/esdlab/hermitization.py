@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, SingularityError
 from .measures import ATOM_COLLISION_TOL, EmpiricalMeasure1D, EmpiricalMeasure2D
-from .numerics import MINUS_INFINITY, as_matrix, singular_values
+from .numerics import MINUS_INFINITY, as_matrix, scaled_shift, singular_values
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,7 @@ def shifted_singular_values(a, z):
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ConfigurationError("log-determinant field requires a square matrix")
-    n = m.shape[0]
-    z = complex(z)
-    shifted = m / math.sqrt(n)
-    if z.imag != 0.0:
-        shifted = shifted.astype(np.complex128, copy=False)
-    else:
-        z = z.real
-    shifted[np.diag_indices(n)] -= z
-    return singular_values(shifted)
+    return singular_values(scaled_shift(m, z))
 
 
 def log_det_at(a, z, *, s=None):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError
-from .numerics import as_matrix, eigenvalues, singular_values
+from .numerics import as_matrix, eigenvalues, scaled_shift, singular_values
 
 ATOM_COLLISION_TOL = 1e-12
 
@@ -73,13 +73,14 @@ def esd_eigen(a):
 
 
 def esd_gram(a, z):
-    """ESD of the squared singular values of (A/sqrt(n) - zI)."""
+    """ESD of the squared singular values of (A/sqrt(n) - zI).
+
+    A real A at a real z is decomposed in real arithmetic.
+    """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ConfigurationError("gram ESD requires a square matrix")
-    n = m.shape[0]
-    shifted = m / math.sqrt(n) - complex(z) * np.eye(n)
-    s = singular_values(shifted)
+    s = singular_values(scaled_shift(m, z))
     return EmpiricalMeasure1D(s * s)
 
 

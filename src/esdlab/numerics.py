@@ -12,6 +12,7 @@ whenever a singular value underflows the representable range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,25 @@ def singular_values(a):
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"singular value iteration failed: {exc}") from exc
     return np.maximum(s, 0.0)
+
+
+def scaled_shift(m, z):
+    """A/sqrt(n) - zI for a validated square matrix ``m``.
+
+    The matrix is scaled first and the shift is then subtracted on the
+    diagonal, with no identity temporary; a real ``m`` at a real ``z``
+    stays float64, and only a non-real ``z`` (or a complex ``m``) makes
+    the result complex.
+    """
+    n = m.shape[0]
+    z = complex(z)
+    shifted = m / math.sqrt(n)
+    if z.imag != 0.0:
+        shifted = shifted.astype(np.complex128, copy=False)
+    else:
+        z = z.real
+    shifted[np.diag_indices(n)] -= z
+    return shifted
 
 
 def hs_norm(a):

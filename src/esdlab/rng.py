@@ -24,17 +24,33 @@ from .errors import ConfigurationError
 GAMMA = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD1B54A32D192ED03
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# words finalized per pass of ``RngStream.raw``: the block and its scratch
+# buffer (256 KiB each) stay in cache across the passes of the finalizer
+BLOCK = 1 << 15
+# k * GAMMA (mod 2**64) for k < BLOCK: the counter states of a block are the
+# state of its first word plus these offsets
+_STEPS = np.arange(BLOCK, dtype=np.uint64) * np.uint64(GAMMA)
 
 
-def mix64(words):
-    """SplitMix64 finalizer applied elementwise to an array of uint64."""
-    z = np.asarray(words, dtype=np.uint64).copy()
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
+def mix64(words, scratch=None):
+    """SplitMix64 finalizer applied elementwise to an array of uint64.
+
+    Without ``scratch`` the result is a new array.  With ``scratch``, a
+    uint64 buffer at least as long as ``words``, the finalizer runs in
+    place on the uint64 array ``words`` and allocates nothing.
+    """
+    if scratch is None:
+        out = np.array(words, dtype=np.uint64)
+        scratch = np.empty_like(out)
+    else:
+        out = words
+    tmp = scratch[:out.size].reshape(out.shape)
+    out ^= np.right_shift(out, np.uint64(30), out=tmp)
+    out *= np.uint64(0xBF58476D1CE4E5B9)
+    out ^= np.right_shift(out, np.uint64(27), out=tmp)
+    out *= np.uint64(0x94D049BB133111EB)
+    out ^= np.right_shift(out, np.uint64(31), out=tmp)
+    return out
 
 
 def mix64_int(value):
@@ -80,11 +96,21 @@ class RngStream:
         return self._pos
 
     def raw(self, count):
-        """Next ``count`` raw uint64 words, advancing the counter."""
+        """Next ``count`` raw uint64 words, advancing the counter.
+
+        The counter states are filled into the output array and finalized
+        in place, block by block, with one scratch buffer for the whole
+        call; the words are bit-identical to the scalar recurrence.
+        """
         if count < 0:
             raise ConfigurationError("count must be nonnegative")
-        ks = np.arange(self._pos + 1, self._pos + count + 1, dtype=np.uint64)
-        words = mix64(np.uint64(self._origin) + ks * np.uint64(GAMMA))
+        words = np.empty(count, dtype=np.uint64)
+        scratch = np.empty(min(count, BLOCK), dtype=np.uint64)
+        for start in range(0, count, BLOCK):
+            block = words[start:start + BLOCK]
+            first = (self._origin + (self._pos + start + 1) * GAMMA) & _MASK64
+            np.add(_STEPS[:block.size], np.uint64(first), out=block)
+            mix64(block, scratch)
         self._pos += count
         return words
 
@@ -96,5 +122,19 @@ class RngStream:
 
     def uniforms(self, count):
         """Uniform doubles on the open interval (0, 1), one word each."""
-        words = self.raw(count)
-        return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        return words_to_uniforms(self.raw(count))
+
+
+def words_to_uniforms(words):
+    """Map raw uint64 words to doubles ((w >> 11) + 0.5) * 2**-53 in (0, 1).
+
+    The conversion runs in place: the result is a float64 view of the
+    memory of ``words``, which is consumed.  After the shift every word
+    is below 2**53, so its int64 view converts to float64 exactly.
+    """
+    np.right_shift(words, np.uint64(11), out=words)
+    u = words.view(np.float64)
+    np.copyto(u, words.view(np.int64), casting="unsafe")
+    u += 0.5
+    u *= 2.0**-53
+    return u

@@ -1,5 +1,6 @@
 """Entry distributions, base matrices, assembly, kappa audit."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -101,6 +102,52 @@ def test_vectorized_polar_matches_scalar_loop(seed, count):
     assert vec_stream.position == ref_stream.position
     # and the next draws from both streams still agree
     assert np.array_equal(vec_stream.raw(4), ref_stream.raw(4))
+
+
+# sha256 of the float64/complex128 bytes of sample_array(kind, RngStream(20260808,
+# 1000 + i), count) for the i-th kind of ALL_KINDS, and the stream position
+# after the draw.  Recorded before RngStream.raw finalized its words in blocks;
+# the counts straddle one block.
+_DRAW_DIGESTS = {
+    ("bernoulli", 1): ("e77817b649821c634355a917817c1224a360514b1244fe09e832bac4e8ea4440", 1),
+    ("bernoulli", 7): ("f914a1b7c31c62b519fdf64367d6c7a8bd41b2fc499e17a9b59680e02186c999", 7),
+    ("bernoulli", 32768): ("bfdbf53674dd316088e20082e5d4951ad8c0635b8e0a8c819d8df7e4b211d1ea", 32768),
+    ("bernoulli", 32769): ("c301ebe6bdeb222a29ab926e84638cbdbe9b6c01c957d8c7a0c9f2fd1f7e808c", 32769),
+    ("bernoulli", 100000): ("3ac1c6a3bb1f815684dcf9b72988ec0a896cd980831b0da850cdc16c13174589", 100000),
+    ("real_gaussian", 1): ("2b2cb5e5a6f6621ea15aa0f52e2cd2cd32061e330f7bec723cfe14f396aa5428", 4),
+    ("real_gaussian", 7): ("7aeefd0388ab0cb51ee21023ef8e365c48022aae0a3e96f3136fac57c6f7827c", 22),
+    ("real_gaussian", 32768): ("2a8c3eddf11f2596c00dcefc5d0ab01e6810e7f7a63e143a4019c89b9e38ae20", 83542),
+    ("real_gaussian", 32769): ("d0071a8ff00ffd3df7a71b4b0b201efc56d46d6199170a698da0f0e65a18b45d", 83544),
+    ("real_gaussian", 100000): ("bc828cd4b57996c932d77f7f5b45e15b1301bff7203b1d0cca489c3c2f45eeb5", 255194),
+    ("complex_gaussian", 1): ("2296e77da614fb259108703bd45e3033240192f2d5f48741c569db67104deca0", 2),
+    ("complex_gaussian", 7): ("1213385c3b11c7d4f6d1d03b53c8307d3f4c1adb1165f0da564e5e29ffb51f94", 14),
+    ("complex_gaussian", 32768): ("4fa11d4900f70f8612278e61b6fd997b23b8f6298b3aafc17db95046dcfd959a", 83348),
+    ("complex_gaussian", 32769): ("1d844b87657fbb22ce6aac7fa50f6e485ba5fcf984a07c7bf6810399f5859de1", 83350),
+    ("complex_gaussian", 100000): ("804cada4ca082debb0875a5472f6ffca12748c9dc4d8f2ac6eab41beb2c347c0", 254616),
+    ("uniform_centered", 1): ("fec5ec84e22e0c535f6896ed2768e7151c7041d5b474f64c386707d7682c708a", 1),
+    ("uniform_centered", 7): ("d5ab09086f1bbd18d3e13a865a0ff303d1350efbd00b20ba75eee30b997c9dcc", 7),
+    ("uniform_centered", 32768): ("e8408f858e6324b877ecfc3e03153c3f7c3285400029b13c053eb1f85996b541", 32768),
+    ("uniform_centered", 32769): ("05a3030d5d6e51c79ec878a2a707fca252955dc5dd7ea318213dad8be4421076", 32769),
+    ("uniform_centered", 100000): ("6373c95f43625f8be821e90ee6a09780961a2d61999b023c380b6116401e36cc", 100000),
+    ("two_point_asymmetric", 1): ("6b4148c659b3812ba3ad2f92c2156e6d6d295de0f521bf379baa6b7c85c912f6", 1),
+    ("two_point_asymmetric", 7): ("033dfff35463708e1c30817afdf95ecf457849dca9eebd54dbee01db71158ef3", 7),
+    ("two_point_asymmetric", 32768): ("a340f9435eed950712ae0f87d771153ccd0f08e40a64918a61660760f7bf465c", 32768),
+    ("two_point_asymmetric", 32769): ("c1b509d685d8ea4fa54e1ee8f5b2ac80323714c4bb76996ae0af8717629612d8", 32769),
+    ("two_point_asymmetric", 100000): ("3602425865ae2e0cb05e73c98c81432fd061b3106ded2ff9db4be836ddf3b330", 100000),
+    ("pareto_symmetrized", 1): ("0ccce1762ca46943562559943e1ab10a42bc89ec2af0823ecadb18dc73a80e4d", 1),
+    ("pareto_symmetrized", 7): ("5340758a18c4dae4fcbb868c7abc69f5d847328be3dd9681d46dc844e0bc5b97", 7),
+    ("pareto_symmetrized", 32768): ("be0e53aaf1b87a17d965c3498532f83792a9a39c0c5d4eb9363b123c18850a23", 32768),
+    ("pareto_symmetrized", 32769): ("d94e31d84b6ba5de88b657a3f84c46c8d1c6fffea054e167aac5ea038fd9f966", 32769),
+    ("pareto_symmetrized", 100000): ("13118c88ae683cb3d46eb3add151eff06c3c7f0b52a89dcee2d7bdb04461c7d4", 100000),
+}
+
+
+@pytest.mark.parametrize("kind,count", sorted(_DRAW_DIGESTS))
+def test_draws_pinned_bit_for_bit(kind, count):
+    rng = RngStream(20260808, 1000 + ALL_KINDS.index(kind))
+    x = sample_array(scalar_distribution(kind), rng, count)
+    digest = hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
+    assert (digest, rng.position) == _DRAW_DIGESTS[kind, count]
 
 
 def test_two_point_support():

@@ -333,6 +333,30 @@ def test_cli_non_integer_lemma_cases_exits_two(tmp_path):
     assert cli_main(["lemmas", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
+_HERMITIZE_RAW = {"schema_version": 1, "experiment": "hermitize", "master_seed": 5,
+                  "n_list": [10], "trials": 1, "dist_x": {"kind": "bernoulli"},
+                  "z_grid": [0.5]}
+
+
+@pytest.mark.parametrize("command,raw", [
+    ("hermitize", {**_HERMITIZE_RAW, "eps_exponent": "x"}),
+    ("circular", _circular_raw(threads="x")),
+    ("circular", {**_circular_raw(), "n_list": ["x"]}),
+    ("circular", _circular_raw(thresholds={"radial_ks": "x"})),
+    ("circular", _circular_raw(thresholds={"radial_ks": 10**400})),
+    ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
+                  "x_step": "x"}),
+    ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
+                  "h_atoms": 3}),
+    ("circular", _circular_raw(base={"kind": "two_block_diagonal", "b": 1.0})),
+    ("circular", _circular_raw(base={"kind": "explicit", "entries": [[1, 2], [3]]})),
+    ("circular", _circular_raw(dist_x={"kind": "two_point_asymmetric", "p": "x"})),
+])
+def test_cli_malformed_field_exits_two(tmp_path, command, raw):
+    path = _write_config(tmp_path, raw)
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
 def test_cli_numerical_failure_exits_three(tmp_path):
     raw = {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
            "x_min": 0.05, "x_max": 0.15, "x_step": 0.05,

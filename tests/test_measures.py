@@ -83,6 +83,26 @@ def test_esd_gram_second_moment_trace_identity():
     assert abs(float(np.mean(nu.atoms)) - expected) <= 1e-10 * expected
 
 
+def test_esd_gram_real_shift_stays_real(monkeypatch):
+    from esdlab import measures
+
+    dtypes = []
+    svd = measures.singular_values
+
+    def spy(m):
+        dtypes.append(m.dtype)
+        return svd(m)
+
+    monkeypatch.setattr(measures, "singular_values", spy)
+    a = _gaussian_matrix(50, 5)
+    n = a.shape[0]
+    for z in (0.0, 0.7):
+        atoms = esd_gram(a, z).atoms
+        ref = np.linalg.svd(a / math.sqrt(n) - complex(z) * np.eye(n), compute_uv=False)
+        assert np.max(np.abs(np.sort(atoms)[::-1] - ref * ref)) <= 1e-12 * ref[0] ** 2
+    assert dtypes == [np.float64, np.float64]
+
+
 # ----------------------------------------------------- characteristic function
 
 def test_char_fn_origin_is_one():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from esdlab import ConfigurationError, RngStream
-from esdlab.rng import GAMMA, mix64, mix64_int, stream_origin
+from esdlab.rng import BLOCK, GAMMA, mix64, mix64_int, stream_origin
 
 # Frozen outputs of the documented recurrence; any reimplementation of
 # SplitMix64 keyed the same way must reproduce these bit-for-bit.
@@ -16,11 +16,15 @@ GOLDEN_1234567_0 = [
 ]
 
 
+def _reference_word(origin, k):
+    """The k-th word (0-based) of the stream at ``origin``, by the scalar recurrence."""
+    return mix64_int((origin + (k + 1) * GAMMA) & ((1 << 64) - 1))
+
+
 def _reference_sequence(master_seed, stream_index, count):
     """Independent scalar reimplementation of the stream recurrence."""
-    mask = (1 << 64) - 1
     origin = stream_origin(master_seed, stream_index)
-    return [mix64_int((origin + (k + 1) * GAMMA) & mask) for k in range(count)]
+    return [_reference_word(origin, k) for k in range(count)]
 
 
 def test_golden_vectors():
@@ -78,3 +82,29 @@ def test_seed_validation():
 def test_mix64_array_matches_scalar():
     words = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
     assert [int(v) for v in mix64(words)] == [mix64_int(int(w)) for w in words]
+
+
+@pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_blocked_raw_matches_scalar_at_block_edges(count):
+    s = RngStream(2**64 - 1, 17)
+    origin = stream_origin(2**64 - 1, 17)
+    words = s.raw(count)
+    assert words.dtype == np.uint64 and words.shape == (count,)
+    assert s.position == count
+    edges = {0, count - 1}
+    for b in range(BLOCK, count, BLOCK):
+        edges |= {b - 1, b}
+    for k in sorted(edges):
+        assert int(words[k]) == _reference_word(origin, k)
+
+
+@pytest.mark.parametrize("a,b", [(BLOCK - 3, 7), (1, BLOCK), (BLOCK, BLOCK + 1)])
+def test_split_raw_across_block_boundary_matches_one_draw(a, b):
+    whole = RngStream(9, 3).raw(a + b)
+    s = RngStream(9, 3)
+    assert np.array_equal(np.concatenate([s.raw(a), s.raw(b)]), whole)
+    # a draw after a rewind continues the counter where it was left
+    s = RngStream(9, 3)
+    s.raw(a + 5)
+    s.rewind(5)
+    assert np.array_equal(s.raw(b), whole[a:])
