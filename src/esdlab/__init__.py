@@ -48,7 +48,6 @@ from .hermitization import (
     shifted_singular_values,
 )
 from .limits import (
-    CircularLaw,
     MeasureH,
     StieltjesSolution,
     circular_density,

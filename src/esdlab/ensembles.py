@@ -221,7 +221,10 @@ def base_diagonal_from_measure(atoms):
 
 
 def base_explicit(entries):
-    m = np.asarray(entries)
+    try:
+        m = np.asarray(entries)
+    except ValueError:  # ragged rows
+        raise ConfigurationError("explicit base matrix must be square") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigurationError("explicit base matrix must be square")
     return BaseMatrixSpec("explicit", entries=tuple(map(tuple, m.tolist())))

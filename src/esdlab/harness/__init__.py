@@ -7,7 +7,7 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .emit import emit, format_number, scatter_svg, sha256_file
+from .emit import format_number, scatter_svg, sha256_file
 from .experiments import (
     ExperimentResult,
     GateResult,

@@ -11,12 +11,11 @@ The ESDLAB_THREADS environment variable overrides --threads.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from ..errors import ConfigurationError, NumericalFailureError
-from .config import load_config
+from .config import config_from_dict, read_config_json
 from .experiments import run_experiment
 
 _SUBCOMMANDS = {
@@ -45,31 +44,25 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        expected = _SUBCOMMANDS[args.command]
-        if cfg.experiment != expected:
-            raise ConfigurationError(
-                f"config is for experiment {cfg.experiment!r}, subcommand wants {expected!r}")
-        overrides = {}
+        raw = read_config_json(args.config)
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigurationError("--seed must be a 64-bit unsigned integer")
-            overrides["master_seed"] = args.seed
+            raw["master_seed"] = args.seed
         if args.out is not None:
-            overrides["output_dir"] = args.out
+            raw["output_dir"] = args.out
         threads = os.environ.get("ESDLAB_THREADS")
         if threads is not None:
             try:
-                overrides["threads"] = int(threads)
+                raw["threads"] = int(threads)
             except ValueError:
                 raise ConfigurationError(
                     f"ESDLAB_THREADS must be an integer, got {threads!r}") from None
         elif args.threads is not None:
-            overrides["threads"] = args.threads
-        if overrides.get("threads", cfg.threads) < 1:
-            raise ConfigurationError("threads must be at least 1")
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+            raw["threads"] = args.threads
+        cfg = config_from_dict(raw)
+        expected = _SUBCOMMANDS[args.command]
+        if cfg.experiment != expected:
+            raise ConfigurationError(
+                f"config is for experiment {cfg.experiment!r}, subcommand wants {expected!r}")
         result = run_experiment(cfg)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

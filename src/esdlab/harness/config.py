@@ -4,16 +4,23 @@ Configs round-trip losslessly through JSON; unknown keys are rejected at
 every level so a typo in a threshold name can never silently fall back
 to a default.  Resolved thresholds (defaults merged with overrides) are
 echoed into the run manifest.
+
+Each experiment has one field table in ``FIELDS``, and each base-matrix
+and profile kind has one too.  A table entry states a key's parser, its
+default and its dump form once; parsing, unknown-key rejection and the
+canonical dump are loops over the table.  The rules that tie two fields
+together are in ``_check_cross_fields``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+import numbers
+from typing import Callable, NamedTuple
 
 from ..ensembles import (
-    BaseMatrixSpec,
-    ScalarDistribution,
+    ASSEMBLY_MODES,
     base_diagonal_from_measure,
     base_explicit,
     base_low_rank,
@@ -22,25 +29,9 @@ from ..ensembles import (
     scalar_distribution,
 )
 from ..errors import ConfigurationError
+from ..limits import DEFAULT_ETA_SCHEDULE
 
 SCHEMA_VERSION = 1
-
-EXPERIMENTS = ("circular", "universality", "hermitize", "ds_solve", "tails", "lemmas")
-
-_COMMON_KEYS = {"schema_version", "experiment", "master_seed", "output_dir", "threads", "thresholds"}
-
-_EXPERIMENT_KEYS = {
-    "circular": {"n_list", "trials", "dist_x", "base", "mode", "center"},
-    "universality": {"n_list", "trials", "dist_x", "dist_y", "base", "mode",
-                     "profile", "sandwich_k", "sandwich_l"},
-    "hermitize": {"n_list", "trials", "dist_x", "base", "mode", "z_grid",
-                  "reference", "eps_exponent"},
-    "ds_solve": {"h_atoms", "h_weights", "c", "x_min", "x_max", "x_step",
-                 "eta_schedule", "agreement_tol", "mass_check", "mp_oracle"},
-    "tails": {"n_list", "trials", "dist_x", "base", "distance_n", "distance_d",
-              "distance_trials"},
-    "lemmas": {"lemma_cases", "max_size"},
-}
 
 DEFAULT_THRESHOLDS = {
     "circular": {
@@ -85,45 +76,203 @@ def _reject_unknown(d, allowed, where):
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+# ------------------------------------------------------------- converters
+# Each takes a JSON value and the key's name, and raises ConfigurationError
+# for anything it does not accept.
+
 def _as_int(value, what):
-    """``int(value)``; anything that does not convert is a ConfigurationError."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}") from None
+    """A JSON integer, or a float that is a whole number; never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_float(value, what):
-    """``float(value)``; anything that does not convert is a ConfigurationError."""
+    """A JSON number; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ConfigurationError(f"{what} is too large for a float: {value!r}") from None
 
 
-def _as_list(values, what):
-    if not isinstance(values, (list, tuple)):
-        raise ConfigurationError(f"{what} must be a list, got {values!r}")
-    return values
+def _of_type(kind, label):
+    def parse(value, what):
+        if not isinstance(value, kind):
+            raise ConfigurationError(f"{what} must be {label}, got {value!r}")
+        return value
+    return parse
 
 
-def _float_tuple(values, what):
-    return tuple(_as_float(v, f"{what} entry") for v in _as_list(values, what))
+_as_bool = _of_type(bool, "true or false")
+_as_str = _of_type(str, "a string")
+_as_list = _of_type((list, tuple), "a list")
+_as_object = _of_type(dict, "an object")
 
 
-def _int_field(raw, key, default):
-    return _as_int(raw.get(key, default), key)
+def _as_complex(value, what):
+    """A JSON number or an [re, im] pair of numbers."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_as_float(value[0], f"{what} real part"),
+                       _as_float(value[1], f"{what} imaginary part"))
+    return complex(_as_float(value, f"{what} (a number or [re, im] pair)"))
 
 
-def _float_field(raw, key, default):
-    return _as_float(raw.get(key, default), key)
+def _complex_out(z):
+    z = complex(z)
+    return z.real if z.imag == 0.0 else [z.real, z.imag]
 
 
-def dist_from_dict(d):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigurationError("distribution spec must be an object with a 'kind'")
-    params = {k: _as_float(v, f"distribution parameter {k}") for k, v in d.items() if k != "kind"}
-    return scalar_distribution(d["kind"], **params)
+def _complex_list(values):
+    return [_complex_out(z) for z in values]
+
+
+def _tuple_of(convert):
+    """Parser of a JSON list whose entries each go through ``convert``."""
+    def parse(values, what):
+        return tuple(convert(v, f"{what} entry") for v in _as_list(values, what))
+    return parse
+
+
+def _checked(convert, ok, need):
+    """Parser: ``convert``, whose result must satisfy ``ok``; ``need`` is
+    what that asks for, in words."""
+    def parse(value, what):
+        out = convert(value, what)
+        if not ok(out):
+            raise ConfigurationError(f"{what} must be {need}, got {value!r}")
+        return out
+    return parse
+
+
+def _one_of(*options):
+    return _checked(_as_str, lambda s: s in options, f"one of {options}")
+
+
+def _nonempty(convert):
+    return _checked(_tuple_of(convert), bool, "a nonempty list")
+
+
+_POSITIVE_INT = _checked(_as_int, lambda n: n >= 1, "at least 1")
+_POSITIVE_FLOAT = _checked(_as_float, lambda x: x > 0.0, "positive")
+# trial and case indices are packed below the size bits of the stream index
+_TRIAL_COUNT = _checked(_as_int, lambda n: 1 <= n < 2**20, "at least 1 and below 2^20")
+
+
+def _thresholds_of(experiment):
+    def parse(value, what):
+        _reject_unknown(_as_object(value, what), DEFAULT_THRESHOLDS[experiment],
+                        f"{experiment} {what}")
+        return {k: _as_float(v, f"threshold {k}") for k, v in value.items()}
+    return parse
+
+
+# ------------------------------------------------------------- field tables
+
+REQUIRED = object()
+
+
+def _same(value):
+    return value
+
+
+class Field(NamedTuple):
+    """One key of a JSON object.
+
+    ``parse(value, name)`` turns its JSON value into the parsed value.
+    ``default`` is the JSON value used when the key is absent; REQUIRED
+    makes the key mandatory, and None leaves the value None and the key
+    out of the dump.  ``dump`` gives the canonical JSON form; None means
+    the key is never echoed.
+    """
+
+    name: str
+    parse: Callable
+    default: object = REQUIRED
+    dump: Callable | None = _same
+
+
+def _parse_fields(raw, fields, where):
+    """Parse the JSON object ``raw`` by a field table."""
+    _reject_unknown(raw, [f.name for f in fields], where)
+    out = {}
+    for f in fields:
+        if f.name in raw:
+            out[f.name] = f.parse(raw[f.name], f.name)
+        elif f.default is REQUIRED:
+            raise ConfigurationError(f"{where} requires {f.name}")
+        else:
+            out[f.name] = None if f.default is None else f.parse(f.default, f.name)
+    return out
+
+
+def _dump_fields(obj, fields):
+    """Canonical JSON form of the attributes of ``obj`` that a table names."""
+    out = {}
+    for f in fields:
+        value = getattr(obj, f.name)
+        if f.dump is not None and value is not None:
+            out[f.name] = f.dump(value)
+    return out
+
+
+def _kinded(d, kinds, what):
+    """(kind, the other keys) of a JSON object {"kind": ..., ...}."""
+    kind = _one_of(*kinds)(_as_object(d, what).get("kind"), f"{what} kind")
+    return kind, {k: v for k, v in d.items() if k != "kind"}
+
+
+# kind -> (constructor, fields); the constructor takes the fields as keywords
+_BASE_KINDS = {
+    "zero": (base_zero, ()),
+    "two_block_diagonal": (base_two_block, (
+        Field("a", _as_float),
+        Field("b", _as_float),
+        Field("split", _as_float, 0.5),
+        Field("scale_by_sqrt_n", _as_bool, False),
+    )),
+    "low_rank": (base_low_rank, (Field("rank", _as_int), Field("magnitude", _as_float))),
+    "diagonal_from_measure": (base_diagonal_from_measure, (
+        Field("atoms", _tuple_of(_as_complex), dump=_complex_list),
+    )),
+    "explicit": (base_explicit, (
+        Field("entries", _tuple_of(_tuple_of(_as_complex)),
+              dump=lambda rows: [_complex_list(row) for row in rows]),
+    )),
+}
+
+
+def base_from_dict(d, what):
+    kind, rest = _kinded(d, _BASE_KINDS, what)
+    build, fields = _BASE_KINDS[kind]
+    return build(**_parse_fields(rest, fields, f"{kind} {what}"))
+
+
+def base_to_dict(spec):
+    return {"kind": spec.kind, **_dump_fields(spec, _BASE_KINDS[spec.kind][1])}
+
+
+_PROFILE_FIELDS = {
+    "constant": (Field("value", _POSITIVE_FLOAT, 1.0),),
+    "ramp": (Field("low", _as_float), Field("high", _as_float)),
+}
+
+
+def _profile(p, what):
+    kind, rest = _kinded(p, _PROFILE_FIELDS, what)
+    kw = _parse_fields(rest, _PROFILE_FIELDS[kind], f"{kind} {what}")
+    if kind == "ramp" and not 0.0 < kw["low"] <= kw["high"]:
+        raise ConfigurationError("ramp profile needs 0 < low <= high")
+    return {"kind": kind, **kw}
+
+
+def dist_from_dict(d, what):
+    params = {k: _as_float(v, f"{what} {k}") for k, v in _as_object(d, what).items()
+              if k != "kind"}
+    return scalar_distribution(d.get("kind"), **params)
 
 
 def dist_to_dict(dist):
@@ -135,294 +284,131 @@ def dist_to_dict(dist):
     return out
 
 
-def base_from_dict(d):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigurationError("base matrix spec must be an object with a 'kind'")
-    kind = d["kind"]
-    if kind == "zero":
-        _reject_unknown(d, {"kind"}, "base spec")
-        return base_zero()
-    if kind == "two_block_diagonal":
-        _reject_unknown(d, {"kind", "a", "b", "split", "scale_by_sqrt_n"}, "base spec")
-        return base_two_block(_as_float(d.get("a"), "base a"), _as_float(d.get("b"), "base b"),
-                              _float_field(d, "split", 0.5), d.get("scale_by_sqrt_n", False))
-    if kind == "low_rank":
-        _reject_unknown(d, {"kind", "rank", "magnitude"}, "base spec")
-        return base_low_rank(_as_int(d.get("rank"), "base rank"),
-                             _as_float(d.get("magnitude"), "base magnitude"))
-    if kind == "diagonal_from_measure":
-        _reject_unknown(d, {"kind", "atoms"}, "base spec")
-        return base_diagonal_from_measure(
-            [_as_complex(t) for t in _as_list(d.get("atoms"), "base atoms")])
-    if kind == "explicit":
-        _reject_unknown(d, {"kind", "entries"}, "base spec")
-        rows = [[_as_complex(e) for e in _as_list(row, "base entries row")]
-                for row in _as_list(d.get("entries"), "base entries")]
-        if any(len(row) != len(rows) for row in rows):
-            raise ConfigurationError("explicit base matrix must be square")
-        return base_explicit(rows)
-    raise ConfigurationError(f"unknown base matrix kind {kind!r}")
+def _common_fields(experiment):
+    return (
+        Field("schema_version", _checked(_as_int, lambda v: v == SCHEMA_VERSION,
+                                         str(SCHEMA_VERSION))),
+        Field("experiment", _one_of(experiment)),
+        Field("master_seed", _checked(_as_int, lambda s: 0 <= s < 2**64,
+                                      "a 64-bit unsigned integer")),
+        Field("output_dir", _as_str, "out"),
+        Field("threads", _POSITIVE_INT, 1),
+        Field("thresholds", _thresholds_of(experiment), {}, dict),
+    )
 
 
-def base_to_dict(spec):
-    if spec.kind == "zero":
-        return {"kind": "zero"}
-    if spec.kind == "two_block_diagonal":
-        return {"kind": spec.kind, "a": spec.a, "b": spec.b, "split": spec.split,
-                "scale_by_sqrt_n": spec.scale_by_sqrt_n}
-    if spec.kind == "low_rank":
-        return {"kind": spec.kind, "rank": spec.rank, "magnitude": spec.magnitude}
-    if spec.kind == "diagonal_from_measure":
-        return {"kind": spec.kind, "atoms": [_complex_out(t) for t in spec.atoms]}
-    return {"kind": "explicit",
-            "entries": [[_complex_out(e) for e in row] for row in spec.entries]}
+_MATRIX_FIELDS = (
+    Field("n_list", _nonempty(_POSITIVE_INT), dump=list),
+    Field("trials", _TRIAL_COUNT),
+    Field("dist_x", dist_from_dict, dump=dist_to_dict),
+    Field("base", base_from_dict, {"kind": "zero"}, base_to_dict),
+)
+
+# circular and hermitize accept only mode "shift" and never echo it
+_SHIFT_MODE = Field("mode", _one_of("shift"), "shift", None)
+
+_OWN_FIELDS = {
+    "circular": _MATRIX_FIELDS + (
+        _SHIFT_MODE,
+        Field("center", _as_complex, None, _complex_out),
+    ),
+    "universality": _MATRIX_FIELDS + (
+        Field("mode", _one_of(*ASSEMBLY_MODES), "shift"),
+        Field("dist_y", dist_from_dict, None, dist_to_dict),
+        Field("profile", _profile, None, dict),
+        Field("sandwich_k", base_from_dict, None, base_to_dict),
+        Field("sandwich_l", base_from_dict, None, base_to_dict),
+    ),
+    "hermitize": _MATRIX_FIELDS + (
+        _SHIFT_MODE,
+        Field("z_grid", _nonempty(_as_complex), dump=_complex_list),
+        Field("reference", _one_of("circular", "ds"), "circular"),
+        Field("eps_exponent", _POSITIVE_FLOAT, 0.1),
+    ),
+    "ds_solve": (
+        Field("h_atoms", _nonempty(_as_float), [0.0], list),
+        Field("h_weights", _tuple_of(_as_float), [1.0], list),
+        Field("c", _as_float, 1.0),
+        Field("x_min", _as_float, 0.1),
+        Field("x_max", _as_float, 3.9),
+        Field("x_step", _POSITIVE_FLOAT, 1.0 / 400.0),
+        Field("eta_schedule", _tuple_of(_as_float), DEFAULT_ETA_SCHEDULE, list),
+        Field("agreement_tol", _as_float, 1e-3),
+        Field("mass_check", _as_bool, False),
+        Field("mp_oracle", _as_bool, False),
+    ),
+    "tails": _MATRIX_FIELDS + (
+        Field("distance_n", _as_int, 2000),
+        Field("distance_d", _as_int, 1000),
+        Field("distance_trials", _POSITIVE_INT, 200),
+    ),
+    "lemmas": (
+        Field("lemma_cases", _TRIAL_COUNT, 500),
+        Field("max_size", _checked(_as_int, lambda n: n >= 4, "at least 4"), 30),
+    ),
+}
+
+FIELDS = {name: _common_fields(name) + own for name, own in _OWN_FIELDS.items()}
+
+EXPERIMENTS = tuple(FIELDS)
 
 
-def _as_complex(v):
-    """JSON scalars are numbers or [re, im] pairs."""
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(_as_float(v[0], "real part"), _as_float(v[1], "imaginary part"))
-    raise ConfigurationError(f"expected a number or [re, im] pair, got {v!r}")
+def _check_cross_fields(kw):
+    """The rules that tie two fields of one experiment together."""
+    experiment = kw["experiment"]
+    if experiment == "universality":
+        if kw["mode"] == "hadamard_profile" and kw["profile"] is None:
+            raise ConfigurationError("hadamard_profile mode requires a profile spec")
+        if kw["mode"] == "sandwich" and (kw["sandwich_k"] is None or kw["sandwich_l"] is None):
+            raise ConfigurationError("sandwich mode requires sandwich_k and sandwich_l")
+    elif experiment == "ds_solve":
+        if len(kw["h_weights"]) != len(kw["h_atoms"]):
+            raise ConfigurationError("h_weights must match h_atoms")
+        if not kw["x_min"] < kw["x_max"]:
+            raise ConfigurationError("ds_solve needs x_min < x_max")
+        if kw["mp_oracle"] and (kw["h_atoms"] != (0.0,) or kw["c"] != 1.0):
+            raise ConfigurationError("mp_oracle gates require H = delta_0 and c = 1")
+    elif experiment == "tails":
+        if not 1 <= kw["distance_d"] < kw["distance_n"]:
+            raise ConfigurationError("tails needs 1 <= distance_d < distance_n")
 
 
-def _complex_out(z):
-    z = complex(z)
-    return z.real if z.imag == 0.0 else [z.real, z.imag]
+def _attribute(f):
+    """ExperimentConfig attribute of a field; its default is the parsed
+    table default (None for a required or optional field)."""
+    if f.default is REQUIRED or f.default is None:
+        return f.name, object, None
+    return f.name, object, dataclasses.field(default_factory=lambda: f.parse(f.default, f.name))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated configuration for one experiment run."""
-
-    experiment: str
-    master_seed: int
-    n_list: tuple = ()
-    trials: int = 0
-    dist_x: ScalarDistribution | None = None
-    dist_y: ScalarDistribution | None = None
-    base: BaseMatrixSpec = field(default_factory=base_zero)
-    mode: str = "shift"
-    profile: dict | None = None
-    sandwich_k: BaseMatrixSpec | None = None
-    sandwich_l: BaseMatrixSpec | None = None
-    z_grid: tuple = ()
-    reference: str = "circular"
-    eps_exponent: float = 0.1
-    center: complex | None = None
-    h_atoms: tuple = ()
-    h_weights: tuple = ()
-    c: float = 1.0
-    x_min: float = 0.1
-    x_max: float = 3.9
-    x_step: float = 1.0 / 400.0
-    eta_schedule: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
-    agreement_tol: float = 1e-3
-    mass_check: bool = False
-    mp_oracle: bool = False
-    distance_n: int = 2000
-    distance_d: int = 1000
-    distance_trials: int = 200
-    lemma_cases: int = 500
-    max_size: int = 30
-    output_dir: str = "out"
-    threads: int = 1
-    thresholds: dict = field(default_factory=dict)
-
-    def resolved_thresholds(self):
-        return {**DEFAULT_THRESHOLDS[self.experiment], **self.thresholds}
+def _resolved_thresholds(self):
+    return {**DEFAULT_THRESHOLDS[self.experiment], **self.thresholds}
 
 
-def _validate_profile(p):
-    if p is None:
-        return None
-    if not isinstance(p, dict) or "kind" not in p:
-        raise ConfigurationError("profile must be an object with a 'kind'")
-    if p["kind"] == "constant":
-        _reject_unknown(p, {"kind", "value"}, "profile")
-        value = _as_float(p.get("value", 1.0), "profile value")
-        if value <= 0.0:
-            raise ConfigurationError("constant profile value must be positive")
-        return {"kind": "constant", "value": value}
-    if p["kind"] == "ramp":
-        _reject_unknown(p, {"kind", "low", "high"}, "profile")
-        lo, hi = _as_float(p.get("low"), "ramp low"), _as_float(p.get("high"), "ramp high")
-        if not 0.0 < lo <= hi:
-            raise ConfigurationError("ramp profile needs 0 < low <= high")
-        return {"kind": "ramp", "low": lo, "high": hi}
-    raise ConfigurationError(f"unknown profile kind {p['kind']!r}")
+# one attribute per key of any experiment; tables that share a key share its default
+ExperimentConfig = dataclasses.make_dataclass(
+    "ExperimentConfig",
+    [_attribute(f) for f in {f.name: f for table in FIELDS.values() for f in table}.values()],
+    frozen=True,
+    namespace={"__doc__": "Validated configuration for one experiment run.",
+               "__module__": __name__, "resolved_thresholds": _resolved_thresholds})
 
 
 def config_from_dict(raw):
     """Parse and validate a configuration dictionary (strict)."""
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config must be a JSON object")
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigurationError(f"config schema_version must be {SCHEMA_VERSION}")
-    experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigurationError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    _reject_unknown(raw, _COMMON_KEYS | _EXPERIMENT_KEYS[experiment], f"{experiment} config")
-    if "master_seed" not in raw or not isinstance(raw["master_seed"], int) \
-            or not 0 <= raw["master_seed"] < 2**64:
-        raise ConfigurationError("master_seed must be a 64-bit unsigned integer")
-
-    thresholds = raw.get("thresholds", {})
-    if not isinstance(thresholds, dict):
-        raise ConfigurationError("thresholds must be an object")
-    _reject_unknown(thresholds, DEFAULT_THRESHOLDS[experiment], f"{experiment} thresholds")
-    thresholds = {k: _as_float(v, f"threshold {k}") for k, v in thresholds.items()}
-
-    kw = dict(
-        experiment=experiment,
-        master_seed=raw["master_seed"],
-        output_dir=str(raw.get("output_dir", "out")),
-        threads=_int_field(raw, "threads", 1),
-        thresholds=thresholds,
-    )
-    if kw["threads"] < 1:
-        raise ConfigurationError("threads must be at least 1")
-
-    if experiment in ("circular", "universality", "hermitize", "tails"):
-        n_list = raw.get("n_list")
-        trials = raw.get("trials")
-        if not isinstance(n_list, list) or not n_list:
-            raise ConfigurationError("n_list must be a nonempty list of positive sizes")
-        kw["n_list"] = tuple(_as_int(n, "n_list entry") for n in n_list)
-        if min(kw["n_list"]) < 1:
-            raise ConfigurationError("n_list must be a nonempty list of positive sizes")
-        # trial indices are packed below the size bits of the stream index
-        if not isinstance(trials, int) or not 1 <= trials < 2**20:
-            raise ConfigurationError("trials must be a positive integer below 2^20")
-        kw["trials"] = trials
-        if "dist_x" not in raw:
-            raise ConfigurationError(f"{experiment} config requires dist_x")
-        kw["dist_x"] = dist_from_dict(raw["dist_x"])
-        kw["base"] = base_from_dict(raw.get("base", {"kind": "zero"}))
-
-    mode = raw.get("mode", "shift")
-    if experiment == "circular":
-        if mode != "shift":
-            raise ConfigurationError("circular experiment supports mode 'shift' only")
-        if "center" in raw:
-            kw["center"] = _as_complex(raw["center"])
-    elif experiment == "universality":
-        if mode not in ("shift", "sandwich", "hadamard_profile"):
-            raise ConfigurationError(f"unknown assembly mode {mode!r}")
-        kw["mode"] = mode
-        if "dist_y" in raw:
-            kw["dist_y"] = dist_from_dict(raw["dist_y"])
-        kw["profile"] = _validate_profile(raw.get("profile"))
-        if mode == "hadamard_profile" and kw["profile"] is None:
-            raise ConfigurationError("hadamard_profile mode requires a profile spec")
-        if mode == "sandwich":
-            if "sandwich_k" not in raw or "sandwich_l" not in raw:
-                raise ConfigurationError("sandwich mode requires sandwich_k and sandwich_l")
-            kw["sandwich_k"] = base_from_dict(raw["sandwich_k"])
-            kw["sandwich_l"] = base_from_dict(raw["sandwich_l"])
-    elif experiment == "hermitize":
-        if mode != "shift":
-            raise ConfigurationError("hermitize experiment supports mode 'shift' only")
-        z_grid = raw.get("z_grid")
-        if not isinstance(z_grid, list) or not z_grid:
-            raise ConfigurationError("hermitize requires a nonempty z_grid")
-        kw["z_grid"] = tuple(_as_complex(z) for z in z_grid)
-        reference = raw.get("reference", "circular")
-        if reference not in ("circular", "ds"):
-            raise ConfigurationError("reference must be 'circular' or 'ds'")
-        kw["reference"] = reference
-        kw["eps_exponent"] = _float_field(raw, "eps_exponent", 0.1)
-        if kw["eps_exponent"] <= 0.0:
-            raise ConfigurationError("eps_exponent must be positive")
-    elif experiment == "ds_solve":
-        atoms = _float_tuple(raw.get("h_atoms", [0.0]), "h_atoms")
-        weights = _float_tuple(raw.get("h_weights", [1.0] if len(atoms) == 1 else []),
-                               "h_weights")
-        if not weights or len(weights) != len(atoms):
-            raise ConfigurationError("h_weights must match h_atoms")
-        kw["h_atoms"] = atoms
-        kw["h_weights"] = weights
-        kw["c"] = _float_field(raw, "c", 1.0)
-        kw["x_min"] = _float_field(raw, "x_min", 0.1)
-        kw["x_max"] = _float_field(raw, "x_max", 3.9)
-        kw["x_step"] = _float_field(raw, "x_step", 1.0 / 400.0)
-        if not kw["x_min"] < kw["x_max"] or kw["x_step"] <= 0.0:
-            raise ConfigurationError("ds_solve needs x_min < x_max and positive x_step")
-        kw["eta_schedule"] = _float_tuple(raw.get("eta_schedule", (1e-1, 1e-2, 1e-3, 1e-4)),
-                                          "eta_schedule")
-        kw["agreement_tol"] = _float_field(raw, "agreement_tol", 1e-3)
-        kw["mass_check"] = bool(raw.get("mass_check", False))
-        kw["mp_oracle"] = bool(raw.get("mp_oracle", False))
-    elif experiment == "tails":
-        kw["distance_n"] = _int_field(raw, "distance_n", 2000)
-        kw["distance_d"] = _int_field(raw, "distance_d", 1000)
-        kw["distance_trials"] = _int_field(raw, "distance_trials", 200)
-        if not 1 <= kw["distance_d"] < kw["distance_n"] or kw["distance_trials"] < 1:
-            raise ConfigurationError(
-                "tails needs 1 <= distance_d < distance_n and distance_trials >= 1")
-    elif experiment == "lemmas":
-        kw["lemma_cases"] = _int_field(raw, "lemma_cases", 500)
-        kw["max_size"] = _int_field(raw, "max_size", 30)
-        if not 1 <= kw["lemma_cases"] < 2**20 or kw["max_size"] < 4:
-            raise ConfigurationError("lemmas needs 1 <= lemma_cases < 2^20 and max_size >= 4")
-
+    experiment = _one_of(*EXPERIMENTS)(_as_object(raw, "config").get("experiment"), "experiment")
+    kw = _parse_fields(raw, FIELDS[experiment], f"{experiment} config")
+    _check_cross_fields(kw)
     return ExperimentConfig(**kw)
 
 
 def config_to_dict(cfg):
     """Canonical JSON-ready dictionary (inverse of config_from_dict)."""
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": cfg.experiment,
-        "master_seed": cfg.master_seed,
-        "output_dir": cfg.output_dir,
-        "threads": cfg.threads,
-        "thresholds": dict(cfg.thresholds),
-    }
-    if cfg.experiment in ("circular", "universality", "hermitize", "tails"):
-        out["n_list"] = list(cfg.n_list)
-        out["trials"] = cfg.trials
-        out["dist_x"] = dist_to_dict(cfg.dist_x)
-        out["base"] = base_to_dict(cfg.base)
-    if cfg.experiment == "circular" and cfg.center is not None:
-        out["center"] = _complex_out(cfg.center)
-    if cfg.experiment == "universality":
-        out["mode"] = cfg.mode
-        if cfg.dist_y is not None:
-            out["dist_y"] = dist_to_dict(cfg.dist_y)
-        if cfg.profile is not None:
-            out["profile"] = dict(cfg.profile)
-        if cfg.sandwich_k is not None:
-            out["sandwich_k"] = base_to_dict(cfg.sandwich_k)
-            out["sandwich_l"] = base_to_dict(cfg.sandwich_l)
-    if cfg.experiment == "hermitize":
-        out["z_grid"] = [_complex_out(z) for z in cfg.z_grid]
-        out["reference"] = cfg.reference
-        out["eps_exponent"] = cfg.eps_exponent
-    if cfg.experiment == "ds_solve":
-        out["h_atoms"] = list(cfg.h_atoms)
-        out["h_weights"] = list(cfg.h_weights)
-        out["c"] = cfg.c
-        out["x_min"] = cfg.x_min
-        out["x_max"] = cfg.x_max
-        out["x_step"] = cfg.x_step
-        out["eta_schedule"] = list(cfg.eta_schedule)
-        out["agreement_tol"] = cfg.agreement_tol
-        out["mass_check"] = cfg.mass_check
-        out["mp_oracle"] = cfg.mp_oracle
-    if cfg.experiment == "tails":
-        out["distance_n"] = cfg.distance_n
-        out["distance_d"] = cfg.distance_d
-        out["distance_trials"] = cfg.distance_trials
-    if cfg.experiment == "lemmas":
-        out["lemma_cases"] = cfg.lemma_cases
-        out["max_size"] = cfg.max_size
-    return out
+    return _dump_fields(cfg, FIELDS[cfg.experiment])
 
 
-def load_config(path):
-    """Load, parse and validate a JSON config file."""
+def read_config_json(path):
+    """The JSON object in the config file at ``path``, not yet parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -430,4 +416,9 @@ def load_config(path):
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    return _as_object(raw, f"config {path}")
+
+
+def load_config(path):
+    """Load, parse and validate a JSON config file."""
+    return config_from_dict(read_config_json(path))

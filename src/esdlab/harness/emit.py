@@ -13,7 +13,7 @@ import json
 import math
 import os
 
-from ..errors import ConfigurationError, EsdLabError
+from ..errors import EsdLabError
 
 
 def format_number(v):
@@ -94,42 +94,6 @@ def scatter_svg(mu, center=0j, size_px=500, view=2.5):
 
 def write_svg(path, svg_text):
     _write_text(path, svg_text)
-
-
-def write_grid_csv(path, grid):
-    """Lattice serialization of a log-potential field: (re_z, im_z, f_n)."""
-    lines = ["re_z,im_z,f_n"]
-    for z, v in zip(grid.spec.points(), grid.values):
-        lines.append(",".join(format_number(x) for x in (z.real, z.imag, v)))
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def emit(obj, format, path):
-    """Serialize records, a field grid, a solution, or a measure to disk.
-
-    Accepted combinations: a record list or LogPotentialGrid or
-    StieltjesSolution with format 'csv'; a plane measure with 'svg'.
-    """
-    from ..hermitization import LogPotentialGrid
-    from ..limits import StieltjesSolution
-    from ..measures import EmpiricalMeasure2D
-
-    if format == "csv":
-        if isinstance(obj, LogPotentialGrid):
-            write_grid_csv(path, obj)
-        elif isinstance(obj, StieltjesSolution):
-            write_ds_csv(path, obj)
-        elif isinstance(obj, (list, tuple)):
-            write_trials_csv(path, obj)
-        else:
-            raise ConfigurationError(f"cannot emit {type(obj).__name__} as csv")
-    elif format == "svg":
-        if not isinstance(obj, EmpiricalMeasure2D):
-            raise ConfigurationError(f"cannot emit {type(obj).__name__} as svg")
-        write_svg(path, scatter_svg(obj))
-    else:
-        raise ConfigurationError(f"unknown emission format {format!r}")
-    return path
 
 
 def sha256_file(path):

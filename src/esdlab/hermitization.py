@@ -120,7 +120,7 @@ def regularized_log_det(a, z, eps, *, s=None):
 
 
 def log_potential(mu, z):
-    """int log|w - z| dmu(w) for an empirical measure or a reference law."""
+    """int log|w - z| dmu(w) for an empirical measure."""
     z = complex(z)
     if isinstance(mu, (EmpiricalMeasure2D, EmpiricalMeasure1D)):
         atoms = np.asarray(mu.atoms, dtype=np.complex128)
@@ -128,8 +128,6 @@ def log_potential(mu, z):
         if np.min(dist) <= ATOM_COLLISION_TOL:
             raise SingularityError(f"z={z} collides with an atom of the measure")
         return float(np.mean(np.log(dist)))
-    if hasattr(mu, "log_potential"):
-        return float(mu.log_potential(z))
     raise ConfigurationError("unsupported measure type for log_potential")
 
 

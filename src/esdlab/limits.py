@@ -41,19 +41,6 @@ def circular_radial_cdf(r):
     return np.clip(np.asarray(r, dtype=np.float64), 0.0, 1.0) ** 2
 
 
-class CircularLaw:
-    """Reference-law object exposing the closed forms as methods."""
-
-    def density(self, z):
-        return circular_density(z)
-
-    def log_potential(self, z):
-        return circular_log_potential(z)
-
-    def radial_cdf(self, r):
-        return circular_radial_cdf(r)
-
-
 # ----------------------------------------------------------- measure H on R+
 
 @dataclass(frozen=True)
@@ -170,6 +157,9 @@ def mp_cdf(x):
 
 # -------------------------------------------------------- Stieltjes inversion
 
+DEFAULT_ETA_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
 @dataclass(frozen=True)
 class StieltjesSolution:
     """Sampled m along Im w = eta plus the recovered real-line density."""
@@ -193,7 +183,7 @@ class StieltjesSolution:
         return float(np.trapezoid(self.density, self.x_grid))
 
 
-def invert_stieltjes(solve, x_grid, eta_schedule=(1e-1, 1e-2, 1e-3, 1e-4), agreement_tol=1e-3):
+def invert_stieltjes(solve, x_grid, eta_schedule=DEFAULT_ETA_SCHEDULE, agreement_tol=1e-3):
     """Recover density(x) = (1/pi) Im m(x + i eta_final) along an eta schedule.
 
     ``solve`` maps w in the upper half-plane to m(w).  The run is

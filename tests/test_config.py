@@ -1,0 +1,265 @@
+"""Config field tables: pinned canonical dumps and a mutation property."""
+
+import copy
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from esdlab import ConfigurationError
+from esdlab.harness import config_from_dict, config_to_dict
+from esdlab.harness.config import FIELDS
+
+_ROUNDTRIP = {
+    "circular": {"schema_version": 1, "experiment": "circular", "master_seed": 7,
+                 "n_list": [50], "trials": 2, "dist_x": {"kind": "bernoulli"},
+                 "base": {"kind": "zero"}},
+    "universality": {"schema_version": 1, "experiment": "universality", "master_seed": 3,
+                     "n_list": [40, 80], "trials": 2, "mode": "hadamard_profile",
+                     "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},
+                     "base": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.5, "split": 0.5,
+                              "scale_by_sqrt_n": True},
+                     "profile": {"kind": "ramp", "low": 0.5, "high": 2.0}},
+    "hermitize": {"schema_version": 1, "experiment": "hermitize", "master_seed": 3,
+                  "n_list": [64], "trials": 2, "dist_x": {"kind": "real_gaussian"},
+                  "base": {"kind": "zero"}, "z_grid": [0.0, [0.5, 0.5]],
+                  "reference": "circular", "eps_exponent": 1.5},
+    "ds_solve": {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
+                 "h_atoms": [0.0], "h_weights": [1.0], "c": 1.0, "mp_oracle": True},
+    "tails": {"schema_version": 1, "experiment": "tails", "master_seed": 3,
+              "n_list": [50], "trials": 3, "dist_x": {"kind": "bernoulli"},
+              "base": {"kind": "zero"}, "distance_n": 100, "distance_d": 50,
+              "distance_trials": 5},
+    "lemmas": {"schema_version": 1, "experiment": "lemmas", "master_seed": 3,
+               "lemma_cases": 10, "max_size": 8},
+}
+
+# The benchmark's workload configs, at its reference seed.
+_BENCH = {
+    "circular_t2": {"schema_version": 1, "experiment": "circular", "n_list": [1000],
+                    "trials": 2, "dist_x": {"kind": "real_gaussian"},
+                    "base": {"kind": "zero"}, "threads": 2, "master_seed": 20260808},
+    "hermitize_t1": {"schema_version": 1, "experiment": "hermitize", "n_list": [600],
+                     "trials": 2, "dist_x": {"kind": "real_gaussian"},
+                     "base": {"kind": "zero"}, "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0],
+                     "reference": "circular", "eps_exponent": 0.1, "threads": 1,
+                     "master_seed": 20260808},
+    "ds_mp": {"schema_version": 1, "experiment": "ds_solve", "mp_oracle": True,
+              "master_seed": 20260808},
+    "tails_t1": {"schema_version": 1, "experiment": "tails", "n_list": [100, 200, 400],
+                 "trials": 100, "dist_x": {"kind": "bernoulli"}, "base": {"kind": "zero"},
+                 "distance_n": 2000, "distance_d": 1000, "distance_trials": 200,
+                 "threads": 1, "master_seed": 20260808},
+}
+
+# One config of each experiment with every optional field set; integers
+# stand in for some floats, and every base and distribution kind appears.
+_FULL = {
+    "circular": {"schema_version": 1, "experiment": "circular", "master_seed": 2**64 - 1,
+                 "output_dir": "runs/circ", "threads": 2,
+                 "thresholds": {"radial_ks": 0.1, "in_disk_radius": 2},
+                 "n_list": [30, 60.0], "trials": 3,
+                 "dist_x": {"kind": "two_point_asymmetric", "p": 0.25},
+                 "base": {"kind": "diagonal_from_measure", "atoms": [1, [0.5, -0.5]]},
+                 "mode": "shift", "center": [0.25, -0.5]},
+    "universality": {"schema_version": 1, "experiment": "universality", "master_seed": 0,
+                     "output_dir": "runs/univ", "threads": 3,
+                     "thresholds": {"final_median_bl": 0.2},
+                     "n_list": [20], "trials": 4, "mode": "sandwich",
+                     "dist_x": {"kind": "pareto_symmetrized", "exponent": 5},
+                     "dist_y": {"kind": "complex_gaussian"},
+                     "base": {"kind": "two_block_diagonal", "a": 1, "b": 2.5, "split": 0.25,
+                              "scale_by_sqrt_n": False},
+                     "profile": {"kind": "constant", "value": 2},
+                     "sandwich_k": {"kind": "low_rank", "rank": 2, "magnitude": 3},
+                     "sandwich_l": {"kind": "explicit", "entries": [[1, [0, 1]], [2.5, -1]]}},
+    "hermitize": {"schema_version": 1, "experiment": "hermitize", "master_seed": 11,
+                  "output_dir": "runs/herm", "threads": 1,
+                  "thresholds": {"potential_gap": 0.1, "potential_pass_fraction": 0.5,
+                                 "regularization_gap": 1},
+                  "n_list": [16, 32], "trials": 1, "dist_x": {"kind": "uniform_centered"},
+                  "base": {"kind": "low_rank", "rank": 1, "magnitude": 0.5},
+                  "mode": "shift", "z_grid": [0, [0.5, 0.5], -1.5, [0.0, 2]],
+                  "reference": "ds", "eps_exponent": 0.25},
+    "ds_solve": {"schema_version": 1, "experiment": "ds_solve", "master_seed": 5,
+                 "output_dir": "runs/ds", "threads": 2,
+                 "thresholds": {"oracle_gap": 1e-6, "mass_low": 0.9, "mass_high": 1.1,
+                                "density_sup_error": 0.5},
+                 "h_atoms": [0.5, 2], "h_weights": [0.25, 0.75], "c": 1, "x_min": 0.2,
+                 "x_max": 5, "x_step": 0.05, "eta_schedule": [0.1, 0.01, 0.001],
+                 "agreement_tol": 0.01, "mass_check": True, "mp_oracle": False},
+    "tails": {"schema_version": 1, "experiment": "tails", "master_seed": 12,
+              "output_dir": "runs/tails", "threads": 2,
+              "thresholds": {"sigma_min_exponent": 8, "distance_constant": 0.25,
+                             "mean_dist2_low": 0.9, "mean_dist2_high": 1.1},
+              "n_list": [10, 20], "trials": 5, "dist_x": {"kind": "real_gaussian"},
+              "base": {"kind": "zero"}, "distance_n": 300, "distance_d": 100,
+              "distance_trials": 7},
+    "lemmas": {"schema_version": 1, "experiment": "lemmas", "master_seed": 13,
+               "output_dir": "runs/lemmas", "threads": 4,
+               "thresholds": {"det_identity": 1e-5, "neg_second_moment": 1e-8,
+                              "interlacing_slack_scale": 1e-7, "weyl_slack_scale": 1e-7},
+               "lemma_cases": 20, "max_size": 6},
+}
+
+VALID = {**{f"roundtrip_{k}": v for k, v in _ROUNDTRIP.items()},
+         **{f"bench_{k}": v for k, v in _BENCH.items()},
+         **{f"full_{k}": v for k, v in _FULL.items()}}
+
+# json.dumps(config_to_dict(cfg), sort_keys=True) of each VALID config,
+# recorded before the field tables replaced the per-experiment parsing.
+PINNED = {
+    "bench_circular_t2": (
+        '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"},'
+        ' "experiment": "circular", "master_seed": 20260808, "n_list": [1000],'
+        ' "output_dir": "out", "schema_version": 1, "threads": 2, "thresholds": {},'
+        ' "trials": 2}'),
+    "bench_ds_mp": (
+        '{"agreement_tol": 0.001, "c": 1.0, "eta_schedule": [0.1, 0.01, 0.001, 0.0001],'
+        ' "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0], "mass_check": false,'
+        ' "master_seed": 20260808, "mp_oracle": true, "output_dir": "out",'
+        ' "schema_version": 1, "threads": 1, "thresholds": {}, "x_max": 3.9, "x_min": 0.1,'
+        ' "x_step": 0.0025}'),
+    "bench_hermitize_t1": (
+        '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"}, "eps_exponent": 0.1,'
+        ' "experiment": "hermitize", "master_seed": 20260808, "n_list": [600],'
+        ' "output_dir": "out", "reference": "circular", "schema_version": 1, "threads": 1,'
+        ' "thresholds": {}, "trials": 2, "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}'),
+    "bench_tails_t1": (
+        '{"base": {"kind": "zero"}, "dist_x": {"kind": "bernoulli"}, "distance_d": 1000,'
+        ' "distance_n": 2000, "distance_trials": 200, "experiment": "tails",'
+        ' "master_seed": 20260808, "n_list": [100, 200, 400], "output_dir": "out",'
+        ' "schema_version": 1, "threads": 1, "thresholds": {}, "trials": 100}'),
+    "full_circular": (
+        '{"base": {"atoms": [1.0, [0.5, -0.5]], "kind": "diagonal_from_measure"},'
+        ' "center": [0.25, -0.5], "dist_x": {"kind": "two_point_asymmetric", "p": 0.25},'
+        ' "experiment": "circular", "master_seed": 18446744073709551615, "n_list": [30, 60],'
+        ' "output_dir": "runs/circ", "schema_version": 1, "threads": 2,'
+        ' "thresholds": {"in_disk_radius": 2.0, "radial_ks": 0.1}, "trials": 3}'),
+    "full_ds_solve": (
+        '{"agreement_tol": 0.01, "c": 1.0, "eta_schedule": [0.1, 0.01, 0.001],'
+        ' "experiment": "ds_solve", "h_atoms": [0.5, 2.0], "h_weights": [0.25, 0.75],'
+        ' "mass_check": true, "master_seed": 5, "mp_oracle": false, "output_dir": "runs/ds",'
+        ' "schema_version": 1, "threads": 2, "thresholds": {"density_sup_error": 0.5,'
+        ' "mass_high": 1.1, "mass_low": 0.9, "oracle_gap": 1e-06}, "x_max": 5.0, "x_min": 0.2,'
+        ' "x_step": 0.05}'),
+    "full_hermitize": (
+        '{"base": {"kind": "low_rank", "magnitude": 0.5, "rank": 1},'
+        ' "dist_x": {"kind": "uniform_centered"}, "eps_exponent": 0.25,'
+        ' "experiment": "hermitize", "master_seed": 11, "n_list": [16, 32],'
+        ' "output_dir": "runs/herm", "reference": "ds", "schema_version": 1, "threads": 1,'
+        ' "thresholds": {"potential_gap": 0.1, "potential_pass_fraction": 0.5,'
+        ' "regularization_gap": 1.0}, "trials": 1, "z_grid": [0.0, [0.5, 0.5], -1.5, [0.0,'
+        ' 2.0]]}'),
+    "full_lemmas": (
+        '{"experiment": "lemmas", "lemma_cases": 20, "master_seed": 13, "max_size": 6,'
+        ' "output_dir": "runs/lemmas", "schema_version": 1, "threads": 4,'
+        ' "thresholds": {"det_identity": 1e-05, "interlacing_slack_scale": 1e-07,'
+        ' "neg_second_moment": 1e-08, "weyl_slack_scale": 1e-07}}'),
+    "full_tails": (
+        '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"}, "distance_d": 100,'
+        ' "distance_n": 300, "distance_trials": 7, "experiment": "tails", "master_seed": 12,'
+        ' "n_list": [10, 20], "output_dir": "runs/tails", "schema_version": 1, "threads": 2,'
+        ' "thresholds": {"distance_constant": 0.25, "mean_dist2_high": 1.1,'
+        ' "mean_dist2_low": 0.9, "sigma_min_exponent": 8.0}, "trials": 5}'),
+    "full_universality": (
+        '{"base": {"a": 1.0, "b": 2.5, "kind": "two_block_diagonal", "scale_by_sqrt_n": false,'
+        ' "split": 0.25}, "dist_x": {"exponent": 5.0, "kind": "pareto_symmetrized"},'
+        ' "dist_y": {"kind": "complex_gaussian"}, "experiment": "universality",'
+        ' "master_seed": 0, "mode": "sandwich", "n_list": [20], "output_dir": "runs/univ",'
+        ' "profile": {"kind": "constant", "value": 2.0}, "sandwich_k": {"kind": "low_rank",'
+        ' "magnitude": 3.0, "rank": 2}, "sandwich_l": {"entries": [[1.0, [0.0, 1.0]], [2.5,'
+        ' -1.0]], "kind": "explicit"}, "schema_version": 1, "threads": 3,'
+        ' "thresholds": {"final_median_bl": 0.2}, "trials": 4}'),
+    "roundtrip_circular": (
+        '{"base": {"kind": "zero"}, "dist_x": {"kind": "bernoulli"}, "experiment": "circular",'
+        ' "master_seed": 7, "n_list": [50], "output_dir": "out", "schema_version": 1,'
+        ' "threads": 1, "thresholds": {}, "trials": 2}'),
+    "roundtrip_ds_solve": (
+        '{"agreement_tol": 0.001, "c": 1.0, "eta_schedule": [0.1, 0.01, 0.001, 0.0001],'
+        ' "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0], "mass_check": false,'
+        ' "master_seed": 3, "mp_oracle": true, "output_dir": "out", "schema_version": 1,'
+        ' "threads": 1, "thresholds": {}, "x_max": 3.9, "x_min": 0.1, "x_step": 0.0025}'),
+    "roundtrip_hermitize": (
+        '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"}, "eps_exponent": 1.5,'
+        ' "experiment": "hermitize", "master_seed": 3, "n_list": [64], "output_dir": "out",'
+        ' "reference": "circular", "schema_version": 1, "threads": 1, "thresholds": {},'
+        ' "trials": 2, "z_grid": [0.0, [0.5, 0.5]]}'),
+    "roundtrip_lemmas": (
+        '{"experiment": "lemmas", "lemma_cases": 10, "master_seed": 3, "max_size": 8,'
+        ' "output_dir": "out", "schema_version": 1, "threads": 1, "thresholds": {}}'),
+    "roundtrip_tails": (
+        '{"base": {"kind": "zero"}, "dist_x": {"kind": "bernoulli"}, "distance_d": 50,'
+        ' "distance_n": 100, "distance_trials": 5, "experiment": "tails", "master_seed": 3,'
+        ' "n_list": [50], "output_dir": "out", "schema_version": 1, "threads": 1,'
+        ' "thresholds": {}, "trials": 3}'),
+    "roundtrip_universality": (
+        '{"base": {"a": 1.0, "b": 2.5, "kind": "two_block_diagonal", "scale_by_sqrt_n": true,'
+        ' "split": 0.5}, "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},'
+        ' "experiment": "universality", "master_seed": 3, "mode": "hadamard_profile",'
+        ' "n_list": [40, 80], "output_dir": "out", "profile": {"high": 2.0, "kind": "ramp",'
+        ' "low": 0.5}, "schema_version": 1, "threads": 1, "thresholds": {}, "trials": 2}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_canonical_dump_pinned(name):
+    dump = json.dumps(config_to_dict(config_from_dict(VALID[name])), sort_keys=True)
+    assert dump == PINNED[name]
+
+
+# --------------------------------------------------------- mutation property
+
+_KEYS = sorted({f.name for table in FIELDS.values() for f in table} | {"kind", "bogus"})
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 2**65), st.floats(-1e3, 1e3),
+    st.text(max_size=6), st.lists(st.integers(-2, 5), max_size=3),
+    st.dictionaries(st.sampled_from(_KEYS), st.integers(-2, 5), max_size=2))
+
+
+def _containers(node):
+    """Every object and array in a JSON tree, the root first."""
+    found = [node]
+    children = node.values() if isinstance(node, dict) else node
+    for child in children:
+        if isinstance(child, (dict, list)):
+            found.extend(_containers(child))
+    return found
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A VALID config with one key dropped, one key added, or one value
+    swapped for a value of another JSON type, at any depth."""
+    raw = copy.deepcopy(VALID[draw(st.sampled_from(sorted(VALID)))])
+    node = draw(st.sampled_from(_containers(raw)))
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    action = draw(st.sampled_from(["drop", "add", "swap"] if keys else ["add"]))
+    if action == "add":
+        value = draw(_JSON_VALUES)
+        if isinstance(node, dict):
+            node[draw(st.sampled_from(_KEYS))] = value
+        else:
+            node.append(value)
+        return raw
+    key = draw(st.sampled_from(keys))
+    if action == "drop":
+        del node[key]
+    else:
+        old = type(node[key])
+        node[key] = draw(_JSON_VALUES.filter(lambda v: type(v) is not old))
+    return raw
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_mutated_configs())
+def test_mutated_config_round_trips_or_is_rejected(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigurationError:
+        return
+    canon = config_to_dict(cfg)
+    again = config_to_dict(config_from_dict(json.loads(json.dumps(canon))))
+    assert again == canon

@@ -118,21 +118,6 @@ def test_trials_csv_fixed_order(tmp_path):
     assert lines[2] == "demo,4,0,9,b,-inf"
 
 
-def test_emit_facade(tmp_path):
-    from esdlab import LatticeSpec, log_det_field
-    from esdlab.harness import emit
-
-    grid = log_det_field(np.zeros((2, 2)), LatticeSpec(extent=1.0, step=1.0))
-    path = emit(grid, "csv", tmp_path / "grid.csv")
-    assert open(path).readline().strip() == "re_z,im_z,f_n"
-    emit(EmpiricalMeasure2D(np.array([0j])), "svg", tmp_path / "mu.svg")
-    assert (tmp_path / "mu.svg").read_text().startswith("<svg")
-    with pytest.raises(ConfigurationError):
-        emit(grid, "svg", tmp_path / "bad.svg")
-    with pytest.raises(ConfigurationError):
-        emit(grid, "png", tmp_path / "bad.png")
-
-
 def test_scatter_svg_point_mass_at_center():
     svg = scatter_svg(EmpiricalMeasure2D(np.array([0j])), center=0j, size_px=500)
     assert '<circle cx="0" cy="0" r="0.01" fill=' in svg  # glyph at the canvas center
@@ -351,6 +336,17 @@ _HERMITIZE_RAW = {"schema_version": 1, "experiment": "hermitize", "master_seed":
     ("circular", _circular_raw(base={"kind": "two_block_diagonal", "b": 1.0})),
     ("circular", _circular_raw(base={"kind": "explicit", "entries": [[1, 2], [3]]})),
     ("circular", _circular_raw(dist_x={"kind": "two_point_asymmetric", "p": "x"})),
+    ("circular", {**_circular_raw(), "n_list": [50.9]}),
+    ("circular", _circular_raw(threads=1.9)),
+    ("circular", _circular_raw(trials=True)),
+    ("circular", _circular_raw(seed=True)),
+    ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
+                  "mass_check": "no"}),
+    ("circular", _circular_raw(base={"kind": "two_block_diagonal", "a": 1.0, "b": 1.0,
+                                     "scale_by_sqrt_n": "false"})),
+    ("hermitize", {**_HERMITIZE_RAW, "z_grid": [True]}),
+    ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
+                  "mp_oracle": True, "h_atoms": [1.0]}),
 ])
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)

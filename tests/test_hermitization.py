@@ -30,7 +30,6 @@ from esdlab import (
     shifted_singular_values,
 )
 from esdlab import hermitization
-from esdlab.limits import CircularLaw
 
 
 def _gaussian(n, stream):
@@ -209,11 +208,6 @@ def test_log_potential_point_masses():
     assert log_potential(EmpiricalMeasure2D(np.array([0j])), math.e) == pytest.approx(1.0)
     mu = EmpiricalMeasure2D(np.array([1.0 + 0j, -1.0 + 0j]))
     assert log_potential(mu, 0.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_log_potential_delegates_to_reference_law():
-    assert log_potential(CircularLaw(), 0.0) == pytest.approx(-0.5)
-    assert log_potential(CircularLaw(), 2.0) == pytest.approx(math.log(2.0))
 
 
 def test_log_potential_atom_collision():
