@@ -21,9 +21,7 @@ from .ensembles import (
     base_zero,
     build_base_matrix,
     build_iid_matrix,
-    kappa_controlled_estimate,
     sample_array,
-    sample_scalar,
     scalar_distribution,
 )
 from .errors import (
@@ -38,7 +36,6 @@ from .errors import (
 from .hermitization import (
     GirkoQuadrature,
     LatticeSpec,
-    LogPotentialGrid,
     girko_kernel,
     girko_reconstruct,
     log_det_at,
@@ -50,7 +47,6 @@ from .hermitization import (
 from .limits import (
     MeasureH,
     StieltjesSolution,
-    circular_density,
     circular_log_potential,
     circular_radial_cdf,
     invert_stieltjes,
@@ -58,7 +54,6 @@ from .limits import (
     mp_density,
     mp_reference,
     solve_ds,
-    support_criterion,
 )
 from .measures import (
     EmpiricalMeasure1D,
@@ -73,7 +68,6 @@ from .measures import (
     ks_vs_cdf,
     radial_angular_ks,
     second_moment,
-    stieltjes_g,
 )
 from .numerics import (
     MINUS_INFINITY,

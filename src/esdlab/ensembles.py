@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
-from .rng import RngStream, words_to_uniforms
+from .rng import words_to_uniforms
 
 SCALAR_KINDS = (
     "bernoulli",
@@ -31,16 +31,10 @@ BASE_KINDS = ("zero", "two_block_diagonal", "low_rank", "diagonal_from_measure",
 
 @dataclass(frozen=True)
 class ScalarDistribution:
-    """A named, seedable complex random variable with declared moments."""
+    """A named, seedable random variable with mean zero and unit variance."""
 
     kind: str
     params: tuple = ()
-    declared_mean: complex = 0j
-    declared_variance: float = 1.0
-
-    @property
-    def complex_valued(self):
-        return self.kind == "complex_gaussian"
 
 
 def scalar_distribution(kind, **params):
@@ -148,11 +142,6 @@ def sample_array(dist, rng, count):
     raise ConfigurationError(f"unknown scalar distribution kind {kind!r}")
 
 
-def sample_scalar(dist, rng):
-    """One draw from ``dist`` as a complex number."""
-    return complex(sample_array(dist, rng, 1)[0])
-
-
 def build_iid_matrix(n, dist, rng):
     """n-by-n matrix of iid entries, filled row-major from the stream."""
     if n < 1:
@@ -164,10 +153,9 @@ def build_iid_matrix(n, dist, rng):
 class BaseMatrixSpec:
     """Deterministic base matrix family M_n.
 
-    ``hs_bound`` declares a bound on (1/n^2) ||M_n||_2^2 that every
-    realization must satisfy, for every n.  With ``scale_by_sqrt_n`` the
-    two-block diagonal realizes sqrt(n) * diag(a,..,a,b,..,b), the form
-    that survives the global 1/sqrt(n) normalization as an O(1) shift.
+    With ``scale_by_sqrt_n`` the two-block diagonal realizes
+    sqrt(n) * diag(a,..,a,b,..,b), the form that survives the global
+    1/sqrt(n) normalization as an O(1) shift.
     """
 
     kind: str
@@ -179,21 +167,6 @@ class BaseMatrixSpec:
     atoms: tuple = ()
     entries: tuple = ()
     scale_by_sqrt_n: bool = False
-
-    @property
-    def hs_bound(self):
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "two_block_diagonal":
-            return self.split * self.a**2 + (1.0 - self.split) * self.b**2
-        if self.kind == "low_rank":
-            return self.magnitude**2
-        if self.kind == "diagonal_from_measure":
-            return max(abs(t) ** 2 for t in self.atoms)
-        if self.kind == "explicit":
-            m = np.asarray(self.entries)
-            return float(np.sum(np.abs(m) ** 2)) / m.shape[0] ** 2
-        raise ConfigurationError(f"unknown base matrix kind {self.kind!r}")
 
 
 def base_zero():
@@ -314,65 +287,3 @@ def assemble(m_base, x, mode, k=None, l=None, c=None):
     if np.iscomplexobj(c) or np.min(c) <= 0.0:
         raise ConfigurationError("profile C must have real entries in [a, b] with a > 0")
     return m_base + c * x
-
-
-@dataclass(frozen=True)
-class KappaPoint:
-    z: complex
-    w: complex
-    truncated_moment: float
-    lower_bound: float
-    margin: float
-    margin_sigma: float
-
-
-@dataclass(frozen=True)
-class KappaReport:
-    """Monte Carlo audit of the kappa-controlled second moment condition."""
-
-    kind: str
-    kappa: float
-    n_samples: int
-    second_moment: float
-    points: tuple
-    worst_margin: float
-    worst_margin_sigma: float
-
-    @property
-    def second_moment_ok(self):
-        return self.second_moment <= self.kappa
-
-    @property
-    def all_margins_nonnegative(self):
-        return self.worst_margin >= 0.0
-
-
-def kappa_controlled_estimate(dist, kappa, n_samples, zw_pairs, rng):
-    """Estimate E|a|^2 and E Re(z a - w)^2 1{|a| <= kappa} over a (z, w) grid.
-
-    The margin at each grid point is the estimate minus the lower bound
-    Re(z)^2 / kappa; ``margin_sigma`` is the Monte Carlo standard error
-    of that estimate, so a trustworthy pass needs margin >= -3 sigma.
-    """
-    if kappa < 1.0:
-        raise ConfigurationError("kappa must be at least 1")
-    if n_samples < 10_000:
-        raise ConfigurationError("kappa audit needs at least 10^4 samples")
-    a = sample_array(dist, rng, n_samples).astype(np.complex128)
-    second_moment = float(np.mean(np.abs(a) ** 2))
-    inside = np.abs(a) <= kappa
-    points = []
-    worst = None
-    for z, w in zw_pairs:
-        z = complex(z)
-        w = complex(w)
-        y = np.real(z * a - w) ** 2 * inside
-        est = float(np.mean(y))
-        sigma = float(np.std(y) / math.sqrt(n_samples))
-        bound = (z.real**2) / kappa
-        point = KappaPoint(z, w, est, bound, est - bound, sigma)
-        points.append(point)
-        if worst is None or point.margin < worst.margin:
-            worst = point
-    return KappaReport(dist.kind, float(kappa), int(n_samples), second_moment,
-                       tuple(points), worst.margin, worst.margin_sigma)

@@ -13,7 +13,7 @@ import json
 import math
 import os
 
-from ..errors import EsdLabError
+from ..errors import ConfigurationError
 
 
 def format_number(v):
@@ -31,7 +31,7 @@ def _write_text(path, text):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise EsdLabError(f"cannot write artifact {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot write artifact {path}: {exc}") from exc
 
 
 def write_trials_csv(path, records):

@@ -2,9 +2,16 @@
 
 Each trial derives its own RngStream from (master_seed, stream_index)
 with stream_index = (n << 24) | (trial << 4) | role, so results are
-independent across sizes and trials, reproducible, and invariant under
-the execution schedule: trials may fan out over threads but aggregation
-is a pure fold in trial order.
+reproducible and invariant under the execution schedule: trials may fan
+out over threads but aggregation is a pure fold in trial order.
+
+Two stream keys are known to collide, both in the tails suite: the
+fixed subspace stream ``_SUBSPACE_STREAM`` = 1 << 32 is the matrix
+stream of trial 0 at n = 256, and distance row t reuses the matrix
+stream of trial t whenever ``distance_n`` is also in ``n_list``.  Apart
+from these, and from the X = Y sanity mode of universality, which redraws
+A's stream on purpose, distinct sizes, trials (below 2**20) and roles
+draw from distinct streams.
 
 Wall-clock timings are printed to the console and deliberately kept out
 of the CSV artifacts, which must be byte-identical across reruns.
@@ -21,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ensembles import assemble, build_base_matrix, build_iid_matrix
+from ..errors import ConfigurationError
 from ..hermitization import log_det_at, regularized_log_det, shifted_singular_values
 from ..limits import (
     MeasureH,
@@ -112,32 +120,17 @@ def _map_trials(fn, count, threads):
         return list(pool.map(fn, range(count)))
 
 
-def _build_pair(cfg, n, trial):
-    """Assembled matrices (A, B) for a universality trial.  Without a
-    second distribution, B reuses both the distribution and the stream of
-    A (the degenerate X = Y sanity mode with distance exactly zero)."""
-    x = build_iid_matrix(n, cfg.dist_x, _stream(cfg, n, trial, ROLE_X))
-    if cfg.dist_y is None:
-        y = build_iid_matrix(n, cfg.dist_x, _stream(cfg, n, trial, ROLE_X))
-    else:
-        y = build_iid_matrix(n, cfg.dist_y, _stream(cfg, n, trial, ROLE_Y))
-    m = build_base_matrix(cfg.base, n, _stream(cfg, n, trial, ROLE_BASE))
-    kwargs = {}
-    if cfg.mode == "sandwich":
-        kwargs["k"] = build_base_matrix(cfg.sandwich_k, n)
-        kwargs["l"] = build_base_matrix(cfg.sandwich_l, n)
-    elif cfg.mode == "hadamard_profile":
-        kwargs["c"] = _profile_matrix(cfg.profile, n)
-    return assemble(m, x, cfg.mode, **kwargs), assemble(m, y, cfg.mode, **kwargs)
-
-
-def _trial_matrix(cfg, n, t):
-    """M + X for trial t at size n in shift mode; X itself for the zero base."""
-    x = build_iid_matrix(n, cfg.dist_x, _stream(cfg, n, t, ROLE_X))
-    if cfg.base.kind == "zero":
+def _trial_matrix(cfg, n, t, dist=None, role=ROLE_X, mode="shift", **factors):
+    """The assembled matrix of trial t at size n: M + X in shift mode,
+    M + K X L in sandwich mode, M + C * X in hadamard_profile mode, with
+    ``factors`` carrying k and l, or c.  X is drawn from ``dist`` (dist_x
+    by default) on the stream of ``role``; in shift mode with the zero
+    base the result is X itself."""
+    x = build_iid_matrix(n, dist or cfg.dist_x, _stream(cfg, n, t, role))
+    if mode == "shift" and cfg.base.kind == "zero":
         return x
     m = build_base_matrix(cfg.base, n, _stream(cfg, n, t, ROLE_BASE))
-    return assemble(m, x, "shift")
+    return assemble(m, x, mode, **factors)
 
 
 def _profile_matrix(profile, n):
@@ -207,9 +200,23 @@ def run_universality(cfg, out_dir):
     thr = cfg.resolved_thresholds()
     result = ExperimentResult("universality")
     medians = []
+    # without a second distribution, B reuses both the distribution and the
+    # stream of A: the degenerate X = Y sanity mode with distance exactly zero
+    if cfg.dist_y is None:
+        dist_y, role_y = cfg.dist_x, ROLE_X
+    else:
+        dist_y, role_y = cfg.dist_y, ROLE_Y
     for n in cfg.n_list:
-        def trial_fn(t, n=n):
-            a, b = _build_pair(cfg, n, t)
+        factors = {}
+        if cfg.mode == "sandwich":
+            factors = {"k": build_base_matrix(cfg.sandwich_k, n),
+                       "l": build_base_matrix(cfg.sandwich_l, n)}
+        elif cfg.mode == "hadamard_profile":
+            factors = {"c": _profile_matrix(cfg.profile, n)}
+
+        def trial_fn(t, n=n, factors=factors):
+            a = _trial_matrix(cfg, n, t, cfg.dist_x, ROLE_X, cfg.mode, **factors)
+            b = _trial_matrix(cfg, n, t, dist_y, role_y, cfg.mode, **factors)
             bl = bl_distance(esd_eigen(a), esd_eigen(b))
             dks = ks_two_sample(dilation_esd(a).atoms, dilation_esd(b).atoms)
             metrics = {"bl_distance": bl, "dilation_ks": dks}
@@ -548,7 +555,10 @@ RUNNERS = {
 def run_experiment(cfg, out_dir=None):
     """Run one experiment, write all artifacts and the manifest."""
     out_dir = out_dir or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}") from exc
     started = time.time()
     result = RUNNERS[cfg.experiment](cfg, out_dir)
     trials_path = os.path.join(out_dir, "trials.csv")

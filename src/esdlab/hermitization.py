@@ -49,27 +49,6 @@ class LatticeSpec:
         re, im = np.meshgrid(o, o, indexing="xy")
         return (complex(self.center) + re + 1j * im).ravel()
 
-    def to_dict(self):
-        return {"center_re": complex(self.center).real, "center_im": complex(self.center).imag,
-                "extent": self.extent, "step": self.step}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(center=complex(d["center_re"], d["center_im"]),
-                   extent=float(d["extent"]), step=float(d["step"]))
-
-
-@dataclass(frozen=True)
-class LogPotentialGrid:
-    """Values of f_n over a lattice; exactly-singular shifts hold -inf."""
-
-    spec: LatticeSpec
-    values: np.ndarray
-
-    @property
-    def singular_points(self):
-        return int(np.sum(np.isneginf(self.values)))
-
 
 def shifted_singular_values(a, z):
     """Singular values of A/sqrt(n) - zI, decreasing, from one SVD.
@@ -98,12 +77,13 @@ def log_det_at(a, z, *, s=None):
 
 
 def log_det_field(a, spec):
-    """Evaluate f_n over a whole lattice; singular shifts record -inf."""
+    """f_n at every point of a lattice, in ``spec.points()`` order;
+    singular shifts record -inf."""
     points = spec.points()
     values = np.empty(points.size)
     for i, z in enumerate(points):
         values[i] = log_det_at(a, z)
-    return LogPotentialGrid(spec, values)
+    return values
 
 
 def regularized_log_det(a, z, eps, *, s=None):

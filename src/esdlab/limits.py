@@ -19,16 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, ConfigurationError, SingularityError, SolverFailureError
-from .measures import ATOM_COLLISION_TOL, EmpiricalMeasure1D, EmpiricalMeasure2D
+from .errors import BranchError, ConfigurationError, SolverFailureError
 
 
 # ---------------------------------------------------------------- circular law
-
-def circular_density(z):
-    """Density of the uniform law on the unit disk: 1/pi inside, 0 outside."""
-    return 1.0 / math.pi if abs(complex(z)) < 1.0 else 0.0
-
 
 def circular_log_potential(z):
     """int log|w - z| d(circular law)(w): log|z| outside, (|z|^2-1)/2 inside."""
@@ -212,25 +206,3 @@ def invert_stieltjes(solve, x_grid, eta_schedule=DEFAULT_ETA_SCHEDULE, agreement
             f"(worst at x={x[worst]:.6g}, tol {agreement_tol:.3e})",
             residual=sup_diff)
     return StieltjesSolution(etas[-1], x, m_final, densities[-1])
-
-
-# ----------------------------------------------------------- support criterion
-
-def support_criterion(mu, z):
-    """True iff int |z - x|^-2 dmu(x) >= 1 (limit-support membership test)."""
-    z = complex(z)
-    if isinstance(mu, EmpiricalMeasure2D):
-        atoms = mu.atoms
-        weights = np.full(atoms.size, 1.0 / atoms.size)
-    elif isinstance(mu, EmpiricalMeasure1D):
-        atoms = mu.atoms.astype(np.complex128)
-        weights = np.full(atoms.size, 1.0 / atoms.size)
-    elif isinstance(mu, MeasureH):
-        atoms = mu.atoms.astype(np.complex128)
-        weights = mu.weights
-    else:
-        raise ConfigurationError("unsupported measure type for support_criterion")
-    dist2 = np.abs(z - atoms) ** 2
-    if np.min(dist2) <= ATOM_COLLISION_TOL**2:
-        raise SingularityError(f"z={z} collides with an atom of the measure")
-    return bool(np.sum(weights / dist2) >= 1.0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularityError
+from .errors import ConfigurationError
 from .numerics import as_matrix, eigenvalues, scaled_shift, singular_values
 
 ATOM_COLLISION_TOL = 1e-12
@@ -109,20 +109,6 @@ def characteristic_function(mu, u, v):
     return complex(np.mean(np.exp(1j * (u * a.real + v * a.imag))))
 
 
-def stieltjes_g(mu, z):
-    """Girko's real transform (2/n) Re sum (z - atom) / |z - atom|^2.
-
-    The point z must stay away from every atom; collisions raise rather
-    than regularize so derivative checks are never silently corrupted.
-    """
-    z = complex(z)
-    diff = z - mu.atoms
-    dist2 = diff.real**2 + diff.imag**2
-    if np.min(dist2) <= ATOM_COLLISION_TOL**2:
-        raise SingularityError(f"z={z} collides with an atom of the measure")
-    return float(2.0 * np.mean(diff.real / dist2))
-
-
 @dataclass(frozen=True)
 class TestFunctionDictionary:
     """Products of triangular bumps on a fixed grid at dyadic spacings.
@@ -142,10 +128,6 @@ class TestFunctionDictionary:
         k = int(round(2.0 * self.extent / h))
         return np.linspace(-self.extent, self.extent, k + 1)
 
-    @property
-    def size(self):
-        return sum(self.centers(h).size ** 2 for h in self.spacings)
-
     def member_means(self, mu):
         """Integral of every member against mu, in dictionary order."""
         x = mu.atoms.real
@@ -159,12 +141,6 @@ class TestFunctionDictionary:
             means = amp * (tx @ ty.T) / mu.size   # [cx, cy] -> mean_j tx*ty
             out.append(means.ravel())
         return np.concatenate(out)
-
-    def evaluate(self, h, cx, cy, z):
-        z = np.asarray(z, dtype=np.complex128)
-        tx = np.clip(1.0 - np.abs((z.real - cx) / h), 0.0, None)
-        ty = np.clip(1.0 - np.abs((z.imag - cy) / h), 0.0, None)
-        return (h / math.sqrt(2.0)) * tx * ty
 
 
 def bl_distance(mu1, mu2, dictionary=None):

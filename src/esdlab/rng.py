@@ -32,25 +32,18 @@ BLOCK = 1 << 15
 _STEPS = np.arange(BLOCK, dtype=np.uint64) * np.uint64(GAMMA)
 
 
-def mix64(words, scratch=None):
-    """SplitMix64 finalizer applied elementwise to an array of uint64.
-
-    Without ``scratch`` the result is a new array.  With ``scratch``, a
-    uint64 buffer at least as long as ``words``, the finalizer runs in
-    place on the uint64 array ``words`` and allocates nothing.
+def mix64(words, scratch):
+    """SplitMix64 finalizer applied elementwise, in place, to the uint64
+    array ``words``; ``scratch`` is a uint64 buffer at least as long as
+    ``words``, so the finalizer allocates nothing.  Returns ``words``.
     """
-    if scratch is None:
-        out = np.array(words, dtype=np.uint64)
-        scratch = np.empty_like(out)
-    else:
-        out = words
-    tmp = scratch[:out.size].reshape(out.shape)
-    out ^= np.right_shift(out, np.uint64(30), out=tmp)
-    out *= np.uint64(0xBF58476D1CE4E5B9)
-    out ^= np.right_shift(out, np.uint64(27), out=tmp)
-    out *= np.uint64(0x94D049BB133111EB)
-    out ^= np.right_shift(out, np.uint64(31), out=tmp)
-    return out
+    tmp = scratch[:words.size].reshape(words.shape)
+    words ^= np.right_shift(words, np.uint64(30), out=tmp)
+    words *= np.uint64(0xBF58476D1CE4E5B9)
+    words ^= np.right_shift(words, np.uint64(27), out=tmp)
+    words *= np.uint64(0x94D049BB133111EB)
+    words ^= np.right_shift(words, np.uint64(31), out=tmp)
+    return words
 
 
 def mix64_int(value):

@@ -1,4 +1,4 @@
-"""Entry distributions, base matrices, assembly, kappa audit."""
+"""Entry distributions, base matrices, assembly."""
 
 import hashlib
 import math
@@ -18,9 +18,7 @@ from esdlab import (
     base_zero,
     build_base_matrix,
     build_iid_matrix,
-    kappa_controlled_estimate,
     sample_array,
-    sample_scalar,
     scalar_distribution,
 )
 
@@ -184,11 +182,6 @@ def test_invalid_distribution_parameters():
         scalar_distribution("bernoulli", p=0.3)
 
 
-def test_sample_scalar_is_first_element():
-    d = scalar_distribution("uniform_centered")
-    assert sample_scalar(d, RngStream(1, 1)) == complex(sample_array(d, RngStream(1, 1), 1)[0])
-
-
 # ----------------------------------------------------------------- matrices
 
 def test_iid_matrix_bitwise_reproducible():
@@ -252,18 +245,6 @@ def test_explicit_base_shape_check():
         build_base_matrix(spec, 3)
 
 
-@pytest.mark.parametrize("spec,n", [
-    (base_zero(), 10),
-    (base_two_block(1.0, 2.5, 0.5), 11),
-    (base_two_block(1.0, 2.8, 0.5, scale_by_sqrt_n=True), 64),
-    (base_low_rank(2, 1.5), 40),
-    (base_diagonal_from_measure([0.5, 1.0, 2.0]), 25),
-])
-def test_hs_bound_invariant(spec, n):
-    m = build_base_matrix(spec, n, RngStream(0, 1))
-    assert np.sum(np.abs(m) ** 2) / n**2 <= spec.hs_bound + 1e-12
-
-
 # ----------------------------------------------------------------- assembly
 
 def test_assemble_shift_zero_base():
@@ -296,43 +277,3 @@ def test_assemble_validation():
         assemble(x, x, "sandwich", k=np.zeros((3, 3)), l=np.eye(3))
     with pytest.raises(ConfigurationError):
         assemble(x, x, "hadamard_profile", c=np.zeros((3, 3)))
-
-
-# -------------------------------------------------------------- kappa audit
-
-_GRID_POINTS = [complex(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]
-_ZW_GRID = [(z, w) for z in _GRID_POINTS for w in _GRID_POINTS]
-
-
-def test_kappa_bernoulli_is_one_controlled():
-    report = kappa_controlled_estimate(scalar_distribution("bernoulli"), 1.0, 100_000,
-                                       _ZW_GRID, RngStream(6, 0))
-    assert report.second_moment_ok
-    assert report.worst_margin >= -3.0 * report.worst_margin_sigma
-    assert report.worst_margin >= -1e-12
-
-
-def test_kappa_zero_z_rows_trivial():
-    report = kappa_controlled_estimate(scalar_distribution("uniform_centered"), 2.0, 10_000,
-                                       [(0.0, 1.0), (0.0, 1j)], RngStream(6, 1))
-    assert all(p.lower_bound == 0.0 for p in report.points)
-    assert all(p.margin >= 0.0 for p in report.points)
-
-
-def test_kappa_gaussian_four_controlled_at_1e6():
-    zw = [(z, w) for z in (1.0, -1.0, 1j, -1j, 0.0) for w in (1.0, -1.0, 1j, -1j, 0.0)]
-    report = kappa_controlled_estimate(scalar_distribution("real_gaussian"), 4.0, 1_000_000,
-                                       zw, RngStream(6, 2))
-    assert report.second_moment_ok
-    for p in report.points:
-        assert p.margin >= -3.0 * p.margin_sigma
-        assert p.margin >= -1e-12
-
-
-def test_kappa_validation():
-    with pytest.raises(ConfigurationError):
-        kappa_controlled_estimate(scalar_distribution("bernoulli"), 0.5, 100_000,
-                                  _ZW_GRID, RngStream(0, 0))
-    with pytest.raises(ConfigurationError):
-        kappa_controlled_estimate(scalar_distribution("bernoulli"), 1.0, 100,
-                                  _ZW_GRID, RngStream(0, 0))

@@ -38,9 +38,8 @@ def _gaussian(n, stream):
 
 # -------------------------------------------------------------------- lattice
 
-def test_lattice_roundtrip_and_half_offsets():
+def test_lattice_half_offsets():
     spec = LatticeSpec(center=0.5 + 0.25j, extent=2.0, step=0.5)
-    assert LatticeSpec.from_dict(spec.to_dict()) == spec
     # half-step offsets never land on the integer grid
     assert not np.any(np.isclose(spec.offsets() % 1.0, 0.0))
     assert spec.points().size == spec.offsets().size ** 2
@@ -58,10 +57,10 @@ def test_field_of_scaled_identity_is_exact():
     n = 6
     a = math.sqrt(n) * z0 * np.eye(n)
     spec = LatticeSpec(center=0j, extent=1.5, step=0.5)
-    grid = log_det_field(a, spec)
+    values = log_det_field(a, spec)
     expected = np.array([math.log(abs(z0 - z)) for z in spec.points()])
-    assert np.allclose(grid.values, expected, rtol=0, atol=1e-12)
-    assert grid.singular_points == 0
+    assert np.allclose(values, expected, rtol=0, atol=1e-12)
+    assert not np.any(np.isneginf(values))
 
 
 def test_field_zero_matrix():
@@ -74,8 +73,7 @@ def test_field_flags_exactly_singular_shift():
     a = math.sqrt(n) * np.diag([0.5, 1.5, 2.5])
     assert log_det_at(a, 0.5) == MINUS_INFINITY
     spec = LatticeSpec(center=0.5, extent=0.25, step=0.25)  # single offset row
-    grid = log_det_field(a, spec)
-    assert grid.singular_points == 0  # half-offsets dodge the atom
+    assert not np.any(np.isneginf(log_det_field(a, spec)))  # half-offsets dodge the atom
 
 
 def test_field_gaussian_matches_circular_potential():

@@ -1,4 +1,4 @@
-"""Reference laws, the self-consistent solver, inversion, support."""
+"""Reference laws, the self-consistent solver, inversion."""
 
 import math
 
@@ -8,18 +8,14 @@ import pytest
 from esdlab import (
     BranchError,
     ConfigurationError,
-    EmpiricalMeasure2D,
     MeasureH,
-    SingularityError,
     SolverFailureError,
-    circular_density,
     circular_log_potential,
     invert_stieltjes,
     mp_cdf,
     mp_density,
     mp_reference,
     solve_ds,
-    support_criterion,
 )
 from esdlab.limits import ds_rhs
 
@@ -27,22 +23,6 @@ DELTA0 = MeasureH.point(0.0)
 
 
 # -------------------------------------------------------------- circular law
-
-def test_circular_density_values():
-    assert circular_density(0.0) == pytest.approx(1.0 / math.pi)
-    assert circular_density(2.0) == 0.0
-    assert circular_density(1.0) == 0.0  # boundary convention
-
-
-def test_circular_density_integrates_to_one():
-    # midpoint rule over [-2, 2]^2 at step 1/200
-    h = 1.0 / 200.0
-    xs = np.arange(-2.0 + h / 2, 2.0, h)
-    gx, gy = np.meshgrid(xs, xs)
-    inside = gx**2 + gy**2 < 1.0
-    mass = np.sum(inside) * h * h / math.pi
-    assert abs(mass - 1.0) < 0.01
-
 
 def test_circular_log_potential_closed_forms():
     assert circular_log_potential(0.0) == pytest.approx(-0.5)
@@ -217,27 +197,3 @@ def test_measure_h_validation():
         MeasureH(np.array([1.0]), np.array([0.5]))
     with pytest.raises(ConfigurationError):
         MeasureH(np.array([1.0, 2.0]), np.array([1.0]))
-
-
-# ------------------------------------------------------------------- support
-
-def test_support_criterion_unit_disk():
-    mu = EmpiricalMeasure2D(np.array([0j]))
-    assert support_criterion(mu, 0.5)
-    assert support_criterion(mu, 0.999)
-    assert not support_criterion(mu, 2.0)
-    assert not support_criterion(mu, 1.001)
-
-
-def test_support_criterion_two_atoms():
-    mu = EmpiricalMeasure2D(np.array([0j, 3.0 + 0j]))
-    # 0.5/2.25 + 0.5/2.25 = 4/9 < 1
-    assert not support_criterion(mu, 1.5)
-    assert support_criterion(mu, 0.3)
-
-
-def test_support_criterion_measure_h_and_collision():
-    h = MeasureH(np.array([0.0, 3.0]), np.array([0.5, 0.5]))
-    assert not support_criterion(h, 1.5)
-    with pytest.raises(SingularityError):
-        support_criterion(h, 3.0)

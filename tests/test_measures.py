@@ -9,7 +9,6 @@ from esdlab import (
     EmpiricalMeasure1D,
     EmpiricalMeasure2D,
     RngStream,
-    SingularityError,
     TestFunctionDictionary,
     bl_distance,
     build_iid_matrix,
@@ -25,9 +24,7 @@ from esdlab import (
     scalar_distribution,
     second_moment,
     singular_values,
-    stieltjes_g,
 )
-from esdlab.hermitization import log_potential
 from esdlab.limits import circular_radial_cdf
 
 
@@ -128,36 +125,25 @@ def test_char_fn_bounded_by_one():
         assert abs(characteristic_function(mu, u, v)) <= 1.0 + 1e-12
 
 
-# ------------------------------------------------------------------ stieltjes g
-
-def test_stieltjes_g_point_mass():
-    mu = EmpiricalMeasure2D(np.array([0j]))
-    assert stieltjes_g(mu, 2.0) == pytest.approx(1.0)
-    assert stieltjes_g(mu, 1j) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_stieltjes_g_atom_collision():
-    mu = EmpiricalMeasure2D(np.array([1.0 + 1.0j]))
-    with pytest.raises(SingularityError):
-        stieltjes_g(mu, 1.0 + 1.0j)
-
-
-def test_stieltjes_g_is_derivative_of_log_potential():
-    # [U(z+h) - U(z-h)] / 2h  ~  g(z) / 2 along the real direction
-    rng = np.random.default_rng(21)
-    mu = EmpiricalMeasure2D(rng.standard_normal(12) + 1j * rng.standard_normal(12))
-    h = 1e-5
-    checks = rng.standard_normal(20) * 2 + 1j * rng.standard_normal(20) * 2
-    for z in checks:
-        fd = (log_potential(mu, z + h) - log_potential(mu, z - h)) / (2 * h)
-        assert abs(fd - 0.5 * stieltjes_g(mu, z)) < 1e-4
-
-
 # ------------------------------------------------------------------ dictionary
+
+def _point_mass_means(d, z):
+    """Every dictionary member evaluated at z, in dictionary order."""
+    return d.member_means(EmpiricalMeasure2D(np.array([complex(z)])))
+
 
 def test_dictionary_size_and_order_fixed():
     d = TestFunctionDictionary()
-    assert d.size == 7 * 7 + 13 * 13 + 25 * 25 == 843
+    means = _point_mass_means(d, -3.0 - 3.0j)
+    assert means.size == 7 * 7 + 13 * 13 + 25 * 25 == 843
+    # coarsest spacing first; a member peaks at h/sqrt(2) on its own center
+    first = {1.0: 0, 0.5: 7 * 7, 0.25: 7 * 7 + 13 * 13}
+    for h, i in first.items():
+        assert means[i] == pytest.approx(h / math.sqrt(2.0), rel=1e-15)
+    assert np.count_nonzero(means) == 3
+    # centers lexicographic in (cx, cy): cy runs fastest
+    assert np.flatnonzero(_point_mass_means(d, -3.0 - 2.0j))[0] == 1
+    assert np.flatnonzero(_point_mass_means(d, -2.0 - 3.0j))[0] == 7
 
 
 def test_dictionary_members_bounded_and_lipschitz():
@@ -165,12 +151,11 @@ def test_dictionary_members_bounded_and_lipschitz():
     rng = np.random.default_rng(2)
     z1 = rng.uniform(-4, 4, 200) + 1j * rng.uniform(-4, 4, 200)
     z2 = z1 + rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200)
-    for h in d.spacings:
-        for c in (0.0, 1.0, -2.5):
-            f1 = d.evaluate(h, c, c, z1)
-            f2 = d.evaluate(h, c, c, z2)
-            assert np.max(np.abs(f1)) <= 1.0
-            assert np.all(np.abs(f1 - f2) <= np.abs(z1 - z2) + 1e-12)
+    for a, b in zip(z1, z2):
+        f1 = _point_mass_means(d, a)
+        f2 = _point_mass_means(d, b)
+        assert np.max(np.abs(f1)) <= 1.0
+        assert np.all(np.abs(f1 - f2) <= abs(a - b) + 1e-12)
 
 
 def test_bl_distance_identical_measures():

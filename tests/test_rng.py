@@ -81,7 +81,8 @@ def test_seed_validation():
 
 def test_mix64_array_matches_scalar():
     words = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
-    assert [int(v) for v in mix64(words)] == [mix64_int(int(w)) for w in words]
+    expected = [mix64_int(int(w)) for w in words]
+    assert [int(v) for v in mix64(words, np.empty_like(words))] == expected
 
 
 @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
