@@ -31,7 +31,7 @@ def main():
         })
         result = run_experiment(cfg, str(OUT / dist))
         for gate in result.gates:
-            print(f"  [{dist}] {gate.name}: {'PASS' if gate.passed else 'FAIL'} ({gate.detail})")
+            print(f"  [{dist}] {gate}")
 
     # the shifted ensemble: eigenvalues of I + X/sqrt(n) fill a disk at (1, 0)
     cfg = config_from_dict({
@@ -46,7 +46,7 @@ def main():
     })
     result = run_experiment(cfg, str(OUT / "shifted"))
     for gate in result.gates:
-        print(f"  [shifted] {gate.name}: {'PASS' if gate.passed else 'FAIL'} ({gate.detail})")
+        print(f"  [shifted] {gate}")
     print(f"figures in {OUT}")
 
 

@@ -66,8 +66,7 @@ def main():
         raw.update(extra)
         result = run_experiment(config_from_dict(raw), str(OUT / name))
         for gate in result.gates:
-            print(f"  [{name}] {gate.name}: {'PASS' if gate.passed else 'FAIL'} "
-                  f"({gate.detail})")
+            print(f"  [{name}] {gate}")
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ def main():
     })
     result = run_experiment(cfg, str(OUT))
     for gate in result.gates:
-        print(f"  {gate.name}: {'PASS' if gate.passed else 'FAIL'} ({gate.detail})")
+        print(f"  {gate}")
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ def main():
     })
     result = run_experiment(cfg, str(OUT / "mp"))
     for gate in result.gates:
-        print(f"  [mp] {gate.name}: {'PASS' if gate.passed else 'FAIL'} ({gate.detail})")
+        print(f"  [mp] {gate}")
 
     # a two-atom deterministic spectrum: the density develops two bulks
     h = MeasureH(np.array([0.0, 4.0]), np.array([0.5, 0.5]))

@@ -247,28 +247,30 @@ def build_base_matrix(spec, n, rng=None):
 ASSEMBLY_MODES = ("shift", "sandwich", "hadamard_profile")
 
 
-def _require_invertible(name, m):
+def require_invertible(name, m):
+    """Return m once it is proven invertible: its smallest singular value
+    exceeds 1e-12 of its Hilbert-Schmidt norm."""
     s = np.linalg.svd(m, compute_uv=False)
     scale = np.linalg.norm(m)  # Hilbert-Schmidt
     if scale == 0.0 or s[-1] < 1e-12 * scale:
         raise DegenerateInputError(f"{name} is numerically singular (smallest sv {s[-1]:.3e})")
+    return m
 
 
 def assemble(m_base, x, mode, k=None, l=None, c=None):
     """Combine base and noise matrices; no 1/sqrt(n) is applied here.
+    A base of None is the zero base: it is neither built nor added.
 
     shift             -> M + X
-    sandwich          -> M + K X L       (K, L invertible)
+    sandwich          -> M + K X L       (K, L invertible: see require_invertible)
     hadamard_profile  -> M + C * X       (entrywise; C positive entries)
     """
-    m_base = np.asarray(m_base)
     x = np.asarray(x)
     if mode not in ASSEMBLY_MODES:
         raise ConfigurationError(f"unknown assembly mode {mode!r}")
-    if m_base.shape != x.shape or m_base.ndim != 2 or m_base.shape[0] != m_base.shape[1]:
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or (
+            m_base is not None and np.shape(m_base) != x.shape):
         raise ConfigurationError("base and noise must be square matrices of equal size")
-    if mode == "shift":
-        return m_base + x
     if mode == "sandwich":
         if k is None or l is None:
             raise ConfigurationError("sandwich mode requires K and L")
@@ -276,14 +278,14 @@ def assemble(m_base, x, mode, k=None, l=None, c=None):
         l = np.asarray(l)
         if k.shape != x.shape or l.shape != x.shape:
             raise ConfigurationError("K and L must match the noise matrix size")
-        _require_invertible("K", k)
-        _require_invertible("L", l)
-        return m_base + k @ x @ l
-    if c is None:
-        raise ConfigurationError("hadamard_profile mode requires a profile matrix C")
-    c = np.asarray(c)
-    if c.shape != x.shape:
-        raise ConfigurationError("profile C must match the noise matrix size")
-    if np.iscomplexobj(c) or np.min(c) <= 0.0:
-        raise ConfigurationError("profile C must have real entries in [a, b] with a > 0")
-    return m_base + c * x
+        x = k @ x @ l
+    elif mode == "hadamard_profile":
+        if c is None:
+            raise ConfigurationError("hadamard_profile mode requires a profile matrix C")
+        c = np.asarray(c)
+        if c.shape != x.shape:
+            raise ConfigurationError("profile C must match the noise matrix size")
+        if np.iscomplexobj(c) or np.min(c) <= 0.0:
+            raise ConfigurationError("profile C must have real entries in [a, b] with a > 0")
+        x = c * x
+    return x if m_base is None else np.asarray(m_base) + x

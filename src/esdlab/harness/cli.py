@@ -71,7 +71,7 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     for gate in result.gates:
-        print(f"GATE {gate.name}: {'PASS' if gate.passed else 'FAIL'} ({gate.detail})")
+        print(f"GATE {gate}")
     return 0 if result.passed else 1
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from typing import Callable, NamedTuple
 
@@ -90,13 +91,16 @@ def _as_int(value, what):
 
 
 def _as_float(value, what):
-    """A JSON number; never a bool."""
+    """A finite JSON number; never a bool, NaN or an infinity."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         raise ConfigurationError(f"{what} is too large for a float: {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigurationError(f"{what} must be finite, got {value!r}")
+    return x
 
 
 def _of_type(kind, label):

@@ -2,8 +2,8 @@
 
 Numbers are printed with 17 significant digits and a '.' decimal
 separator so reruns with the same config are byte-identical and
-cross-language golden comparisons are meaningful.  -inf values appear
-literally as '-inf'.
+cross-language golden comparisons are meaningful.  Non-finite values
+appear literally as 'inf', '-inf' and 'nan', in the manifest too.
 """
 
 from __future__ import annotations
@@ -104,15 +104,25 @@ def sha256_file(path):
     return h.hexdigest()
 
 
+def _json_number(v):
+    """A finite float as is; inf, -inf and nan spelled as in the CSVs."""
+    v = float(v)
+    return v if math.isfinite(v) else format_number(v)
+
+
 def write_manifest(out_dir, config_dict, thresholds, gates, artifact_paths):
-    """Config echo + resolved thresholds + gate outcomes + artifact hashes."""
+    """Config echo + resolved thresholds + gate records + artifact hashes.
+    Each gate is recorded as {name, observed, op, threshold, passed}."""
     manifest = {
-        "schema_version": 1,
+        "schema_version": 2,
         "config": config_dict,
         "thresholds_resolved": thresholds,
-        "gates": [{"name": g.name, "passed": bool(g.passed), "detail": g.detail} for g in gates],
+        "gates": [{"name": g.name, "observed": _json_number(g.observed), "op": g.op,
+                   "threshold": ([_json_number(t) for t in g.threshold] if g.op == "in"
+                                 else _json_number(g.threshold)),
+                   "passed": g.passed} for g in gates],
         "artifacts": {os.path.relpath(p, out_dir): sha256_file(p) for p in sorted(artifact_paths)},
     }
     path = os.path.join(out_dir, "manifest.json")
-    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path

@@ -20,6 +20,7 @@ of the CSV artifacts, which must be byte-identical across reruns.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ensembles import assemble, build_base_matrix, build_iid_matrix
+from ..ensembles import assemble, build_base_matrix, build_iid_matrix, require_invertible
 from ..errors import ConfigurationError
 from ..hermitization import log_det_at, regularized_log_det, shifted_singular_values
 from ..limits import (
@@ -93,11 +94,29 @@ class TrialRecord:
     metrics: dict
 
 
+_GATE_OPS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt,
+             "in": lambda x, bounds: bounds[0] <= x <= bounds[1]}
+
+
 @dataclass(frozen=True)
 class GateResult:
+    """One gate: the comparison ``observed op threshold``, with op one of
+    <, <=, >=, > or in (threshold a closed [low, high] pair).  A NaN
+    observed value fails every op."""
     name: str
-    passed: bool
-    detail: str
+    observed: float
+    op: str
+    threshold: float | tuple
+
+    @property
+    def passed(self):
+        return bool(_GATE_OPS[self.op](self.observed, self.threshold))
+
+    def __str__(self):
+        limit = (f"[{self.threshold[0]:g}, {self.threshold[1]:g}]" if self.op == "in"
+                 else f"{self.threshold:g}")
+        return (f"{self.name}: {'PASS' if self.passed else 'FAIL'} "
+                f"({self.observed:.6g} {self.op} {limit})")
 
 
 @dataclass
@@ -124,11 +143,11 @@ def _trial_matrix(cfg, n, t, dist=None, role=ROLE_X, mode="shift", **factors):
     """The assembled matrix of trial t at size n: M + X in shift mode,
     M + K X L in sandwich mode, M + C * X in hadamard_profile mode, with
     ``factors`` carrying k and l, or c.  X is drawn from ``dist`` (dist_x
-    by default) on the stream of ``role``; in shift mode with the zero
-    base the result is X itself."""
+    by default) on the stream of ``role``.  The zero base is never built;
+    in shift mode with the zero base the result is X itself."""
     x = build_iid_matrix(n, dist or cfg.dist_x, _stream(cfg, n, t, role))
-    if mode == "shift" and cfg.base.kind == "zero":
-        return x
+    if cfg.base.kind == "zero":
+        return x if mode == "shift" else assemble(None, x, mode, **factors)
     m = build_base_matrix(cfg.base, n, _stream(cfg, n, t, ROLE_BASE))
     return assemble(m, x, mode, **factors)
 
@@ -179,18 +198,12 @@ def run_circular_law(cfg, out_dir):
         angular = np.array([r.metrics["angular_ks"] for r, _ in outcomes])
         in_disk = np.array([r.metrics["in_disk_fraction"] for r, _ in outcomes])
         frac = thr["ks_pass_fraction"]
-        result.gates.append(GateResult(
-            f"radial_ks_n{n}", float(np.mean(radial < thr["radial_ks"])) >= frac,
-            f"{np.sum(radial < thr['radial_ks'])}/{radial.size} trials below "
-            f"{thr['radial_ks']} (max {radial.max():.4f})"))
-        result.gates.append(GateResult(
-            f"angular_ks_n{n}", float(np.mean(angular < thr["angular_ks"])) >= frac,
-            f"{np.sum(angular < thr['angular_ks'])}/{angular.size} trials below "
-            f"{thr['angular_ks']} (max {angular.max():.4f})"))
-        result.gates.append(GateResult(
-            f"in_disk_n{n}", bool(np.all(in_disk >= thr["in_disk_fraction"])),
-            f"min in-disk fraction {in_disk.min():.4f} "
-            f"(radius {thr['in_disk_radius']}, need >= {thr['in_disk_fraction']})"))
+        result.gates += [
+            GateResult(f"radial_ks_n{n}", float(np.mean(radial < thr["radial_ks"])), ">=", frac),
+            GateResult(f"angular_ks_n{n}", float(np.mean(angular < thr["angular_ks"])), ">=",
+                       frac),
+            GateResult(f"in_disk_n{n}", float(in_disk.min()), ">=", thr["in_disk_fraction"]),
+        ]
     return result
 
 
@@ -209,8 +222,8 @@ def run_universality(cfg, out_dir):
     for n in cfg.n_list:
         factors = {}
         if cfg.mode == "sandwich":
-            factors = {"k": build_base_matrix(cfg.sandwich_k, n),
-                       "l": build_base_matrix(cfg.sandwich_l, n)}
+            factors = {"k": require_invertible("K", build_base_matrix(cfg.sandwich_k, n)),
+                       "l": require_invertible("L", build_base_matrix(cfg.sandwich_l, n))}
         elif cfg.mode == "hadamard_profile":
             factors = {"c": _profile_matrix(cfg.profile, n)}
 
@@ -225,14 +238,10 @@ def run_universality(cfg, out_dir):
         result.records.extend(records)
         medians.append(float(np.median([r.metrics["bl_distance"] for r in records])))
     if len(cfg.n_list) > 1:
-        decreasing = all(b < a for a, b in zip(medians, medians[1:]))
+        # the medians decrease strictly iff their largest step is negative
         result.gates.append(GateResult(
-            "median_bl_decreasing", decreasing,
-            "medians " + " -> ".join(f"{m:.5f}" for m in medians)))
-    result.gates.append(GateResult(
-        "final_median_bl", medians[-1] < thr["final_median_bl"],
-        f"median bl at n={cfg.n_list[-1]} is {medians[-1]:.5f} "
-        f"(need < {thr['final_median_bl']})"))
+            "median_bl_decreasing", float(np.max(np.diff(medians))), "<", 0.0))
+    result.gates.append(GateResult("final_median_bl", medians[-1], "<", thr["final_median_bl"]))
     return result
 
 
@@ -295,25 +304,19 @@ def run_hermitization_check(cfg, out_dir):
             pot = np.array([r.metrics[f"potential_gap_z{i}"] for r in records])
             reg = np.array([r.metrics[f"regularization_gap_z{i}"] for r in records])
             finite = np.isfinite(f_n)
-            flagged = int(np.sum(~finite))
             field_rows.append((z.real, z.imag,
                                float(np.mean(f_n[finite])) if finite.any() else MINUS_INFINITY,
                                float(np.mean(f_reg)),
                                references[z],
                                float(np.mean(pot[finite])) if finite.any() else math.inf))
             ok_frac = float(np.mean(pot[finite] < thr["potential_gap"])) if finite.any() else 0.0
-            worst_pot = f"{pot[finite].max():.4f}" if finite.any() else "n/a"
-            worst_reg = f"{reg[finite].max():.4f}" if finite.any() else "n/a"
-            result.gates.append(GateResult(
-                f"potential_gap_n{n}_z{i}", ok_frac >= thr["potential_pass_fraction"],
-                f"z={z:g}: {np.sum(pot[finite] < thr['potential_gap'])}/{finite.sum()} trials "
-                f"below {thr['potential_gap']} (max {worst_pot}, "
-                f"{flagged} singular shifts flagged)"))
-            result.gates.append(GateResult(
-                f"regularization_gap_n{n}_z{i}",
-                bool(finite.any() and np.all(reg[finite] < thr["regularization_gap"])),
-                f"z={z:g}: max |f_reg - f_n| = {worst_reg} with eps = "
-                f"n^-{cfg.eps_exponent:g} = {eps:.4g} (need < {thr['regularization_gap']})"))
+            worst_reg = float(reg[finite].max()) if finite.any() else math.inf
+            result.gates += [
+                GateResult(f"potential_gap_n{n}_z{i}", ok_frac, ">=",
+                           thr["potential_pass_fraction"]),
+                GateResult(f"regularization_gap_n{n}_z{i}", worst_reg, "<",
+                           thr["regularization_gap"]),
+            ]
         path = os.path.join(out_dir, f"field_n{n}.csv" if len(cfg.n_list) > 1 else "field.csv")
         write_field_csv(path, field_rows)
         result.artifacts.append(path)
@@ -339,31 +342,22 @@ def run_ds_solve(cfg, out_dir):
         "total_mass": solution.total_mass(),
         "min_density": float(np.min(solution.density)),
     }
-    result.gates.append(GateResult(
-        "density_nonnegative", metrics["min_density"] >= 0.0,
-        f"min density {metrics['min_density']:.3e}"))
+    result.gates.append(GateResult("density_nonnegative", metrics["min_density"], ">=", 0.0))
     if cfg.mass_check:
-        ok = thr["mass_low"] <= metrics["total_mass"] <= thr["mass_high"]
-        result.gates.append(GateResult(
-            "total_mass", ok,
-            f"trapezoid mass {metrics['total_mass']:.4f} in "
-            f"[{thr['mass_low']}, {thr['mass_high']}]"))
+        result.gates.append(GateResult("total_mass", metrics["total_mass"], "in",
+                                       (thr["mass_low"], thr["mass_high"])))
     if cfg.mp_oracle:
         oracle_grid = np.linspace(0.1, 3.9, 50)
         gaps = [abs(solve_ds(h, 1.0, x + 1e-3j) - mp_reference(x + 1e-3j))
                 for x in oracle_grid]
         metrics["oracle_gap_max"] = float(np.max(gaps))
-        result.gates.append(GateResult(
-            "mp_oracle_gap", metrics["oracle_gap_max"] < thr["oracle_gap"],
-            f"max |solve - closed form| = {metrics['oracle_gap_max']:.2e} "
-            f"on 50 points at Im w = 1e-3 (need < {thr['oracle_gap']:g})"))
         window = (grid >= 0.1) & (grid <= 3.9)
         sup_err = float(np.max(np.abs(solution.density[window] - mp_density(grid[window]))))
         metrics["density_sup_error"] = sup_err
-        result.gates.append(GateResult(
-            "mp_density_sup_error", sup_err < thr["density_sup_error"],
-            f"sup |recovered - closed form| = {sup_err:.4f} on [0.1, 3.9] "
-            f"(need < {thr['density_sup_error']:g})"))
+        result.gates += [
+            GateResult("mp_oracle_gap", metrics["oracle_gap_max"], "<", thr["oracle_gap"]),
+            GateResult("mp_density_sup_error", sup_err, "<", thr["density_sup_error"]),
+        ]
     result.records.append(TrialRecord("ds_solve", count, 0,
                                       stream_origin(cfg.master_seed, 0), metrics))
     return result
@@ -390,16 +384,11 @@ def run_tail_suite(cfg, out_dir):
         result.records.extend(records)
         sig_min = np.array([r.metrics["sigma_min"] for r in records])
         floor = float(n) ** (-thr["sigma_min_exponent"])
-        result.gates.append(GateResult(
-            f"sigma_min_floor_n{n}", bool(np.all(sig_min >= floor)),
-            f"min sigma_n over {cfg.trials} trials = {sig_min.min():.3e} "
-            f"(floor n^-{thr['sigma_min_exponent']:g} = {floor:.1e})"))
+        result.gates.append(GateResult(f"sigma_min_floor_n{n}", float(sig_min.min()), ">=", floor))
         for label in i_values:
-            ratios = np.array([r.metrics[f"ratio_{label}"] for r in records])
-            result.gates.append(GateResult(
-                f"lowersing_ratio_n{n}_{label}", bool(np.all(ratios > 0.0)),
-                f"empirical constant: min sigma_(n-i) * n / (i sqrt(n)) = "
-                f"{ratios.min():.4f} at i = {i_values[label]}"))
+            ratios = [r.metrics[f"ratio_{label}"] for r in records]
+            result.gates.append(GateResult(f"lowersing_ratio_n{n}_{label}",
+                                           float(np.min(ratios)), ">", 0.0))
 
     # distance-to-subspace experiment (fixed random subspace, fresh rows)
     from ..ensembles import sample_array
@@ -422,26 +411,18 @@ def run_tail_suite(cfg, out_dir):
         TrialRecord("tails", nd, t, _trial_seed(cfg, nd, t),
                     {"subspace_distance": float(dist[t])})
         for t in range(cfg.distance_trials))
-    bound = thr["distance_constant"] * math.sqrt(nd - d)
-    result.gates.append(GateResult(
-        "distance_lower_bound", bool(np.all(dist >= bound)),
-        f"min dist = {dist.min():.3f} (need >= {thr['distance_constant']:g} "
-        f"sqrt({nd - d}) = {bound:.3f})"))
-    ratio = float(np.mean(dist**2) / (nd - d))
-    result.gates.append(GateResult(
-        "distance_second_moment", thr["mean_dist2_low"] <= ratio <= thr["mean_dist2_high"],
-        f"mean dist^2 / (n - d) = {ratio:.4f} in "
-        f"[{thr['mean_dist2_low']}, {thr['mean_dist2_high']}]"))
     med = float(np.median(dist))
     scale = float(nd) ** 0.1
-    rows = []
-    ok = True
-    for r in (1.0, 2.0, 3.0, 4.0, 6.0):
-        frac = float(np.mean(np.abs(dist - med) >= r * scale))
-        envelope = min(1.0, 4.0 * math.exp(-r * r / 8.0))
-        ok = ok and frac <= envelope
-        rows.append(f"r={r:g}: {frac:.3f} <= {envelope:.3f}")
-    result.gates.append(GateResult("talagrand_envelope", ok, "; ".join(rows)))
+    # largest excess of the tail fraction over its envelope 4 exp(-r^2/8)
+    excess = max(float(np.mean(np.abs(dist - med) >= r * scale))
+                 - min(1.0, 4.0 * math.exp(-r * r / 8.0)) for r in (1.0, 2.0, 3.0, 4.0, 6.0))
+    result.gates += [
+        GateResult("distance_lower_bound", float(dist.min()), ">=",
+                   thr["distance_constant"] * math.sqrt(nd - d)),
+        GateResult("distance_second_moment", float(np.mean(dist**2) / (nd - d)), "in",
+                   (thr["mean_dist2_low"], thr["mean_dist2_high"])),
+        GateResult("talagrand_envelope", excess, "<=", 0.0),
+    ]
     return result
 
 
@@ -512,31 +493,29 @@ def run_lemma_suite(cfg, out_dir):
     normal_gap = abs(float(np.sum(np.abs(eigenvalues(normal)) ** 2)) - hs_norm(normal) ** 2) \
         / hs_norm(normal) ** 2
     nilpotent = np.diag(np.ones(7), 1)
-    nil_ok = verify_weyl(nilpotent).ok and float(
-        np.sum(np.abs(eigenvalues(nilpotent)) ** 2)) <= 1e-12
-    result.records.append(TrialRecord("lemmas", 8, cfg.lemma_cases, 0,
-                                      {"normal_weyl_equality_gap": normal_gap,
-                                       "nilpotent_moment_ok": float(nil_ok)}))
-    result.gates.append(GateResult(
-        "weyl_crafted_cases", normal_gap <= 1e-10 and nil_ok,
-        f"normal-matrix equality gap {normal_gap:.2e} (need <= 1e-10); "
-        f"nilpotent eigenvalue mass vanishes: {nil_ok}"))
-    result.gates.append(GateResult(
-        "det_triple_identity", worst["det"] < thr["det_identity"],
-        f"worst log-product residual {worst['det']:.2e} over square cases "
-        f"(need < {thr['det_identity']:g})"))
-    result.gates.append(GateResult(
-        "negative_second_moment", worst["a4"] < thr["neg_second_moment"],
-        f"worst relative residual {worst['a4']:.2e} (need < {thr['neg_second_moment']:g})"))
-    result.gates.append(GateResult(
-        "cauchy_interlacing", worst["interlacing"] <= thr["interlacing_slack_scale"],
-        f"worst scaled violation {worst['interlacing']:.2e}"))
-    result.gates.append(GateResult(
-        "weyl_inequalities",
-        worst["weyl_moment"] <= thr["weyl_slack_scale"]
-        and worst["weyl_product"] <= thr["weyl_slack_scale"] * cfg.max_size,
-        f"worst moment violation {worst['weyl_moment']:.2e}, "
-        f"worst product violation {worst['weyl_product']:.2e}"))
+    nil = verify_weyl(nilpotent)
+    nil_gates = [
+        GateResult("weyl_nilpotent_mass",
+                   float(np.sum(np.abs(eigenvalues(nilpotent)) ** 2)), "<=", 1e-12),
+        GateResult("weyl_nilpotent_moment", nil.second_moment_violation, "<=",
+                   nil.second_moment_slack),
+        GateResult("weyl_nilpotent_product", nil.product_violation, "<=", nil.product_slack),
+    ]
+    result.records.append(TrialRecord(
+        "lemmas", 8, cfg.lemma_cases, 0,
+        {"normal_weyl_equality_gap": normal_gap,
+         "nilpotent_moment_ok": float(all(g.passed for g in nil_gates))}))
+    result.gates += [
+        GateResult("weyl_normal_equality", normal_gap, "<=", 1e-10),
+        *nil_gates,
+        GateResult("det_triple_identity", worst["det"], "<", thr["det_identity"]),
+        GateResult("negative_second_moment", worst["a4"], "<", thr["neg_second_moment"]),
+        GateResult("cauchy_interlacing", worst["interlacing"], "<=",
+                   thr["interlacing_slack_scale"]),
+        GateResult("weyl_moment", worst["weyl_moment"], "<=", thr["weyl_slack_scale"]),
+        GateResult("weyl_product", worst["weyl_product"], "<=",
+                   thr["weyl_slack_scale"] * cfg.max_size),
+    ]
     return result
 
 

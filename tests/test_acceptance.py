@@ -9,8 +9,6 @@ clause pins; the identical check passes with any genuinely small
 schedule, demonstrated in test_hermitization.
 """
 
-import cmath
-import math
 import time
 
 import numpy as np
@@ -46,7 +44,7 @@ def _assert_gates(result, criterion, elapsed, budget):
     detail = f"({len(result.gates) - len(failed)}/{len(result.gates)} gates, {elapsed:.0f}s)"
     _report(criterion, not failed and elapsed < budget, detail)
     for g in result.gates:
-        print(f"  {g.name}: {'PASS' if g.passed else 'FAIL'} ({g.detail})")
+        print(f"  {g}")
     assert not failed, failed
     assert elapsed < budget
 
@@ -108,7 +106,7 @@ def test_criterion_4_hermitization_potentials(hermitize_run):
     ok = all(g.passed for g in gates) and elapsed < 300.0
     _report("4 hermitization-potentials", ok, f"({elapsed:.0f}s)")
     for g in gates:
-        print(f"  {g.name}: {'PASS' if g.passed else 'FAIL'} ({g.detail})")
+        print(f"  {g}")
     assert all(g.passed for g in gates)
     assert elapsed < 300.0
 

@@ -21,6 +21,7 @@ from esdlab import (
     sample_array,
     scalar_distribution,
 )
+from esdlab.ensembles import require_invertible
 
 ALL_KINDS = ("bernoulli", "real_gaussian", "complex_gaussian", "uniform_centered",
              "two_point_asymmetric", "pareto_symmetrized")
@@ -273,7 +274,26 @@ def test_assemble_validation():
         assemble(np.zeros((2, 2)), x, "shift")
     with pytest.raises(ConfigurationError):
         assemble(x, x, "unknown")
-    with pytest.raises(DegenerateInputError):
-        assemble(x, x, "sandwich", k=np.zeros((3, 3)), l=np.eye(3))
+    with pytest.raises(ConfigurationError):
+        assemble(None, np.zeros((2, 3)), "shift")
     with pytest.raises(ConfigurationError):
         assemble(x, x, "hadamard_profile", c=np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("mode,factors", [
+    ("shift", {}),
+    ("sandwich", {"k": np.diag([1.0, 2.0, 3.0, 4.0]), "l": np.tri(4)}),
+    ("hadamard_profile", {"c": np.full((4, 4), 1.5)}),
+])
+def test_assemble_without_base_equals_zero_base(mode, factors):
+    x = build_iid_matrix(4, scalar_distribution("real_gaussian"), RngStream(2, 3))
+    assert np.array_equal(assemble(None, x, mode, **factors),
+                          assemble(np.zeros((4, 4)), x, mode, **factors))
+
+
+def test_require_invertible():
+    k = build_base_matrix(base_two_block(1.0, 2.0), 4)
+    assert require_invertible("K", k) is k
+    for singular in (np.zeros((3, 3)), build_base_matrix(base_low_rank(1, 1.0), 3)):
+        with pytest.raises(DegenerateInputError):
+            require_invertible("K", singular)

@@ -17,8 +17,8 @@ from esdlab.harness import (
     scatter_svg,
 )
 from esdlab.harness.cli import main as cli_main
-from esdlab.harness.emit import write_trials_csv
-from esdlab.harness.experiments import TrialRecord
+from esdlab.harness.emit import write_manifest, write_trials_csv
+from esdlab.harness.experiments import GateResult, TrialRecord
 
 
 def _circular_raw(seed=7, n=50, trials=2, **extra):
@@ -183,6 +183,35 @@ def test_universality_zero_base_shift_builds_and_adds_no_base(tmp_path, monkeypa
     assert calls == {"build_base_matrix": 0, "assemble": 0}
 
 
+@pytest.mark.parametrize("mode,extra,proven", [
+    ("sandwich", {"sandwich_k": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0},
+                  "sandwich_l": {"kind": "two_block_diagonal", "a": 1.0, "b": 3.0}},
+     ["K", "L", "K", "L"]),
+    ("hadamard_profile", {"profile": {"kind": "ramp", "low": 0.5, "high": 2.0}}, []),
+])
+def test_universality_factors_built_and_proven_once_per_size(tmp_path, monkeypatch, mode,
+                                                             extra, proven):
+    # K and L are built and proven invertible once per size, and the zero
+    # base is never built: per trial, only X and Y are drawn and assembled
+    from esdlab.harness import experiments as ex
+    calls = {"build_base_matrix": [], "assemble": [], "require_invertible": []}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(ex, name), **kwargs):
+            calls[_name].append(args[0])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ex, name, counting)
+    raw = {"schema_version": 1, "experiment": "universality", "master_seed": 3,
+           "n_list": [12, 16], "trials": 3, "mode": mode, "dist_x": {"kind": "bernoulli"},
+           "dist_y": {"kind": "real_gaussian"}, "base": {"kind": "zero"}, **extra}
+    result = run_experiment(config_from_dict(raw), tmp_path)
+    assert len(result.records) == 6
+    kinds = [spec.kind for spec in calls["build_base_matrix"]]
+    assert kinds == ["two_block_diagonal"] * len(proven)
+    assert calls["require_invertible"] == proven
+    assert calls["assemble"] == [None] * 12
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = config_from_dict(_circular_raw())
     d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -307,6 +336,77 @@ def test_ds_csv_schema(tmp_path):
     assert len(lines) == 6
 
 
+# -------------------------------------------------------------------- gates
+
+def test_gate_ops_at_equality():
+    assert not GateResult("g", 1.0, "<", 1.0).passed
+    assert not GateResult("g", 1.0, ">", 1.0).passed
+    for op in ("<=", ">="):
+        assert GateResult("g", 1.0, op, 1.0).passed
+    assert GateResult("g", 1.0, "in", (1.0, 2.0)).passed
+    assert GateResult("g", 2.0, "in", (1.0, 2.0)).passed
+    assert not GateResult("g", 2.5, "in", (1.0, 2.0)).passed
+    assert str(GateResult("g", 0.5, "<", 1.0)) == "g: PASS (0.5 < 1)"
+    assert str(GateResult("g", 3.0, "in", (1.0, 2.0))) == "g: FAIL (3 in [1, 2])"
+
+
+@pytest.mark.parametrize("op,threshold", [("<", 1.0), ("<=", 1.0), (">=", 1.0), (">", 1.0),
+                                          ("in", (0.0, 1.0))])
+def test_gate_nan_observed_fails(op, threshold):
+    assert not GateResult("g", math.nan, op, threshold).passed
+
+
+def _raise_on_constant(name):
+    raise AssertionError(f"manifest.json holds the non-JSON constant {name}")
+
+
+def test_manifest_spells_non_finite_observed_as_strings(tmp_path):
+    gates = [GateResult("a", math.inf, "<", 0.02), GateResult("b", -math.inf, ">=", 0.0),
+             GateResult("c", math.nan, "in", (0.9, 1.1))]
+    path = write_manifest(str(tmp_path), {}, {}, gates, [])
+    manifest = json.loads(open(path).read(), parse_constant=_raise_on_constant)
+    assert manifest["schema_version"] == 2
+    assert [g["observed"] for g in manifest["gates"]] == ["inf", "-inf", "nan"]
+    assert [g["passed"] for g in manifest["gates"]] == [False, False, False]
+    assert manifest["gates"][2]["threshold"] == [0.9, 1.1]
+
+
+_TINY_RUNS = {
+    "circular": _circular_raw(n=20),
+    "universality": {"schema_version": 1, "experiment": "universality", "master_seed": 3,
+                     "n_list": [10, 20], "trials": 2, "dist_x": {"kind": "bernoulli"},
+                     "dist_y": {"kind": "real_gaussian"}},
+    "hermitize": {"schema_version": 1, "experiment": "hermitize", "master_seed": 5,
+                  "n_list": [10], "trials": 2, "dist_x": {"kind": "bernoulli"},
+                  "z_grid": [0.0, [0.5, 0.5]]},
+    "ds_solve": {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
+                 "x_step": 0.1, "mass_check": True, "mp_oracle": True},
+    "tails": {"schema_version": 1, "experiment": "tails", "master_seed": 3, "n_list": [20],
+              "trials": 3, "dist_x": {"kind": "bernoulli"}, "distance_n": 40,
+              "distance_d": 20, "distance_trials": 5},
+    "lemmas": {"schema_version": 1, "experiment": "lemmas", "master_seed": 5,
+               "lemma_cases": 8, "max_size": 8},
+}
+
+_COMPARE = {"<": lambda x, t: x < t, "<=": lambda x, t: x <= t,
+            ">=": lambda x, t: x >= t, ">": lambda x, t: x > t,
+            "in": lambda x, t: t[0] <= x <= t[1]}
+
+
+@pytest.mark.parametrize("experiment", sorted(_TINY_RUNS))
+def test_manifest_gate_records_are_the_comparison(tmp_path, experiment):
+    result = run_experiment(config_from_dict(_TINY_RUNS[experiment]), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                          parse_constant=_raise_on_constant)
+    records = manifest["gates"]
+    assert [g["name"] for g in records] == [g.name for g in result.gates]
+    for g in records:
+        assert set(g) == {"name", "observed", "op", "threshold", "passed"}
+        threshold = ([float(t) for t in g["threshold"]] if g["op"] == "in"
+                     else float(g["threshold"]))
+        assert g["passed"] is _COMPARE[g["op"]](float(g["observed"]), threshold), g
+
+
 # ---------------------------------------------------------------------- CLI
 
 def _write_config(tmp_path, raw, name="cfg.json"):
@@ -387,6 +487,10 @@ _HERMITIZE_RAW = {"schema_version": 1, "experiment": "hermitize", "master_seed":
     ("hermitize", {**_HERMITIZE_RAW, "z_grid": [True]}),
     ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
                   "mp_oracle": True, "h_atoms": [1.0]}),
+    ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
+                  "x_min": -math.inf}),
+    ("circular", _circular_raw(center=math.nan)),
+    ("circular", _circular_raw(thresholds={"radial_ks": math.inf})),
 ])
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)
@@ -407,6 +511,16 @@ def test_unwritable_artifact_is_a_configuration_error(tmp_path):
     a_file.write_text("")
     with pytest.raises(ConfigurationError):
         write_trials_csv(str(a_file / "trials.csv"), [])
+
+
+def test_cli_singular_sandwich_factor_exits_three(tmp_path):
+    raw = {"schema_version": 1, "experiment": "universality", "master_seed": 3,
+           "n_list": [12], "trials": 2, "mode": "sandwich", "dist_x": {"kind": "bernoulli"},
+           "dist_y": {"kind": "real_gaussian"},
+           "sandwich_k": {"kind": "low_rank", "rank": 1, "magnitude": 1.0},
+           "sandwich_l": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0}}
+    path = _write_config(tmp_path, raw)
+    assert cli_main(["universality", "--config", path, "--out", str(tmp_path / "out")]) == 3
 
 
 def test_cli_numerical_failure_exits_three(tmp_path):

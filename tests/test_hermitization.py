@@ -16,7 +16,6 @@ from esdlab import (
     SingularityError,
     build_iid_matrix,
     characteristic_function,
-    circular_log_potential,
     esd_eigen,
     esd_gram,
     girko_kernel,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from esdlab import (
-    BranchError,
     ConfigurationError,
     MeasureH,
     SolverFailureError,
@@ -88,6 +87,22 @@ def test_solve_ds_residual_is_the_gauge():
             m = solve_ds(DELTA0, 1.0, w)
             assert abs(m - ds_rhs(m, DELTA0, 1.0, w)) < 1e-10
             assert m.imag > 0.0
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+def test_solve_ds_is_the_root_of_the_exact_cubic(t):
+    # for H = delta_t and c = 1 the equation is the cubic
+    # -w m^3 - 2w m^2 + (t - w - 1) m - 1 = 0; exactly one of its roots has
+    # Im m > 0 and Im(w m) > 0 (Im m > 0 alone is ambiguous), and the
+    # solver must land on it
+    h = MeasureH.point(t)
+    for x in np.linspace(0.05, (math.sqrt(t) + 2.0) ** 2 + 1.0, 15):
+        for eta in (1e-1, 1e-3):
+            w = x + 1j * eta
+            roots = np.roots([-w, -2.0 * w, t - w - 1.0, -1.0])
+            branch = roots[(roots.imag > 0.0) & ((w * roots).imag > 0.0)]
+            assert branch.size == 1, (t, w, roots)
+            assert abs(solve_ds(h, 1.0, w) - branch[0]) < 1e-8
 
 
 def test_solve_ds_rectangular_aspect():
