@@ -7,8 +7,10 @@ pinned down by its Stieltjes transform m(w), the solution of
     m = sum_k h_k / ( t_k/(1+c m) - (1+c m) w + (1-c) )
 
 where H = sum h_k delta_{t_k} is the limit of the deterministic Gram
-spectrum.  The solver walks a damped fixed point down a shrinking-eta
-schedule and recovers the density as (1/pi) Im m(x + i eta).
+spectrum.  The solver finds m directly on a whole grid of w, as the one
+eigenvalue of a small arrowhead matrix per point that lies on the right
+branch, at each level of a shrinking-eta schedule, and recovers the
+density as (1/pi) Im m(x + i eta).
 
 Shown here: the H = delta_0, c = 1 case (the quarter-circle-squared
 density with the closed form to compare against), a two-atom H, and a

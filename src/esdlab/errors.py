@@ -27,13 +27,12 @@ class SingularityError(NumericalFailureError):
 
 
 class SolverFailureError(NumericalFailureError):
-    """Iterative solver did not reach the requested residual."""
+    """A solver did not reach the requested residual."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 class BranchError(SolverFailureError):
-    """Solver converged to a fixed point on the wrong half-plane branch."""
+    """A solution is not on the upper-half-plane branch, or not the only one."""

@@ -15,17 +15,10 @@ import os
 import sys
 
 from ..errors import ConfigurationError, NumericalFailureError
-from .config import config_from_dict, read_config_json
+from .config import EXPERIMENTS, config_from_dict, read_config_json
 from .experiments import run_experiment
 
-_SUBCOMMANDS = {
-    "circular": "circular",
-    "universality": "universality",
-    "hermitize": "hermitize",
-    "ds-solve": "ds_solve",
-    "tails": "tails",
-    "lemmas": "lemmas",
-}
+_SUBCOMMANDS = {name.replace("_", "-"): name for name in EXPERIMENTS}
 
 
 def build_parser():

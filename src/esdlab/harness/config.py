@@ -357,6 +357,14 @@ FIELDS = {name: _common_fields(name) + own for name, own in _OWN_FIELDS.items()}
 EXPERIMENTS = tuple(FIELDS)
 
 
+def ds_grid_count(x_min, x_max, x_step):
+    """Points of the ds_solve x grid; more than 2^20 is a ConfigurationError."""
+    steps = (x_max - x_min) / x_step
+    if not steps < 2**20 - 0.5:  # round(steps) + 1 > 2^20, or steps is inf
+        raise ConfigurationError(f"ds_solve grid has more than 2^20 points ({steps:.3g} steps)")
+    return int(round(steps)) + 1
+
+
 def _check_cross_fields(kw):
     """The rules that tie two fields of one experiment together."""
     experiment = kw["experiment"]
@@ -370,11 +378,14 @@ def _check_cross_fields(kw):
             raise ConfigurationError("h_weights must match h_atoms")
         if not kw["x_min"] < kw["x_max"]:
             raise ConfigurationError("ds_solve needs x_min < x_max")
+        ds_grid_count(kw["x_min"], kw["x_max"], kw["x_step"])
         if kw["mp_oracle"] and (kw["h_atoms"] != (0.0,) or kw["c"] != 1.0):
             raise ConfigurationError("mp_oracle gates require H = delta_0 and c = 1")
     elif experiment == "tails":
         if not 1 <= kw["distance_d"] < kw["distance_n"]:
             raise ConfigurationError("tails needs 1 <= distance_d < distance_n")
+        if not kw["thresholds"].get("sigma_min_exponent", 1.0) > 0.0:  # floor n ** -exponent
+            raise ConfigurationError("threshold sigma_min_exponent must be positive")
 
 
 def _attribute(f):

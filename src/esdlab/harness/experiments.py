@@ -59,7 +59,7 @@ from ..numerics import (
     verify_weyl,
 )
 from ..rng import RngStream, stream_origin
-from .config import config_to_dict
+from .config import config_to_dict, ds_grid_count
 from .emit import (
     scatter_svg,
     write_ds_csv,
@@ -254,22 +254,15 @@ def _ds_reference_potential(z):
 
     The gram spectrum lives on [(|z|-2)^2, (|z|+2)^2]; for |z| <= 2 its
     left edge is hard with a 1/sqrt(t) divergence, so the log moment is
-    taken on a geometrically graded grid and the Poisson-smoothing bias,
-    which scales like sqrt(eta), is extrapolated away from two eta
-    levels.
+    taken on a geometrically graded grid down to 1e-12, at eta = 1e-8,
+    where the Poisson-smoothing bias is below 1e-3.
     """
     h = MeasureH.point(abs(complex(z)) ** 2)
     t_max = (abs(complex(z)) + 2.0) ** 2 + 1.0
-    grid = np.unique(np.concatenate([np.geomspace(1e-6, 1.0, 300),
-                                     np.linspace(1.0, t_max, 1200)]))
-
-    def log_moment(eta):
-        m = np.array([solve_ds(h, 1.0, t + 1j * eta, max_iter=300_000) for t in grid])
-        return 0.5 * float(np.trapezoid(np.log(grid) * m.imag, grid)) / math.pi
-
-    coarse, fine = log_moment(1e-3), log_moment(1e-4)
-    s = math.sqrt(10.0)
-    return (s * fine - coarse) / (s - 1.0)
+    grid = np.unique(np.concatenate([np.geomspace(1e-12, 1.0, 4000),
+                                     np.linspace(1.0, t_max, 8000)]))
+    m = solve_ds(h, 1.0, grid + 1e-8j)
+    return 0.5 * float(np.trapezoid(np.log(grid) * m.imag, grid)) / math.pi
 
 
 def run_hermitization_check(cfg, out_dir):
@@ -329,7 +322,7 @@ def run_ds_solve(cfg, out_dir):
     thr = cfg.resolved_thresholds()
     result = ExperimentResult("ds_solve")
     h = MeasureH(np.array(cfg.h_atoms), np.array(cfg.h_weights))
-    count = int(round((cfg.x_max - cfg.x_min) / cfg.x_step)) + 1
+    count = ds_grid_count(cfg.x_min, cfg.x_max, cfg.x_step)
     grid = np.linspace(cfg.x_min, cfg.x_max, count)
     solution = invert_stieltjes(lambda w: solve_ds(h, cfg.c, w), grid,
                                 cfg.eta_schedule, cfg.agreement_tol)
@@ -347,9 +340,8 @@ def run_ds_solve(cfg, out_dir):
         result.gates.append(GateResult("total_mass", metrics["total_mass"], "in",
                                        (thr["mass_low"], thr["mass_high"])))
     if cfg.mp_oracle:
-        oracle_grid = np.linspace(0.1, 3.9, 50)
-        gaps = [abs(solve_ds(h, 1.0, x + 1e-3j) - mp_reference(x + 1e-3j))
-                for x in oracle_grid]
+        oracle_w = np.linspace(0.1, 3.9, 50) + 1e-3j
+        gaps = np.abs(solve_ds(h, 1.0, oracle_w) - [mp_reference(w) for w in oracle_w])
         metrics["oracle_gap_max"] = float(np.max(gaps))
         window = (grid >= 0.1) & (grid <= 3.9)
         sup_err = float(np.max(np.abs(solution.density[window] - mp_density(grid[window]))))

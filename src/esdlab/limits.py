@@ -1,14 +1,14 @@
-"""Reference limiting laws and the Dozier-Silverstein fixed point.
+"""Reference limiting laws and the Dozier-Silverstein equation.
 
 ``solve_ds`` finds the upper-half-plane solution m(w) of
 
     m = sum_k h_k / ( t_k/(1+c m) - (1+c m) w + (1-c) )
 
-by damped fixed-point iteration; the acceptance gauge is the residual of
-the equation itself, never the iteration count.  ``invert_stieltjes``
-recovers the real-line density as (1/pi) Im m(x + i eta) along a
-decreasing eta schedule with an agreement gate between the last two
-levels.
+on a whole grid of w at once, as an eigenvalue of one small arrowhead
+matrix per point; the acceptance gauge is the residual of the equation
+itself.  ``invert_stieltjes`` recovers the real-line density as
+(1/pi) Im m(x + i eta) along a decreasing eta schedule with an agreement
+gate between the last two levels.
 """
 
 from __future__ import annotations
@@ -61,61 +61,69 @@ class MeasureH:
         return cls(np.array([float(t0)]), np.array([1.0]))
 
 
-# ------------------------------------------------------- fixed-point solver
+# ------------------------------------------------------ self-consistent solver
 
 def ds_rhs(m, h, c, w):
-    """Right-hand side of the self-consistent equation at trial value m."""
-    denom = h.atoms / (1.0 + c * m) - (1.0 + c * m) * w + (1.0 - c)
-    return complex(np.sum(h.weights / denom))
+    """Right-hand side of the self-consistent equation at m (m, w broadcast)."""
+    u = 1.0 + c * np.asarray(m)[..., None]
+    denom = h.atoms / u - u * np.asarray(w)[..., None] + (1.0 - c)
+    return np.sum(h.weights / denom, axis=-1)
 
 
-def solve_ds(h, c, w, damping=0.5, tol=1e-10, max_iter=10_000):
-    """Upper-half-plane solution of the self-consistent equation at w.
+def _solve_block(h, c, w):
+    """``solve_ds`` on a 1-d array of points, before its residual check."""
+    w = w[:, None]
+    b = 1.0 - c
+    # atom t > 0: h u / (t + b u - w u^2) = sum of a_r / (u - r) over the roots
+    # r of w u^2 - b u - t, taken without cancellation; atom 0: one pole b / w
+    t, ht = h.atoms[h.atoms > 0.0], h.weights[h.atoms > 0.0]
+    s = np.sqrt(b * b + 4.0 * w * t)
+    q = b + np.where(b * s.real >= 0.0, s, -s)
+    r1, r2 = q / (2.0 * w), -2.0 * t / q
+    poles, residues = [r1, r2], [ht * r1 / (w * (r2 - r1)), ht * r2 / (w * (r1 - r2))]
+    h0 = h.weights[h.atoms == 0.0].sum()
+    if h0 > 0.0:
+        poles.append(b / w)
+        residues.append(-h0 / w)
+    poles, residues = np.concatenate(poles, axis=1), np.concatenate(residues, axis=1)
+    # u - 1 = c sum_j a_j / (u - p_j) holds at the eigenvalues u of the
+    # arrowhead [[1, v^T], [v, diag(p)]] with v_j^2 = c a_j
+    arrow = np.eye(poles.shape[1] + 1) * np.concatenate([np.ones_like(w), poles], axis=1)[:, None]
+    arrow[:, 0, 1:] = arrow[:, 1:, 0] = np.sqrt(c * residues)
+    roots = (np.linalg.eigvals(arrow) - 1.0) / c
+    branch = (roots.imag > 0.0) & ((w * roots).imag > 0.0)
+    bad = branch.sum(axis=1) != 1
+    if bad.any():
+        raise BranchError(f"not one root with Im m > 0, Im(w m) > 0 at w={w[bad][0, 0]}")
+    m = roots[branch]
+    # one Newton step on m - RHS(m), where d RHS/dm = -c sum_j a_j / (u - p_j)^2
+    slope = 1.0 + c * np.sum(residues / (1.0 + c * m[:, None] - poles) ** 2, axis=1)
+    return m - (m - ds_rhs(m, h, c, w[:, 0])) / slope
 
-    Damped iteration m <- (1-a) m + a RHS(m) from m0 = i.  Residual
-    below ``tol`` is the only acceptance condition; a converged fixed
-    point with Im m <= 0 raises BranchError.
 
-    The damping adapts on genuine divergence only: when the iterate goes
-    non-finite or the residual blows past 1e6 times the best residual
-    seen, the step is halved and the iterate reset to the best point.
-    Near spectral edges the convergent spiral legitimately rebounds by
-    factors of order 1/theta (theta the contraction phase), so any
-    aggressive residual-increase trigger stalls convergence; transient
-    growth of six orders cannot occur on a convergent path with the
-    eta >= 1e-6 evaluation points used here.
+def solve_ds(h, c, w):
+    """Upper-half-plane solution m(w) of the self-consistent equation, at a
+    scalar w or elementwise on an array of w: the one eigenvalue of an
+    arrowhead matrix per point (one batched ``np.linalg.eigvals`` per block)
+    with Im m > 0 and Im(w m) > 0, else BranchError, after one Newton step.
+    The residual, at most 1e-10 max(1, |m|), is the only acceptance test.
     """
     if not isinstance(h, MeasureH):
         raise ConfigurationError("h must be a MeasureH")
     if c <= 0.0:
         raise ConfigurationError("aspect ratio c must be positive")
-    w = complex(w)
-    if w.imag <= 0.0:
+    w = np.asarray(w, dtype=np.complex128)
+    if np.any(w.imag <= 0.0):
         raise ConfigurationError("solve_ds requires Im w > 0")
-    if not 0.0 < damping <= 1.0:
-        raise ConfigurationError("damping must lie in (0, 1]")
-    m = 1j
-    alpha = float(damping)
-    best_m, best_residual = m, math.inf
-    residual = math.inf
-    for iteration in range(1, max_iter + 1):
-        rhs = ds_rhs(m, h, c, w)
-        residual = abs(rhs - m)
-        if residual < tol:
-            if m.imag <= 0.0:
-                raise BranchError(f"fixed point at w={w} has Im m = {m.imag:.3e} <= 0",
-                                  residual=residual, iterations=iteration)
-            return m
-        diverging = not math.isfinite(residual) or residual > 1e6 * best_residual
-        if diverging and alpha > 1.0 / 64.0:
-            alpha /= 2.0
-            m = best_m
-            continue
-        if residual < best_residual:
-            best_residual, best_m = residual, m
-        m = (1.0 - alpha) * m + alpha * rhs
-    raise SolverFailureError(f"no fixed point at w={w} after {max_iter} iterations",
-                             residual=residual, iterations=max_iter)
+    flat = w.ravel()
+    block = max(1, 2**18 // (2 * h.atoms.size + 1) ** 2)
+    m = np.concatenate([_solve_block(h, c, flat[i:i + block])
+                        for i in range(0, flat.size, block)])
+    residual = np.abs(m - ds_rhs(m, h, c, flat)) / np.maximum(1.0, np.abs(m))
+    if not np.all(residual <= 1e-10):
+        worst = float(np.max(residual))
+        raise SolverFailureError(f"relative residual {worst:.3e} > 1e-10", residual=worst)
+    return complex(m[0]) if w.ndim == 0 else m.reshape(w.shape)
 
 
 # ------------------------------------------------- Marchenko-Pastur oracle
@@ -180,8 +188,9 @@ class StieltjesSolution:
 def invert_stieltjes(solve, x_grid, eta_schedule=DEFAULT_ETA_SCHEDULE, agreement_tol=1e-3):
     """Recover density(x) = (1/pi) Im m(x + i eta_final) along an eta schedule.
 
-    ``solve`` maps w in the upper half-plane to m(w).  The run is
-    accepted only when the densities at the last two eta levels agree to
+    ``solve`` maps an array of w in the upper half-plane to m(w); it is
+    called once per eta level on the whole grid.  The run is accepted
+    only when the densities at the last two eta levels agree to
     ``agreement_tol`` in sup norm; hard-edge grids (where the limit
     density diverges) need a looser gate, chosen explicitly by the
     caller.
@@ -192,12 +201,8 @@ def invert_stieltjes(solve, x_grid, eta_schedule=DEFAULT_ETA_SCHEDULE, agreement
     if etas[-1] < 1e-6:
         raise ConfigurationError("final eta must be at least 1e-6")
     x = np.asarray(x_grid, dtype=np.float64)
-    densities = []
-    m_final = None
-    for eta in etas:
-        m = np.array([solve(xi + 1j * eta) for xi in x], dtype=np.complex128)
-        densities.append(m.imag / math.pi)
-        m_final = m
+    m = [np.asarray(solve(x + 1j * eta), dtype=np.complex128) for eta in etas]
+    densities = [mi.imag / math.pi for mi in m]
     sup_diff = float(np.max(np.abs(densities[-1] - densities[-2])))
     if sup_diff > agreement_tol:
         worst = int(np.argmax(np.abs(densities[-1] - densities[-2])))
@@ -205,4 +210,4 @@ def invert_stieltjes(solve, x_grid, eta_schedule=DEFAULT_ETA_SCHEDULE, agreement
             f"eta schedule not converged: last two levels differ by {sup_diff:.3e} "
             f"(worst at x={x[worst]:.6g}, tol {agreement_tol:.3e})",
             residual=sup_diff)
-    return StieltjesSolution(etas[-1], x, m_final, densities[-1])
+    return StieltjesSolution(etas[-1], x, m[-1], densities[-1])

@@ -258,6 +258,24 @@ def test_hermitize_field_csv_schema(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("z", [0.0, 0.5, 0.5 + 0.5j, 2.0])
+def test_ds_reference_potential_is_the_circular_potential(z):
+    from esdlab.harness.experiments import _ds_reference_potential
+    from esdlab.limits import circular_log_potential
+    assert abs(_ds_reference_potential(z) - circular_log_potential(z)) < 1e-3
+
+
+def test_hermitize_ds_reference_column(tmp_path):
+    from esdlab.harness.experiments import _ds_reference_potential
+    raw = {"schema_version": 1, "experiment": "hermitize", "master_seed": 3,
+           "n_list": [20], "trials": 2, "dist_x": {"kind": "real_gaussian"},
+           "z_grid": [0.5], "reference": "ds"}
+    run_experiment(config_from_dict(raw), tmp_path)
+    header, row = (tmp_path / "field.csv").read_text().splitlines()
+    reference = row.split(",")[header.split(",").index("reference")]
+    assert reference == format_number(_ds_reference_potential(0.5))
+
+
 def test_hermitize_takes_one_svd_per_shift(tmp_path, monkeypatch):
     from esdlab import hermitization
     complex_input = []
@@ -491,6 +509,11 @@ _HERMITIZE_RAW = {"schema_version": 1, "experiment": "hermitize", "master_seed":
                   "x_min": -math.inf}),
     ("circular", _circular_raw(center=math.nan)),
     ("circular", _circular_raw(thresholds={"radial_ks": math.inf})),
+    ("tails", {"schema_version": 1, "experiment": "tails", "master_seed": 3,
+               "n_list": [100], "trials": 2, "dist_x": {"kind": "bernoulli"},
+               "thresholds": {"sigma_min_exponent": -400}}),
+    ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
+                  "x_step": 1e-300}),
 ])
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)

@@ -105,6 +105,21 @@ def test_solve_ds_is_the_root_of_the_exact_cubic(t):
             assert abs(solve_ds(h, 1.0, w) - branch[0]) < 1e-8
 
 
+@pytest.mark.parametrize("k", [3, 12, 30])
+@pytest.mark.parametrize("c", [1.0, 0.5])
+@pytest.mark.parametrize("eta", [1e-1, 1e-4])
+def test_solve_ds_many_atoms_array_w(k, c, eta):
+    rng = np.random.default_rng(k)
+    weights = rng.uniform(0.1, 1.0, k)
+    h = MeasureH(rng.uniform(0.0, 4.0, k), weights / weights.sum())
+    w = np.linspace(0.05, 20.0, 40) + 1j * eta
+    m = solve_ds(h, c, w)
+    assert m.shape == w.shape
+    assert np.all(m.imag > 0.0) and np.all((w * m).imag > 0.0)
+    assert np.all(np.abs(m - ds_rhs(m, h, c, w)) <= 1e-10 * np.maximum(1.0, np.abs(m)))
+    assert [solve_ds(h, c, wi) for wi in w] == list(m)
+
+
 def test_solve_ds_rectangular_aspect():
     m = solve_ds(MeasureH.point(1.0), 0.5, 1.2 + 1e-3j)
     assert m.imag > 0.0
@@ -116,8 +131,6 @@ def test_solve_ds_validation():
         solve_ds(DELTA0, 1.0, 2.0 - 1e-3j)
     with pytest.raises(ConfigurationError):
         solve_ds(DELTA0, 0.0, 2.0 + 1e-3j)
-    with pytest.raises(ConfigurationError):
-        solve_ds(DELTA0, 1.0, 1.0 + 1j, damping=0.0)
 
 
 def test_remark_b2_encoding_invariance():
