@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
-from .rng import words_to_uniforms
+from .rng import BLOCK, words_to_uniforms
 
 SCALAR_KINDS = (
     "bernoulli",
@@ -71,20 +71,21 @@ def scalar_distribution(kind, **params):
     return ScalarDistribution(kind)
 
 
-def _polar_pairs(rng, count):
-    """Accepted Marsaglia polar pairs (z0, z1), in exact stream order.
+def _fill_polar(rng, out):
+    """Fill ``out`` with Marsaglia polar normals, in exact stream order.
 
-    Each attempt consumes two words; the j-th accepted attempt feeds the
-    j-th output pair, and the stream is left positioned right after the
-    final accepting attempt, so the vectorized path is bit-identical to
-    a scalar rejection loop.
+    Attempts run in batches of at most ``BLOCK // 2`` (one raw call of at
+    most BLOCK words each), and the j-th accepted attempt (u, v, s) fills
+    out[j]: u * f for a float64 ``out``, (u * f + i v * f) / sqrt(2) for a
+    complex128 one, with f = sqrt(-2 log(s) / s).  The stream is left
+    right after the final accepting attempt, so the draw is bit-identical
+    to a scalar rejection loop.
     """
-    z0 = np.empty(count)
-    z1 = np.empty(count)
+    complex_out = np.iscomplexobj(out)
     got = 0
-    while got < count:
-        need = count - got
-        batch = max(32, int(need * 1.35) + 8)
+    while got < out.size:
+        need = out.size - got
+        batch = min(BLOCK // 2, max(32, int(need * 1.35) + 8))
         uv = words_to_uniforms(rng.raw(2 * batch))
         uv *= 2.0
         uv -= 1.0
@@ -97,18 +98,30 @@ def _polar_pairs(rng, count):
             last = accepted[need - 1]
             rng.rewind(2 * (batch - (int(last) + 1)))
             accepted = accepted[:need]
-        f = np.sqrt(-2.0 * np.log(s[accepted]) / s[accepted])
-        z0[got:got + accepted.size] = u[accepted] * f
-        z1[got:got + accepted.size] = v[accepted] * f
+        s = s[accepted]
+        f = np.sqrt(-2.0 * np.log(s) / s)
+        block = out[got:got + accepted.size]
+        if complex_out:
+            # one complex division, as the contract has it: dividing the
+            # real and imaginary parts separately is not bit-equal
+            block[:] = (u[accepted] * f + 1j * (v[accepted] * f)) / math.sqrt(2.0)
+        else:
+            np.multiply(u[accepted], f, out=block)
         got += accepted.size
-    return z0, z1
 
 
 def sample_array(dist, rng, count):
-    """Draw ``count`` iid copies; float64 for real kinds, complex128 otherwise."""
+    """Draw ``count`` iid copies; float64 for real kinds, complex128 otherwise.
+
+    The result is allocated once and filled in blocks of at most
+    ``rng.BLOCK`` words, so a draw allocates its output plus O(BLOCK)
+    scratch, whatever ``count`` is.
+    """
     if not isinstance(dist, ScalarDistribution):
         raise ConfigurationError("dist must be a ScalarDistribution")
     kind = dist.kind
+    if kind not in SCALAR_KINDS:
+        raise ConfigurationError(f"unknown scalar distribution kind {kind!r}")
     if kind == "bernoulli":
         # the top bit of each word picks the sign (1 -> +1.0, 0 -> -1.0),
         # converted in place in the memory of the words
@@ -119,27 +132,27 @@ def sample_array(dist, rng, count):
         x *= 2.0
         x -= 1.0
         return x
-    if kind == "uniform_centered":
-        return (2.0 * rng.uniforms(count) - 1.0) * math.sqrt(3.0)
-    if kind == "two_point_asymmetric":
-        (p,) = dist.params
-        hi = math.sqrt((1.0 - p) / p)
-        lo = -math.sqrt(p / (1.0 - p))
-        return np.where(rng.uniforms(count) < p, hi, lo)
-    if kind == "pareto_symmetrized":
-        (alpha,) = dist.params
-        u = rng.uniforms(count)
-        mag_lo = (2.0 * u) ** (-1.0 / alpha)
-        mag_hi = (2.0 * (1.0 - u)) ** (-1.0 / alpha)
-        x = np.where(u < 0.5, -mag_lo, mag_hi)
-        return x * math.sqrt((alpha - 2.0) / alpha)
-    if kind == "real_gaussian":
-        z0, _ = _polar_pairs(rng, count)
-        return z0
-    if kind == "complex_gaussian":
-        z0, z1 = _polar_pairs(rng, count)
-        return (z0 + 1j * z1) / math.sqrt(2.0)
-    raise ConfigurationError(f"unknown scalar distribution kind {kind!r}")
+    out = np.empty(count, dtype=np.complex128 if kind == "complex_gaussian" else np.float64)
+    if kind in ("real_gaussian", "complex_gaussian"):
+        _fill_polar(rng, out)
+        return out
+    for start in range(0, count, BLOCK):
+        block = out[start:start + BLOCK]
+        u = rng.uniforms(block.size)
+        if kind == "uniform_centered":
+            u *= 2.0
+            u -= 1.0
+            np.multiply(u, math.sqrt(3.0), out=block)
+        elif kind == "two_point_asymmetric":
+            (p,) = dist.params
+            block[:] = np.where(u < p, math.sqrt((1.0 - p) / p), -math.sqrt(p / (1.0 - p)))
+        else:  # pareto_symmetrized
+            (alpha,) = dist.params
+            mag_lo = (2.0 * u) ** (-1.0 / alpha)
+            mag_hi = (2.0 * (1.0 - u)) ** (-1.0 / alpha)
+            np.multiply(np.where(u < 0.5, -mag_lo, mag_hi), math.sqrt((alpha - 2.0) / alpha),
+                        out=block)
+    return out
 
 
 def build_iid_matrix(n, dist, rng):

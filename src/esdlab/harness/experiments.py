@@ -531,7 +531,10 @@ def run_experiment(cfg, out_dir=None):
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}") from exc
     started = time.time()
-    result = RUNNERS[cfg.experiment](cfg, out_dir)
+    try:
+        result = RUNNERS[cfg.experiment](cfg, out_dir)
+    except MemoryError as exc:
+        raise ConfigurationError(f"the configured sizes cannot be allocated: {exc}") from exc
     trials_path = os.path.join(out_dir, "trials.csv")
     write_trials_csv(trials_path, result.records)
     result.artifacts.append(trials_path)

@@ -514,6 +514,8 @@ _HERMITIZE_RAW = {"schema_version": 1, "experiment": "hermitize", "master_seed":
                "thresholds": {"sigma_min_exponent": -400}}),
     ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
                   "x_step": 1e-300}),
+    # 2.84 PiB of Bernoulli entries: the allocation fails at once
+    ("circular", _circular_raw(n=20_000_000)),
 ])
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)
