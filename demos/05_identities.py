@@ -36,6 +36,7 @@ OUT = pathlib.Path(__file__).resolve().parent / "out" / "identities"
 def main():
     rng = np.random.default_rng(20260808)
     worst_det, worst_loo, worst_inter = 0.0, 0.0, 0.0
+    worst_moment, worst_product = 0.0, 0.0
     for _ in range(100):
         n = rng.integers(4, 25)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -48,11 +49,15 @@ def main():
         s = singular_values(a)
         d = leave_one_out_distances(a)
         worst_loo = max(worst_loo, abs(np.sum(s**-2.0) - np.sum(d**-2.0)) / np.sum(s**-2.0))
-        worst_inter = max(worst_inter, verify_interlacing(a, 2).worst_violation)
-        assert verify_weyl(a).ok
+        worst_inter = max(worst_inter, verify_interlacing(a, 2))
+        moment, product = verify_weyl(a)
+        worst_moment = max(worst_moment, moment)
+        worst_product = max(worst_product, product)
     print(f"determinant quadruple identity, worst |log gap|: {worst_det:.2e}")
     print(f"negative second moment identity, worst relative: {worst_loo:.2e}")
     print(f"interlacing, worst violation: {worst_inter:.2e}")
+    print(f"Weyl comparison, worst second-moment / log-product violation: "
+          f"{worst_moment:.2e} / {worst_product:.2e}")
 
     cfg = config_from_dict({
         "schema_version": 1,

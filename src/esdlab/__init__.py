@@ -34,7 +34,6 @@ from .errors import (
     SolverFailureError,
 )
 from .hermitization import (
-    GirkoQuadrature,
     LatticeSpec,
     girko_kernel,
     girko_reconstruct,

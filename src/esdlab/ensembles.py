@@ -26,9 +26,6 @@ SCALAR_KINDS = (
     "pareto_symmetrized",
 )
 
-BASE_KINDS = ("zero", "two_block_diagonal", "low_rank", "diagonal_from_measure", "explicit")
-
-
 @dataclass(frozen=True)
 class ScalarDistribution:
     """A named, seedable random variable with mean zero and unit variance."""

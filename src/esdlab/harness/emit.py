@@ -61,12 +61,13 @@ def write_ds_csv(path, solution):
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def scatter_svg(mu, center=0j, size_px=500, view=2.5):
-    """SVG scatter of a plane measure on viewBox [-view, view]^2: one
+def scatter_svg(mu, center=0j):
+    """SVG scatter of a plane measure, 500 px on viewBox [-2.5, 2.5]^2: one
     one-pixel glyph per atom, axes, and a unit-circle overlay at the
     configured center.  A scale(1,-1) group keeps the imaginary axis
     pointing up."""
     center = complex(center)
+    size_px, view = 500, 2.5
     px = 2.0 * view / size_px  # one rendered pixel, in plane units
 
     def fmt(v):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, SingularityError
 from .measures import ATOM_COLLISION_TOL, EmpiricalMeasure1D, EmpiricalMeasure2D
-from .numerics import MINUS_INFINITY, as_matrix, scaled_shift, singular_values
+from .numerics import log_product, scaled_shift, singular_values
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,7 @@ def shifted_singular_values(a, z):
     real A at a real z stays in real arithmetic; only a non-real z (or a
     complex A) makes the decomposed matrix complex.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ConfigurationError("log-determinant field requires a square matrix")
-    return singular_values(scaled_shift(m, z))
+    return singular_values(scaled_shift(a, z))
 
 
 def log_det_at(a, z, *, s=None):
@@ -71,9 +68,7 @@ def log_det_at(a, z, *, s=None):
     """
     if s is None:
         s = shifted_singular_values(a, z)
-    if s[0] == 0.0 or s[-1] < 1e-300 * s[0]:
-        return MINUS_INFINITY
-    return float(np.sum(np.log(s))) / s.size
+    return log_product(s) / s.size
 
 
 def log_det_field(a, spec):
@@ -139,16 +134,13 @@ def _smooth_cutoff(x):
     return out
 
 
-@dataclass(frozen=True)
-class GirkoQuadrature:
-    """Outer-integral quadrature: smooth truncation at |s| ~ r^2, composite
-    trapezoid split at every atom's real part, two refinement levels with
-    a Richardson check."""
-
-    r: float = 4.0
-    coarse_step: float = 1.0 / 8.0
-    fine_step: float = 1.0 / 16.0
-    rel_tol: float = 1e-2
+# Outer-integral quadrature: smooth truncation at |s| ~ r^2, composite
+# trapezoid split at every atom's real part, two refinement levels with a
+# Richardson check that they agree to the relative tolerance.
+_GIRKO_R = 4.0
+_GIRKO_COARSE_STEP = 1.0 / 8.0
+_GIRKO_FINE_STEP = 1.0 / 16.0
+_GIRKO_REL_TOL = 1e-2
 
 
 def _girko_outer_integral(mu, u, v, step, r):
@@ -175,24 +167,24 @@ def _girko_outer_integral(mu, u, v, step, r):
     return total
 
 
-def girko_reconstruct(mu, u, v, quad=GirkoQuadrature()):
+def girko_reconstruct(mu, u, v):
     """Recover the characteristic function of mu at (u, v) from its
     Stieltjes-like transform through Girko's identity.
 
     Requires nonzero u and v > 0.  The two refinement levels must agree
-    to ``quad.rel_tol``; the returned value is the Richardson
+    to ``_GIRKO_REL_TOL``; the returned value is the Richardson
     extrapolation of the two trapezoid levels.
     """
     if u == 0.0:
         raise ConfigurationError("girko_reconstruct requires u != 0")
     if v <= 0.0:
         raise ConfigurationError("girko_reconstruct requires v > 0")
-    coarse = _girko_outer_integral(mu, u, v, quad.coarse_step, quad.r)
-    fine = _girko_outer_integral(mu, u, v, quad.fine_step, quad.r)
+    coarse = _girko_outer_integral(mu, u, v, _GIRKO_COARSE_STEP, _GIRKO_R)
+    fine = _girko_outer_integral(mu, u, v, _GIRKO_FINE_STEP, _GIRKO_R)
     prefactor = (u * u + v * v) / (4.0j * math.pi * u)
     value = prefactor * (4.0 * fine - coarse) / 3.0
     drift = abs(prefactor * (fine - coarse))
-    if drift > quad.rel_tol * (1.0 + abs(value)):
+    if drift > _GIRKO_REL_TOL * (1.0 + abs(value)):
         raise NumericalFailureError(
             f"girko quadrature not converged: levels differ by {drift:.3e} at (u={u}, v={v})")
     return complex(value)

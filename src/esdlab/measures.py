@@ -1,8 +1,8 @@
 """Empirical spectral distributions, transforms, and distances.
 
-The 1/sqrt(n) spectral normalization is applied exactly once, inside
-``esd_eigen`` / ``esd_gram`` / ``dilation_esd``; everything downstream
-works with already-normalized atoms.
+The 1/sqrt(n) spectral normalization is applied exactly once, by
+``numerics.scaled_shift``; everything downstream works with
+already-normalized atoms.
 
 Vague convergence is operationalized by ``bl_distance`` against a fixed,
 versioned dictionary of bounded 1-Lipschitz bump functions; the grid
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import as_matrix, eigenvalues, scaled_shift, singular_values
+from .numerics import eigenvalues, scaled_shift, singular_values
 
 ATOM_COLLISION_TOL = 1e-12
 
@@ -67,9 +67,7 @@ class EmpiricalMeasure1D:
 
 def esd_eigen(a):
     """Eigenvalue ESD of A/sqrt(n)."""
-    m = as_matrix(a)
-    n = m.shape[0]
-    return EmpiricalMeasure2D(eigenvalues(m / math.sqrt(n)))
+    return EmpiricalMeasure2D(eigenvalues(scaled_shift(a)))
 
 
 def esd_gram(a, z):
@@ -77,10 +75,7 @@ def esd_gram(a, z):
 
     A real A at a real z is decomposed in real arithmetic.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ConfigurationError("gram ESD requires a square matrix")
-    s = singular_values(scaled_shift(m, z))
+    s = singular_values(scaled_shift(a, z))
     return EmpiricalMeasure1D(s * s)
 
 
@@ -91,10 +86,7 @@ def dilation_esd(a):
     A/sqrt(n), each with weight 1/(2n); the set is negation-symmetric by
     construction.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ConfigurationError("dilation requires a square matrix")
-    s = singular_values(m / math.sqrt(m.shape[0]))
+    s = singular_values(scaled_shift(a))
     return EmpiricalMeasure1D(np.concatenate([-s, s[::-1]]))
 
 
@@ -109,7 +101,6 @@ def characteristic_function(mu, u, v):
     return complex(np.mean(np.exp(1j * (u * a.real + v * a.imag))))
 
 
-@dataclass(frozen=True)
 class TestFunctionDictionary:
     """Products of triangular bumps on a fixed grid at dyadic spacings.
 
@@ -121,19 +112,19 @@ class TestFunctionDictionary:
 
     __test__ = False  # not a pytest class despite the name
 
-    extent: float = 3.0
-    spacings: tuple = (1.0, 0.5, 0.25)
+    EXTENT = 3.0
+    SPACINGS = (1.0, 0.5, 0.25)
 
     def centers(self, h):
-        k = int(round(2.0 * self.extent / h))
-        return np.linspace(-self.extent, self.extent, k + 1)
+        k = int(round(2.0 * self.EXTENT / h))
+        return np.linspace(-self.EXTENT, self.EXTENT, k + 1)
 
     def member_means(self, mu):
         """Integral of every member against mu, in dictionary order."""
         x = mu.atoms.real
         y = mu.atoms.imag
         out = []
-        for h in self.spacings:
+        for h in self.SPACINGS:
             cs = self.centers(h)
             amp = h / math.sqrt(2.0)
             tx = np.clip(1.0 - np.abs((x[None, :] - cs[:, None]) / h), 0.0, None)
@@ -143,10 +134,10 @@ class TestFunctionDictionary:
         return np.concatenate(out)
 
 
-def bl_distance(mu1, mu2, dictionary=None):
+def bl_distance(mu1, mu2):
     """Max over dictionary members of |int f dmu1 - int f dmu2|."""
-    dictionary = dictionary or TestFunctionDictionary()
-    return float(np.max(np.abs(dictionary.member_means(mu1) - dictionary.member_means(mu2))))
+    d = TestFunctionDictionary()
+    return float(np.max(np.abs(d.member_means(mu1) - d.member_means(mu2))))
 
 
 def ks_vs_cdf(samples, cdf):

@@ -119,7 +119,7 @@ def test_trials_csv_fixed_order(tmp_path):
 
 
 def test_scatter_svg_point_mass_at_center():
-    svg = scatter_svg(EmpiricalMeasure2D(np.array([0j])), center=0j, size_px=500)
+    svg = scatter_svg(EmpiricalMeasure2D(np.array([0j])), center=0j)
     assert '<circle cx="0" cy="0" r="0.01" fill=' in svg  # glyph at the canvas center
     assert 'viewBox="-2.5 -2.5 5 5"' in svg
     assert svg.count("<circle") == 2  # one atom glyph + the overlay circle
@@ -423,6 +423,15 @@ def test_manifest_gate_records_are_the_comparison(tmp_path, experiment):
         threshold = ([float(t) for t in g["threshold"]] if g["op"] == "in"
                      else float(g["threshold"]))
         assert g["passed"] is _COMPARE[g["op"]](float(g["observed"]), threshold), g
+
+
+def test_weyl_slack_override_reaches_nilpotent_gates(tmp_path):
+    raw = {**_TINY_RUNS["lemmas"], "thresholds": {"weyl_slack_scale": 1e-7}}
+    run_experiment(config_from_dict(raw), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    thresholds = {g["name"]: g["threshold"] for g in manifest["gates"]}
+    assert thresholds["weyl_nilpotent_moment"] == 1e-7
+    assert thresholds["weyl_nilpotent_product"] == 1e-7 * 8  # the nilpotent block is 8x8
 
 
 # ---------------------------------------------------------------------- CLI

@@ -9,7 +9,6 @@ import pytest
 from esdlab import (
     ConfigurationError,
     EmpiricalMeasure2D,
-    GirkoQuadrature,
     LatticeSpec,
     MINUS_INFINITY,
     RngStream,
@@ -286,10 +285,3 @@ def test_reconstruct_domain_checks():
         girko_reconstruct(mu, 0.0, 1.0)
     with pytest.raises(ConfigurationError):
         girko_reconstruct(mu, 1.0, -1.0)
-
-
-def test_reconstruct_quadrature_spec():
-    mu = EmpiricalMeasure2D(np.array([0.5 + 0.5j]))
-    quad = GirkoQuadrature(r=4.0, coarse_step=1 / 4, fine_step=1 / 8, rel_tol=1e-2)
-    val = girko_reconstruct(mu, 1.0, 1.0, quad)
-    assert abs(val - cmath.exp(1j)) < 5e-3
