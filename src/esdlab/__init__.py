@@ -14,11 +14,6 @@ from .ensembles import (
     BaseMatrixSpec,
     ScalarDistribution,
     assemble,
-    base_diagonal_from_measure,
-    base_explicit,
-    base_low_rank,
-    base_two_block,
-    base_zero,
     build_base_matrix,
     build_iid_matrix,
     sample_array,

@@ -28,44 +28,23 @@ SCALAR_KINDS = (
 
 @dataclass(frozen=True)
 class ScalarDistribution:
-    """A named, seedable random variable with mean zero and unit variance."""
+    """A named, seedable random variable with mean zero and unit variance.
+
+    ``p`` (two_point_asymmetric) and ``exponent`` (pareto_symmetrized)
+    are None for the kinds that do not take them.
+    """
 
     kind: str
-    params: tuple = ()
+    p: float | None = None
+    exponent: float | None = None
 
 
 def scalar_distribution(kind, **params):
-    """Construct a built-in ScalarDistribution, validating parameters.
-
-    Supported kinds and parameters:
-      bernoulli                      +1/-1 with probability 1/2 each
-      real_gaussian                  N(0, 1), Marsaglia polar method
-      complex_gaussian               (g1 + i g2)/sqrt(2), E|z|^2 = 1
-      uniform_centered               uniform on [-sqrt(3), sqrt(3)]
-      two_point_asymmetric(p=0.9)    sqrt((1-p)/p) w.p. p, -sqrt(p/(1-p)) w.p. 1-p
-      pareto_symmetrized(exponent=2.5)
-                                     symmetric Pareto tail, rescaled to unit
-                                     variance; finite variance needs exponent > 2
-    """
-    if kind not in SCALAR_KINDS:
-        raise ConfigurationError(f"unknown scalar distribution kind {kind!r}")
-    if kind == "two_point_asymmetric":
-        p = float(params.pop("p", 0.9))
-        if params:
-            raise ConfigurationError(f"unexpected parameters for {kind}: {sorted(params)}")
-        if not 0.0 < p < 1.0:
-            raise ConfigurationError("two_point_asymmetric requires 0 < p < 1")
-        return ScalarDistribution(kind, (p,))
-    if kind == "pareto_symmetrized":
-        alpha = float(params.pop("exponent", 2.5))
-        if params:
-            raise ConfigurationError(f"unexpected parameters for {kind}: {sorted(params)}")
-        if alpha <= 2.0:
-            raise ConfigurationError("pareto_symmetrized needs exponent > 2 for finite variance")
-        return ScalarDistribution(kind, (alpha,))
-    if params:
-        raise ConfigurationError(f"{kind} takes no parameters, got {sorted(params)}")
-    return ScalarDistribution(kind)
+    """The validated ScalarDistribution ``kind``; the entry-law table of
+    ``esdlab.harness.config`` states each law, its parameters and their
+    defaults."""
+    from .harness.config import entry_law  # that module imports this one
+    return entry_law({"kind": kind, **params}, "scalar distribution")
 
 
 def _fill_polar(rng, out):
@@ -141,10 +120,10 @@ def sample_array(dist, rng, count):
             u -= 1.0
             np.multiply(u, math.sqrt(3.0), out=block)
         elif kind == "two_point_asymmetric":
-            (p,) = dist.params
+            p = dist.p
             block[:] = np.where(u < p, math.sqrt((1.0 - p) / p), -math.sqrt(p / (1.0 - p)))
         else:  # pareto_symmetrized
-            (alpha,) = dist.params
+            alpha = dist.exponent
             mag_lo = (2.0 * u) ** (-1.0 / alpha)
             mag_hi = (2.0 * (1.0 - u)) ** (-1.0 / alpha)
             np.multiply(np.where(u < 0.5, -mag_lo, mag_hi), math.sqrt((alpha - 2.0) / alpha),
@@ -163,54 +142,36 @@ def build_iid_matrix(n, dist, rng):
 class BaseMatrixSpec:
     """Deterministic base matrix family M_n.
 
+    The base-matrix table of ``esdlab.harness.config`` states which
+    fields each kind takes and their defaults; the others are None.
     With ``scale_by_sqrt_n`` the two-block diagonal realizes
     sqrt(n) * diag(a,..,a,b,..,b), the form that survives the global
     1/sqrt(n) normalization as an O(1) shift.
     """
 
     kind: str
-    a: float = 0.0
-    b: float = 0.0
-    split: float = 0.5
-    rank: int = 0
-    magnitude: float = 0.0
-    atoms: tuple = ()
-    entries: tuple = ()
-    scale_by_sqrt_n: bool = False
+    a: float | None = None
+    b: float | None = None
+    split: float | None = None
+    rank: int | None = None
+    magnitude: float | None = None
+    atoms: tuple | None = None
+    entries: tuple | None = None
+    scale_by_sqrt_n: bool | None = None
 
 
-def base_zero():
-    return BaseMatrixSpec("zero")
-
-
-def base_two_block(a, b, split=0.5, scale_by_sqrt_n=False):
-    if not 0.0 <= split <= 1.0:
-        raise ConfigurationError("split fraction must lie in [0, 1]")
-    return BaseMatrixSpec("two_block_diagonal", a=float(a), b=float(b), split=float(split),
-                          scale_by_sqrt_n=bool(scale_by_sqrt_n))
-
-
-def base_low_rank(rank, magnitude):
-    if rank < 1:
-        raise ConfigurationError("low_rank requires rank >= 1")
-    return BaseMatrixSpec("low_rank", rank=int(rank), magnitude=float(magnitude))
-
-
-def base_diagonal_from_measure(atoms):
-    atoms = tuple(complex(t) for t in atoms)
-    if not atoms:
-        raise ConfigurationError("diagonal_from_measure needs a nonempty atom list")
-    return BaseMatrixSpec("diagonal_from_measure", atoms=atoms)
-
-
-def base_explicit(entries):
-    try:
-        m = np.asarray(entries)
-    except ValueError:  # ragged rows
-        raise ConfigurationError("explicit base matrix must be square") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigurationError("explicit base matrix must be square")
-    return BaseMatrixSpec("explicit", entries=tuple(map(tuple, m.tolist())))
+def require_buildable(name, spec, n, stream=True):
+    """Raise ConfigurationError unless ``spec`` can be realized at size n,
+    with an RngStream when ``stream``."""
+    if n < 1:
+        raise ConfigurationError("matrix size must be at least 1")
+    if spec.kind == "low_rank" and spec.rank > n:
+        raise ConfigurationError(f"{name}: low_rank rank {spec.rank} exceeds matrix size {n}")
+    if spec.kind == "explicit" and len(spec.entries) != n:
+        raise ConfigurationError(
+            f"{name}: explicit entries have {len(spec.entries)} rows, expected {n}")
+    if spec.kind == "diagonal_from_measure" and not stream:
+        raise ConfigurationError(f"{name}: diagonal_from_measure requires an RngStream")
 
 
 def build_base_matrix(spec, n, rng=None):
@@ -220,8 +181,7 @@ def build_base_matrix(spec, n, rng=None):
     scales the diagonal by sqrt(n); it therefore requires an RngStream.
     All other kinds are deterministic in (spec, n).
     """
-    if n < 1:
-        raise ConfigurationError("matrix size must be at least 1")
+    require_buildable("base matrix", spec, n, rng is not None)
     if spec.kind == "zero":
         return np.zeros((n, n))
     if spec.kind == "two_block_diagonal":
@@ -231,8 +191,6 @@ def build_base_matrix(spec, n, rng=None):
             d = d * math.sqrt(n)
         return np.diag(d)
     if spec.kind == "low_rank":
-        if spec.rank > n:
-            raise ConfigurationError("low_rank rank exceeds matrix size")
         i = np.arange(n)
         m = np.zeros((n, n))
         # blocks of constant entries with disjoint supports: rank exactly `rank`
@@ -241,16 +199,11 @@ def build_base_matrix(spec, n, rng=None):
             m[np.ix_(mask, mask)] = spec.magnitude
         return m
     if spec.kind == "diagonal_from_measure":
-        if rng is None:
-            raise ConfigurationError("diagonal_from_measure requires an RngStream")
         atoms = np.asarray(spec.atoms)
         idx = (rng.uniforms(n) * len(atoms)).astype(np.int64)
         return np.diag(atoms[idx] * math.sqrt(n))
     if spec.kind == "explicit":
-        m = np.asarray(spec.entries)
-        if m.shape != (n, n):
-            raise ConfigurationError(f"explicit entries have shape {m.shape}, expected {(n, n)}")
-        return m.copy()
+        return np.array(spec.entries)
     raise ConfigurationError(f"unknown base matrix kind {spec.kind!r}")
 
 

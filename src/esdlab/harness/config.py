@@ -5,11 +5,12 @@ every level so a typo in a threshold name can never silently fall back
 to a default.  Resolved thresholds (defaults merged with overrides) are
 echoed into the run manifest.
 
-Each experiment has one field table in ``FIELDS``, and each base-matrix
-and profile kind has one too.  A table entry states a key's parser, its
-default and its dump form once; parsing, unknown-key rejection and the
-canonical dump are loops over the table.  The rules that tie two fields
-together are in ``_check_cross_fields``.
+Each experiment has one field table in ``FIELDS``, and each entry law,
+base-matrix kind and profile kind has one too.  A table entry states a
+key's parser (range checks included), its default and its dump form
+once; parsing, unknown-key rejection and the canonical dump are loops
+over the table.  The rules that tie two fields together are in
+``_check_cross_fields``.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from typing import Callable, NamedTuple
 
 from ..ensembles import (
     ASSEMBLY_MODES,
-    base_diagonal_from_measure,
-    base_explicit,
-    base_low_rank,
-    base_two_block,
-    base_zero,
-    scalar_distribution,
+    SCALAR_KINDS,
+    BaseMatrixSpec,
+    ScalarDistribution,
+    require_buildable,
 )
 from ..errors import ConfigurationError
 from ..limits import DEFAULT_ETA_SCHEDULE
@@ -223,69 +222,68 @@ def _dump_fields(obj, fields):
     return out
 
 
-def _kinded(d, kinds, what):
-    """(kind, the other keys) of a JSON object {"kind": ..., ...}."""
-    kind = _one_of(*kinds)(_as_object(d, what).get("kind"), f"{what} kind")
-    return kind, {k: v for k, v in d.items() if k != "kind"}
+def _spec_parser(spec, kinds):
+    """Parser of a JSON object {"kind": k, ...} whose other keys follow
+    the field table ``kinds[k]``; it returns ``spec(k, **fields)``."""
+    def parse(d, what):
+        kind = _one_of(*kinds)(_as_object(d, what).get("kind"), f"{what} kind")
+        rest = {k: v for k, v in d.items() if k != "kind"}
+        return spec(kind, **_parse_fields(rest, kinds[kind], f"{kind} {what}"))
+    return parse
 
 
-# kind -> (constructor, fields); the constructor takes the fields as keywords
-_BASE_KINDS = {
-    "zero": (base_zero, ()),
-    "two_block_diagonal": (base_two_block, (
-        Field("a", _as_float),
-        Field("b", _as_float),
-        Field("split", _as_float, 0.5),
-        Field("scale_by_sqrt_n", _as_bool, False),
-    )),
-    "low_rank": (base_low_rank, (Field("rank", _as_int), Field("magnitude", _as_float))),
-    "diagonal_from_measure": (base_diagonal_from_measure, (
-        Field("atoms", _tuple_of(_as_complex), dump=_complex_list),
-    )),
-    "explicit": (base_explicit, (
-        Field("entries", _tuple_of(_tuple_of(_as_complex)),
-              dump=lambda rows: [_complex_list(row) for row in rows]),
-    )),
+def _spec_dump(kinds):
+    """Canonical JSON form of a spec that ``_spec_parser(_, kinds)`` made."""
+    return lambda spec: {"kind": spec.kind, **_dump_fields(spec, kinds[spec.kind])}
+
+
+# Entry laws, each of mean zero and unit variance (ensembles.sample_array
+# draws them):
+#   bernoulli             +1 or -1 with probability 1/2 each
+#   real_gaussian         N(0, 1), by the Marsaglia polar method
+#   complex_gaussian      (g1 + i g2)/sqrt(2) with g1, g2 real Gaussian, E|z|^2 = 1
+#   uniform_centered      uniform on [-sqrt(3), sqrt(3)]
+#   two_point_asymmetric  sqrt((1-p)/p) with probability p, -sqrt(p/(1-p)) otherwise
+#   pareto_symmetrized    a symmetric Pareto tail of index ``exponent``, rescaled
+#                         to unit variance, which needs exponent > 2
+_ENTRY_LAWS = {kind: () for kind in SCALAR_KINDS} | {
+    "two_point_asymmetric": (
+        Field("p", _checked(_as_float, lambda p: 0.0 < p < 1.0, "in (0, 1)"), 0.9),
+    ),
+    "pareto_symmetrized": (
+        Field("exponent", _checked(_as_float, lambda a: a > 2.0, "above 2 (finite variance)"), 2.5),
+    ),
 }
 
-
-def base_from_dict(d, what):
-    kind, rest = _kinded(d, _BASE_KINDS, what)
-    build, fields = _BASE_KINDS[kind]
-    return build(**_parse_fields(rest, fields, f"{kind} {what}"))
-
-
-def base_to_dict(spec):
-    return {"kind": spec.kind, **_dump_fields(spec, _BASE_KINDS[spec.kind][1])}
-
+_BASE_KINDS = {
+    "zero": (),
+    "two_block_diagonal": (
+        Field("a", _as_float),
+        Field("b", _as_float),
+        Field("split", _checked(_as_float, lambda s: 0.0 <= s <= 1.0, "in [0, 1]"), 0.5),
+        Field("scale_by_sqrt_n", _as_bool, False),
+    ),
+    "low_rank": (Field("rank", _POSITIVE_INT), Field("magnitude", _as_float)),
+    "diagonal_from_measure": (Field("atoms", _nonempty(_as_complex), dump=_complex_list),),
+    "explicit": (
+        Field("entries",
+              _checked(_tuple_of(_tuple_of(_as_complex)),
+                       lambda rows: bool(rows) and all(len(r) == len(rows) for r in rows),
+                       "a nonempty square list of rows"),
+              dump=lambda rows: [_complex_list(row) for row in rows]),
+    ),
+}
 
 _PROFILE_FIELDS = {
     "constant": (Field("value", _POSITIVE_FLOAT, 1.0),),
-    "ramp": (Field("low", _as_float), Field("high", _as_float)),
+    "ramp": (Field("low", _POSITIVE_FLOAT), Field("high", _as_float)),
 }
 
-
-def _profile(p, what):
-    kind, rest = _kinded(p, _PROFILE_FIELDS, what)
-    kw = _parse_fields(rest, _PROFILE_FIELDS[kind], f"{kind} {what}")
-    if kind == "ramp" and not 0.0 < kw["low"] <= kw["high"]:
-        raise ConfigurationError("ramp profile needs 0 < low <= high")
-    return {"kind": kind, **kw}
-
-
-def dist_from_dict(d, what):
-    params = {k: _as_float(v, f"{what} {k}") for k, v in _as_object(d, what).items()
-              if k != "kind"}
-    return scalar_distribution(d.get("kind"), **params)
-
-
-def dist_to_dict(dist):
-    out = {"kind": dist.kind}
-    if dist.kind == "two_point_asymmetric":
-        out["p"] = dist.params[0]
-    elif dist.kind == "pareto_symmetrized":
-        out["exponent"] = dist.params[0]
-    return out
+entry_law = _spec_parser(ScalarDistribution, _ENTRY_LAWS)
+_entry_law_dump = _spec_dump(_ENTRY_LAWS)
+_base = _spec_parser(BaseMatrixSpec, _BASE_KINDS)
+_base_dump = _spec_dump(_BASE_KINDS)
+_profile = _spec_parser(lambda kind, **kw: {"kind": kind, **kw}, _PROFILE_FIELDS)
 
 
 def _common_fields(experiment):
@@ -304,8 +302,8 @@ def _common_fields(experiment):
 _MATRIX_FIELDS = (
     Field("n_list", _nonempty(_POSITIVE_INT), dump=list),
     Field("trials", _TRIAL_COUNT),
-    Field("dist_x", dist_from_dict, dump=dist_to_dict),
-    Field("base", base_from_dict, {"kind": "zero"}, base_to_dict),
+    Field("dist_x", entry_law, dump=_entry_law_dump),
+    Field("base", _base, {"kind": "zero"}, _base_dump),
 )
 
 # circular and hermitize accept only mode "shift" and never echo it
@@ -318,10 +316,10 @@ _OWN_FIELDS = {
     ),
     "universality": _MATRIX_FIELDS + (
         Field("mode", _one_of(*ASSEMBLY_MODES), "shift"),
-        Field("dist_y", dist_from_dict, None, dist_to_dict),
+        Field("dist_y", entry_law, None, _entry_law_dump),
         Field("profile", _profile, None, dict),
-        Field("sandwich_k", base_from_dict, None, base_to_dict),
-        Field("sandwich_l", base_from_dict, None, base_to_dict),
+        Field("sandwich_k", _base, None, _base_dump),
+        Field("sandwich_l", _base, None, _base_dump),
     ),
     "hermitize": _MATRIX_FIELDS + (
         _SHIFT_MODE,
@@ -368,9 +366,17 @@ def ds_grid_count(x_min, x_max, x_step):
 def _check_cross_fields(kw):
     """The rules that tie two fields of one experiment together."""
     experiment = kw["experiment"]
+    # sandwich factors are built without a stream
+    for name in ("base", "sandwich_k", "sandwich_l"):
+        if kw.get(name) is not None:
+            for n in kw["n_list"]:
+                require_buildable(name, kw[name], n, stream=name == "base")
     if experiment == "universality":
         if kw["mode"] == "hadamard_profile" and kw["profile"] is None:
             raise ConfigurationError("hadamard_profile mode requires a profile spec")
+        profile = kw["profile"]
+        if profile is not None and profile["kind"] == "ramp" and profile["low"] > profile["high"]:
+            raise ConfigurationError("ramp profile needs low <= high")
         if kw["mode"] == "sandwich" and (kw["sandwich_k"] is None or kw["sandwich_l"] is None):
             raise ConfigurationError("sandwich mode requires sandwich_k and sandwich_l")
     elif experiment == "ds_solve":

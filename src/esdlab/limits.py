@@ -196,10 +196,9 @@ def invert_stieltjes(solve, x_grid, eta_schedule=DEFAULT_ETA_SCHEDULE, agreement
     caller.
     """
     etas = [float(e) for e in eta_schedule]
-    if len(etas) < 2 or any(b >= a for a, b in zip(etas, etas[1:])):
-        raise ConfigurationError("eta schedule must be strictly decreasing with >= 2 levels")
-    if etas[-1] < 1e-6:
-        raise ConfigurationError("final eta must be at least 1e-6")
+    if len(etas) < 2 or any(b >= a for a, b in zip(etas, etas[1:])) or not etas[-1] > 0.0:
+        raise ConfigurationError(
+            "eta schedule must be positive and strictly decreasing with >= 2 levels")
     x = np.asarray(x_grid, dtype=np.float64)
     m = [np.asarray(solve(x + 1j * eta), dtype=np.complex128) for eta in etas]
     densities = [mi.imag / math.pi for mi in m]

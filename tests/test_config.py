@@ -1,7 +1,9 @@
-"""Config field tables: pinned canonical dumps and a mutation property."""
+"""Config field tables: pinned canonical dumps, a mutation property and
+the README's list of kinds."""
 
 import copy
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 from esdlab import ConfigurationError
 from esdlab.harness import config_from_dict, config_to_dict
-from esdlab.harness.config import FIELDS
+from esdlab.harness.config import _BASE_KINDS, _ENTRY_LAWS, _PROFILE_FIELDS, FIELDS
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 _ROUNDTRIP = {
     "circular": {"schema_version": 1, "experiment": "circular", "master_seed": 7,
@@ -66,7 +70,7 @@ _FULL = {
     "universality": {"schema_version": 1, "experiment": "universality", "master_seed": 0,
                      "output_dir": "runs/univ", "threads": 3,
                      "thresholds": {"final_median_bl": 0.2},
-                     "n_list": [20], "trials": 4, "mode": "sandwich",
+                     "n_list": [2], "trials": 4, "mode": "sandwich",
                      "dist_x": {"kind": "pareto_symmetrized", "exponent": 5},
                      "dist_y": {"kind": "complex_gaussian"},
                      "base": {"kind": "two_block_diagonal", "a": 1, "b": 2.5, "split": 0.25,
@@ -167,7 +171,7 @@ PINNED = {
         '{"base": {"a": 1.0, "b": 2.5, "kind": "two_block_diagonal", "scale_by_sqrt_n": false,'
         ' "split": 0.25}, "dist_x": {"exponent": 5.0, "kind": "pareto_symmetrized"},'
         ' "dist_y": {"kind": "complex_gaussian"}, "experiment": "universality",'
-        ' "master_seed": 0, "mode": "sandwich", "n_list": [20], "output_dir": "runs/univ",'
+        ' "master_seed": 0, "mode": "sandwich", "n_list": [2], "output_dir": "runs/univ",'
         ' "profile": {"kind": "constant", "value": 2.0}, "sandwich_k": {"kind": "low_rank",'
         ' "magnitude": 3.0, "rank": 2}, "sandwich_l": {"entries": [[1.0, [0.0, 1.0]], [2.5,'
         ' -1.0]], "kind": "explicit"}, "schema_version": 1, "threads": 3,'
@@ -207,6 +211,13 @@ PINNED = {
 def test_canonical_dump_pinned(name):
     dump = json.dumps(config_to_dict(config_from_dict(VALID[name])), sort_keys=True)
     assert dump == PINNED[name]
+
+
+def test_readme_names_every_kind():
+    readme = README.read_text(encoding="utf-8")
+    for table in (_ENTRY_LAWS, _BASE_KINDS, _PROFILE_FIELDS):
+        for kind in table:
+            assert f"`{kind}`" in readme, kind
 
 
 # --------------------------------------------------------- mutation property

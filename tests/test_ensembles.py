@@ -8,15 +8,11 @@ import numpy as np
 import pytest
 
 from esdlab import (
+    BaseMatrixSpec,
     ConfigurationError,
     DegenerateInputError,
     RngStream,
     assemble,
-    base_diagonal_from_measure,
-    base_explicit,
-    base_low_rank,
-    base_two_block,
-    base_zero,
     build_base_matrix,
     build_iid_matrix,
     sample_array,
@@ -242,24 +238,24 @@ def test_iid_matrix_size_validation():
 
 
 def test_two_block_diagonal_figure_pattern():
-    m = build_base_matrix(base_two_block(1.0, 2.5, 0.5), 6)
+    m = build_base_matrix(BaseMatrixSpec("two_block_diagonal", a=1.0, b=2.5, split=0.5), 6)
     assert np.array_equal(m, np.diag([1, 1, 1, 2.5, 2.5, 2.5]))
 
 
 def test_zero_base():
-    assert np.array_equal(build_base_matrix(base_zero(), 4), np.zeros((4, 4)))
+    assert np.array_equal(build_base_matrix(BaseMatrixSpec("zero"), 4), np.zeros((4, 4)))
 
 
 def test_low_rank_base():
-    m = build_base_matrix(base_low_rank(1, 1.0), 100)
+    m = build_base_matrix(BaseMatrixSpec("low_rank", rank=1, magnitude=1.0), 100)
     assert np.linalg.matrix_rank(m) == 1
     assert np.sum(np.abs(m) ** 2) / 100**2 <= 1.0 + 1e-12
-    m3 = build_base_matrix(base_low_rank(3, 2.0), 30)
+    m3 = build_base_matrix(BaseMatrixSpec("low_rank", rank=3, magnitude=2.0), 30)
     assert np.linalg.matrix_rank(m3) == 3
 
 
 def test_diagonal_from_measure_scaling_and_rng():
-    spec = base_diagonal_from_measure([1.0, 2.5])
+    spec = BaseMatrixSpec("diagonal_from_measure", atoms=(1.0, 2.5))
     with pytest.raises(ConfigurationError):
         build_base_matrix(spec, 8)
     m = build_base_matrix(spec, 8, RngStream(1, 2))
@@ -269,7 +265,7 @@ def test_diagonal_from_measure_scaling_and_rng():
 
 
 def test_explicit_base_shape_check():
-    spec = base_explicit([[1, 2], [3, 4]])
+    spec = BaseMatrixSpec("explicit", entries=((1, 2), (3, 4)))
     assert np.array_equal(build_base_matrix(spec, 2), [[1, 2], [3, 4]])
     with pytest.raises(ConfigurationError):
         build_base_matrix(spec, 3)
@@ -284,7 +280,7 @@ def test_assemble_shift_zero_base():
 
 def test_assemble_sandwich_identity_reduces_to_shift():
     x = build_iid_matrix(6, scalar_distribution("real_gaussian"), RngStream(2, 1))
-    m = build_base_matrix(base_two_block(1.0, 2.0), 6)
+    m = build_base_matrix(BaseMatrixSpec("two_block_diagonal", a=1.0, b=2.0, split=0.5), 6)
     eye = np.eye(6)
     assert np.allclose(assemble(m, x, "sandwich", k=eye, l=eye),
                        assemble(m, x, "shift"), rtol=0, atol=0)
@@ -292,7 +288,7 @@ def test_assemble_sandwich_identity_reduces_to_shift():
 
 def test_assemble_hadamard_all_ones_equals_shift():
     x = build_iid_matrix(7, scalar_distribution("complex_gaussian"), RngStream(2, 2))
-    m = build_base_matrix(base_two_block(0.5, 1.5), 7)
+    m = build_base_matrix(BaseMatrixSpec("two_block_diagonal", a=0.5, b=1.5, split=0.5), 7)
     assert np.array_equal(assemble(m, x, "hadamard_profile", c=np.ones((7, 7))),
                           assemble(m, x, "shift"))
 
@@ -321,8 +317,9 @@ def test_assemble_without_base_equals_zero_base(mode, factors):
 
 
 def test_require_invertible():
-    k = build_base_matrix(base_two_block(1.0, 2.0), 4)
+    k = build_base_matrix(BaseMatrixSpec("two_block_diagonal", a=1.0, b=2.0, split=0.5), 4)
     assert require_invertible("K", k) is k
-    for singular in (np.zeros((3, 3)), build_base_matrix(base_low_rank(1, 1.0), 3)):
+    rank_one = BaseMatrixSpec("low_rank", rank=1, magnitude=1.0)
+    for singular in (np.zeros((3, 3)), build_base_matrix(rank_one, 3)):
         with pytest.raises(DegenerateInputError):
             require_invertible("K", singular)

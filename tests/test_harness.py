@@ -525,10 +525,37 @@ _HERMITIZE_RAW = {"schema_version": 1, "experiment": "hermitize", "master_seed":
                   "x_step": 1e-300}),
     # 2.84 PiB of Bernoulli entries: the allocation fails at once
     ("circular", _circular_raw(n=20_000_000)),
+    ("circular", _circular_raw(base={"kind": "two_block_diagonal", "a": 1.0, "b": 1.0,
+                                     "split": 1.5})),
+    ("circular", _circular_raw(base={"kind": "low_rank", "rank": 0, "magnitude": 1.0})),
+    ("circular", _circular_raw(base={"kind": "diagonal_from_measure", "atoms": []})),
+    ("circular", _circular_raw(base={"kind": "explicit", "entries": []})),
+    ("circular", _circular_raw(dist_x={"kind": "two_point_asymmetric", "p": 1.0})),
+    ("circular", _circular_raw(dist_x={"kind": "pareto_symmetrized", "exponent": 2.0})),
 ])
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)
     assert cli_main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+_EYE3 = {"kind": "explicit", "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+@pytest.mark.parametrize("command,raw", [
+    ("circular", {**_circular_raw(base=_EYE3), "n_list": [3, 40]}),
+    ("hermitize", {**_HERMITIZE_RAW, "n_list": [5, 4],
+                   "base": {"kind": "low_rank", "rank": 5, "magnitude": 1.0}}),
+    ("universality", {"schema_version": 1, "experiment": "universality", "master_seed": 3,
+                      "n_list": [3, 40], "trials": 2, "mode": "sandwich",
+                      "dist_x": {"kind": "bernoulli"}, "sandwich_k": _EYE3,
+                      "sandwich_l": {"kind": "diagonal_from_measure", "atoms": [1.0]}}),
+])
+def test_cli_base_unbuildable_at_some_size_exits_two_and_writes_nothing(tmp_path, command,
+                                                                         raw):
+    path = _write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_uncreatable_output_dir_exits_two(tmp_path):

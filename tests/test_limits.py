@@ -202,9 +202,14 @@ def test_inversion_schedule_validation():
     with pytest.raises(ConfigurationError):
         invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-3, 1e-2))
     with pytest.raises(ConfigurationError):
-        invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-3, 1e-7))
+        invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-3, 0.0))
     with pytest.raises(ConfigurationError):
         invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-3,))
+    # no floor on the final eta: at 1e-8 the direct solver meets the MP density
+    grid = np.linspace(0.1, 3.9, 1521)
+    sol = invert_stieltjes(solve, grid, eta_schedule=(1e-6, 1e-8))
+    assert sol.eta == 1e-8
+    assert np.max(np.abs(sol.density - mp_density(grid))) < 1e-12
 
 
 def test_stieltjes_cdf_helper():
