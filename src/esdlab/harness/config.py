@@ -372,6 +372,13 @@ def _check_cross_fields(kw):
             for n in kw["n_list"]:
                 require_buildable(name, kw[name], n, stream=name == "base")
     if experiment == "universality":
+        # a factor the mode never reads would be echoed in the manifest
+        # although it shaped no byte
+        for name, mode in (("profile", "hadamard_profile"), ("sandwich_k", "sandwich"),
+                           ("sandwich_l", "sandwich")):
+            if kw[name] is not None and kw["mode"] != mode:
+                raise ConfigurationError(f"{name} is read only in {mode} mode, "
+                                         f"not in {kw['mode']} mode")
         if kw["mode"] == "hadamard_profile" and kw["profile"] is None:
             raise ConfigurationError("hadamard_profile mode requires a profile spec")
         profile = kw["profile"]

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..ensembles import assemble, build_base_matrix, build_iid_matrix, require_invertible
 from ..errors import ConfigurationError
-from ..hermitization import log_det_at, regularized_log_det, shifted_singular_values
+from ..hermitization import log_det_at, regularized_log_det
 from ..limits import (
     MeasureH,
     circular_log_potential,
@@ -277,9 +277,8 @@ def run_hermitization_check(cfg, out_dir):
             a = _trial_matrix(cfg, n, t)
             metrics = {}
             for i, z in enumerate(cfg.z_grid):
-                s = shifted_singular_values(a, z)
-                f_n = log_det_at(a, z, s=s)
-                f_reg = regularized_log_det(a, z, eps, s=s)
+                f_n = log_det_at(a, z)
+                f_reg = regularized_log_det(a, z, eps)
                 metrics[f"f_n_z{i}"] = f_n
                 metrics[f"f_reg_z{i}"] = f_reg
                 metrics[f"potential_gap_z{i}"] = abs(f_n - references[z]) \
@@ -446,8 +445,7 @@ def run_lemma_suite(cfg, out_dir):
         metrics = {}
         rows, cols = a.shape
         if rows == cols:
-            _, logdet = np.linalg.slogdet(a)
-            routes = [logdet,
+            routes = [log_abs_det(a, "via_lu"),
                       float(np.sum(np.log(np.abs(eigenvalues(a))))),
                       log_abs_det(a, "via_singular"),
                       log_abs_det(a, "via_distances")]

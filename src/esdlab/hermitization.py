@@ -5,6 +5,12 @@ f_n(z) = (1/n) log |det(A/sqrt(n) - zI)|, its eps-regularized variant,
 log-potentials of candidate limits, and Girko's identity relating the
 plane ESD to the field through a contour-integral kernel.
 
+Both log-determinants reduce the singular-value law of
+B = A/sqrt(n) - zI to one number, so neither takes an SVD: f_n is one LU
+factorization of B, and the regularized value one LU factorization of
+the Gram matrix B B* + eps I.  ``shifted_singular_values`` gives the
+whole law, from one SVD, where a caller needs more than these numbers.
+
 The closed-form kernel of the inner t-integral requires v > 0; the
 printed formula diverges for v < 0 and callers needing that half-plane
 should use conjugate symmetry instead.
@@ -20,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, SingularityError
 from .measures import ATOM_COLLISION_TOL, EmpiricalMeasure1D, EmpiricalMeasure2D
-from .numerics import log_product, scaled_shift, singular_values
+from .numerics import log_abs_det, scaled_shift, singular_values
 
 
 @dataclass(frozen=True)
@@ -60,15 +66,11 @@ def shifted_singular_values(a, z):
     return singular_values(scaled_shift(a, z))
 
 
-def log_det_at(a, z, *, s=None):
-    """f_n(z) = (1/n) log |det(A/sqrt(n) - zI)|, via singular values.
-
-    ``s`` may carry ``shifted_singular_values(a, z)`` computed by the
-    caller, so that one SVD serves several reductions at the same shift.
-    """
-    if s is None:
-        s = shifted_singular_values(a, z)
-    return log_product(s) / s.size
+def log_det_at(a, z):
+    """f_n(z) = (1/n) log |det(A/sqrt(n) - zI)|, from one LU factorization
+    of the shifted matrix; an exactly singular shift gives MINUS_INFINITY."""
+    b = scaled_shift(a, z)
+    return log_abs_det(b, "via_lu") / b.shape[0]
 
 
 def log_det_field(a, spec):
@@ -81,17 +83,32 @@ def log_det_field(a, spec):
     return values
 
 
-def regularized_log_det(a, z, eps, *, s=None):
-    """(1/2n) log det((A/sqrt(n) - zI)(A/sqrt(n) - zI)* + eps I).
+def regularized_log_det(a, z, eps):
+    """(1/2n) log det(B B* + eps I) with B = A/sqrt(n) - zI, from one Gram
+    product and one LU factorization; a real B at a real z stays float64.
 
     Always finite for eps > 0, monotone increasing in eps, and at least
-    the unregularized value.  ``s`` is as in ``log_det_at``.
+    the unregularized value.  The domain is eps above the rounding of
+    ||B||^2 in the Gram product (about n 2^-53 ||B||^2): below it the
+    small factors s^2 + eps lose their accuracy, and B B* + eps I need
+    not stay positive definite in floating point.  The determinant of
+    this Hermitian matrix is real, so its sign is +1 up to rounding in
+    its phase; any other sign raises NumericalFailureError instead of
+    returning a value.
     """
     if eps <= 0.0:
         raise ConfigurationError("regularization eps must be positive")
-    if s is None:
-        s = shifted_singular_values(a, z)
-    return float(np.sum(np.log(s * s + eps))) / (2.0 * s.size)
+    b = scaled_shift(a, z)
+    n = b.shape[0]
+    gram = b @ b.conj().T  # a real b's conj() is b itself, so this is one real syrk
+    del b  # the factorization copies the Gram matrix; do not hold B beside it
+    gram[np.diag_indices(n)] += eps
+    sign, logdet = np.linalg.slogdet(gram)
+    if not sign.real > 0.0:
+        raise NumericalFailureError(
+            f"B B* + eps I is not positive definite in floating point at z={z}, "
+            f"eps={eps:.3g}: eps is below the rounding of ||B||^2")
+    return float(logdet) / (2.0 * n)
 
 
 def log_potential(mu, z):

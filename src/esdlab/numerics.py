@@ -7,10 +7,13 @@ through genuinely distinct computational routes.
 
 ``scaled_shift`` is the one builder of A/sqrt(n) - zI: it validates A,
 and every normalized ESD and log-determinant starts from it.  Singular
-matrices never yield a fake large-negative log-determinant:
-``log_product``, the one rule behind ``log_abs_det`` and
-``hermitization.log_det_at``, returns the IEEE -inf marker
-(MINUS_INFINITY) whenever a factor underflows the representable range.
+matrices never yield a fake large-negative log-determinant, and
+``log_abs_det`` owns the IEEE -inf marker (MINUS_INFINITY) for each of
+its routes: the "via_lu" route (behind ``hermitization.log_det_at``)
+returns it for an exactly zero LU pivot, and the factor routes
+"via_singular" and "via_distances" reduce their factors through
+``log_product``, which returns it whenever a factor underflows the
+representable range.
 """
 
 from __future__ import annotations
@@ -148,8 +151,15 @@ def log_product(factors):
 
 
 def log_abs_det(a, method="via_singular"):
-    """log|det A| as a sum of log singular values or log row distances,
-    reduced by ``log_product``."""
+    """log|det A| by one of three routes: "via_lu", one LU factorization
+    (slogdet) of a square A, MINUS_INFINITY when a pivot is exactly zero;
+    "via_singular" and "via_distances", a sum of log singular values or
+    log row distances, reduced by ``log_product``."""
+    if method == "via_lu":
+        m = as_matrix(a)
+        _require_square(m)
+        sign, logdet = np.linalg.slogdet(m)
+        return MINUS_INFINITY if sign == 0 else float(logdet)
     if method == "via_singular":
         factors = singular_values(a)
     elif method == "via_distances":

@@ -75,7 +75,6 @@ _FULL = {
                      "dist_y": {"kind": "complex_gaussian"},
                      "base": {"kind": "two_block_diagonal", "a": 1, "b": 2.5, "split": 0.25,
                               "scale_by_sqrt_n": False},
-                     "profile": {"kind": "constant", "value": 2},
                      "sandwich_k": {"kind": "low_rank", "rank": 2, "magnitude": 3},
                      "sandwich_l": {"kind": "explicit", "entries": [[1, [0, 1]], [2.5, -1]]}},
     "hermitize": {"schema_version": 1, "experiment": "hermitize", "master_seed": 11,
@@ -172,9 +171,9 @@ PINNED = {
         ' "split": 0.25}, "dist_x": {"exponent": 5.0, "kind": "pareto_symmetrized"},'
         ' "dist_y": {"kind": "complex_gaussian"}, "experiment": "universality",'
         ' "master_seed": 0, "mode": "sandwich", "n_list": [2], "output_dir": "runs/univ",'
-        ' "profile": {"kind": "constant", "value": 2.0}, "sandwich_k": {"kind": "low_rank",'
-        ' "magnitude": 3.0, "rank": 2}, "sandwich_l": {"entries": [[1.0, [0.0, 1.0]], [2.5,'
-        ' -1.0]], "kind": "explicit"}, "schema_version": 1, "threads": 3,'
+        ' "sandwich_k": {"kind": "low_rank", "magnitude": 3.0, "rank": 2},'
+        ' "sandwich_l": {"entries": [[1.0, [0.0, 1.0]], [2.5, -1.0]], "kind": "explicit"},'
+        ' "schema_version": 1, "threads": 3,'
         ' "thresholds": {"final_median_bl": 0.2}, "trials": 4}'),
     "roundtrip_circular": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "bernoulli"}, "experiment": "circular",'

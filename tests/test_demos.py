@@ -1,9 +1,9 @@
 """The demo scripts compile, import only names that exist, and the fast
 ones run end to end.
 
-Demos 01-03 take minutes and are only compiled and import-checked; this
-catches a demo left behind by a rename or a deletion in the library.
-Demos 04-06 take about a second each and run from a copy in a temporary
+Every demo is compiled and import-checked, which catches a demo left
+behind by a rename or a deletion in the library.  Demos 03-06 take a few
+seconds at most and also run end to end, from a copy in a temporary
 directory, so their ``out/`` directory lands there.
 """
 
@@ -19,7 +19,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-FAST_DEMOS = ("04_dozier_silverstein.py", "05_identities.py", "06_tail_bounds.py")
+FAST_DEMOS = ("03_hermitization.py", "04_dozier_silverstein.py", "05_identities.py",
+              "06_tail_bounds.py")
 
 
 def test_demos_found():

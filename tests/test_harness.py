@@ -276,22 +276,31 @@ def test_hermitize_ds_reference_column(tmp_path):
     assert reference == format_number(_ds_reference_potential(0.5))
 
 
-def test_hermitize_takes_one_svd_per_shift(tmp_path, monkeypatch):
+def test_hermitize_takes_no_svd(tmp_path, monkeypatch):
     from esdlab import hermitization
-    complex_input = []
+    svd_calls = []
+    factored_complex = []
     svd = hermitization.singular_values
+    slogdet = np.linalg.slogdet
 
-    def counting(m):
-        complex_input.append(np.iscomplexobj(m))
+    def counting_svd(m):
+        svd_calls.append(m.shape)
         return svd(m)
 
-    monkeypatch.setattr(hermitization, "singular_values", counting)
+    def spying_slogdet(m):
+        factored_complex.append(np.iscomplexobj(m))
+        return slogdet(m)
+
+    monkeypatch.setattr(hermitization, "singular_values", counting_svd)
+    monkeypatch.setattr(np.linalg, "slogdet", spying_slogdet)
     raw = {"schema_version": 1, "experiment": "hermitize", "master_seed": 3,
            "n_list": [30], "trials": 2, "dist_x": {"kind": "real_gaussian"},
            "base": {"kind": "zero"}, "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}
     run_experiment(config_from_dict(raw), tmp_path)
-    assert len(complex_input) == 8  # 2 trials x 4 shifts
-    assert sum(complex_input) == 2  # only the non-real shift is complex
+    assert svd_calls == []
+    # B and B B* + eps I at each shift: 2 trials x 4 shifts x 2 factorizations,
+    # complex only at the non-real shift
+    assert factored_complex == [False, False, False, False, True, True, False, False] * 2
 
 
 def test_tails_batched_distances_match_row_by_row(tmp_path):
@@ -536,6 +545,28 @@ _HERMITIZE_RAW = {"schema_version": 1, "experiment": "hermitize", "master_seed":
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)
     assert cli_main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+_UNIVERSALITY_RAW = {"schema_version": 1, "experiment": "universality", "master_seed": 3,
+                     "n_list": [12], "trials": 2, "dist_x": {"kind": "bernoulli"}}
+_PROFILE = {"kind": "ramp", "low": 0.5, "high": 2.0}
+_FACTOR = {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0}
+
+
+@pytest.mark.parametrize("raw", [
+    {**_UNIVERSALITY_RAW, "profile": _PROFILE},
+    {**_UNIVERSALITY_RAW, "mode": "sandwich", "profile": _PROFILE,
+     "sandwich_k": _FACTOR, "sandwich_l": _FACTOR},
+    {**_UNIVERSALITY_RAW, "mode": "hadamard_profile", "profile": _PROFILE,
+     "sandwich_k": _FACTOR},
+    {**_UNIVERSALITY_RAW, "sandwich_l": _FACTOR},
+], ids=["profile_in_shift", "profile_in_sandwich", "sandwich_k_in_hadamard",
+        "sandwich_l_in_shift"])
+def test_cli_universality_factor_outside_its_mode_exits_two(tmp_path, raw):
+    path = _write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert cli_main(["universality", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 _EYE3 = {"kind": "explicit", "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}

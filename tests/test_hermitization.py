@@ -11,6 +11,7 @@ from esdlab import (
     EmpiricalMeasure2D,
     LatticeSpec,
     MINUS_INFINITY,
+    NumericalFailureError,
     RngStream,
     SingularityError,
     build_iid_matrix,
@@ -131,17 +132,16 @@ def test_shifted_singular_values_requires_square():
 
 
 def test_log_det_reductions_of_the_shared_spectrum():
-    a = _gaussian(50, 5)
+    # both LU reductions agree with the singular values of a complex SVD
     n, eps = 50, 50.0 ** -0.1
-    for z in _SHIFTS:
-        ref = _complex_route(a, z)
-        s = shifted_singular_values(a, z)
-        f_n = float(np.sum(np.log(ref))) / n
-        f_reg = float(np.sum(np.log(ref * ref + eps))) / (2.0 * n)
-        assert log_det_at(a, z) == pytest.approx(f_n, rel=0, abs=1e-13)
-        assert regularized_log_det(a, z, eps) == pytest.approx(f_reg, rel=0, abs=1e-13)
-        assert log_det_at(a, z, s=s) == log_det_at(a, z)
-        assert regularized_log_det(a, z, eps, s=s) == regularized_log_det(a, z, eps)
+    for law in ("real_gaussian", "complex_gaussian"):
+        a = build_iid_matrix(n, scalar_distribution(law), RngStream(99, 5))
+        for z in _SHIFTS:
+            ref = _complex_route(a, z)
+            f_n = float(np.sum(np.log(ref))) / n
+            f_reg = float(np.sum(np.log(ref * ref + eps))) / (2.0 * n)
+            assert log_det_at(a, z) == pytest.approx(f_n, rel=0, abs=1e-13)
+            assert regularized_log_det(a, z, eps) == pytest.approx(f_reg, rel=0, abs=1e-13)
 
 
 # -------------------------------------------------------------- regularization
@@ -161,6 +161,13 @@ def test_regularized_monotone_and_convergent():
 def test_regularized_requires_positive_eps():
     with pytest.raises(ConfigurationError):
         regularized_log_det(np.eye(2), 0.0, 0.0)
+
+
+def test_regularized_rejects_eps_below_gram_rounding():
+    # B = ones(4, 4) has rank one and eps = 1e-300 is lost against ||B||^2 = 16,
+    # so B B* + eps I is singular in floating point
+    with pytest.raises(NumericalFailureError):
+        regularized_log_det(2.0 * np.ones((4, 4)), 0.0, 1e-300)
 
 
 @pytest.mark.xfail(strict=True,

@@ -17,6 +17,7 @@ from esdlab import (
     leave_one_out_distances,
     log_abs_det,
     log_det_at,
+    regularized_log_det,
     row_distances,
     shifted_singular_values,
     singular_values,
@@ -215,6 +216,7 @@ def test_log_abs_det_methods_agree():
     rng = np.random.default_rng(10)
     a = _rand(rng, 10, 10)
     assert abs(log_abs_det(a, "via_singular") - log_abs_det(a, "via_distances")) < 1e-6
+    assert abs(log_abs_det(a, "via_lu") - log_abs_det(a, "via_singular")) < 1e-12
 
 
 def test_log_abs_det_minus_infinity_marker():
@@ -224,11 +226,14 @@ def test_log_abs_det_minus_infinity_marker():
     assert log_abs_det(np.zeros((3, 3))) == MINUS_INFINITY
     repeated_row = np.array([[1.0, 0.0], [1.0, 0.0]])
     assert log_abs_det(repeated_row, "via_distances") == MINUS_INFINITY
+    assert log_abs_det(repeated_row, "via_lu") == MINUS_INFINITY  # an exactly zero pivot
     # nearly singular but nonzero stays finite (and very negative)
     nearly = np.array([[1.0, 2.0], [2.0, 4.0]])
     assert math.isfinite(log_abs_det(nearly)) and log_abs_det(nearly) < -30.0
     with pytest.raises(ConfigurationError):
         log_abs_det(nearly, "via_magic")
+    with pytest.raises(ConfigurationError):
+        log_abs_det(np.ones((2, 3)), "via_lu")
 
 
 # ------------------------------------------- the normalized matrix A/sqrt(n) - zI
@@ -239,6 +244,7 @@ _NORMALIZED = {
     "dilation_esd": dilation_esd,
     "shifted_singular_values": lambda a: shifted_singular_values(a, 0.5),
     "log_det_at": lambda a: log_det_at(a, 0.5),
+    "regularized_log_det": lambda a: regularized_log_det(a, 0.5, 0.1),
 }
 
 
