@@ -29,11 +29,9 @@ from .errors import (
     SolverFailureError,
 )
 from .hermitization import (
-    LatticeSpec,
     girko_kernel,
     girko_reconstruct,
     log_det_at,
-    log_det_field,
     log_potential,
     regularized_log_det,
     shifted_singular_values,

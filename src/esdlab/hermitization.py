@@ -2,14 +2,19 @@
 
 The central objects are the log-determinant field
 f_n(z) = (1/n) log |det(A/sqrt(n) - zI)|, its eps-regularized variant,
-log-potentials of candidate limits, and Girko's identity relating the
-plane ESD to the field through a contour-integral kernel.
+and Girko's identity relating the plane ESD to the field through a
+contour-integral kernel.
 
-Both log-determinants reduce the singular-value law of
-B = A/sqrt(n) - zI to one number, so neither takes an SVD: f_n is one LU
-factorization of B, and the regularized value one LU factorization of
-the Gram matrix B B* + eps I.  ``shifted_singular_values`` gives the
-whole law, from one SVD, where a caller needs more than these numbers.
+f_n(z) has two readings, and both are here: ``log_det_at`` reduces the
+singular-value law of B = A/sqrt(n) - zI to one LU factorization of B,
+and ``log_potential`` of the eigenvalue ESD integrates log|w - z| over
+the eigenvalues, so one eigendecomposition gives f_n on a whole lattice.
+The regularized value is one LU factorization of the Gram matrix
+B B* + eps I.  None of them takes an SVD; ``shifted_singular_values``
+gives the whole singular-value law, from one SVD, where a caller needs
+more than these numbers.  Both readings of f_n take their -inf rule
+from ``numerics``: an exactly zero LU pivot in ``log_abs_det``, an atom
+at z in ``log_product``.
 
 The closed-form kernel of the inner t-integral requires v > 0; the
 printed formula diverges for v < 0 and callers needing that half-plane
@@ -20,40 +25,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError, SingularityError
-from .measures import ATOM_COLLISION_TOL, EmpiricalMeasure1D, EmpiricalMeasure2D
-from .numerics import log_abs_det, scaled_shift, singular_values
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Rectangular lattice of complex shifts around a center.
-
-    Points sit at half-step offsets, (k + 1/2) step - extent in each
-    coordinate, so integer-valued spectra cannot collide with the
-    lattice; ordering is row-major with the real coordinate fastest.
-    """
-
-    center: complex = 0j
-    extent: float = 2.5
-    step: float = 0.25
-
-    def __post_init__(self):
-        if self.extent <= 0.0 or self.step <= 0.0 or self.step > 2.0 * self.extent:
-            raise ConfigurationError("lattice needs 0 < step <= 2*extent")
-
-    def offsets(self):
-        k = int(math.ceil(2.0 * self.extent / self.step))
-        return (np.arange(k) + 0.5) * self.step - self.extent
-
-    def points(self):
-        o = self.offsets()
-        re, im = np.meshgrid(o, o, indexing="xy")
-        return (complex(self.center) + re + 1j * im).ravel()
+from .numerics import log_abs_det, log_product, scaled_shift, singular_values
 
 
 def shifted_singular_values(a, z):
@@ -73,28 +49,18 @@ def log_det_at(a, z):
     return log_abs_det(b, "via_lu") / b.shape[0]
 
 
-def log_det_field(a, spec):
-    """f_n at every point of a lattice, in ``spec.points()`` order;
-    singular shifts record -inf."""
-    points = spec.points()
-    values = np.empty(points.size)
-    for i, z in enumerate(points):
-        values[i] = log_det_at(a, z)
-    return values
-
-
 def regularized_log_det(a, z, eps):
     """(1/2n) log det(B B* + eps I) with B = A/sqrt(n) - zI, from one Gram
     product and one LU factorization; a real B at a real z stays float64.
 
     Always finite for eps > 0, monotone increasing in eps, and at least
-    the unregularized value.  The domain is eps above the rounding of
-    ||B||^2 in the Gram product (about n 2^-53 ||B||^2): below it the
-    small factors s^2 + eps lose their accuracy, and B B* + eps I need
-    not stay positive definite in floating point.  The determinant of
-    this Hermitian matrix is real, so its sign is +1 up to rounding in
-    its phase; any other sign raises NumericalFailureError instead of
-    returning a value.
+    the unregularized value.  The domain is eps at or above
+    n 2^-53 ||B||_F^2, a bound on the rounding of the Gram product read
+    off its trace: below it the small factors s^2 + eps lose their
+    accuracy, so such an eps raises NumericalFailureError instead of
+    returning a wrong value.  The determinant of this Hermitian matrix is
+    real, so its sign is +1 up to rounding in its phase; any other sign
+    raises NumericalFailureError too.
     """
     if eps <= 0.0:
         raise ConfigurationError("regularization eps must be positive")
@@ -102,25 +68,26 @@ def regularized_log_det(a, z, eps):
     n = b.shape[0]
     gram = b @ b.conj().T  # a real b's conj() is b itself, so this is one real syrk
     del b  # the factorization copies the Gram matrix; do not hold B beside it
-    gram[np.diag_indices(n)] += eps
+    diagonal = np.diag_indices(n)
+    floor = n * 2.0 ** -53 * float(np.sum(gram[diagonal].real))
+    if eps < floor:
+        raise NumericalFailureError(
+            f"eps={eps:.3g} is below the rounding of the Gram product at z={z} "
+            f"(n 2^-53 ||B||_F^2 = {floor:.3g})")
+    gram[diagonal] += eps
     sign, logdet = np.linalg.slogdet(gram)
     if not sign.real > 0.0:
         raise NumericalFailureError(
             f"B B* + eps I is not positive definite in floating point at z={z}, "
-            f"eps={eps:.3g}: eps is below the rounding of ||B||^2")
+            f"eps={eps:.3g}")
     return float(logdet) / (2.0 * n)
 
 
 def log_potential(mu, z):
-    """int log|w - z| dmu(w) for an empirical measure."""
-    z = complex(z)
-    if isinstance(mu, (EmpiricalMeasure2D, EmpiricalMeasure1D)):
-        atoms = np.asarray(mu.atoms, dtype=np.complex128)
-        dist = np.abs(atoms - z)
-        if np.min(dist) <= ATOM_COLLISION_TOL:
-            raise SingularityError(f"z={z} collides with an atom of the measure")
-        return float(np.mean(np.log(dist)))
-    raise ConfigurationError("unsupported measure type for log_potential")
+    """int log|w - z| dmu(w) for an empirical measure, MINUS_INFINITY when
+    z collides with an atom.  For the eigenvalue ESD of A this is f_n(z),
+    and one eigendecomposition serves every z."""
+    return log_product(np.abs(mu.atoms - complex(z))) / mu.size
 
 
 # ------------------------------------------------------------ Girko identity

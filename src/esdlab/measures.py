@@ -20,8 +20,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .numerics import eigenvalues, scaled_shift, singular_values
 
-ATOM_COLLISION_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class EmpiricalMeasure2D:

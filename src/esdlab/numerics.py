@@ -7,13 +7,15 @@ through genuinely distinct computational routes.
 
 ``scaled_shift`` is the one builder of A/sqrt(n) - zI: it validates A,
 and every normalized ESD and log-determinant starts from it.  Singular
-matrices never yield a fake large-negative log-determinant, and
-``log_abs_det`` owns the IEEE -inf marker (MINUS_INFINITY) for each of
-its routes: the "via_lu" route (behind ``hermitization.log_det_at``)
-returns it for an exactly zero LU pivot, and the factor routes
-"via_singular" and "via_distances" reduce their factors through
-``log_product``, which returns it whenever a factor underflows the
-representable range.
+matrices never yield a fake large-negative log-determinant.  This module
+holds every route to log|det| and its IEEE -inf marker (MINUS_INFINITY):
+``log_abs_det`` takes four independent routes, "via_lu" (behind
+``hermitization.log_det_at``), which returns the marker for an exactly
+zero LU pivot, and the factor routes "via_eigenvalues", "via_singular"
+and "via_distances", which reduce their factors through ``log_product``.
+``log_product`` returns the marker whenever a factor underflows the
+representable range; ``hermitization.log_potential`` reduces the atom
+distances of an ESD through it too.
 """
 
 from __future__ import annotations
@@ -141,29 +143,32 @@ def leave_one_out_distances(a):
 
 
 def log_product(factors):
-    """Sum of the logs of nonnegative factors sorted decreasing, or
+    """Sum of the logs of nonnegative factors, in any order, or
     MINUS_INFINITY when the largest is 0 or the smallest is below 1e-300
     times it (a product singular to working precision)."""
-    top = factors[0]
-    if top == 0.0 or factors[-1] < 1e-300 * top:
+    top = np.max(factors)
+    if top == 0.0 or np.min(factors) < 1e-300 * top:
         return MINUS_INFINITY
     return float(np.sum(np.log(factors)))
 
 
 def log_abs_det(a, method="via_singular"):
-    """log|det A| by one of three routes: "via_lu", one LU factorization
-    (slogdet) of a square A, MINUS_INFINITY when a pivot is exactly zero;
-    "via_singular" and "via_distances", a sum of log singular values or
-    log row distances, reduced by ``log_product``."""
+    """log|det A| of a square A by one of four routes: "via_lu", one LU
+    factorization (slogdet), MINUS_INFINITY when a pivot is exactly zero;
+    "via_eigenvalues", "via_singular" and "via_distances", a sum of the
+    logs of |eigenvalues|, singular values or row distances, reduced by
+    ``log_product``."""
+    m = as_matrix(a)
+    _require_square(m)
     if method == "via_lu":
-        m = as_matrix(a)
-        _require_square(m)
         sign, logdet = np.linalg.slogdet(m)
         return MINUS_INFINITY if sign == 0 else float(logdet)
-    if method == "via_singular":
-        factors = singular_values(a)
+    if method == "via_eigenvalues":
+        factors = np.abs(eigenvalues(m))
+    elif method == "via_singular":
+        factors = singular_values(m)
     elif method == "via_distances":
-        factors = np.sort(row_distances(a))[::-1]
+        factors = row_distances(m)
     else:
         raise ConfigurationError(f"unknown method {method!r}")
     return log_product(factors)

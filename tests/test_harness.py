@@ -303,6 +303,26 @@ def test_hermitize_takes_no_svd(tmp_path, monkeypatch):
     assert factored_complex == [False, False, False, False, True, True, False, False] * 2
 
 
+def test_hermitize_records_an_exactly_singular_shift_as_infinite_gaps(tmp_path):
+    # A/sqrt(n) of this 4 x 4 Bernoulli draw is exactly singular in both
+    # trials, so f_n at z = 0 is -inf and both of its gaps are inf
+    raw = {"schema_version": 1, "experiment": "hermitize", "master_seed": 3,
+           "n_list": [4], "trials": 2, "dist_x": {"kind": "bernoulli"},
+           "base": {"kind": "zero"}, "z_grid": [0.0, 1.0, [0.5, 0.5]]}
+    result = run_experiment(config_from_dict(raw), tmp_path)
+    for record in result.records:
+        assert record.metrics["f_n_z0"] == -math.inf
+        assert math.isfinite(record.metrics["f_reg_z0"])
+        assert record.metrics["potential_gap_z0"] == math.inf
+        assert record.metrics["regularization_gap_z0"] == math.inf
+    row = (tmp_path / "field.csv").read_text().splitlines()[1].split(",")
+    assert row[:3] == ["0", "0", "-inf"] and row[-1] == "inf"
+    gates = {g.name: g for g in result.gates}
+    assert gates["potential_gap_n4_z0"].observed == 0.0
+    assert gates["regularization_gap_n4_z0"].observed == math.inf
+    assert not result.passed
+
+
 def test_tails_batched_distances_match_row_by_row(tmp_path):
     from esdlab.ensembles import sample_array
     from esdlab.harness import experiments as ex

@@ -9,7 +9,6 @@ import pytest
 from esdlab import (
     ConfigurationError,
     EmpiricalMeasure2D,
-    LatticeSpec,
     MINUS_INFINITY,
     NumericalFailureError,
     RngStream,
@@ -22,7 +21,6 @@ from esdlab import (
     girko_reconstruct,
     hs_norm,
     log_det_at,
-    log_det_field,
     log_potential,
     regularized_log_det,
     scalar_distribution,
@@ -35,31 +33,18 @@ def _gaussian(n, stream):
     return build_iid_matrix(n, scalar_distribution("real_gaussian"), RngStream(99, stream))
 
 
-# -------------------------------------------------------------------- lattice
-
-def test_lattice_half_offsets():
-    spec = LatticeSpec(center=0.5 + 0.25j, extent=2.0, step=0.5)
-    # half-step offsets never land on the integer grid
-    assert not np.any(np.isclose(spec.offsets() % 1.0, 0.0))
-    assert spec.points().size == spec.offsets().size ** 2
-
-
-def test_lattice_validation():
-    with pytest.raises(ConfigurationError):
-        LatticeSpec(extent=1.0, step=0.0)
-
-
 # ------------------------------------------------------------------ the field
 
 def test_field_of_scaled_identity_is_exact():
     z0 = 0.75 - 0.5j
     n = 6
     a = math.sqrt(n) * z0 * np.eye(n)
-    spec = LatticeSpec(center=0j, extent=1.5, step=0.5)
-    values = log_det_field(a, spec)
-    expected = np.array([math.log(abs(z0 - z)) for z in spec.points()])
-    assert np.allclose(values, expected, rtol=0, atol=1e-12)
-    assert not np.any(np.isneginf(values))
+    mu = esd_eigen(a)
+    offsets = (np.arange(6) + 0.5) * 0.5 - 1.5
+    for z in (complex(x, y) for y in offsets for x in offsets):
+        expected = math.log(abs(z0 - z))
+        assert log_det_at(a, z) == pytest.approx(expected, rel=0, abs=1e-12)
+        assert log_potential(mu, z) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_field_zero_matrix():
@@ -71,8 +56,6 @@ def test_field_flags_exactly_singular_shift():
     # z = 0.5 is an eigenvalue of A/sqrt(n)
     a = math.sqrt(n) * np.diag([0.5, 1.5, 2.5])
     assert log_det_at(a, 0.5) == MINUS_INFINITY
-    spec = LatticeSpec(center=0.5, extent=0.25, step=0.25)  # single offset row
-    assert not np.any(np.isneginf(log_det_field(a, spec)))  # half-offsets dodge the atom
 
 
 def test_field_gaussian_matches_circular_potential():
@@ -164,10 +147,25 @@ def test_regularized_requires_positive_eps():
 
 
 def test_regularized_rejects_eps_below_gram_rounding():
-    # B = ones(4, 4) has rank one and eps = 1e-300 is lost against ||B||^2 = 16,
-    # so B B* + eps I is singular in floating point
+    # B = ones(4, 4) has rank one and eps = 1e-300 is lost against ||B||^2 = 16
     with pytest.raises(NumericalFailureError):
         regularized_log_det(2.0 * np.ones((4, 4)), 0.0, 1e-300)
+    # a complex B = A/sqrt(n) with its smallest singular value set to 1e-8 to
+    # 1e-6 of its largest: ||B||_F^2 is about 100 ||B||^2, so the floor
+    # n 2^-53 ||B||_F^2 sits near 5e-12 ||B||^2; every eps below it is
+    # rejected, and the first decade above it is accurate
+    n = 400
+    g = build_iid_matrix(n, scalar_distribution("complex_gaussian"), RngStream(7, 0))
+    u, s, vh = np.linalg.svd(g / math.sqrt(n))
+    for rel in (1e-8, 1e-7, 1e-6):
+        s[-1] = rel * s[0]
+        a = math.sqrt(n) * ((u * s) @ vh)
+        for scale in (1e-15, 1e-14, 1e-13, 1e-12):
+            with pytest.raises(NumericalFailureError):
+                regularized_log_det(a, 0.0, scale * s[0] ** 2)
+        eps = 1e-11 * s[0] ** 2
+        exact = float(np.sum(np.log(s * s + eps))) / (2.0 * n)
+        assert regularized_log_det(a, 0.0, eps) == pytest.approx(exact, rel=0, abs=1e-8)
 
 
 @pytest.mark.xfail(strict=True,
@@ -214,8 +212,7 @@ def test_log_potential_point_masses():
 
 
 def test_log_potential_atom_collision():
-    with pytest.raises(SingularityError):
-        log_potential(EmpiricalMeasure2D(np.array([1.0 + 0j])), 1.0)
+    assert log_potential(EmpiricalMeasure2D(np.array([1.0 + 0j])), 1.0) == MINUS_INFINITY
 
 
 # -------------------------------------------------------------- girko kernel

@@ -1,8 +1,16 @@
-"""Every import in src/, tests/ and demos/ is used.
+"""Every import in src/, tests/ and demos/ is used, and every definition
+in src/esdlab is read somewhere.
 
 The re-exports of an ``__init__.py`` and ``from __future__`` imports are
 exempt.  A name counts as used when the module reads it anywhere (a bare
 name, or the root of an attribute chain) or lists it in ``__all__``.
+
+A module-level def, class or assignment in src/esdlab (outside the
+``__init__.py`` files, dunders aside) must be read by some file under
+src/, tests/, demos/ or perfbench/: as a loaded name, an attribute, an
+imported name, or a string constant (``perfbench/tracing.py`` names the
+attributes it rebinds as strings).  A re-export in an ``__init__.py`` is
+not a read.
 """
 
 import ast
@@ -13,6 +21,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py")
                if p.name != "__init__.py")
+READERS = FILES + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def _unused_imports(tree):
@@ -45,3 +54,51 @@ def test_no_unused_import(path):
 def test_detector_flags_an_unused_import():
     tree = ast.parse("import math\nimport os.path\nfrom a import b as c, d\nprint(d, os)\n")
     assert _unused_imports(tree) == [(1, "math"), (3, "c")]
+
+
+def _definitions(tree):
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(node.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [(line, name) for line, name in names
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _reads(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def _dead_definitions(tree, readers):
+    read = set().union(*map(_reads, readers))
+    return [(line, name) for line, name in _definitions(tree) if name not in read]
+
+
+def test_no_dead_definition():
+    readers = [ast.parse(p.read_text(), str(p)) for p in READERS]
+    dead = [f"{path.relative_to(ROOT)}:{line} {name}"
+            for path in FILES if path.is_relative_to(ROOT / "src" / "esdlab")
+            for line, name in _dead_definitions(ast.parse(path.read_text(), str(path)),
+                                                readers)]
+    assert not dead, dead
+
+
+def test_detector_flags_a_dead_definition():
+    module = ast.parse("STALE_TOL = 1e-12\n__all__ = []\nx, y = 1, 2\n"
+                       "def f():\n    return x\nclass C:\n    pass\n")
+    reader = ast.parse("from m import f\ngetattr(m, 'C')\nprint(m.y)\n")
+    assert _dead_definitions(module, [module, reader]) == [(1, "STALE_TOL")]

@@ -217,6 +217,7 @@ def test_log_abs_det_methods_agree():
     a = _rand(rng, 10, 10)
     assert abs(log_abs_det(a, "via_singular") - log_abs_det(a, "via_distances")) < 1e-6
     assert abs(log_abs_det(a, "via_lu") - log_abs_det(a, "via_singular")) < 1e-12
+    assert abs(log_abs_det(a, "via_eigenvalues") - log_abs_det(a, "via_singular")) < 1e-12
 
 
 def test_log_abs_det_minus_infinity_marker():
@@ -227,13 +228,16 @@ def test_log_abs_det_minus_infinity_marker():
     repeated_row = np.array([[1.0, 0.0], [1.0, 0.0]])
     assert log_abs_det(repeated_row, "via_distances") == MINUS_INFINITY
     assert log_abs_det(repeated_row, "via_lu") == MINUS_INFINITY  # an exactly zero pivot
+    assert log_abs_det(repeated_row, "via_eigenvalues") == MINUS_INFINITY
+    assert log_abs_det(np.diag([1.0, 0.0]), "via_eigenvalues") == MINUS_INFINITY
     # nearly singular but nonzero stays finite (and very negative)
     nearly = np.array([[1.0, 2.0], [2.0, 4.0]])
     assert math.isfinite(log_abs_det(nearly)) and log_abs_det(nearly) < -30.0
     with pytest.raises(ConfigurationError):
         log_abs_det(nearly, "via_magic")
-    with pytest.raises(ConfigurationError):
-        log_abs_det(np.ones((2, 3)), "via_lu")
+    for method in ("via_lu", "via_eigenvalues", "via_singular", "via_distances"):
+        with pytest.raises(ConfigurationError):
+            log_abs_det(np.ones((2, 3)), method)
 
 
 # ------------------------------------------- the normalized matrix A/sqrt(n) - zI
