@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the laboratory.
 
 The CLI maps these onto exit codes: configuration errors exit 2,
-numerical failures (including degenerate inputs, atom collisions and
-solver breakdowns) exit 3.
+numerical failures (degenerate inputs, the Girko kernel at its jump
+s = Re w, and solver breakdowns) exit 3.
 """
 
 
@@ -23,7 +23,9 @@ class DegenerateInputError(NumericalFailureError):
 
 
 class SingularityError(NumericalFailureError):
-    """Evaluation point collides with an atom of a measure."""
+    """``girko_kernel`` evaluated at s = Re w, where sgn(s - Re w) jumps.
+    An atom of a measure at the evaluation point is no error: the
+    log-potential there is -inf."""
 
 
 class SolverFailureError(NumericalFailureError):

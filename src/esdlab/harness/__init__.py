@@ -5,7 +5,6 @@ from .config import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
-    load_config,
 )
 from .emit import format_number, scatter_svg, sha256_file
 from .experiments import (

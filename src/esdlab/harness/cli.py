@@ -5,13 +5,11 @@
 
 Exit codes: 0 all assertions passed, 1 assertion failure,
 2 configuration error, 3 numerical failure.
-The ESDLAB_THREADS environment variable overrides --threads.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from ..errors import ConfigurationError, NumericalFailureError
@@ -42,14 +40,7 @@ def main(argv=None):
             raw["master_seed"] = args.seed
         if args.out is not None:
             raw["output_dir"] = args.out
-        threads = os.environ.get("ESDLAB_THREADS")
-        if threads is not None:
-            try:
-                raw["threads"] = int(threads)
-            except ValueError:
-                raise ConfigurationError(
-                    f"ESDLAB_THREADS must be an integer, got {threads!r}") from None
-        elif args.threads is not None:
+        if args.threads is not None:
             raw["threads"] = args.threads
         cfg = config_from_dict(raw)
         expected = _SUBCOMMANDS[args.command]

@@ -445,8 +445,3 @@ def read_config_json(path):
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     return _as_object(raw, f"config {path}")
-
-
-def load_config(path):
-    """Load, parse and validate a JSON config file."""
-    return config_from_dict(read_config_json(path))

@@ -12,11 +12,11 @@ from esdlab.harness import (
     config_from_dict,
     config_to_dict,
     format_number,
-    load_config,
     run_experiment,
     scatter_svg,
 )
 from esdlab.harness.cli import main as cli_main
+from esdlab.harness.config import read_config_json
 from esdlab.harness.emit import write_manifest, write_trials_csv
 from esdlab.harness.experiments import GateResult, TrialRecord
 
@@ -89,11 +89,11 @@ def test_config_roundtrip(raw):
 
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigurationError):
-        load_config(tmp_path / "missing.json")
+        read_config_json(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigurationError):
-        load_config(bad)
+        read_config_json(bad)
 
 
 # ----------------------------------------------------------------- emission
@@ -228,7 +228,18 @@ def test_threading_does_not_change_results(tmp_path):
     d1, d2 = tmp_path / "t1", tmp_path / "t2"
     run_experiment(cfg1, d1)
     run_experiment(cfg2, d2)
-    assert (d1 / "trials.csv").read_bytes() == (d2 / "trials.csv").read_bytes()
+    # every CSV and SVG byte agrees (the SVGs are written on the trial
+    # threads); the manifest echoes the config, so it differs in threads only
+    names = sorted(os.listdir(d1))
+    assert names == sorted(os.listdir(d2))
+    assert len(names) == 4 + 2  # the SVGs, trials.csv and manifest.json
+    for name in names:
+        if name != "manifest.json":
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+    m1, m2 = (json.loads((d / "manifest.json").read_text()) for d in (d1, d2))
+    assert (m1["config"]["threads"], m2["config"]["threads"]) == (1, 2)
+    m2["config"]["threads"] = 1
+    assert m1 == m2
 
 
 def test_seed_changes_results(tmp_path):
@@ -305,7 +316,9 @@ def test_hermitize_takes_no_svd(tmp_path, monkeypatch):
 
 def test_hermitize_records_an_exactly_singular_shift_as_infinite_gaps(tmp_path):
     # A/sqrt(n) of this 4 x 4 Bernoulli draw is exactly singular in both
-    # trials, so f_n at z = 0 is -inf and both of its gaps are inf
+    # trials, so f_n at z = 0 is -inf and both of its gaps are inf; at
+    # z2 = 0.5 + 0.5i only trial 0 is singular, and the field and the
+    # gates fold that trial in as recorded
     raw = {"schema_version": 1, "experiment": "hermitize", "master_seed": 3,
            "n_list": [4], "trials": 2, "dist_x": {"kind": "bernoulli"},
            "base": {"kind": "zero"}, "z_grid": [0.0, 1.0, [0.5, 0.5]]}
@@ -315,11 +328,14 @@ def test_hermitize_records_an_exactly_singular_shift_as_infinite_gaps(tmp_path):
         assert math.isfinite(record.metrics["f_reg_z0"])
         assert record.metrics["potential_gap_z0"] == math.inf
         assert record.metrics["regularization_gap_z0"] == math.inf
-    row = (tmp_path / "field.csv").read_text().splitlines()[1].split(",")
-    assert row[:3] == ["0", "0", "-inf"] and row[-1] == "inf"
+    assert [r.metrics["f_n_z2"] == -math.inf for r in result.records] == [True, False]
+    rows = [line.split(",") for line in (tmp_path / "field.csv").read_text().splitlines()]
+    assert rows[1][:3] == ["0", "0", "-inf"] and rows[1][-1] == "inf"
+    assert rows[3][:3] == ["0.5", "0.5", "-inf"] and rows[3][-1] == "inf"
     gates = {g.name: g for g in result.gates}
     assert gates["potential_gap_n4_z0"].observed == 0.0
     assert gates["regularization_gap_n4_z0"].observed == math.inf
+    assert gates["regularization_gap_n4_z2"].observed == math.inf
     assert not result.passed
 
 
@@ -495,12 +511,6 @@ def test_cli_config_error_exits_two(tmp_path):
     assert cli_main(["lemmas", "--config", path]) == 2
 
 
-def test_cli_non_integer_env_threads_exits_two(tmp_path, monkeypatch):
-    path = _write_config(tmp_path, _circular_raw(n=30, trials=2))
-    monkeypatch.setenv("ESDLAB_THREADS", "abc")
-    assert cli_main(["circular", "--config", path, "--out", str(tmp_path / "out")]) == 2
-
-
 def test_cli_missing_dist_x_exits_two(tmp_path):
     raw = _circular_raw()
     del raw["dist_x"]
@@ -654,10 +664,9 @@ def test_cli_seed_override_changes_output(tmp_path):
     assert (out1 / "trials.csv").read_bytes() != (out2 / "trials.csv").read_bytes()
 
 
-def test_cli_env_threads_override(tmp_path, monkeypatch):
+def test_cli_threads_option_lands_in_manifest(tmp_path):
     path = _write_config(tmp_path, _circular_raw(n=30, trials=2, thresholds=_LENIENT))
-    monkeypatch.setenv("ESDLAB_THREADS", "2")
     out = tmp_path / "o"
-    assert cli_main(["circular", "--config", path, "--out", str(out), "--threads", "1"]) == 0
+    assert cli_main(["circular", "--config", path, "--out", str(out), "--threads", "2"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["threads"] == 2
