@@ -51,7 +51,7 @@ def main():
 
     print("eps-regularization at z = 0 (target -1/2):")
     for eps in (1e-1, 1e-2, 1e-4, 1e-6):
-        print(f"  eps = {eps:<8g} value = {regularized_log_det(a, 0.0, eps):+.5f}")
+        print(f"  eps = {eps:<8g} value = {regularized_log_det(a, [0.0], eps)[0]:+.5f}")
     print(f"  unregularized      value = {log_det_at(a, 0.0):+.5f}")
 
     mu = esd_eigen(build_iid_matrix(6, scalar_distribution("complex_gaussian"),

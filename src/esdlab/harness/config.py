@@ -395,6 +395,9 @@ def _check_cross_fields(kw):
         if kw["mp_oracle"] and (kw["h_atoms"] != (0.0,) or kw["c"] != 1.0):
             raise ConfigurationError("mp_oracle gates require H = delta_0 and c = 1")
     elif experiment == "tails":
+        # the ratio gates read sigma_{n-i} with 1 <= i <= n - 1
+        if min(kw["n_list"]) < 2:
+            raise ConfigurationError("tails needs every n_list entry to be at least 2")
         if not 1 <= kw["distance_d"] < kw["distance_n"]:
             raise ConfigurationError("tails needs 1 <= distance_d < distance_n")
         if not kw["thresholds"].get("sigma_min_exponent", 1.0) > 0.0:  # floor n ** -exponent

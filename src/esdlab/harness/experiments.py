@@ -278,10 +278,10 @@ def run_hermitization_check(cfg, out_dir):
 
         def trial_fn(t, n=n, eps=eps):
             a = _trial_matrix(cfg, n, t)
+            f_regs = regularized_log_det(a, cfg.z_grid, eps)
             metrics = {}
-            for i, z in enumerate(cfg.z_grid):
+            for i, (z, f_reg) in enumerate(zip(cfg.z_grid, f_regs)):
                 f_n = log_det_at(a, z)
-                f_reg = regularized_log_det(a, z, eps)
                 metrics[f"f_n_z{i}"] = f_n
                 metrics[f"f_reg_z{i}"] = f_reg
                 metrics[f"potential_gap_z{i}"] = abs(f_n - references[z])

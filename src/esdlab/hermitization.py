@@ -9,12 +9,12 @@ f_n(z) has two readings, and both are here: ``log_det_at`` reduces the
 singular-value law of B = A/sqrt(n) - zI to one LU factorization of B,
 and ``log_potential`` of the eigenvalue ESD integrates log|w - z| over
 the eigenvalues, so one eigendecomposition gives f_n on a whole lattice.
-The regularized value is one LU factorization of the Gram matrix
-B B* + eps I.  None of them takes an SVD; ``shifted_singular_values``
-gives the whole singular-value law, from one SVD, where a caller needs
-more than these numbers.  Both readings of f_n take their -inf rule
-from ``numerics``: an exactly zero LU pivot in ``log_abs_det``, an atom
-at z in ``log_product``.
+The regularized value takes one Gram product per matrix and one LU
+factorization of B B* + eps I per shift.  None of them takes an SVD;
+``shifted_singular_values`` gives the whole singular-value law, from one
+SVD, where a caller needs more than these numbers.  Both readings of
+f_n take their -inf rule from ``numerics``: an exactly zero LU pivot in
+``log_abs_det``, an atom at z in ``log_product``.
 
 The closed-form kernel of the inner t-integral requires v > 0; the
 printed formula diverges for v < 0 and callers needing that half-plane
@@ -49,38 +49,75 @@ def log_det_at(a, z):
     return log_abs_det(b, "via_lu") / b.shape[0]
 
 
-def regularized_log_det(a, z, eps):
-    """(1/2n) log det(B B* + eps I) with B = A/sqrt(n) - zI, from one Gram
-    product and one LU factorization; a real B at a real z stays float64.
+def regularized_log_det(a, zs, eps):
+    """(1/2n) log det(B B* + eps I) with B = A/sqrt(n) - zI at every shift
+    z of ``zs``, one value per shift, from one Gram product S S* of
+    S = A/sqrt(n) and one LU factorization per shift.
+
+    Each shift's Gram matrix is an O(n^2) update of S S*:
+    B B* = S S* - conj(z) S - z S* + |z|^2 I.  For a real S this is
+    S S^T - x (S + S^T) + iy (S - S^T) + |z|^2 I at z = x + iy, filled
+    through the real and imaginary parts of one array, so a real A takes
+    one real syrk, no complex product, and stays float64 at a real z.
+    At z = 0 the Gram matrix is S S* bit for bit.
 
     Always finite for eps > 0, monotone increasing in eps, and at least
-    the unregularized value.  The domain is eps at or above
-    n 2^-53 ||B||_F^2, a bound on the rounding of the Gram product read
-    off its trace: below it the small factors s^2 + eps lose their
-    accuracy, so such an eps raises NumericalFailureError instead of
-    returning a wrong value.  The determinant of this Hermitian matrix is
-    real, so its sign is +1 up to rounding in its phase; any other sign
-    raises NumericalFailureError too.
+    the unregularized value.  The update rounds on the scale of its
+    terms, not of B, so the domain is eps at or above
+    n 2^-53 (||S||_F + sqrt(n) |z|)^2, which is n 2^-53 ||B||_F^2 at
+    z = 0: below it the small factors s^2 + eps lose their accuracy, so
+    such an eps raises NumericalFailureError instead of returning a wrong
+    value.  The determinant of this Hermitian matrix is real, so its sign
+    is +1 up to rounding in its phase; any other sign raises
+    NumericalFailureError too.
     """
     if eps <= 0.0:
         raise ConfigurationError("regularization eps must be positive")
-    b = scaled_shift(a, z)
-    n = b.shape[0]
-    gram = b @ b.conj().T  # a real b's conj() is b itself, so this is one real syrk
-    del b  # the factorization copies the Gram matrix; do not hold B beside it
+    s = scaled_shift(a)
+    n = s.shape[0]
+    gram_s = s @ s.conj().T  # a real s's conj() is s itself, so this is one real syrk
     diagonal = np.diag_indices(n)
-    floor = n * 2.0 ** -53 * float(np.sum(gram[diagonal].real))
-    if eps < floor:
-        raise NumericalFailureError(
-            f"eps={eps:.3g} is below the rounding of the Gram product at z={z} "
-            f"(n 2^-53 ||B||_F^2 = {floor:.3g})")
-    gram[diagonal] += eps
-    sign, logdet = np.linalg.slogdet(gram)
-    if not sign.real > 0.0:
-        raise NumericalFailureError(
-            f"B B* + eps I is not positive definite in floating point at z={z}, "
-            f"eps={eps:.3g}")
-    return float(logdet) / (2.0 * n)
+    norm_s = math.sqrt(float(np.sum(gram_s[diagonal].real)))  # ||S||_F
+    values = []
+    for z in zs:
+        z = complex(z)
+        floor = n * 2.0 ** -53 * (norm_s + math.sqrt(n) * abs(z)) ** 2
+        if eps < floor:
+            raise NumericalFailureError(
+                f"eps={eps:.3g} is below the rounding of the Gram matrix at z={z} "
+                f"(n 2^-53 (||S||_F + sqrt(n)|z|)^2 = {floor:.3g})")
+        gram = _shifted_gram(s, gram_s, z)
+        gram[diagonal] += z.real * z.real + z.imag * z.imag + eps
+        sign, logdet = np.linalg.slogdet(gram)
+        del gram  # the factorization copied it; do not hold it into the next shift
+        if not sign.real > 0.0:
+            raise NumericalFailureError(
+                f"B B* + eps I is not positive definite in floating point at z={z}, "
+                f"eps={eps:.3g}")
+        values.append(float(logdet) / (2.0 * n))
+    return values
+
+
+def _shifted_gram(s, gram_s, z):
+    """S S* - conj(z) S - z S*, written into one new array with no n x n
+    temporary for a real S; float64 for a real S at a real z."""
+    n = s.shape[0]
+    if np.isrealobj(s):
+        gram = np.empty((n, n), np.complex128 if z.imag else np.float64)
+        re = gram.real  # gram itself when it is float64
+        np.add(s, s.T, out=re)
+        re *= -z.real
+        re += gram_s
+        if z.imag:
+            im = gram.imag
+            np.subtract(s, s.T, out=im)
+            im *= z.imag
+        return gram
+    w = s * z.conjugate()
+    gram = gram_s - w
+    gram.real -= w.real.T  # minus (conj(z) S)*, without a conjugate copy
+    gram.imag += w.imag.T
+    return gram
 
 
 def log_potential(mu, z):

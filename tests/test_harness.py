@@ -309,9 +309,10 @@ def test_hermitize_takes_no_svd(tmp_path, monkeypatch):
            "base": {"kind": "zero"}, "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}
     run_experiment(config_from_dict(raw), tmp_path)
     assert svd_calls == []
-    # B and B B* + eps I at each shift: 2 trials x 4 shifts x 2 factorizations,
-    # complex only at the non-real shift
-    assert factored_complex == [False, False, False, False, True, True, False, False] * 2
+    # per trial: B B* + eps I at the 4 shifts from one Gram product, then B
+    # at the 4 shifts; 2 trials x 4 shifts x 2 factorizations, complex only
+    # at the non-real shift
+    assert factored_complex == [False, False, True, False] * 4
 
 
 def test_hermitize_records_an_exactly_singular_shift_as_infinite_gaps(tmp_path):
@@ -527,6 +528,10 @@ def test_cli_non_integer_lemma_cases_exits_two(tmp_path):
 _HERMITIZE_RAW = {"schema_version": 1, "experiment": "hermitize", "master_seed": 5,
                   "n_list": [10], "trials": 1, "dist_x": {"kind": "bernoulli"},
                   "z_grid": [0.5]}
+# at n = 1 the ratio gates would read sigma_min as sigma_{n-i}
+_TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
+                 "n_list": [1, 10], "trials": 2, "dist_x": {"kind": "bernoulli"},
+                 "distance_n": 20, "distance_d": 10, "distance_trials": 2}
 
 
 @pytest.mark.parametrize("command,raw", [
@@ -571,10 +576,18 @@ _HERMITIZE_RAW = {"schema_version": 1, "experiment": "hermitize", "master_seed":
     ("circular", _circular_raw(base={"kind": "explicit", "entries": []})),
     ("circular", _circular_raw(dist_x={"kind": "two_point_asymmetric", "p": 1.0})),
     ("circular", _circular_raw(dist_x={"kind": "pareto_symmetrized", "exponent": 2.0})),
+    ("tails", _TAILS_N1_RAW),
 ])
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)
     assert cli_main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_cli_tails_size_below_two_exits_two_without_output(tmp_path):
+    path = _write_config(tmp_path, _TAILS_N1_RAW)
+    out = tmp_path / "out"
+    assert cli_main(["tails", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 _UNIVERSALITY_RAW = {"schema_version": 1, "experiment": "universality", "master_seed": 3,

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from esdlab import (
+    BaseMatrixSpec,
     ConfigurationError,
     EmpiricalMeasure2D,
     MINUS_INFINITY,
     NumericalFailureError,
     RngStream,
     SingularityError,
+    assemble,
+    build_base_matrix,
     build_iid_matrix,
     characteristic_function,
     esd_eigen,
@@ -27,6 +30,7 @@ from esdlab import (
     shifted_singular_values,
 )
 from esdlab import hermitization
+from esdlab.numerics import scaled_shift
 
 
 def _gaussian(n, stream):
@@ -115,41 +119,55 @@ def test_shifted_singular_values_requires_square():
 
 
 def test_log_det_reductions_of_the_shared_spectrum():
-    # both LU reductions agree with the singular values of a complex SVD
+    # both LU reductions agree with the singular values of a complex SVD;
+    # the regularized values come from one Gram product over the whole grid
     n, eps = 50, 50.0 ** -0.1
     for law in ("real_gaussian", "complex_gaussian"):
         a = build_iid_matrix(n, scalar_distribution(law), RngStream(99, 5))
-        for z in _SHIFTS:
+        f_regs = regularized_log_det(a, _SHIFTS, eps)
+        assert len(f_regs) == len(_SHIFTS)
+        for z, value in zip(_SHIFTS, f_regs):
             ref = _complex_route(a, z)
             f_n = float(np.sum(np.log(ref))) / n
             f_reg = float(np.sum(np.log(ref * ref + eps))) / (2.0 * n)
             assert log_det_at(a, z) == pytest.approx(f_n, rel=0, abs=1e-13)
-            assert regularized_log_det(a, z, eps) == pytest.approx(f_reg, rel=0, abs=1e-13)
+            assert value == pytest.approx(f_reg, rel=0, abs=1e-13)
 
 
 # -------------------------------------------------------------- regularization
 
 def test_regularized_closed_form():
-    assert regularized_log_det(np.zeros((3, 3)), 0.0, math.e**2) == pytest.approx(1.0)
+    assert regularized_log_det(np.zeros((3, 3)), [0.0], math.e**2) == [pytest.approx(1.0)]
+
+
+def test_regularized_at_zero_shift_is_the_gram_of_a_over_sqrt_n():
+    # at z = 0 the shifted Gram matrix is S S* itself, so the value is bit
+    # for bit that of one slogdet of S S* + eps I, for real and complex A
+    n, eps = 40, 1e-3
+    for law in ("real_gaussian", "complex_gaussian"):
+        a = build_iid_matrix(n, scalar_distribution(law), RngStream(99, 6))
+        s = a / math.sqrt(n)
+        _, logdet = np.linalg.slogdet(s @ s.conj().T + eps * np.eye(n))
+        assert regularized_log_det(a, [0.0], eps)[0] == float(logdet) / (2.0 * n)
 
 
 def test_regularized_monotone_and_convergent():
     a = _gaussian(30, 2)
     base = log_det_at(a, 0.3)
-    values = [regularized_log_det(a, 0.3, eps) for eps in (1e-2, 1e-4, 1e-6)]
+    values = [regularized_log_det(a, [0.3], eps)[0] for eps in (1e-2, 1e-4, 1e-6)]
     assert values[0] > values[1] > values[2] >= base
     assert values[2] - base < 1e-3
 
 
 def test_regularized_requires_positive_eps():
     with pytest.raises(ConfigurationError):
-        regularized_log_det(np.eye(2), 0.0, 0.0)
+        regularized_log_det(np.eye(2), [0.0], 0.0)
 
 
 def test_regularized_rejects_eps_below_gram_rounding():
     # B = ones(4, 4) has rank one and eps = 1e-300 is lost against ||B||^2 = 16
     with pytest.raises(NumericalFailureError):
-        regularized_log_det(2.0 * np.ones((4, 4)), 0.0, 1e-300)
+        regularized_log_det(2.0 * np.ones((4, 4)), [0.0], 1e-300)
     # a complex B = A/sqrt(n) with its smallest singular value set to 1e-8 to
     # 1e-6 of its largest: ||B||_F^2 is about 100 ||B||^2, so the floor
     # n 2^-53 ||B||_F^2 sits near 5e-12 ||B||^2; every eps below it is
@@ -162,10 +180,29 @@ def test_regularized_rejects_eps_below_gram_rounding():
         a = math.sqrt(n) * ((u * s) @ vh)
         for scale in (1e-15, 1e-14, 1e-13, 1e-12):
             with pytest.raises(NumericalFailureError):
-                regularized_log_det(a, 0.0, scale * s[0] ** 2)
+                regularized_log_det(a, [0.0], scale * s[0] ** 2)
         eps = 1e-11 * s[0] ** 2
         exact = float(np.sum(np.log(s * s + eps))) / (2.0 * n)
-        assert regularized_log_det(a, 0.0, eps) == pytest.approx(exact, rel=0, abs=1e-8)
+        assert regularized_log_det(a, [0.0], eps)[0] == pytest.approx(exact, rel=0, abs=1e-8)
+
+
+def test_regularized_floor_grows_with_the_shift():
+    # S = 8I + X/sqrt(n) from a sqrt(n)-scaled two-block base at z = 8:
+    # B = X/sqrt(n) is O(1), but the Gram update sums terms of size 64, so
+    # the floor is n 2^-53 (||S||_F + sqrt(n)|z|)^2, not n 2^-53 ||B||_F^2
+    n, z = 200, 8.0
+    base = build_base_matrix(BaseMatrixSpec("two_block_diagonal", a=8.0, b=8.0, split=0.5,
+                                            scale_by_sqrt_n=True), n)
+    a = assemble(base, _gaussian(n, 7), "shift")
+    norm_s = float(np.linalg.norm(a / math.sqrt(n)))
+    floor = n * 2.0 ** -53 * (norm_s + math.sqrt(n) * z) ** 2
+    assert floor > 100.0 * n * 2.0 ** -53 * float(np.linalg.norm(scaled_shift(a, z))) ** 2
+    with pytest.raises(NumericalFailureError):
+        regularized_log_det(a, [z], 0.99 * floor)
+    eps = 10.0 * floor
+    s = shifted_singular_values(a, z)
+    exact = float(np.sum(np.log(s * s + eps))) / (2.0 * n)
+    assert regularized_log_det(a, [z], eps)[0] == pytest.approx(exact, rel=0, abs=1e-8)
 
 
 @pytest.mark.xfail(strict=True,
@@ -175,14 +212,14 @@ def test_regularized_rejects_eps_below_gram_rounding():
 def test_regularized_with_slow_schedule_near_circular_potential():
     a = _gaussian(1000, 3)
     eps = 1000.0 ** -0.1
-    assert abs(regularized_log_det(a, 0.0, eps) - (-0.5)) < 0.05
+    assert abs(regularized_log_det(a, [0.0], eps)[0] - (-0.5)) < 0.05
 
 
 def test_regularized_with_fast_schedule_near_circular_potential():
     # same check with an eps that is actually small at n = 1000
     a = _gaussian(1000, 3)
     eps = 1000.0 ** -1.5
-    assert abs(regularized_log_det(a, 0.0, eps) - (-0.5)) < 0.05
+    assert abs(regularized_log_det(a, [0.0], eps)[0] - (-0.5)) < 0.05
 
 
 # --------------------------------------------------- hermitization consistency

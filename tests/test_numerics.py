@@ -248,7 +248,7 @@ _NORMALIZED = {
     "dilation_esd": dilation_esd,
     "shifted_singular_values": lambda a: shifted_singular_values(a, 0.5),
     "log_det_at": lambda a: log_det_at(a, 0.5),
-    "regularized_log_det": lambda a: regularized_log_det(a, 0.5, 0.1),
+    "regularized_log_det": lambda a: regularized_log_det(a, [0.5], 0.1),
 }
 
 
