@@ -342,7 +342,7 @@ _OWN_FIELDS = {
     "tails": _MATRIX_FIELDS + (
         Field("distance_n", _as_int, 2000),
         Field("distance_d", _as_int, 1000),
-        Field("distance_trials", _POSITIVE_INT, 200),
+        Field("distance_trials", _TRIAL_COUNT, 200),
     ),
     "lemmas": (
         Field("lemma_cases", _TRIAL_COUNT, 500),

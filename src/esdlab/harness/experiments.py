@@ -189,7 +189,8 @@ def run_circular_law(cfg, out_dir):
         paths = [os.path.join(out_dir, f"circular_n{n}_trial{t}.svg") for t in range(cfg.trials)]
 
         def trial_fn(t, n=n, paths=paths):
-            mu = esd_eigen(_trial_matrix(cfg, n, t))
+            # the freshly drawn trial matrix has no other reader
+            mu = esd_eigen(_trial_matrix(cfg, n, t), overwrite_a=True)
             write_svg(paths[t], scatter_svg(mu, center))
             rks, aks = radial_angular_ks(mu, circular_radial_cdf, center)
             return {
@@ -505,6 +506,7 @@ RUNNERS = {
 def run_experiment(cfg, out_dir=None):
     """Run one experiment, write all artifacts and the manifest."""
     out_dir = out_dir or cfg.output_dir
+    created = not os.path.isdir(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -513,6 +515,10 @@ def run_experiment(cfg, out_dir=None):
     try:
         result = RUNNERS[cfg.experiment](cfg, out_dir)
     except MemoryError as exc:
+        # sizes that cannot be allocated are a configuration error, and
+        # like the other configuration errors they leave no files behind
+        if created and not os.listdir(out_dir):
+            os.rmdir(out_dir)
         raise ConfigurationError(f"the configured sizes cannot be allocated: {exc}") from exc
     trials_path = os.path.join(out_dir, "trials.csv")
     write_trials_csv(trials_path, result.records)

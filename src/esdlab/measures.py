@@ -63,9 +63,10 @@ class EmpiricalMeasure1D:
         return self.atoms.size
 
 
-def esd_eigen(a):
-    """Eigenvalue ESD of A/sqrt(n)."""
-    return EmpiricalMeasure2D(eigenvalues(scaled_shift(a)))
+def esd_eigen(a, *, overwrite_a=False):
+    """Eigenvalue ESD of A/sqrt(n); ``overwrite_a`` lets A be scaled in
+    place (see ``numerics.scaled_shift``)."""
+    return EmpiricalMeasure2D(eigenvalues(scaled_shift(a, overwrite_a=overwrite_a)))
 
 
 def esd_gram(a, z):

@@ -6,7 +6,10 @@ that the determinant and negative-second-moment identities are checked
 through genuinely distinct computational routes.
 
 ``scaled_shift`` is the one builder of A/sqrt(n) - zI: it validates A,
-and every normalized ESD and log-determinant starts from it.  Singular
+and every normalized ESD and log-determinant starts from it.  Its
+keyword-only ``overwrite_a`` (default False) lets a caller that owns A
+have it scaled in place, bit for bit as the copy, so that an eigenvalue
+trial holds one n-by-n array besides LAPACK's working copy.  Singular
 matrices never yield a fake large-negative log-determinant.  This module
 holds every route to log|det| and its IEEE -inf marker (MINUS_INFINITY):
 ``log_abs_det`` takes four independent routes, "via_lu" (behind
@@ -66,7 +69,7 @@ def singular_values(a):
     return np.maximum(s, 0.0)
 
 
-def scaled_shift(a, z=0):
+def scaled_shift(a, z=0, *, overwrite_a=False):
     """A/sqrt(n) - zI for a finite square matrix ``a``, validated here.
 
     The matrix is scaled first and the shift is then subtracted on the
@@ -74,16 +77,29 @@ def scaled_shift(a, z=0):
     stays float64, and only a non-real ``z`` (or a complex ``a``) makes
     the result complex.  At z = 0 the result is bit for bit A/sqrt(n):
     x - 0.0 is x for every finite x, -0.0 included.
+
+    With ``overwrite_a`` the caller gives up ``a``: after validation, a
+    writeable float64 or complex128 ndarray that already has the result's
+    dtype is scaled and shifted in place and returned, with the same bits
+    as the copy (the same IEEE division per entry).  Any other ``a`` (an
+    integer array, a real ``a`` at a non-real ``z``, a list) is copied
+    as without the flag.
     """
     m = as_matrix(a)
     _require_square(m)
     n = m.shape[0]
     z = complex(z)
-    shifted = m / math.sqrt(n)
-    if z.imag != 0.0:
-        shifted = shifted.astype(np.complex128, copy=False)
-    else:
+    real_shift = z.imag == 0.0
+    if real_shift:
         z = z.real
+    reusable = (np.float64, np.complex128) if real_shift else (np.complex128,)
+    if overwrite_a and m is a and m.flags.writeable and m.dtype in reusable:
+        shifted = m
+        shifted /= math.sqrt(n)
+    else:
+        shifted = m / math.sqrt(n)
+        if not real_shift:
+            shifted = shifted.astype(np.complex128, copy=False)
     shifted[np.diag_indices(n)] -= z
     return shifted
 

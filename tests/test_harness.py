@@ -577,10 +577,22 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     ("circular", _circular_raw(dist_x={"kind": "two_point_asymmetric", "p": 1.0})),
     ("circular", _circular_raw(dist_x={"kind": "pareto_symmetrized", "exponent": 2.0})),
     ("tails", _TAILS_N1_RAW),
+    # distance row 2^20 would reuse the stream key of trial 0 at distance_n + 1
+    ("tails", {**_TAILS_N1_RAW, "n_list": [10], "distance_trials": 2**20}),
 ])
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)
     assert cli_main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_cli_unallocatable_sizes_exit_two_without_output(tmp_path):
+    path = _write_config(tmp_path, _circular_raw(n=20_000_000))
+    out = tmp_path / "out"
+    assert cli_main(["circular", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    out.mkdir()  # a directory the caller made is kept
+    assert cli_main(["circular", "--config", path, "--out", str(out)]) == 2
+    assert out.is_dir()
 
 
 def test_cli_tails_size_below_two_exits_two_without_output(tmp_path):

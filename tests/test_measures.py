@@ -1,6 +1,7 @@
 """ESD construction, transforms, distances."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,20 @@ def test_esd_eigen_normalization_applied_once():
     n = 9
     mu = esd_eigen(math.sqrt(n) * np.diag([2.0] * n))
     assert np.allclose(mu.atoms, 2.0)
+
+
+def test_esd_eigen_in_place_allocates_no_matrix_copy():
+    # numpy reports its array buffers to tracemalloc (LAPACK's working copy
+    # inside eigvals is not one), so scaling x in place leaves only the
+    # n*n booleans of the finiteness check; a scaled copy alone is x.nbytes
+    x = _gaussian_matrix(300, 5)
+    tracemalloc.start()
+    try:
+        esd_eigen(x, overwrite_a=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * x.nbytes
 
 
 # ------------------------------------------------------------------- esd_gram

@@ -24,6 +24,7 @@ from esdlab import (
     verify_interlacing,
     verify_weyl,
 )
+from esdlab.numerics import scaled_shift
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -271,6 +272,32 @@ def test_zero_shift_is_bitwise_a_over_sqrt_n(cplx):
     assert np.array_equal(esd_eigen(a).atoms, np.linalg.eigvals(scaled))
     s = np.linalg.svd(scaled, compute_uv=False)
     assert np.array_equal(dilation_esd(a).atoms, np.concatenate([-s, s[::-1]]))
+    # overwrite_a gives the copy's bits, and reuses a exactly when the
+    # result needs no other dtype; without it a is left untouched
+    for z in (0, 0.5, 0.5 + 0.5j):
+        before = a.copy()
+        copied = scaled_shift(a, z)
+        assert np.array_equal(a, before) and copied is not a
+        given = a.copy()
+        reused = scaled_shift(given, z, overwrite_a=True)
+        assert reused.dtype == copied.dtype
+        assert reused.tobytes() == copied.tobytes()
+        assert (reused is given) == (cplx or complex(z).imag == 0.0)
+
+
+def test_overwrite_a_copies_what_it_cannot_reuse():
+    ints = np.arange(16).reshape(4, 4)
+    out = scaled_shift(ints, overwrite_a=True)
+    assert out.dtype == np.float64 and np.array_equal(ints, np.arange(16).reshape(4, 4))
+    frozen = np.eye(4)
+    frozen.flags.writeable = False
+    assert scaled_shift(frozen, 0.5, overwrite_a=True) is not frozen
+    assert np.array_equal(frozen, np.eye(4))
+    # validation comes before any write
+    for bad in (np.full((2, 3), 2.0), np.array([[2.0, np.nan], [2.0, 2.0]])):
+        with pytest.raises(ConfigurationError):
+            scaled_shift(bad, overwrite_a=True)
+        assert bad[1, 1] == 2.0
 
 
 # ------------------------------------------------------------------ hs norm
