@@ -63,12 +63,9 @@ from .measures import (
 )
 from .numerics import (
     MINUS_INFINITY,
-    eigenvalues,
     hs_norm,
     leave_one_out_distances,
     log_abs_det,
-    row_distances,
-    singular_values,
     verify_interlacing,
     verify_weyl,
 )

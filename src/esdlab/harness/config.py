@@ -300,7 +300,11 @@ def _common_fields(experiment):
 
 
 _MATRIX_FIELDS = (
-    Field("n_list", _nonempty(_POSITIVE_INT), dump=list),
+    # sizes in increasing order: the universality gates read the medians
+    # in list order, and hermitize writes one field file per size
+    Field("n_list", _checked(_nonempty(_POSITIVE_INT),
+                             lambda ns: all(a < b for a, b in zip(ns, ns[1:])),
+                             "strictly increasing"), dump=list),
     Field("trials", _TRIAL_COUNT),
     Field("dist_x", entry_law, dump=_entry_law_dump),
     Field("base", _base, {"kind": "zero"}, _base_dump),

@@ -442,8 +442,9 @@ def run_lemma_suite(cfg, out_dir):
             routes = [log_abs_det(a, method) for method in
                       ("via_lu", "via_eigenvalues", "via_singular", "via_distances")]
             metrics["det_identity_resid"] = max(abs(x - y) for x in routes for y in routes)
+            scale = max(hs_norm(a), 1.0)
             for k in (1, 2, 3):
-                metrics[f"interlacing_k{k}"] = verify_interlacing(a, k) / max(hs_norm(a), 1.0)
+                metrics[f"interlacing_k{k}"] = verify_interlacing(a, k) / scale
             metrics["weyl_moment"], metrics["weyl_product"] = verify_weyl(a)
         lhs = float(np.sum(singular_values(a)**-2.0))
         rhs = float(np.sum(leave_one_out_distances(a)**-2.0))
@@ -514,12 +515,13 @@ def run_experiment(cfg, out_dir=None):
     started = time.time()
     try:
         result = RUNNERS[cfg.experiment](cfg, out_dir)
-    except MemoryError as exc:
-        # sizes that cannot be allocated are a configuration error, and
-        # like the other configuration errors they leave no files behind
+    except BaseException as exc:
+        # a failed run leaves no directory behind that it made and wrote nothing to
         if created and not os.listdir(out_dir):
             os.rmdir(out_dir)
-        raise ConfigurationError(f"the configured sizes cannot be allocated: {exc}") from exc
+        if isinstance(exc, MemoryError):  # sizes that cannot be allocated
+            raise ConfigurationError(f"the configured sizes cannot be allocated: {exc}") from exc
+        raise
     trials_path = os.path.join(out_dir, "trials.csv")
     write_trials_csv(trials_path, result.records)
     result.artifacts.append(trials_path)

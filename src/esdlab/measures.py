@@ -2,7 +2,10 @@
 
 The 1/sqrt(n) spectral normalization is applied exactly once, by
 ``numerics.scaled_shift``; everything downstream works with
-already-normalized atoms.
+already-normalized atoms.  ``esd_eigen``, ``esd_gram`` and
+``dilation_esd`` are entries: each validates A once, in
+``scaled_shift``, and hands the result to the ``eigenvalues`` or
+``singular_values`` kernel, which does not validate it again.
 
 Vague convergence is operationalized by ``bl_distance`` against a fixed,
 versioned dictionary of bounded 1-Lipschitz bump functions; the grid

@@ -1,12 +1,17 @@
 """Dense complex linear algebra kernels and exact identity verifiers.
 
 Eigenvalues and singular values are delegated to LAPACK through numpy;
-the row-distance and leave-one-out kernels are implemented directly so
+the row-distance and leave-one-out routines are implemented directly so
 that the determinant and negative-second-moment identities are checked
 through genuinely distinct computational routes.
 
-``scaled_shift`` is the one builder of A/sqrt(n) - zI: it validates A,
-and every normalized ESD and log-determinant starts from it.  Its
+Each matrix is validated once, by the entry it is given to
+(``scaled_shift``, ``log_abs_det``, ``hs_norm``,
+``leave_one_out_distances``, ``verify_interlacing``, ``verify_weyl``),
+which calls only kernels on it; the kernels ``eigenvalues``,
+``singular_values`` and ``row_distances`` trust their caller.
+``scaled_shift`` is the one builder of A/sqrt(n) - zI, and every
+normalized ESD and log-determinant starts from it.  Its
 keyword-only ``overwrite_a`` (default False) lets a caller that owns A
 have it scaled in place, bit for bit as the copy, so that an eigenvalue
 trial holds one n-by-n array besides LAPACK's working copy.  Singular
@@ -44,24 +49,25 @@ def as_matrix(a):
     return m
 
 
-def _require_square(m):
+def _as_square(a):
+    m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ConfigurationError(f"operation requires a square matrix, got {m.shape}")
+    return m
 
 
-def eigenvalues(a):
-    """All eigenvalues with multiplicity, unsorted (multiset semantics)."""
-    m = as_matrix(a)
-    _require_square(m)
+def eigenvalues(m):
+    """All eigenvalues with multiplicity, unsorted (multiset semantics),
+    of a square ``m`` from ``as_matrix`` or ``scaled_shift``."""
     try:
         return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def singular_values(a):
-    """Singular values sorted decreasing, clamped at zero."""
-    m = as_matrix(a)
+def singular_values(m):
+    """Singular values sorted decreasing, clamped at zero, of an ``m``
+    from ``as_matrix`` or ``scaled_shift``."""
     try:
         s = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -85,8 +91,7 @@ def scaled_shift(a, z=0, *, overwrite_a=False):
     integer array, a real ``a`` at a non-real ``z``, a list) is copied
     as without the flag.
     """
-    m = as_matrix(a)
-    _require_square(m)
+    m = _as_square(a)
     n = m.shape[0]
     z = complex(z)
     real_shift = z.imag == 0.0
@@ -109,15 +114,15 @@ def hs_norm(a):
     return float(np.linalg.norm(as_matrix(a)))
 
 
-def row_distances(a):
-    """d_i = distance from row i to the span of rows 1..i-1.
+def row_distances(m):
+    """d_i = distance from row i to the span of rows 1..i-1, for a square
+    ``m`` from ``as_matrix`` or ``scaled_shift``.
 
     Modified Gram-Schmidt with one reorthogonalization pass; d_1 is the
     norm of the first row.  Rank-deficient prefixes produce d_i near 0,
     which is data, not an error; such rows contribute no new direction.
     """
-    m = as_matrix(a).astype(np.complex128, copy=False)
-    _require_square(m)
+    m = m.astype(np.complex128, copy=False)
     n = m.shape[0]
     scale = np.linalg.norm(m)
     q = np.empty((n, n), dtype=np.complex128)
@@ -145,7 +150,7 @@ def leave_one_out_distances(a):
     rows, cols = m.shape
     if rows > cols:
         raise ConfigurationError("leave-one-out requires n' <= n (wide or square matrix)")
-    s = np.linalg.svd(m, compute_uv=False)
+    s = singular_values(m)
     if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
         raise DegenerateInputError("leave-one-out identity requires a full-rank matrix")
     d = np.empty(rows)
@@ -174,8 +179,7 @@ def log_abs_det(a, method="via_singular"):
     "via_eigenvalues", "via_singular" and "via_distances", a sum of the
     logs of |eigenvalues|, singular values or row distances, reduced by
     ``log_product``."""
-    m = as_matrix(a)
-    _require_square(m)
+    m = _as_square(a)
     if method == "via_lu":
         sign, logdet = np.linalg.slogdet(m)
         return MINUS_INFINITY if sign == 0 else float(logdet)
@@ -193,8 +197,7 @@ def log_abs_det(a, method="via_singular"):
 def verify_interlacing(a, k):
     """Worst violation of sigma_i(A) >= sigma_i(A') >= sigma_{i+k}(A),
     with A' the first n-k rows; at most 0 up to rounding."""
-    m = as_matrix(a)
-    _require_square(m)
+    m = _as_square(a)
     n = m.shape[0]
     if not 1 <= k < n:
         raise ConfigurationError("interlacing requires 1 <= k < n")
@@ -220,11 +223,10 @@ def verify_weyl(a):
     suffix product of sigma is at most the suffix product of |lambda|.
     The moment violation is relative to max(||A||_2^2, 1), the product
     violation is in log space."""
-    m = as_matrix(a)
-    _require_square(m)
+    m = _as_square(a)
     lam = np.sort(np.abs(eigenvalues(m)))     # ascending
     sig = singular_values(m)                  # descending
-    hs2 = hs_norm(m) ** 2
+    hs2 = float(np.linalg.norm(m)) ** 2
     mom_scale = max(hs2, 1.0)
     second_moment_violation = float(max(
         (np.sum(lam**2) - np.sum(sig**2)) / mom_scale,

@@ -2,9 +2,9 @@
 ones run end to end.
 
 Every demo is compiled and import-checked, which catches a demo left
-behind by a rename or a deletion in the library.  Demos 03-06 take a few
-seconds at most and also run end to end, from a copy in a temporary
-directory, so their ``out/`` directory lands there.
+behind by a rename or a deletion in the library.  Demos 01 and 03-06
+take a few seconds at most and also run end to end, from a copy in a
+temporary directory, so their ``out/`` directory lands there.
 """
 
 import ast
@@ -19,8 +19,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-FAST_DEMOS = ("03_hermitization.py", "04_dozier_silverstein.py", "05_identities.py",
-              "06_tail_bounds.py")
+FAST_DEMOS = ("01_circular_law.py", "03_hermitization.py", "04_dozier_silverstein.py",
+              "05_identities.py", "06_tail_bounds.py")
 
 
 def test_demos_found():

@@ -525,6 +525,8 @@ def test_cli_non_integer_lemma_cases_exits_two(tmp_path):
     assert cli_main(["lemmas", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
+_UNIVERSALITY_RAW = {"schema_version": 1, "experiment": "universality", "master_seed": 3,
+                     "n_list": [12], "trials": 2, "dist_x": {"kind": "bernoulli"}}
 _HERMITIZE_RAW = {"schema_version": 1, "experiment": "hermitize", "master_seed": 5,
                   "n_list": [10], "trials": 1, "dist_x": {"kind": "bernoulli"},
                   "z_grid": [0.5]}
@@ -579,6 +581,9 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     ("tails", _TAILS_N1_RAW),
     # distance row 2^20 would reuse the stream key of trial 0 at distance_n + 1
     ("tails", {**_TAILS_N1_RAW, "n_list": [10], "distance_trials": 2**20}),
+    # the universality gates read the medians in list order
+    ("universality", {**_UNIVERSALITY_RAW, "n_list": [120, 30]}),
+    ("universality", {**_UNIVERSALITY_RAW, "n_list": [60, 60]}),
 ])
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)
@@ -595,6 +600,26 @@ def test_cli_unallocatable_sizes_exit_two_without_output(tmp_path):
     assert out.is_dir()
 
 
+_DS_RAW = {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3}
+
+
+@pytest.mark.parametrize("command,raw,code", [
+    ("ds-solve", {**_DS_RAW, "h_weights": [0.5]}, 2),
+    ("ds-solve", {**_DS_RAW, "h_atoms": [-1.0]}, 2),
+    ("ds-solve", {**_DS_RAW, "c": 0}, 2),
+    ("ds-solve", {**_DS_RAW, "eta_schedule": [0.01, 0.1]}, 2),
+    ("ds-solve", {**_DS_RAW, "eta_schedule": [0.1]}, 2),
+    ("ds-solve", {**_DS_RAW, "eta_schedule": [0.1, -0.01]}, 2),
+    # eps = 10^-20 is below the rounding floor of the Gram matrix
+    ("hermitize", {**_HERMITIZE_RAW, "eps_exponent": 20}, 3),
+])
+def test_cli_failed_run_leaves_no_empty_output_dir(tmp_path, command, raw, code):
+    path = _write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", path, "--out", str(out)]) == code
+    assert not out.exists()
+
+
 def test_cli_tails_size_below_two_exits_two_without_output(tmp_path):
     path = _write_config(tmp_path, _TAILS_N1_RAW)
     out = tmp_path / "out"
@@ -602,8 +627,6 @@ def test_cli_tails_size_below_two_exits_two_without_output(tmp_path):
     assert not out.exists()
 
 
-_UNIVERSALITY_RAW = {"schema_version": 1, "experiment": "universality", "master_seed": 3,
-                     "n_list": [12], "trials": 2, "dist_x": {"kind": "bernoulli"}}
 _PROFILE = {"kind": "ramp", "low": 0.5, "high": 2.0}
 _FACTOR = {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0}
 
@@ -629,7 +652,7 @@ _EYE3 = {"kind": "explicit", "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 
 @pytest.mark.parametrize("command,raw", [
     ("circular", {**_circular_raw(base=_EYE3), "n_list": [3, 40]}),
-    ("hermitize", {**_HERMITIZE_RAW, "n_list": [5, 4],
+    ("hermitize", {**_HERMITIZE_RAW, "n_list": [4, 5],
                    "base": {"kind": "low_rank", "rank": 5, "magnitude": 1.0}}),
     ("universality", {"schema_version": 1, "experiment": "universality", "master_seed": 3,
                       "n_list": [3, 40], "trials": 2, "mode": "sandwich",

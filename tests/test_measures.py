@@ -24,9 +24,9 @@ from esdlab import (
     radial_angular_ks,
     scalar_distribution,
     second_moment,
-    singular_values,
 )
 from esdlab.limits import circular_radial_cdf
+from esdlab.numerics import singular_values
 
 
 def _gaussian_matrix(n, stream):

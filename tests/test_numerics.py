@@ -9,8 +9,8 @@ from esdlab import (
     MINUS_INFINITY,
     ConfigurationError,
     DegenerateInputError,
+    assemble,
     dilation_esd,
-    eigenvalues,
     esd_eigen,
     esd_gram,
     hs_norm,
@@ -18,13 +18,13 @@ from esdlab import (
     log_abs_det,
     log_det_at,
     regularized_log_det,
-    row_distances,
     shifted_singular_values,
-    singular_values,
     verify_interlacing,
     verify_weyl,
 )
-from esdlab.numerics import scaled_shift
+from esdlab import numerics
+from esdlab.harness import config_from_dict, run_experiment
+from esdlab.numerics import eigenvalues, row_distances, scaled_shift, singular_values
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -241,7 +241,14 @@ def test_log_abs_det_minus_infinity_marker():
             log_abs_det(np.ones((2, 3)), method)
 
 
-# ------------------------------------------- the normalized matrix A/sqrt(n) - zI
+# ---------------------------------------------- one validation per matrix
+# The exported functions that take a matrix validate it; the kernels
+# eigenvalues, singular_values and row_distances trust their caller and are
+# not exported from esdlab.
+
+_MALFORMED = {"non_square": np.ones((3, 4)),
+              "non_finite": np.array([[1.0, np.nan], [0.0, 1.0]]),
+              "one_d": np.ones(4)}
 
 _NORMALIZED = {
     "esd_eigen": esd_eigen,
@@ -253,12 +260,101 @@ _NORMALIZED = {
 }
 
 
-@pytest.mark.parametrize("bad", [np.ones((3, 4)), np.array([[1.0, np.nan], [0.0, 1.0]])],
-                         ids=["non_square", "non_finite"])
+@pytest.mark.parametrize("bad", sorted(_MALFORMED))
 @pytest.mark.parametrize("name", sorted(_NORMALIZED))
 def test_normalized_matrix_is_validated(name, bad):
     with pytest.raises(ConfigurationError):
-        _NORMALIZED[name](bad)
+        _NORMALIZED[name](_MALFORMED[bad])
+
+
+# the other exported functions that take a matrix, each with the inputs
+# that are malformed for it: a wide matrix has a Frobenius norm and
+# leave-one-out distances, and assembly leaves finiteness to the entry
+# that decomposes its result
+_ENTRIES = {
+    "hs_norm": (hs_norm, ("non_finite", "one_d")),
+    "leave_one_out_distances": (leave_one_out_distances, ("non_finite", "one_d")),
+    "log_abs_det": (log_abs_det, tuple(_MALFORMED)),
+    "verify_interlacing": (lambda a: verify_interlacing(a, 1), tuple(_MALFORMED)),
+    "verify_weyl": (verify_weyl, tuple(_MALFORMED)),
+    "assemble": (lambda a: assemble(None, a, "shift"), ("non_square", "one_d")),
+}
+
+
+@pytest.mark.parametrize("name,bad", [(name, bad) for name in sorted(_ENTRIES)
+                                      for bad in _ENTRIES[name][1]])
+def test_matrix_entry_is_validated(name, bad):
+    with pytest.raises(ConfigurationError):
+        _ENTRIES[name][0](_MALFORMED[bad])
+
+
+_A = np.arange(16.0).reshape(4, 4) + np.eye(4)
+
+# validation passes (as_matrix calls) of one call of each entry
+_VALIDATIONS_PER_CALL = {
+    "esd_eigen": (lambda: esd_eigen(_A), 1),
+    "esd_gram": (lambda: esd_gram(_A, 0.5), 1),
+    "dilation_esd": (lambda: dilation_esd(_A), 1),
+    "shifted_singular_values": (lambda: shifted_singular_values(_A, 0.5), 1),
+    "log_abs_det_via_lu": (lambda: log_abs_det(_A, "via_lu"), 1),
+    "log_abs_det_via_eigenvalues": (lambda: log_abs_det(_A, "via_eigenvalues"), 1),
+    "log_abs_det_via_singular": (lambda: log_abs_det(_A, "via_singular"), 1),
+    "log_abs_det_via_distances": (lambda: log_abs_det(_A, "via_distances"), 1),
+    "hs_norm": (lambda: hs_norm(_A), 1),
+    "leave_one_out_distances": (lambda: leave_one_out_distances(_A), 1),
+    "verify_interlacing": (lambda: verify_interlacing(_A, 1), 1),
+    "verify_weyl": (lambda: verify_weyl(_A), 1),
+    # A, then its shifted B in the LU route of log_abs_det
+    "log_det_at": (lambda: log_det_at(_A, 0.5), 2),
+}
+
+
+def count_validations(monkeypatch):
+    """A list that grows by one entry per ``numerics.as_matrix`` call."""
+    calls = []
+    validate = numerics.as_matrix
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return validate(a)
+    monkeypatch.setattr(numerics, "as_matrix", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_VALIDATIONS_PER_CALL))
+def test_each_matrix_is_validated_once_per_call(monkeypatch, name):
+    call, expected = _VALIDATIONS_PER_CALL[name]
+    calls = count_validations(monkeypatch)
+    call()
+    assert len(calls) == expected, calls
+
+
+_SIZES = {"schema_version": 1, "master_seed": 20260808, "dist_x": {"kind": "real_gaussian"},
+          "trials": 2}
+# validation passes of one run: the circular and universality trials
+# validate each matrix once per ESD, tails hands its drawn matrices to the
+# SVD kernel, lemmas validates each case once per entry it calls, and
+# hermitize validates A for the Gram product and A and B per log_det_at
+_VALIDATIONS_PER_RUN = {
+    "circular": ({**_SIZES, "experiment": "circular", "n_list": [40]}, 2),
+    "universality": ({**_SIZES, "experiment": "universality", "n_list": [20],
+                      "dist_y": {"kind": "bernoulli"}}, 8),
+    "tails": ({**_SIZES, "experiment": "tails", "n_list": [20, 40], "distance_n": 100,
+               "distance_d": 50, "distance_trials": 10}, 0),
+    "lemmas": ({"schema_version": 1, "master_seed": 20260808, "experiment": "lemmas",
+                "lemma_cases": 50, "max_size": 8}, 395),
+    "hermitize": ({**_SIZES, "experiment": "hermitize", "n_list": [30],
+                   "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}, 18),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_VALIDATIONS_PER_RUN))
+def test_validations_per_run(monkeypatch, tmp_path, experiment):
+    raw, expected = _VALIDATIONS_PER_RUN[experiment]
+    cfg = config_from_dict(raw)
+    calls = count_validations(monkeypatch)
+    run_experiment(cfg, tmp_path)
+    assert len(calls) == expected
 
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
@@ -383,12 +479,3 @@ def test_det_triple_identity(n):
     ]
     for r in routes:
         assert abs(r - logdet) < 1e-6
-
-
-def test_matrix_validation():
-    with pytest.raises(ConfigurationError):
-        eigenvalues(np.ones((2, 3)))
-    with pytest.raises(ConfigurationError):
-        singular_values(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ConfigurationError):
-        eigenvalues(np.ones(4))
