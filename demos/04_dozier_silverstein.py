@@ -26,11 +26,11 @@ from esdlab import (
     MeasureH,
     RngStream,
     build_iid_matrix,
-    esd_gram,
     invert_stieltjes,
     ks_vs_cdf,
     mp_density,
     scalar_distribution,
+    shifted_singular_values,
     solve_ds,
 )
 from esdlab.harness import config_from_dict, run_experiment
@@ -68,7 +68,7 @@ def main():
     wide = np.linspace(0.0, 4.2, 841)
     sol_mp = invert_stieltjes(lambda w: solve_ds(MeasureH.point(0.0), 1.0, w), wide,
                               eta_schedule=(1e-1, 1e-2, 1e-3), agreement_tol=10.0)
-    ks = ks_vs_cdf(esd_gram(x, 0.0).atoms, sol_mp.cdf)
+    ks = ks_vs_cdf(shifted_singular_values(x, 0.0) ** 2, sol_mp.cdf)
     print(f"  [monte-carlo] KS(empirical Gram ESD, recovered CDF) = {ks:.4f}")
     print(f"  [check] recovered density at x = 2: {sol_mp.density[400]:.5f} "
           f"vs closed form {mp_density(2.0):.5f}")

@@ -55,7 +55,6 @@ from .measures import (
     characteristic_function,
     dilation_esd,
     esd_eigen,
-    esd_gram,
     ks_two_sample,
     ks_vs_cdf,
     radial_angular_ks,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
+from .numerics import singular_values
 from .rng import BLOCK, words_to_uniforms
 
 SCALAR_KINDS = (
@@ -211,9 +212,9 @@ ASSEMBLY_MODES = ("shift", "sandwich", "hadamard_profile")
 
 
 def require_invertible(name, m):
-    """Return m once it is proven invertible: its smallest singular value
-    exceeds 1e-12 of its Hilbert-Schmidt norm."""
-    s = np.linalg.svd(m, compute_uv=False)
+    """Return m, a matrix from ``build_base_matrix``, once it is proven
+    invertible: its smallest singular value exceeds 1e-12 of its norm."""
+    s = singular_values(m)
     scale = np.linalg.norm(m)  # Hilbert-Schmidt
     if scale == 0.0 or s[-1] < 1e-12 * scale:
         raise DegenerateInputError(f"{name} is numerically singular (smallest sv {s[-1]:.3e})")

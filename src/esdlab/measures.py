@@ -2,10 +2,11 @@
 
 The 1/sqrt(n) spectral normalization is applied exactly once, by
 ``numerics.scaled_shift``; everything downstream works with
-already-normalized atoms.  ``esd_eigen``, ``esd_gram`` and
-``dilation_esd`` are entries: each validates A once, in
-``scaled_shift``, and hands the result to the ``eigenvalues`` or
-``singular_values`` kernel, which does not validate it again.
+already-normalized atoms.  ``esd_eigen`` and ``dilation_esd`` are
+entries: each validates A once, in ``scaled_shift``, and hands the
+result to the ``eigenvalues`` or ``singular_values`` kernel, which does
+not validate it again.  The singular-value law of A/sqrt(n) - zI has its
+one entry in ``hermitization.shifted_singular_values``.
 
 Vague convergence is operationalized by ``bl_distance`` against a fixed,
 versioned dictionary of bounded 1-Lipschitz bump functions; the grid
@@ -47,8 +48,8 @@ class EmpiricalMeasure2D:
 class EmpiricalMeasure1D:
     """Finite atomic probability measure on the real line, weight 1/n each.
 
-    Squared-singular-value ESDs have nonnegative atoms; Hermitian
-    dilation spectra are supported on all of R (signed atoms).
+    The Hermitian dilation spectrum of ``dilation_esd`` is supported on
+    all of R (signed atoms).
     """
 
     atoms: np.ndarray
@@ -70,15 +71,6 @@ def esd_eigen(a, *, overwrite_a=False):
     """Eigenvalue ESD of A/sqrt(n); ``overwrite_a`` lets A be scaled in
     place (see ``numerics.scaled_shift``)."""
     return EmpiricalMeasure2D(eigenvalues(scaled_shift(a, overwrite_a=overwrite_a)))
-
-
-def esd_gram(a, z):
-    """ESD of the squared singular values of (A/sqrt(n) - zI).
-
-    A real A at a real z is decomposed in real arithmetic.
-    """
-    s = singular_values(scaled_shift(a, z))
-    return EmpiricalMeasure1D(s * s)
 
 
 def dilation_esd(a):

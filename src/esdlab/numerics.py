@@ -9,18 +9,19 @@ Each matrix is validated once, by the entry it is given to
 (``scaled_shift``, ``log_abs_det``, ``hs_norm``,
 ``leave_one_out_distances``, ``verify_interlacing``, ``verify_weyl``),
 which calls only kernels on it; the kernels ``eigenvalues``,
-``singular_values`` and ``row_distances`` trust their caller.
-``scaled_shift`` is the one builder of A/sqrt(n) - zI, and every
+``singular_values``, ``row_distances`` and ``lu_log_abs_det`` trust their
+caller.  ``scaled_shift`` is the one builder of A/sqrt(n) - zI, and every
 normalized ESD and log-determinant starts from it.  Its
 keyword-only ``overwrite_a`` (default False) lets a caller that owns A
 have it scaled in place, bit for bit as the copy, so that an eigenvalue
 trial holds one n-by-n array besides LAPACK's working copy.  Singular
 matrices never yield a fake large-negative log-determinant.  This module
 holds every route to log|det| and its IEEE -inf marker (MINUS_INFINITY):
-``log_abs_det`` takes four independent routes, "via_lu" (behind
-``hermitization.log_det_at``), which returns the marker for an exactly
-zero LU pivot, and the factor routes "via_eigenvalues", "via_singular"
-and "via_distances", which reduce their factors through ``log_product``.
+``log_abs_det`` takes four independent routes, "via_lu" (the kernel
+``lu_log_abs_det``, also behind ``hermitization.log_det_at``), which
+returns the marker for an exactly zero LU pivot, and the factor routes
+"via_eigenvalues", "via_singular" and "via_distances", which reduce
+their factors through ``log_product``.
 ``log_product`` returns the marker whenever a factor underflows the
 representable range; ``hermitization.log_potential`` reduces the atom
 distances of an ESD through it too.
@@ -173,16 +174,21 @@ def log_product(factors):
     return float(np.sum(np.log(factors)))
 
 
+def lu_log_abs_det(m):
+    """log|det m| from one LU (slogdet) of a square ``m`` from ``as_matrix``
+    or ``scaled_shift``; MINUS_INFINITY when a pivot is exactly zero."""
+    sign, logdet = np.linalg.slogdet(m)
+    return MINUS_INFINITY if sign == 0 else float(logdet)
+
+
 def log_abs_det(a, method="via_singular"):
-    """log|det A| of a square A by one of four routes: "via_lu", one LU
-    factorization (slogdet), MINUS_INFINITY when a pivot is exactly zero;
-    "via_eigenvalues", "via_singular" and "via_distances", a sum of the
-    logs of |eigenvalues|, singular values or row distances, reduced by
-    ``log_product``."""
+    """log|det A| of a square A by one of four routes: "via_lu", the
+    ``lu_log_abs_det`` kernel; "via_eigenvalues", "via_singular" and
+    "via_distances", a sum of the logs of |eigenvalues|, singular values
+    or row distances, reduced by ``log_product``."""
     m = _as_square(a)
     if method == "via_lu":
-        sign, logdet = np.linalg.slogdet(m)
-        return MINUS_INFINITY if sign == 0 else float(logdet)
+        return lu_log_abs_det(m)
     if method == "via_eigenvalues":
         factors = np.abs(eigenvalues(m))
     elif method == "via_singular":
@@ -218,11 +224,11 @@ def verify_weyl(a):
     inequalities; both are at most 0 up to rounding.
 
     Second moment: sum |lambda_j|^2 <= sum sigma_j^2 = ||A||_2^2.
-    Products, with |lambda| ascending and sigma descending: every prefix
-    product of |lambda| is at most the prefix product of sigma, and every
-    suffix product of sigma is at most the suffix product of |lambda|.
-    The moment violation is relative to max(||A||_2^2, 1), the product
-    violation is in log space."""
+    Products: for every k, the product of the k largest |lambda| is at
+    most that of the k largest sigma, and the product of the k smallest
+    sigma is at most that of the k smallest |lambda|.  The moment
+    violation is relative to max(||A||_2^2, 1), the product violation is
+    in log space."""
     m = _as_square(a)
     lam = np.sort(np.abs(eigenvalues(m)))     # ascending
     sig = singular_values(m)                  # descending
@@ -233,13 +239,11 @@ def verify_weyl(a):
         abs(np.sum(sig**2) - hs2) / mom_scale,
     ))
     with np.errstate(invalid="ignore"):
-        pre = _log_cumsum(lam) - _log_cumsum(sig)    # log prefix(lam) - log prefix(sig)
-        suf = _log_cumsum(sig[::-1]) - _log_cumsum(lam[::-1])
-    # An exact-zero eigenvalue suffix forces a zero determinant, so the
-    # matching sigma suffix vanishes up to rounding; those comparisons
-    # (and -inf/NaN prefixes from zero products) are trivially satisfied.
-    suf = suf[np.isfinite(_log_cumsum(lam[::-1]))]
-    pre = pre[np.isfinite(pre)]
-    suf = suf[np.isfinite(suf)]
-    product_violation = float(np.max(np.concatenate([[0.0], pre, suf])))
+        largest = _log_cumsum(lam[::-1]) - _log_cumsum(sig)
+        smallest = _log_cumsum(sig[::-1]) - _log_cumsum(lam)
+    # An exact zero in either spectrum makes the determinant zero up to
+    # rounding, so a comparison that involves a zero product (-inf, +inf
+    # or NaN in log space) is taken as satisfied.
+    violations = np.concatenate([[0.0], largest, smallest])
+    product_violation = float(np.max(violations[np.isfinite(violations)]))
     return second_moment_violation, product_violation

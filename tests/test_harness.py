@@ -212,15 +212,6 @@ def test_universality_factors_built_and_proven_once_per_size(tmp_path, monkeypat
     assert calls["assemble"] == [None] * 12
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    cfg = config_from_dict(_circular_raw())
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    run_experiment(cfg, d1)
-    run_experiment(cfg, d2)
-    for name in sorted(os.listdir(d1)):
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
-
-
 def test_threading_does_not_change_results(tmp_path):
     base = _circular_raw(seed=21, n=40, trials=4)
     cfg1 = config_from_dict(base)
@@ -469,6 +460,24 @@ def test_manifest_gate_records_are_the_comparison(tmp_path, experiment):
         threshold = ([float(t) for t in g["threshold"]] if g["op"] == "in"
                      else float(g["threshold"]))
         assert g["passed"] is _COMPARE[g["op"]](float(g["observed"]), threshold), g
+
+
+_RERUNS = {**_TINY_RUNS, "universality_sandwich": {
+    **_TINY_RUNS["universality"], "mode": "sandwich",
+    "sandwich_k": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0, "split": 0.5},
+    "sandwich_l": {"kind": "two_block_diagonal", "a": 1.0, "b": 3.0, "split": 0.5}}}
+
+
+@pytest.mark.parametrize("experiment", sorted(_RERUNS))
+def test_rerun_is_byte_identical(tmp_path, experiment):
+    cfg = config_from_dict(_RERUNS[experiment])
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    run_experiment(cfg, d1)
+    run_experiment(cfg, d2)
+    names = sorted(os.listdir(d1))
+    assert names == sorted(os.listdir(d2))
+    for name in names:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
 def test_weyl_slack_override_reaches_nilpotent_gates(tmp_path):

