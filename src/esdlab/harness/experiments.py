@@ -14,6 +14,15 @@ from these, and from the X = Y sanity mode of universality, which redraws
 A's stream on purpose, distinct sizes, trials (below 2**20) and roles
 draw from distinct streams.
 
+The tails suite measures the distance of fresh rows v_t to a fixed
+random subspace spanned by the columns of B = X + iY (nd by d; X is
+drawn first, then Y, each row-major, from ``_SUBSPACE_STREAM``).  It
+takes no QR: dist_t² = ‖v_t‖² − Re(c_t* G⁻¹ c_t) with G = B*B and
+c_t = B*v_t, from real products of X, Y and the rows and one complex
+solve.  Forming G squares κ(B), so dist_t² carries a relative error of
+about κ(B)²·2⁻⁵³; a failed solve, or a dist_t² that is not finite and
+positive, is a NumericalFailureError.
+
 Wall-clock timings are printed to the console and deliberately kept out
 of the CSV artifacts, which must be byte-identical across reruns.
 """
@@ -30,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ensembles import assemble, build_base_matrix, build_iid_matrix, require_invertible
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, NumericalFailureError
 from ..hermitization import log_det_at, regularized_log_det
 from ..limits import (
     MeasureH,
@@ -373,26 +382,55 @@ def run_tail_suite(cfg, out_dir):
             result.gates.append(GateResult(f"lowersing_ratio_n{n}_{label}",
                                            float(np.min(col[f"ratio_{label}"])), ">", 0.0))
 
-    # distance-to-subspace experiment (fixed random subspace, fresh rows).
+    # distance-to-subspace experiment: a fixed random basis B = X + iY of d
+    # columns in C^nd and one fresh row v_t per trial, the columns of V.  The
+    # squared distance of v_t to span(B) is the Schur complement
+    #     dist_t² = ‖v_t‖² − Re(c_t* G⁻¹ c_t),  c_t = B*v_t,
+    #     G = B*B = XᵀX + YᵀY + i(XᵀY − YᵀX),
+    # the squared column norm of R₂₂ in a QR of [B | V].  Forming G squares
+    # κ(B), so dist_t² has a relative error of about κ(B)²·2⁻⁵³ (κ(B)² ≈ 34
+    # at nd = 2d; it grows as d nears nd).
     # sample_array is looked up at call time, not imported at module level,
     # so a rebinding of ensembles.sample_array (the benchmark's span tracer)
     # also sees the distance draws
     from ..ensembles import sample_array
     nd, d = cfg.distance_n, cfg.distance_d
-    # [B | V]: the basis B (real parts drawn first, then imaginary parts,
-    # row-major), then one fresh row per trial as a column, in trial order
-    w = np.empty((nd, d + cfg.distance_trials), dtype=np.complex128)
     aux = RngStream(cfg.master_seed, _SUBSPACE_STREAM)
-    for part in (w.real, w.imag):
-        basis_part = aux.uniforms(nd * d)
-        basis_part -= 0.5
-        part[:, :d] = basis_part.reshape(nd, d)
-    for t in range(cfg.distance_trials):
-        w[:, d + t] = sample_array(cfg.dist_x, _stream(cfg, nd, t, ROLE_X), nd)
-    # [B | V] = Q R with Q = [Q1 | Q2], Q1 spanning B, so the projection of
-    # row t off span(B) is Q2 R[d:, d + t]: its norm needs R alone
-    r = np.linalg.qr(w, mode="r")
-    dist = np.linalg.norm(r[d:, d:], axis=0)
+
+    def basis_part():
+        part = aux.uniforms(nd * d)
+        part -= 0.5
+        return part.reshape(nd, d)
+
+    # X first, then Y, each row-major; then the rows in trial order
+    x = basis_part()
+    y = basis_part()
+    v = np.stack([sample_array(cfg.dist_x, _stream(cfg, nd, t, ROLE_X), nd)
+                  for t in range(cfg.distance_trials)], axis=1)
+    # real products only (x.T @ x and y.T @ y run as syrk); X and Y are never
+    # made complex, and they are freed before the solve
+    c_re, c_im = x.T @ v.real, -(y.T @ v.real)
+    if np.iscomplexobj(v):
+        c_re += y.T @ v.imag
+        c_im += x.T @ v.imag
+    g = np.empty((d, d), dtype=np.complex128)
+    g.real = x.T @ x
+    g.real += y.T @ y
+    p = x.T @ y
+    g.imag = p
+    g.imag -= p.T
+    del x, y, p
+    try:
+        w = np.linalg.solve(g, c_re + 1j * c_im)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"the Gram matrix of the distance basis is singular: "
+                                    f"{exc}") from exc
+    dist2 = (np.sum(v.real ** 2 + v.imag ** 2, axis=0)
+             - np.sum(c_re * w.real + c_im * w.imag, axis=0))
+    if not np.all(np.isfinite(dist2) & (dist2 > 0.0)):
+        raise NumericalFailureError("a squared distance to the subspace is not finite and "
+                                    "positive")
+    dist = np.sqrt(dist2)
     result.records.extend(
         TrialRecord("tails", nd, t, _trial_seed(cfg, nd, t),
                     {"subspace_distance": float(dist[t])})

@@ -10,9 +10,11 @@ Each matrix is validated once, by the entry it is given to
 ``leave_one_out_distances``, ``verify_interlacing``, ``verify_weyl``),
 which calls only kernels on it; the kernels ``eigenvalues``,
 ``singular_values``, ``row_distances`` and ``lu_log_abs_det`` trust their
-caller.  ``scaled_shift`` is the one builder of A/sqrt(n) - zI, and every
-normalized ESD and log-determinant starts from it.  Its
-keyword-only ``overwrite_a`` (default False) lets a caller that owns A
+caller; ``eigenvalues`` and ``singular_values`` check only their result,
+so a finite matrix whose spectrum overflows is a NumericalFailureError
+rather than a row of inf.  ``scaled_shift`` is the one builder of
+A/sqrt(n) - zI, and every normalized ESD and log-determinant starts
+from it.  Its keyword-only ``overwrite_a`` (default False) lets a caller that owns A
 have it scaled in place, bit for bit as the copy, so that an eigenvalue
 trial holds one n-by-n array besides LAPACK's working copy.  Singular
 matrices never yield a fake large-negative log-determinant.  This module
@@ -59,21 +61,32 @@ def _as_square(a):
 
 def eigenvalues(m):
     """All eigenvalues with multiplicity, unsorted (multiset semantics),
-    of a square ``m`` from ``as_matrix`` or ``scaled_shift``."""
+    of a square ``m`` from ``as_matrix`` or ``scaled_shift``.  A finite
+    ``m`` whose eigenvalues overflow is a NumericalFailureError."""
     try:
-        return np.linalg.eigvals(m)
+        lam = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigenvalue iteration failed: {exc}") from exc
+    _require_finite(lam, "eigenvalues")
+    return lam
 
 
 def singular_values(m):
     """Singular values sorted decreasing, clamped at zero, of an ``m``
-    from ``as_matrix`` or ``scaled_shift``."""
+    from ``as_matrix`` or ``scaled_shift``.  A finite ``m`` whose singular
+    values overflow is a NumericalFailureError."""
     try:
         s = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"singular value iteration failed: {exc}") from exc
+    _require_finite(s, "singular values")
     return np.maximum(s, 0.0)
+
+
+def _require_finite(values, what):
+    if not np.all(np.isfinite(values)):
+        raise NumericalFailureError(f"{what} are not finite (the matrix entries overflow "
+                                    "the decomposition)")
 
 
 def scaled_shift(a, z=0, *, overwrite_a=False):

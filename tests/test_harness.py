@@ -352,6 +352,62 @@ def test_tails_batched_distances_match_row_by_row(tmp_path):
         assert dist == pytest.approx(np.linalg.norm(v - q @ (q.conj().T @ v)), rel=1e-12)
 
 
+@pytest.mark.parametrize("kind,nd,d,rel", [("complex_gaussian", 100, 50, 1e-12),
+                                             # kappa(B)^2 is about 3e4 at d = nd - 1
+                                             ("bernoulli", 200, 199, 1e-8)])
+def test_tails_distances_match_complete_qr(tmp_path, kind, nd, d, rel):
+    from esdlab.ensembles import sample_array
+    from esdlab.harness import experiments as ex
+    raw = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
+           "n_list": [20], "trials": 2, "dist_x": {"kind": kind},
+           "base": {"kind": "zero"}, "distance_n": nd, "distance_d": d,
+           "distance_trials": 8}
+    cfg = config_from_dict(raw)
+    got = [r.metrics["subspace_distance"] for r in run_experiment(cfg, tmp_path).records
+           if "subspace_distance" in r.metrics]
+    assert len(got) == 8
+    aux = RngStream(3, ex._SUBSPACE_STREAM)
+    basis = (aux.uniforms(nd * d) - 0.5) + 1j * (aux.uniforms(nd * d) - 0.5)
+    q, _ = np.linalg.qr(basis.reshape(nd, d), mode="complete")
+    complement = q[:, d:]  # an orthonormal basis of the orthogonal complement of span(B)
+    for t, dist in enumerate(got):
+        v = sample_array(cfg.dist_x, ex._stream(cfg, nd, t, ex.ROLE_X), nd)
+        assert dist == pytest.approx(np.linalg.norm(complement.conj().T @ v), rel=rel)
+
+
+def test_cli_zero_distance_row_exits_three(tmp_path, monkeypatch):
+    # a zero row lies in every subspace: its squared distance is 0, which the
+    # run reports as a numerical failure instead of recording it
+    from esdlab import ensembles
+    draw = ensembles.sample_array
+    nd = _TINY_RUNS["tails"]["distance_n"]  # the trial matrices draw n_list[0]**2 entries
+    monkeypatch.setattr(ensembles, "sample_array", lambda dist, rng, count: (
+        np.zeros(count) if count == nd else draw(dist, rng, count)))
+    path = _write_config(tmp_path, _TINY_RUNS["tails"])
+    out = tmp_path / "out"
+    assert cli_main(["tails", "--config", path, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_tails_distance_memory(tmp_path):
+    # the run holds X, Y (nd x d real each) and G (d x d complex), about twice
+    # the bytes of the complex basis, and no copy of [B | V]
+    import tracemalloc
+    nd, d = 1000, 500
+    raw = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
+           "n_list": [10], "trials": 2, "dist_x": {"kind": "bernoulli"},
+           "base": {"kind": "zero"}, "distance_n": nd, "distance_d": d,
+           "distance_trials": 100}
+    cfg = config_from_dict(raw)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * nd * d * 16
+
+
 @pytest.mark.xfail(strict=True, reason="known stream-key collisions in the tails suite "
                    "(ROADMAP item 3: no two purposes share a random stream); fixing them "
                    "changes every subspace_distance")
@@ -621,6 +677,9 @@ _DS_RAW = {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3}
     ("ds-solve", {**_DS_RAW, "eta_schedule": [0.1, -0.01]}, 2),
     # eps = 10^-20 is below the rounding floor of the Gram matrix
     ("hermitize", {**_HERMITIZE_RAW, "eps_exponent": 20}, 3),
+    # finite entries whose singular values overflow to inf
+    ("tails", {**_TAILS_N1_RAW, "n_list": [2], "base": {
+        "kind": "explicit", "entries": [[1.7e308, 1.7e308], [1.7e308, -1.7e308]]}}, 3),
 ])
 def test_cli_failed_run_leaves_no_empty_output_dir(tmp_path, command, raw, code):
     path = _write_config(tmp_path, raw)

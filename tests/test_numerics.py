@@ -9,6 +9,7 @@ from esdlab import (
     MINUS_INFINITY,
     ConfigurationError,
     DegenerateInputError,
+    NumericalFailureError,
     assemble,
     dilation_esd,
     esd_eigen,
@@ -144,6 +145,16 @@ def test_svd_unitary_invariance():
     q1, _ = np.linalg.qr(_rand(rng, 10, 10))
     q2, _ = np.linalg.qr(_rand(rng, 10, 10))
     assert np.allclose(singular_values(q1 @ a @ q2), singular_values(a), rtol=1e-8)
+
+
+def test_overflowing_decomposition_is_a_numerical_failure():
+    # finite entries, but the eigenvalues and singular values (±sqrt(2)·1.7e308)
+    # overflow to inf
+    a = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+    with pytest.raises(NumericalFailureError):
+        singular_values(a)
+    with pytest.raises(NumericalFailureError):
+        eigenvalues(a)
 
 
 # -------------------------------------------------------------- row distances
