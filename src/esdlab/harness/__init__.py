@@ -1,7 +1,6 @@
 """Experiment harness: configuration, runners, emission, CLI."""
 
 from .config import (
-    DEFAULT_THRESHOLDS,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,

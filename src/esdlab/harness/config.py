@@ -5,12 +5,12 @@ every level so a typo in a threshold name can never silently fall back
 to a default.  Resolved thresholds (defaults merged with overrides) are
 echoed into the run manifest.
 
-Each experiment has one field table in ``FIELDS``, and each entry law,
-base-matrix kind and profile kind has one too.  A table entry states a
-key's parser (range checks included), its default and its dump form
-once; parsing, unknown-key rejection and the canonical dump are loops
-over the table.  The rules that tie two fields together are in
-``_check_cross_fields``.
+Each experiment has one field table in ``FIELDS`` and one of gate
+thresholds in ``THRESHOLDS``; each entry law, base-matrix kind and
+profile kind has one too.  A table entry states a key's parser (range
+checks included), its default and its dump form once; parsing,
+unknown-key rejection and the canonical dump are loops over the table.
+The rules that tie two fields together are in ``_check_cross_fields``.
 """
 
 from __future__ import annotations
@@ -32,43 +32,6 @@ from ..errors import ConfigurationError
 from ..limits import DEFAULT_ETA_SCHEDULE
 
 SCHEMA_VERSION = 1
-
-DEFAULT_THRESHOLDS = {
-    "circular": {
-        "radial_ks": 0.05,
-        "angular_ks": 0.05,
-        "ks_pass_fraction": 0.9,
-        "in_disk_radius": 1.05,
-        "in_disk_fraction": 0.99,
-    },
-    "universality": {
-        "final_median_bl": 0.1,
-    },
-    "hermitize": {
-        "potential_gap": 0.05,
-        "potential_pass_fraction": 0.9,
-        "regularization_gap": 0.02,
-    },
-    "ds_solve": {
-        "oracle_gap": 1e-8,
-        "density_sup_error": 1e-2,
-        "mass_low": 0.98,
-        "mass_high": 1.02,
-    },
-    "tails": {
-        "sigma_min_exponent": 10.0,
-        "distance_constant": 0.5,
-        "mean_dist2_low": 0.95,
-        "mean_dist2_high": 1.05,
-    },
-    "lemmas": {
-        "det_identity": 1e-6,
-        "neg_second_moment": 1e-9,
-        "interlacing_slack_scale": 1e-8,
-        "weyl_slack_scale": 1e-8,
-    },
-}
-
 
 def _reject_unknown(d, allowed, where):
     unknown = set(d) - set(allowed)
@@ -163,14 +126,11 @@ _POSITIVE_INT = _checked(_as_int, lambda n: n >= 1, "at least 1")
 _POSITIVE_FLOAT = _checked(_as_float, lambda x: x > 0.0, "positive")
 # trial and case indices are packed below the size bits of the stream index
 _TRIAL_COUNT = _checked(_as_int, lambda n: 1 <= n < 2**20, "at least 1 and below 2^20")
-
-
-def _thresholds_of(experiment):
-    def parse(value, what):
-        _reject_unknown(_as_object(value, what), DEFAULT_THRESHOLDS[experiment],
-                        f"{experiment} {what}")
-        return {k: _as_float(v, f"threshold {k}") for k, v in value.items()}
-    return parse
+_NONNEGATIVE_FLOAT = _checked(_as_float, lambda x: x >= 0.0, "at least 0")
+_FRACTION = _checked(_as_float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+# numpy counts bytes in int64: an n-by-n complex array with 16 n^2 >= 2^63
+# raises ValueError, not the MemoryError of a size too large for memory
+_SIZE = _checked(_as_int, lambda n: 1 <= n < 2**29, "at least 1 and below 2^29")
 
 
 # ------------------------------------------------------------- field tables
@@ -260,7 +220,7 @@ _BASE_KINDS = {
     "two_block_diagonal": (
         Field("a", _as_float),
         Field("b", _as_float),
-        Field("split", _checked(_as_float, lambda s: 0.0 <= s <= 1.0, "in [0, 1]"), 0.5),
+        Field("split", _FRACTION, 0.5),
         Field("scale_by_sqrt_n", _as_bool, False),
     ),
     "low_rank": (Field("rank", _POSITIVE_INT), Field("magnitude", _as_float)),
@@ -279,6 +239,53 @@ _PROFILE_FIELDS = {
     "ramp": (Field("low", _POSITIVE_FLOAT), Field("high", _as_float)),
 }
 
+# Gate thresholds.  A tolerance (a `<` gate) is positive, a pass fraction
+# is in [0, 1], and a slack scale (a `<=` gate) or a lower bound is at least 0.
+THRESHOLDS = {
+    "circular": (
+        Field("radial_ks", _POSITIVE_FLOAT, 0.05),
+        Field("angular_ks", _POSITIVE_FLOAT, 0.05),
+        Field("ks_pass_fraction", _FRACTION, 0.9),
+        Field("in_disk_radius", _POSITIVE_FLOAT, 1.05),
+        Field("in_disk_fraction", _FRACTION, 0.99),
+    ),
+    "universality": (Field("final_median_bl", _POSITIVE_FLOAT, 0.1),),
+    "hermitize": (
+        Field("potential_gap", _POSITIVE_FLOAT, 0.05),
+        Field("potential_pass_fraction", _FRACTION, 0.9),
+        Field("regularization_gap", _POSITIVE_FLOAT, 0.02),
+    ),
+    "ds_solve": (
+        Field("oracle_gap", _POSITIVE_FLOAT, 1e-8),
+        Field("density_sup_error", _POSITIVE_FLOAT, 1e-2),
+        Field("mass_low", _NONNEGATIVE_FLOAT, 0.98),
+        Field("mass_high", _POSITIVE_FLOAT, 1.02),
+    ),
+    "tails": (
+        Field("sigma_min_exponent", _POSITIVE_FLOAT, 10.0),  # floor n ** -exponent
+        Field("distance_constant", _NONNEGATIVE_FLOAT, 0.5),
+        Field("mean_dist2_low", _NONNEGATIVE_FLOAT, 0.95),
+        Field("mean_dist2_high", _POSITIVE_FLOAT, 1.05),
+    ),
+    "lemmas": (
+        Field("det_identity", _POSITIVE_FLOAT, 1e-6),
+        Field("neg_second_moment", _POSITIVE_FLOAT, 1e-9),
+        Field("interlacing_slack_scale", _NONNEGATIVE_FLOAT, 1e-8),
+        Field("weyl_slack_scale", _NONNEGATIVE_FLOAT, 1e-8),
+    ),
+}
+
+
+def _overrides(fields):
+    """Parser of an object that sets some keys of ``fields``; it returns those alone."""
+    by_name = {f.name: f for f in fields}
+
+    def parse(value, what):
+        _reject_unknown(_as_object(value, what), by_name, what)
+        return {k: by_name[k].parse(v, f"threshold {k}") for k, v in value.items()}
+    return parse
+
+
 entry_law = _spec_parser(ScalarDistribution, _ENTRY_LAWS)
 _entry_law_dump = _spec_dump(_ENTRY_LAWS)
 _base = _spec_parser(BaseMatrixSpec, _BASE_KINDS)
@@ -295,14 +302,14 @@ def _common_fields(experiment):
                                       "a 64-bit unsigned integer")),
         Field("output_dir", _as_str, "out"),
         Field("threads", _POSITIVE_INT, 1),
-        Field("thresholds", _thresholds_of(experiment), {}, dict),
+        Field("thresholds", _overrides(THRESHOLDS[experiment]), {}, dict),
     )
 
 
 _MATRIX_FIELDS = (
     # sizes in increasing order: the universality gates read the medians
     # in list order, and hermitize writes one field file per size
-    Field("n_list", _checked(_nonempty(_POSITIVE_INT),
+    Field("n_list", _checked(_nonempty(_SIZE),
                              lambda ns: all(a < b for a, b in zip(ns, ns[1:])),
                              "strictly increasing"), dump=list),
     Field("trials", _TRIAL_COUNT),
@@ -310,14 +317,8 @@ _MATRIX_FIELDS = (
     Field("base", _base, {"kind": "zero"}, _base_dump),
 )
 
-# circular and hermitize accept only mode "shift" and never echo it
-_SHIFT_MODE = Field("mode", _one_of("shift"), "shift", None)
-
 _OWN_FIELDS = {
-    "circular": _MATRIX_FIELDS + (
-        _SHIFT_MODE,
-        Field("center", _as_complex, None, _complex_out),
-    ),
+    "circular": _MATRIX_FIELDS + (Field("center", _as_complex, None, _complex_out),),
     "universality": _MATRIX_FIELDS + (
         Field("mode", _one_of(*ASSEMBLY_MODES), "shift"),
         Field("dist_y", entry_law, None, _entry_law_dump),
@@ -326,7 +327,6 @@ _OWN_FIELDS = {
         Field("sandwich_l", _base, None, _base_dump),
     ),
     "hermitize": _MATRIX_FIELDS + (
-        _SHIFT_MODE,
         Field("z_grid", _nonempty(_as_complex), dump=_complex_list),
         Field("reference", _one_of("circular", "ds"), "circular"),
         Field("eps_exponent", _POSITIVE_FLOAT, 0.1),
@@ -339,18 +339,18 @@ _OWN_FIELDS = {
         Field("x_max", _as_float, 3.9),
         Field("x_step", _POSITIVE_FLOAT, 1.0 / 400.0),
         Field("eta_schedule", _tuple_of(_as_float), DEFAULT_ETA_SCHEDULE, list),
-        Field("agreement_tol", _as_float, 1e-3),
+        Field("agreement_tol", _POSITIVE_FLOAT, 1e-3),
         Field("mass_check", _as_bool, False),
         Field("mp_oracle", _as_bool, False),
     ),
     "tails": _MATRIX_FIELDS + (
-        Field("distance_n", _as_int, 2000),
+        Field("distance_n", _SIZE, 2000),
         Field("distance_d", _as_int, 1000),
         Field("distance_trials", _TRIAL_COUNT, 200),
     ),
     "lemmas": (
         Field("lemma_cases", _TRIAL_COUNT, 500),
-        Field("max_size", _checked(_as_int, lambda n: n >= 4, "at least 4"), 30),
+        Field("max_size", _checked(_SIZE, lambda n: n >= 4, "at least 4"), 30),
     ),
 }
 
@@ -404,8 +404,6 @@ def _check_cross_fields(kw):
             raise ConfigurationError("tails needs every n_list entry to be at least 2")
         if not 1 <= kw["distance_d"] < kw["distance_n"]:
             raise ConfigurationError("tails needs 1 <= distance_d < distance_n")
-        if not kw["thresholds"].get("sigma_min_exponent", 1.0) > 0.0:  # floor n ** -exponent
-            raise ConfigurationError("threshold sigma_min_exponent must be positive")
 
 
 def _attribute(f):
@@ -417,7 +415,7 @@ def _attribute(f):
 
 
 def _resolved_thresholds(self):
-    return {**DEFAULT_THRESHOLDS[self.experiment], **self.thresholds}
+    return {**_parse_fields({}, THRESHOLDS[self.experiment], "thresholds"), **self.thresholds}
 
 
 # one attribute per key of any experiment; tables that share a key share its default
@@ -449,6 +447,6 @@ def read_config_json(path):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     return _as_object(raw, f"config {path}")

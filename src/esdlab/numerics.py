@@ -41,10 +41,11 @@ MINUS_INFINITY = float("-inf")
 
 
 def as_matrix(a):
-    """Validate and return a 2-D matrix with finite entries."""
+    """Validate and return a 2-D matrix with finite entries, converted to
+    float64 or complex128 so that LAPACK runs in double precision."""
     m = np.asarray(a)
-    if m.dtype.kind not in "fc":
-        m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64)
+    if m.dtype not in (np.float64, np.complex128):
+        m = m.astype(np.complex128 if m.dtype.kind == "c" else np.float64)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ConfigurationError(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

@@ -1,5 +1,5 @@
-"""Config field tables: pinned canonical dumps, a mutation property and
-the README's list of kinds."""
+"""Config field tables: pinned canonical dumps and threshold defaults, a
+mutation property and the README's lists of kinds and thresholds."""
 
 import copy
 import json
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from esdlab import ConfigurationError
 from esdlab.harness import config_from_dict, config_to_dict
-from esdlab.harness.config import _BASE_KINDS, _ENTRY_LAWS, _PROFILE_FIELDS, FIELDS
+from esdlab.harness.config import _BASE_KINDS, _ENTRY_LAWS, _PROFILE_FIELDS, FIELDS, THRESHOLDS
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -66,7 +66,7 @@ _FULL = {
                  "n_list": [30, 60.0], "trials": 3,
                  "dist_x": {"kind": "two_point_asymmetric", "p": 0.25},
                  "base": {"kind": "diagonal_from_measure", "atoms": [1, [0.5, -0.5]]},
-                 "mode": "shift", "center": [0.25, -0.5]},
+                 "center": [0.25, -0.5]},
     "universality": {"schema_version": 1, "experiment": "universality", "master_seed": 0,
                      "output_dir": "runs/univ", "threads": 3,
                      "thresholds": {"final_median_bl": 0.2},
@@ -83,7 +83,7 @@ _FULL = {
                                  "regularization_gap": 1},
                   "n_list": [16, 32], "trials": 1, "dist_x": {"kind": "uniform_centered"},
                   "base": {"kind": "low_rank", "rank": 1, "magnitude": 0.5},
-                  "mode": "shift", "z_grid": [0, [0.5, 0.5], -1.5, [0.0, 2]],
+                  "z_grid": [0, [0.5, 0.5], -1.5, [0.0, 2]],
                   "reference": "ds", "eps_exponent": 0.25},
     "ds_solve": {"schema_version": 1, "experiment": "ds_solve", "master_seed": 5,
                  "output_dir": "runs/ds", "threads": 2,
@@ -212,6 +212,37 @@ def test_canonical_dump_pinned(name):
     assert dump == PINNED[name]
 
 
+# resolved_thresholds() of a config that overrides none
+_THRESHOLD_DEFAULTS = {
+    "circular": {"radial_ks": 0.05, "angular_ks": 0.05, "ks_pass_fraction": 0.9,
+                 "in_disk_radius": 1.05, "in_disk_fraction": 0.99},
+    "universality": {"final_median_bl": 0.1},
+    "hermitize": {"potential_gap": 0.05, "potential_pass_fraction": 0.9,
+                  "regularization_gap": 0.02},
+    "ds_solve": {"oracle_gap": 1e-8, "density_sup_error": 1e-2, "mass_low": 0.98,
+                 "mass_high": 1.02},
+    "tails": {"sigma_min_exponent": 10.0, "distance_constant": 0.5, "mean_dist2_low": 0.95,
+              "mean_dist2_high": 1.05},
+    "lemmas": {"det_identity": 1e-6, "neg_second_moment": 1e-9,
+               "interlacing_slack_scale": 1e-8, "weyl_slack_scale": 1e-8},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_ROUNDTRIP))
+def test_threshold_defaults_pinned(experiment):
+    cfg = config_from_dict(_ROUNDTRIP[experiment])
+    assert cfg.thresholds == {}
+    resolved = cfg.resolved_thresholds()
+    assert resolved == _THRESHOLD_DEFAULTS[experiment]
+    assert all(type(v) is float for v in resolved.values())
+
+
+@pytest.mark.parametrize("experiment", ["circular", "hermitize"])
+def test_shift_mode_key_is_unknown_outside_universality(experiment):
+    with pytest.raises(ConfigurationError, match="unknown keys"):
+        config_from_dict({**_ROUNDTRIP[experiment], "mode": "shift"})
+
+
 def test_readme_names_every_kind():
     readme = README.read_text(encoding="utf-8")
     for table in (_ENTRY_LAWS, _BASE_KINDS, _PROFILE_FIELDS):
@@ -219,9 +250,17 @@ def test_readme_names_every_kind():
             assert f"`{kind}`" in readme, kind
 
 
+def test_readme_names_every_threshold():
+    readme = README.read_text(encoding="utf-8")
+    for table in THRESHOLDS.values():
+        for f in table:
+            assert f"`{f.name}`" in readme, f.name
+
+
 # --------------------------------------------------------- mutation property
 
-_KEYS = sorted({f.name for table in FIELDS.values() for f in table} | {"kind", "bogus"})
+_KEYS = sorted({f.name for tables in (FIELDS, THRESHOLDS) for table in tables.values()
+                for f in table} | {"kind", "bogus"})
 
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 2**65), st.floats(-1e3, 1e3),

@@ -590,6 +590,9 @@ def test_cli_non_integer_lemma_cases_exits_two(tmp_path):
     assert cli_main(["lemmas", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
+_DS_RAW = {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3}
+_LEMMAS_RAW = {"schema_version": 1, "experiment": "lemmas", "master_seed": 3,
+               "lemma_cases": 4, "max_size": 6}
 _UNIVERSALITY_RAW = {"schema_version": 1, "experiment": "universality", "master_seed": 3,
                      "n_list": [12], "trials": 2, "dist_x": {"kind": "bernoulli"}}
 _HERMITIZE_RAW = {"schema_version": 1, "experiment": "hermitize", "master_seed": 5,
@@ -649,10 +652,63 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     # the universality gates read the medians in list order
     ("universality", {**_UNIVERSALITY_RAW, "n_list": [120, 30]}),
     ("universality", {**_UNIVERSALITY_RAW, "n_list": [60, 60]}),
+    # an eta schedule can never agree within a tolerance <= 0
+    ("ds-solve", {**_DS_RAW, "agreement_tol": -1.0}),
+    ("ds-solve", {**_DS_RAW, "agreement_tol": 0}),
+    # sides of 2^29 and more are rejected when parsed, before any allocation
+    ("circular", {**_circular_raw(), "n_list": [3037000500]}),
+    ("circular", {**_circular_raw(), "n_list": [2**39]}),
+    ("universality", {**_UNIVERSALITY_RAW, "n_list": [12, 2**29]}),
+    ("hermitize", {**_HERMITIZE_RAW, "n_list": [2**31 - 1]}),
+    ("tails", {**_TAILS_N1_RAW, "n_list": [10], "distance_n": 2**39}),
+    ("lemmas", {**_LEMMAS_RAW, "max_size": 2**39}),
 ])
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)
     assert cli_main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+_THRESHOLD_RUNS = {"circular": _circular_raw(), "universality": _UNIVERSALITY_RAW,
+                   "hermitize": _HERMITIZE_RAW, "ds-solve": _DS_RAW,
+                   "tails": {**_TAILS_N1_RAW, "n_list": [10]}, "lemmas": _LEMMAS_RAW}
+
+
+@pytest.mark.parametrize("command,name,value", [
+    ("circular", "radial_ks", 0),              # tolerances are positive
+    ("circular", "angular_ks", -0.05),
+    ("circular", "ks_pass_fraction", 1.5),     # pass fractions are in [0, 1]
+    ("circular", "in_disk_fraction", -0.01),
+    ("circular", "in_disk_radius", 0),
+    ("universality", "final_median_bl", 0),
+    ("hermitize", "potential_gap", -1),
+    ("hermitize", "potential_pass_fraction", 2),
+    ("hermitize", "regularization_gap", 0),
+    ("ds-solve", "oracle_gap", 0),
+    ("ds-solve", "density_sup_error", -1e-2),
+    ("ds-solve", "mass_low", -0.5),            # lower bounds are at least 0
+    ("ds-solve", "mass_high", 0),
+    ("tails", "sigma_min_exponent", 0),
+    ("tails", "distance_constant", -0.5),
+    ("tails", "mean_dist2_low", -1),
+    ("tails", "mean_dist2_high", 0),
+    ("lemmas", "det_identity", 0),
+    ("lemmas", "neg_second_moment", -1e-9),
+    ("lemmas", "interlacing_slack_scale", -1e-8),  # slack scales are at least 0
+    ("lemmas", "weyl_slack_scale", -1e-8),
+])
+def test_cli_out_of_range_threshold_exits_two(tmp_path, command, name, value):
+    path = _write_config(tmp_path, {**_THRESHOLD_RUNS[command], "thresholds": {name: value}})
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100_000, b'{"a": ' * 100_000],
+                         ids=["not_utf8", "deep_array", "deep_object"])
+def test_cli_undecodable_or_too_deep_config_exits_two(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert cli_main(["lemmas", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_cli_unallocatable_sizes_exit_two_without_output(tmp_path):
@@ -663,9 +719,6 @@ def test_cli_unallocatable_sizes_exit_two_without_output(tmp_path):
     out.mkdir()  # a directory the caller made is kept
     assert cli_main(["circular", "--config", path, "--out", str(out)]) == 2
     assert out.is_dir()
-
-
-_DS_RAW = {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3}
 
 
 @pytest.mark.parametrize("command,raw,code", [

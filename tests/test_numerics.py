@@ -410,6 +410,20 @@ def test_overwrite_a_copies_what_it_cannot_reuse():
         assert bad[1, 1] == 2.0
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble, np.int32, np.bool_,
+                                   np.complex64, np.clongdouble])
+def test_other_dtypes_are_converted_to_double_precision(dtype):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((50, 50))
+    if np.dtype(dtype).kind == "c":
+        a = a + 1j * rng.standard_normal((50, 50))
+    a = a.astype(dtype)
+    double = a.astype(np.complex128 if np.dtype(dtype).kind == "c" else np.float64)
+    assert numerics.as_matrix(a).dtype == double.dtype
+    # LAPACK sees the same double-precision entries, so the atoms agree bit for bit
+    assert np.array_equal(esd_eigen(a).atoms, esd_eigen(double).atoms)
+
+
 # ------------------------------------------------------------------ hs norm
 
 def test_hs_norm_values():
