@@ -367,9 +367,20 @@ def ds_grid_count(x_min, x_max, x_step):
     return int(round(steps)) + 1
 
 
+def _resolve_thresholds(experiment, overrides):
+    """The gate thresholds of ``experiment``: the table defaults merged with ``overrides``."""
+    return {**_parse_fields({}, THRESHOLDS[experiment], "thresholds"), **overrides}
+
+
 def _check_cross_fields(kw):
     """The rules that tie two fields of one experiment together."""
     experiment = kw["experiment"]
+    # the closed interval of an `in` gate must not be empty, or the gate can never pass
+    thr = _resolve_thresholds(experiment, kw["thresholds"])
+    for low, high in (("mass_low", "mass_high"), ("mean_dist2_low", "mean_dist2_high")):
+        if low in thr and thr[low] > thr[high]:
+            raise ConfigurationError(f"threshold {low} ({thr[low]:g}) exceeds "
+                                     f"{high} ({thr[high]:g})")
     # sandwich factors are built without a stream
     for name in ("base", "sandwich_k", "sandwich_l"):
         if kw.get(name) is not None:
@@ -415,7 +426,7 @@ def _attribute(f):
 
 
 def _resolved_thresholds(self):
-    return {**_parse_fields({}, THRESHOLDS[self.experiment], "thresholds"), **self.thresholds}
+    return _resolve_thresholds(self.experiment, self.thresholds)
 
 
 # one attribute per key of any experiment; tables that share a key share its default

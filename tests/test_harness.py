@@ -354,7 +354,11 @@ def test_tails_batched_distances_match_row_by_row(tmp_path):
 
 @pytest.mark.parametrize("kind,nd,d,rel", [("complex_gaussian", 100, 50, 1e-12),
                                              # kappa(B)^2 is about 3e4 at d = nd - 1
-                                             ("bernoulli", 200, 199, 1e-8)])
+                                             ("bernoulli", 200, 199, 1e-8),
+                                             # Y is folded in row blocks of at most
+                                             # 2^17 words: 327, 327 and 46 rows
+                                             ("bernoulli", 700, 400, 1e-12),
+                                             ("complex_gaussian", 700, 400, 1e-12)])
 def test_tails_distances_match_complete_qr(tmp_path, kind, nd, d, rel):
     from esdlab.ensembles import sample_array
     from esdlab.harness import experiments as ex
@@ -390,8 +394,9 @@ def test_cli_zero_distance_row_exits_three(tmp_path, monkeypatch):
 
 
 def test_tails_distance_memory(tmp_path):
-    # the run holds X, Y (nd x d real each) and G (d x d complex), about twice
-    # the bytes of the complex basis, and no copy of [B | V]
+    # the run holds X whole but Y only in row blocks: at its peak X, the real
+    # accumulators of G (2 d x d) and one product buffer, about 1.5 times the
+    # bytes of the complex basis, and never Y whole or a copy of [B | V]
     import tracemalloc
     nd, d = 1000, 500
     raw = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
@@ -405,7 +410,7 @@ def test_tails_distance_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * nd * d * 16
+    assert peak < 1.7 * nd * d * 16
 
 
 @pytest.mark.xfail(strict=True, reason="known stream-key collisions in the tails suite "
@@ -662,10 +667,16 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     ("hermitize", {**_HERMITIZE_RAW, "n_list": [2**31 - 1]}),
     ("tails", {**_TAILS_N1_RAW, "n_list": [10], "distance_n": 2**39}),
     ("lemmas", {**_LEMMAS_RAW, "max_size": 2**39}),
+    # output directories the OS cannot take, passed through --out: a lone
+    # surrogate cannot be encoded, and a NUL cannot be in a path
+    ("lemmas", {**_LEMMAS_RAW, "output_dir": "o_\ud800"}),
+    ("lemmas", {**_LEMMAS_RAW, "output_dir": "o_\u0000x"}),
 ])
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)
-    assert cli_main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    out = str(tmp_path / raw.get("output_dir", "out"))
+    assert cli_main([command, "--config", path, "--out", out]) == 2
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 _THRESHOLD_RUNS = {"circular": _circular_raw(), "universality": _UNIVERSALITY_RAW,
@@ -701,6 +712,25 @@ def test_cli_out_of_range_threshold_exits_two(tmp_path, command, name, value):
     out = tmp_path / "out"
     assert cli_main([command, "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,thresholds", [
+    ("ds-solve", {"mass_low": 1.5}),  # above the default mass_high, 1.02
+    ("ds-solve", {"mass_low": 1.1, "mass_high": 1.05}),
+    ("tails", {"mean_dist2_high": 0.5}),  # below the default mean_dist2_low, 0.95
+    ("tails", {"mean_dist2_low": 2.0, "mean_dist2_high": 1.5}),
+])
+def test_cli_empty_threshold_interval_exits_two(tmp_path, command, thresholds):
+    # an `in` gate over [low, high] with low > high can never pass
+    raw = {**_THRESHOLD_RUNS[command], "thresholds": thresholds}
+    path = _write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    # a one-point interval is a valid gate
+    low, high = (("mass_low", "mass_high") if command == "ds-solve"
+                 else ("mean_dist2_low", "mean_dist2_high"))
+    config_from_dict({**raw, "thresholds": {low: 1.0, high: 1.0}})
 
 
 @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100_000, b'{"a": ' * 100_000],
