@@ -19,9 +19,10 @@ random subspace spanned by the columns of B = X + iY (nd by d; X is
 drawn first, then Y, each row-major, from ``_SUBSPACE_STREAM``).  It
 takes no QR: dist_t² = ‖v_t‖² − Re(c_t* G⁻¹ c_t) with G = B*B and
 c_t = B*v_t, from real products of X, Y and the rows and one complex
-solve.  X is held whole; Y is drawn in row blocks, each folded into G
-and c_t as it is drawn, so Y is never held whole and the step peaks at
-about 1.5 times the bytes of a complex B.  Forming G squares κ(B), so
+solve.  X is held whole; Y is drawn in row blocks, each folded as it is
+drawn into c_t and into one real accumulator W whose symmetric and skew
+parts are −Re G and Im G, so Y is never held whole and the step peaks at
+about 1.3 times the bytes of a complex B.  Forming G squares κ(B), so
 dist_t² carries a relative error of about κ(B)²·2⁻⁵³; a failed solve,
 or a dist_t² that is not finite and positive, is a
 NumericalFailureError.
@@ -291,10 +292,11 @@ def run_hermitization_check(cfg, out_dir):
 
         def trial_fn(t, n=n, eps=eps):
             a = _trial_matrix(cfg, n, t)
-            f_regs = regularized_log_det(a, cfg.z_grid, eps)
+            f_ns = [log_det_at(a, z) for z in cfg.z_grid]
+            # last, so that S = A/sqrt(n) may be scaled in the memory of A
+            f_regs = regularized_log_det(a, cfg.z_grid, eps, overwrite_a=True)
             metrics = {}
-            for i, (z, f_reg) in enumerate(zip(cfg.z_grid, f_regs)):
-                f_n = log_det_at(a, z)
+            for i, (z, f_n, f_reg) in enumerate(zip(cfg.z_grid, f_ns, f_regs)):
                 metrics[f"f_n_z{i}"] = f_n
                 metrics[f"f_reg_z{i}"] = f_reg
                 metrics[f"potential_gap_z{i}"] = abs(f_n - references[z])
@@ -411,40 +413,51 @@ def run_tail_suite(cfg, out_dir):
                   for t in range(cfg.distance_trials)], axis=1)
     complex_rows = np.iscomplexobj(v)
     norm2 = np.sum(v.real ** 2 + v.imag ** 2, axis=0)
-    # real products only (x.T @ x and y.T @ y run as syrk), so X and Y are
-    # never made complex.  Y is drawn in row blocks of at most 2^17 words,
-    # the same words as Y drawn whole, and each block is folded into C = B*V,
-    # G_re = XᵀX + YᵀY and P = XᵀY at once, so Y is never held whole; X and
-    # V are freed before the complex G is assembled.  C, which outlives the
-    # solve, is allocated before G_re and P, which do not: once freed, they
-    # and the loop's product buffers leave one free block that holds the
-    # solve's copy of G, so the heap need not grow for it (about 9 MB of
-    # peak RSS at nd = 2000, d = 1000).
+    # real products only (x.T @ x runs as syrk), so X and Y are never made
+    # complex.  Y is drawn in row blocks of at most 2^17 words, the same words
+    # as Y drawn whole, and each block is folded at once into the real and
+    # imaginary parts of C = B*V and into one real accumulator
+    #     W = −2XᵀX + Σ_r (X_r − Y_r)ᵀ(X_r + Y_r) = −(XᵀX + YᵀY) + (XᵀY − YᵀX),
+    # one real gemm per block, so Y is never held whole.  G is filled from W's
+    # symmetric and skew parts, Re G = −(W + Wᵀ)/2 and Im G = (W − Wᵀ)/2, so
+    # it is exactly Hermitian; W's terms round on the scale of ‖B‖², as the
+    # products of G itself do, so the κ(B)²·2⁻⁵³ bound above holds.  C is
+    # packed into one complex array, the solve's right-hand side, as the fold
+    # ends; X and V are freed before G is assembled, and W as soon as G is
+    # filled.  The product buffer is allocated once: a fresh d x d product per
+    # block, or a complex C accumulated from the start, read about 10 MB and
+    # 1 MB more peak RSS at nd = 2000, d = 1000.
     c_re = x.T @ v.real
     c_im = x.T @ v.imag if complex_rows else np.zeros_like(c_re)
-    g_re = x.T @ x
-    p = np.zeros((d, d))
+    w = x.T @ x
+    w *= -2.0
+    product = np.empty((d, d))
     step = max(1, (1 << 17) // d)
     for start in range(0, nd, step):
         rows = slice(start, start + step)
         y = basis_rows(min(step, nd - start))
-        g_re += y.T @ y
-        p += x[rows].T @ y
         c_im -= y.T @ v.real[rows]
         if complex_rows:
             c_re += y.T @ v.imag[rows]
-    del x, v, y
+        x_plus_y = x[rows] + y
+        np.subtract(x[rows], y, out=y)
+        w += np.matmul(y.T, x_plus_y, out=product)
+    c = np.empty(c_re.shape, dtype=np.complex128)
+    c.real = c_re
+    c.imag = c_im
+    del x, v, y, x_plus_y, product, c_re, c_im
     g = np.empty((d, d), dtype=np.complex128)
-    g.real = g_re
-    g.imag = p
-    g.imag -= p.T
-    del g_re, p
+    np.add(w, w.T, out=g.real)
+    g.real *= -0.5
+    np.subtract(w, w.T, out=g.imag)
+    g.imag *= 0.5
+    del w
     try:
-        w = np.linalg.solve(g, c_re + 1j * c_im)
+        g_inv_c = np.linalg.solve(g, c)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"the Gram matrix of the distance basis is singular: "
                                     f"{exc}") from exc
-    dist2 = norm2 - np.sum(c_re * w.real + c_im * w.imag, axis=0)
+    dist2 = norm2 - np.sum(c.real * g_inv_c.real + c.imag * g_inv_c.imag, axis=0)
     if not np.all(np.isfinite(dist2) & (dist2 > 0.0)):
         raise NumericalFailureError("a squared distance to the subspace is not finite and "
                                     "positive")

@@ -51,7 +51,7 @@ def log_det_at(a, z):
     return lu_log_abs_det(b) / b.shape[0]
 
 
-def regularized_log_det(a, zs, eps):
+def regularized_log_det(a, zs, eps, *, overwrite_a=False):
     """(1/2n) log det(B B* + eps I) with B = A/sqrt(n) - zI at every shift
     z of ``zs``, one value per shift, from one Gram product S S* of
     S = A/sqrt(n) and one LU factorization per shift.
@@ -72,10 +72,14 @@ def regularized_log_det(a, zs, eps):
     value.  The determinant of this Hermitian matrix is real, so its sign
     is +1 up to rounding in its phase; any other sign raises
     NumericalFailureError too.
+
+    With ``overwrite_a`` the caller gives up ``a``, and S may be formed in
+    its memory, as ``numerics.scaled_shift`` documents; the values are the
+    same bits either way.
     """
     if eps <= 0.0:
         raise ConfigurationError("regularization eps must be positive")
-    s = scaled_shift(a)
+    s = scaled_shift(a, overwrite_a=overwrite_a)
     n = s.shape[0]
     gram_s = s @ s.conj().T  # a real s's conj() is s itself, so this is one real syrk
     diagonal = np.diag_indices(n)

@@ -150,6 +150,18 @@ def test_regularized_at_zero_shift_is_the_gram_of_a_over_sqrt_n():
         assert regularized_log_det(a, [0.0], eps)[0] == float(logdet) / (2.0 * n)
 
 
+def test_regularized_overwrite_a_gives_the_same_values():
+    # overwrite_a lets S = A/sqrt(n) be formed in the memory of A; the values
+    # are the same bits, and without the flag A is left untouched
+    n, eps, zs = 40, 1e-3, [0.0, 0.5, 0.5 + 0.5j, 2.0]
+    for law in ("real_gaussian", "complex_gaussian"):
+        a = build_iid_matrix(n, scalar_distribution(law), RngStream(99, 7))
+        kept = a.copy()
+        expected = regularized_log_det(a, zs, eps)
+        assert np.array_equal(a, kept)
+        assert regularized_log_det(a, zs, eps, overwrite_a=True) == expected
+
+
 def test_regularized_monotone_and_convergent():
     a = _gaussian(30, 2)
     base = log_det_at(a, 0.3)
