@@ -17,7 +17,6 @@ from .ensembles import (
     build_base_matrix,
     build_iid_matrix,
     sample_array,
-    scalar_distribution,
 )
 from .errors import (
     BranchError,
@@ -28,6 +27,7 @@ from .errors import (
     SingularityError,
     SolverFailureError,
 )
+from .harness.config import scalar_distribution
 from .hermitization import (
     girko_kernel,
     girko_reconstruct,
@@ -48,7 +48,6 @@ from .limits import (
     solve_ds,
 )
 from .measures import (
-    EmpiricalMeasure1D,
     EmpiricalMeasure2D,
     TestFunctionDictionary,
     bl_distance,

@@ -40,14 +40,6 @@ class ScalarDistribution:
     exponent: float | None = None
 
 
-def scalar_distribution(kind, **params):
-    """The validated ScalarDistribution ``kind``; the entry-law table of
-    ``esdlab.harness.config`` states each law, its parameters and their
-    defaults."""
-    from .harness.config import entry_law  # that module imports this one
-    return entry_law({"kind": kind, **params}, "scalar distribution")
-
-
 def _fill_polar(rng, out):
     """Fill ``out`` with Marsaglia polar normals, in exact stream order.
 

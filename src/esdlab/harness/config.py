@@ -148,14 +148,13 @@ class Field(NamedTuple):
     ``parse(value, name)`` turns its JSON value into the parsed value.
     ``default`` is the JSON value used when the key is absent; REQUIRED
     makes the key mandatory, and None leaves the value None and the key
-    out of the dump.  ``dump`` gives the canonical JSON form; None means
-    the key is never echoed.
+    out of the dump.  ``dump`` gives the canonical JSON form.
     """
 
     name: str
     parse: Callable
     default: object = REQUIRED
-    dump: Callable | None = _same
+    dump: Callable = _same
 
 
 def _parse_fields(raw, fields, where):
@@ -177,7 +176,7 @@ def _dump_fields(obj, fields):
     out = {}
     for f in fields:
         value = getattr(obj, f.name)
-        if f.dump is not None and value is not None:
+        if value is not None:
             out[f.name] = f.dump(value)
     return out
 
@@ -287,6 +286,13 @@ def _overrides(fields):
 
 
 entry_law = _spec_parser(ScalarDistribution, _ENTRY_LAWS)
+
+
+def scalar_distribution(kind, **params):
+    """The validated ScalarDistribution ``kind``, parsed through the entry-law table."""
+    return entry_law({"kind": kind, **params}, "scalar distribution")
+
+
 _entry_law_dump = _spec_dump(_ENTRY_LAWS)
 _base = _spec_parser(BaseMatrixSpec, _BASE_KINDS)
 _base_dump = _spec_dump(_BASE_KINDS)
@@ -318,10 +324,10 @@ _MATRIX_FIELDS = (
 )
 
 _OWN_FIELDS = {
-    "circular": _MATRIX_FIELDS + (Field("center", _as_complex, None, _complex_out),),
+    "circular": _MATRIX_FIELDS,
     "universality": _MATRIX_FIELDS + (
         Field("mode", _one_of(*ASSEMBLY_MODES), "shift"),
-        Field("dist_y", entry_law, None, _entry_law_dump),
+        Field("dist_y", entry_law, dump=_entry_law_dump),
         Field("profile", _profile, None, dict),
         Field("sandwich_k", _base, None, _base_dump),
         Field("sandwich_l", _base, None, _base_dump),

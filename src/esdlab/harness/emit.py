@@ -64,7 +64,7 @@ def write_ds_csv(path, solution):
 def scatter_svg(mu, center=0j):
     """SVG scatter of a plane measure, 500 px on viewBox [-2.5, 2.5]^2: one
     one-pixel glyph per atom, axes, and a unit-circle overlay at the
-    configured center.  A scale(1,-1) group keeps the imaginary axis
+    given center.  A scale(1,-1) group keeps the imaginary axis
     pointing up."""
     center = complex(center)
     size_px, view = 500, 2.5

@@ -10,22 +10,11 @@ Two stream keys are known to collide, both in the tails suite: the
 fixed subspace stream ``_SUBSPACE_STREAM`` = 1 << 32 is the matrix
 stream of trial 0 at n = 256, and distance row t reuses the matrix
 stream of trial t whenever ``distance_n`` is also in ``n_list``.  Apart
-from these, and from the X = Y sanity mode of universality, which redraws
-A's stream on purpose, distinct sizes, trials (below 2**20) and roles
-draw from distinct streams.
+from these, distinct sizes, trials (below 2**20) and roles draw from
+distinct streams.
 
-The tails suite measures the distance of fresh rows v_t to a fixed
-random subspace spanned by the columns of B = X + iY (nd by d; X is
-drawn first, then Y, each row-major, from ``_SUBSPACE_STREAM``).  It
-takes no QR: dist_t² = ‖v_t‖² − Re(c_t* G⁻¹ c_t) with G = B*B and
-c_t = B*v_t, from real products of X, Y and the rows and one complex
-solve.  X is held whole; Y is drawn in row blocks, each folded as it is
-drawn into c_t and into one real accumulator W whose symmetric and skew
-parts are −Re G and Im G, so Y is never held whole and the step peaks at
-about 1.3 times the bytes of a complex B.  Forming G squares κ(B), so
-dist_t² carries a relative error of about κ(B)²·2⁻⁵³; a failed solve,
-or a dist_t² that is not finite and positive, is a
-NumericalFailureError.
+The tails suite's distance-to-subspace step, and why it takes no QR, is
+described where ``run_tail_suite`` computes it.
 
 Wall-clock timings are printed to the console and deliberately kept out
 of the CSV artifacts, which must be byte-identical across reruns.
@@ -184,8 +173,6 @@ def _profile_matrix(profile, n):
 
 def _auto_center(cfg):
     """Fig.1 convention: a scaled identity shift recenters the disk at a."""
-    if cfg.center is not None:
-        return complex(cfg.center)
     b = cfg.base
     if b.kind == "two_block_diagonal" and b.scale_by_sqrt_n and b.a == b.b:
         return complex(b.a)
@@ -233,12 +220,6 @@ def run_universality(cfg, out_dir):
     thr = cfg.resolved_thresholds()
     result = ExperimentResult("universality")
     medians = []
-    # without a second distribution, B reuses both the distribution and the
-    # stream of A: the degenerate X = Y sanity mode with distance exactly zero
-    if cfg.dist_y is None:
-        dist_y, role_y = cfg.dist_x, ROLE_X
-    else:
-        dist_y, role_y = cfg.dist_y, ROLE_Y
     for n in cfg.n_list:
         factors = {}
         if cfg.mode == "sandwich":
@@ -249,9 +230,9 @@ def run_universality(cfg, out_dir):
 
         def trial_fn(t, n=n, factors=factors):
             a = _trial_matrix(cfg, n, t, cfg.dist_x, ROLE_X, cfg.mode, **factors)
-            b = _trial_matrix(cfg, n, t, dist_y, role_y, cfg.mode, **factors)
+            b = _trial_matrix(cfg, n, t, cfg.dist_y, ROLE_Y, cfg.mode, **factors)
             return {"bl_distance": bl_distance(esd_eigen(a), esd_eigen(b)),
-                    "dilation_ks": ks_two_sample(dilation_esd(a).atoms, dilation_esd(b).atoms)}
+                    "dilation_ks": ks_two_sample(dilation_esd(a), dilation_esd(b))}
         col = _fold_trials(cfg, result, n, trial_fn)
         medians.append(float(np.median(col["bl_distance"])))
     if len(cfg.n_list) > 1:
@@ -484,19 +465,19 @@ def run_tail_suite(cfg, out_dir):
 # ------------------------------------------------------------------- lemmas
 
 def _random_case_matrix(rng, max_size, case):
-    """Deterministic rotation over square/rectangular, real/complex cases."""
+    """Deterministic rotation over the four kinds of case: case % 4 is 0
+    for complex square, 1 real square, 2 complex wide and 3 real wide (an
+    n' by n matrix with n' < n).  Entries are uniform on [-1/2, 1/2), the
+    real parts drawn first, then the imaginary parts."""
     u = rng.uniforms(3)
     n = 4 + int(u[0] * (max_size - 3))
     kind = case % 4
-    if kind == 2:  # rectangular, n' < n
-        rows = max(2, int(n * (0.3 + 0.6 * u[1])))
-        g = rng.uniforms(2 * rows * n)
-        return (g[:rows * n] - 0.5).reshape(rows, n) + 1j * (g[rows * n:] - 0.5).reshape(rows, n)
-    g = rng.uniforms(2 * n * n)
-    real = (g[:n * n] - 0.5).reshape(n, n)
-    if kind == 1:
-        return real
-    return real + 1j * (g[n * n:] - 0.5).reshape(n, n)
+    rows = n if kind < 2 else max(2, int(n * (0.3 + 0.6 * u[1])))
+    size = rows * n
+    real = kind % 2 == 1
+    g = rng.uniforms(size if real else 2 * size)
+    a = (g[:size] - 0.5).reshape(rows, n)
+    return a if real else a + 1j * (g[size:] - 0.5).reshape(rows, n)
 
 
 def run_lemma_suite(cfg, out_dir):

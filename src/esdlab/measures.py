@@ -5,8 +5,11 @@ The 1/sqrt(n) spectral normalization is applied exactly once, by
 already-normalized atoms.  ``esd_eigen`` and ``dilation_esd`` are
 entries: each validates A once, in ``scaled_shift``, and hands the
 result to the ``eigenvalues`` or ``singular_values`` kernel, which does
-not validate it again.  The singular-value law of A/sqrt(n) - zI has its
-one entry in ``hermitization.shifted_singular_values``.
+not validate it again.  ``esd_eigen`` returns an ``EmpiricalMeasure2D``;
+``dilation_esd`` returns the signed atoms of the dilation spectrum as a
+plain float64 array, the form ``ks_two_sample`` takes.  The
+singular-value law of A/sqrt(n) - zI has its one entry in
+``hermitization.shifted_singular_values``.
 
 Vague convergence is operationalized by ``bl_distance`` against a fixed,
 versioned dictionary of bounded 1-Lipschitz bump functions; the grid
@@ -44,29 +47,6 @@ class EmpiricalMeasure2D:
         return self.atoms.size
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure1D:
-    """Finite atomic probability measure on the real line, weight 1/n each.
-
-    The Hermitian dilation spectrum of ``dilation_esd`` is supported on
-    all of R (signed atoms).
-    """
-
-    atoms: np.ndarray
-
-    def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.atoms, dtype=np.float64))
-        if a.ndim != 1 or a.size == 0:
-            raise ConfigurationError("measure needs a nonempty 1-D atom array")
-        if not np.all(np.isfinite(a)):
-            raise ConfigurationError("measure atoms must be finite")
-        object.__setattr__(self, "atoms", a)
-
-    @property
-    def size(self):
-        return self.atoms.size
-
-
 def esd_eigen(a, *, overwrite_a=False):
     """Eigenvalue ESD of A/sqrt(n); ``overwrite_a`` lets A be scaled in
     place (see ``numerics.scaled_shift``)."""
@@ -74,14 +54,15 @@ def esd_eigen(a, *, overwrite_a=False):
 
 
 def dilation_esd(a):
-    """ESD of the 2n-by-2n Hermitian dilation [[0, A/sqrt(n)], [*, 0]].
+    """ESD of the 2n-by-2n Hermitian dilation [[0, A/sqrt(n)], [*, 0]],
+    returned as its 2n signed atoms, each of weight 1/(2n).
 
     The atoms are exactly the positive and negative singular values of
-    A/sqrt(n), each with weight 1/(2n); the set is negation-symmetric by
+    A/sqrt(n), in increasing order; the set is negation-symmetric by
     construction.
     """
     s = singular_values(scaled_shift(a))
-    return EmpiricalMeasure1D(np.concatenate([-s, s[::-1]]))
+    return np.concatenate([-s, s[::-1]])
 
 
 def second_moment(mu):

@@ -1,5 +1,5 @@
 """Config field tables: pinned canonical dumps and threshold defaults, a
-mutation property and the README's lists of kinds and thresholds."""
+mutation property and the README's lists of keys, kinds and thresholds."""
 
 import copy
 import json
@@ -65,8 +65,7 @@ _FULL = {
                  "thresholds": {"radial_ks": 0.1, "in_disk_radius": 2},
                  "n_list": [30, 60.0], "trials": 3,
                  "dist_x": {"kind": "two_point_asymmetric", "p": 0.25},
-                 "base": {"kind": "diagonal_from_measure", "atoms": [1, [0.5, -0.5]]},
-                 "center": [0.25, -0.5]},
+                 "base": {"kind": "diagonal_from_measure", "atoms": [1, [0.5, -0.5]]}},
     "universality": {"schema_version": 1, "experiment": "universality", "master_seed": 0,
                      "output_dir": "runs/univ", "threads": 3,
                      "thresholds": {"final_median_bl": 0.2},
@@ -136,7 +135,7 @@ PINNED = {
         ' "schema_version": 1, "threads": 1, "thresholds": {}, "trials": 100}'),
     "full_circular": (
         '{"base": {"atoms": [1.0, [0.5, -0.5]], "kind": "diagonal_from_measure"},'
-        ' "center": [0.25, -0.5], "dist_x": {"kind": "two_point_asymmetric", "p": 0.25},'
+        ' "dist_x": {"kind": "two_point_asymmetric", "p": 0.25},'
         ' "experiment": "circular", "master_seed": 18446744073709551615, "n_list": [30, 60],'
         ' "output_dir": "runs/circ", "schema_version": 1, "threads": 2,'
         ' "thresholds": {"in_disk_radius": 2.0, "radial_ks": 0.1}, "trials": 3}'),
@@ -241,6 +240,14 @@ def test_threshold_defaults_pinned(experiment):
 def test_shift_mode_key_is_unknown_outside_universality(experiment):
     with pytest.raises(ConfigurationError, match="unknown keys"):
         config_from_dict({**_ROUNDTRIP[experiment], "mode": "shift"})
+
+
+def test_readme_names_every_key():
+    readme = README.read_text(encoding="utf-8")
+    for tables in (FIELDS, _ENTRY_LAWS, _BASE_KINDS, _PROFILE_FIELDS):
+        for table in tables.values():
+            for f in table:
+                assert f"`{f.name}`" in readme, f.name
 
 
 def test_readme_names_every_kind():

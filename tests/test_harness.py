@@ -145,15 +145,6 @@ def test_circular_identity_shift_recenters_disk(tmp_path):
     assert 1.2 < rec.metrics["second_moment"] < 1.8
 
 
-def test_universality_same_distribution_same_stream_is_exactly_zero(tmp_path):
-    raw = {"schema_version": 1, "experiment": "universality", "master_seed": 3,
-           "n_list": [30], "trials": 2, "dist_x": {"kind": "bernoulli"},
-           "base": {"kind": "zero"}}
-    result = run_experiment(config_from_dict(raw), tmp_path)
-    assert all(r.metrics["bl_distance"] == 0.0 for r in result.records)
-    assert all(r.metrics["dilation_ks"] == 0.0 for r in result.records)
-
-
 def test_universality_sandwich_mode_runs(tmp_path):
     raw = {"schema_version": 1, "experiment": "universality", "master_seed": 4,
            "n_list": [24], "trials": 2, "mode": "sandwich",
@@ -599,6 +590,18 @@ def test_weyl_slack_override_reaches_nilpotent_gates(tmp_path):
     assert thresholds["weyl_nilpotent_product"] == 1e-7 * 8  # the nilpotent block is 8x8
 
 
+def test_lemma_cases_rotate_over_four_kinds():
+    from esdlab.harness.experiments import _random_case_matrix
+    kinds = []
+    for case in range(8):
+        a = _random_case_matrix(RngStream(5, case), 12, case)
+        rows, cols = a.shape
+        kinds.append(("complex" if np.iscomplexobj(a) else "real",
+                      "square" if rows == cols else "wide" if rows < cols else "tall"))
+    assert kinds == [("complex", "square"), ("real", "square"),
+                     ("complex", "wide"), ("real", "wide")] * 2
+
+
 # ---------------------------------------------------------------------- CLI
 
 def _write_config(tmp_path, raw, name="cfg.json"):
@@ -648,7 +651,8 @@ _DS_RAW = {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3}
 _LEMMAS_RAW = {"schema_version": 1, "experiment": "lemmas", "master_seed": 3,
                "lemma_cases": 4, "max_size": 6}
 _UNIVERSALITY_RAW = {"schema_version": 1, "experiment": "universality", "master_seed": 3,
-                     "n_list": [12], "trials": 2, "dist_x": {"kind": "bernoulli"}}
+                     "n_list": [12], "trials": 2, "dist_x": {"kind": "bernoulli"},
+                     "dist_y": {"kind": "real_gaussian"}}
 _HERMITIZE_RAW = {"schema_version": 1, "experiment": "hermitize", "master_seed": 5,
                   "n_list": [10], "trials": 1, "dist_x": {"kind": "bernoulli"},
                   "z_grid": [0.5]}
@@ -684,7 +688,8 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
                   "mp_oracle": True, "h_atoms": [1.0]}),
     ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
                   "x_min": -math.inf}),
-    ("circular", _circular_raw(center=math.nan)),
+    # the disk centre comes from the base alone: circular has no center key
+    ("circular", _circular_raw(center=[0.25, -0.5])),
     ("circular", _circular_raw(thresholds={"radial_ks": math.inf})),
     ("tails", {"schema_version": 1, "experiment": "tails", "master_seed": 3,
                "n_list": [100], "trials": 2, "dist_x": {"kind": "bernoulli"},
@@ -720,6 +725,8 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     # surrogate cannot be encoded, and a NUL cannot be in a path
     ("lemmas", {**_LEMMAS_RAW, "output_dir": "o_\ud800"}),
     ("lemmas", {**_LEMMAS_RAW, "output_dir": "o_\u0000x"}),
+    # universality always compares against an independent draw of dist_y
+    ("universality", {k: v for k, v in _UNIVERSALITY_RAW.items() if k != "dist_y"}),
 ])
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)
@@ -856,7 +863,8 @@ _EYE3 = {"kind": "explicit", "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
                    "base": {"kind": "low_rank", "rank": 5, "magnitude": 1.0}}),
     ("universality", {"schema_version": 1, "experiment": "universality", "master_seed": 3,
                       "n_list": [3, 40], "trials": 2, "mode": "sandwich",
-                      "dist_x": {"kind": "bernoulli"}, "sandwich_k": _EYE3,
+                      "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},
+                      "sandwich_k": _EYE3,
                       "sandwich_l": {"kind": "diagonal_from_measure", "atoms": [1.0]}}),
 ])
 def test_cli_base_unbuildable_at_some_size_exits_two_and_writes_nothing(tmp_path, command,
