@@ -13,8 +13,11 @@ stream of trial t whenever ``distance_n`` is also in ``n_list``.  Apart
 from these, distinct sizes, trials (below 2**20) and roles draw from
 distinct streams.
 
-The tails suite's distance-to-subspace step, and why it takes no QR, is
-described where ``run_tail_suite`` computes it.
+The tails suite's distance-to-subspace step is described where
+``run_tail_suite`` computes it: why it takes no QR, how it draws the
+basis in row blocks through two cursors on the subspace stream, and how
+it solves the Gram system in two halves through a Schur complement
+without ever forming the Gram matrix.
 
 Wall-clock timings are printed to the console and deliberately kept out
 of the CSV artifacts, which must be byte-identical across reruns.
@@ -22,6 +25,7 @@ of the CSV artifacts, which must be byte-identical across reruns.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 import os
@@ -382,63 +386,92 @@ def run_tail_suite(cfg, out_dir):
     from ..ensembles import sample_array
     nd, d = cfg.distance_n, cfg.distance_d
     aux = RngStream(cfg.master_seed, _SUBSPACE_STREAM)
+    # X is the first nd·d words of the stream and Y the next, each row-major;
+    # a second cursor reads Y alongside X, so neither is ever held whole
+    aux_y = copy.copy(aux)
+    aux_y.skip(nd * d)
 
-    def basis_rows(count):
-        part = aux.uniforms(count * d)
+    def basis_rows(stream, count):
+        part = stream.uniforms(count * d)
         part -= 0.5
         return part.reshape(count, d)
 
-    # X first, then Y, each row-major; then the rows in trial order
-    x = basis_rows(nd)
     v = np.stack([sample_array(cfg.dist_x, _stream(cfg, nd, t, ROLE_X), nd)
                   for t in range(cfg.distance_trials)], axis=1)
     complex_rows = np.iscomplexobj(v)
     norm2 = np.sum(v.real ** 2 + v.imag ** 2, axis=0)
     # real products only (x.T @ x runs as syrk), so X and Y are never made
-    # complex.  Y is drawn in row blocks of at most 2^17 words, the same words
-    # as Y drawn whole, and each block is folded at once into the real and
-    # imaginary parts of C = B*V and into one real accumulator
-    #     W = −2XᵀX + Σ_r (X_r − Y_r)ᵀ(X_r + Y_r) = −(XᵀX + YᵀY) + (XᵀY − YᵀX),
-    # one real gemm per block, so Y is never held whole.  G is filled from W's
-    # symmetric and skew parts, Re G = −(W + Wᵀ)/2 and Im G = (W − Wᵀ)/2, so
-    # it is exactly Hermitian; W's terms round on the scale of ‖B‖², as the
-    # products of G itself do, so the κ(B)²·2⁻⁵³ bound above holds.  C is
-    # packed into one complex array, the solve's right-hand side, as the fold
-    # ends; X and V are freed before G is assembled, and W as soon as G is
-    # filled.  The product buffer is allocated once: a fresh d x d product per
-    # block, or a complex C accumulated from the start, read about 10 MB and
-    # 1 MB more peak RSS at nd = 2000, d = 1000.
-    c_re = x.T @ v.real
-    c_im = x.T @ v.imag if complex_rows else np.zeros_like(c_re)
-    w = x.T @ x
-    w *= -2.0
+    # complex.  X and Y are drawn in row blocks of at most 2^18 words each,
+    # and each pair of blocks is folded at once into C = B*V and into one
+    # real accumulator
+    #     W = Σ_r [(X_r − Y_r)ᵀ(X_r + Y_r)/2 − X_rᵀX_r] = (XᵀY − YᵀX − XᵀX − YᵀY)/2,
+    # one syrk and one gemm per block into one product buffer.  Halving
+    # X_r + Y_r is exact, so W is exactly half the sum of the full terms.
+    # At nd = 2000, d = 1000, blocks of 2^17 words read 1 MB less peak RSS
+    # and took about 50 ms longer; accumulating C in two real arrays and
+    # packing them as the fold ends read 2.4 MB more.
+    c = np.zeros((d, v.shape[1]), dtype=np.complex128)
+    w = np.zeros((d, d))
     product = np.empty((d, d))
-    step = max(1, (1 << 17) // d)
+    step = max(1, (1 << 18) // d)
     for start in range(0, nd, step):
         rows = slice(start, start + step)
-        y = basis_rows(min(step, nd - start))
-        c_im -= y.T @ v.real[rows]
+        x = basis_rows(aux, min(step, nd - start))
+        y = basis_rows(aux_y, len(x))
+        c.real += x.T @ v.real[rows]
+        c.imag -= y.T @ v.real[rows]
         if complex_rows:
-            c_re += y.T @ v.imag[rows]
-        x_plus_y = x[rows] + y
-        np.subtract(x[rows], y, out=y)
-        w += np.matmul(y.T, x_plus_y, out=product)
-    c = np.empty(c_re.shape, dtype=np.complex128)
-    c.real = c_re
-    c.imag = c_im
-    del x, v, y, x_plus_y, product, c_re, c_im
-    g = np.empty((d, d), dtype=np.complex128)
-    np.add(w, w.T, out=g.real)
-    g.real *= -0.5
-    np.subtract(w, w.T, out=g.imag)
-    g.imag *= 0.5
+            c.real += y.T @ v.imag[rows]
+            c.imag += x.T @ v.imag[rows]
+        w -= np.matmul(x.T, x, out=product)
+        half_sum = x + y
+        half_sum *= 0.5
+        np.subtract(x, y, out=y)
+        w += np.matmul(y.T, half_sum, out=product)
+    del v, x, y, half_sum, product
+    # G is never formed.  Its blocks G11, G12 and G22, split at h, are filled
+    # from W's symmetric and skew parts, Re G = −(W + Wᵀ) and Im G = W − Wᵀ,
+    # so G is exactly Hermitian; W's terms round on the scale of ‖B‖², as the
+    # products of G itself do.  The quadratic form is then
+    #     c*G⁻¹c = c₁*G11⁻¹c₁ + r*S⁻¹r,  r = c₂ − G12*G11⁻¹c₁,
+    # with the Schur complement S = G22 − G12*G11⁻¹G12, by two solves with
+    # G11 and one with S, each half the size of G.  G11 and S are Hermitian
+    # positive definite with condition numbers at most κ(G), so the
+    # κ(B)²·2⁻⁵³ bound above holds.  W is freed as soon as the blocks are
+    # filled, before the first solve.
+    # Solving G11 once against [G12 | c₁] instead of twice read 1.6 MB more
+    # peak RSS at nd = 2000, d = 1000, and 3.1 MB more with esdlab's
+    # bytecode cached.
+    h = d // 2
+    k = d - h
+    top, bottom = slice(0, h), slice(h, d)
+
+    def gram_block(out, rows, cols):
+        np.add(w[rows, cols], w[cols, rows].T, out=out.real)
+        np.negative(out.real, out=out.real)
+        np.subtract(w[rows, cols], w[cols, rows].T, out=out.imag)
+        return out
+
+    g12 = gram_block(np.empty((h, k), dtype=np.complex128), top, bottom)
+    g11 = gram_block(np.empty((h, h), dtype=np.complex128), top, top)
+    s = gram_block(np.empty((k, k), dtype=np.complex128), bottom, bottom)
     del w
+    c1, r = c[top], c[bottom]
     try:
-        g_inv_c = np.linalg.solve(g, c)
+        g11_inv_g12 = np.linalg.solve(g11, g12)
+        g11_inv_c1 = np.linalg.solve(g11, c1)
+        quad = np.sum(c1.real * g11_inv_c1.real + c1.imag * g11_inv_c1.imag, axis=0)
+        # with G12 conjugated in place, G12* is its transpose, a view
+        np.conjugate(g12, out=g12)
+        s -= g12.T @ g11_inv_g12
+        r -= g12.T @ g11_inv_c1
+        del g12, g11_inv_g12, g11_inv_c1
+        s_inv_r = np.linalg.solve(s, r)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"the Gram matrix of the distance basis is singular: "
                                     f"{exc}") from exc
-    dist2 = norm2 - np.sum(c.real * g_inv_c.real + c.imag * g_inv_c.imag, axis=0)
+    quad += np.sum(r.real * s_inv_r.real + r.imag * s_inv_r.imag, axis=0)
+    dist2 = norm2 - quad
     if not np.all(np.isfinite(dist2) & (dist2 > 0.0)):
         raise NumericalFailureError("a squared distance to the subspace is not finite and "
                                     "positive")

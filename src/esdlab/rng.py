@@ -113,6 +113,13 @@ class RngStream:
             raise ConfigurationError("cannot rewind past the stream origin")
         self._pos -= count
 
+    def skip(self, count):
+        """Pass over the next ``count`` words without drawing them, so that a
+        copy of the stream can read a later stretch of it."""
+        if count < 0:
+            raise ConfigurationError("count must be nonnegative")
+        self._pos += count
+
     def uniforms(self, count):
         """Uniform doubles on the open interval (0, 1), one word each."""
         return words_to_uniforms(self.raw(count))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -345,13 +346,23 @@ def test_tails_batched_distances_match_row_by_row(tmp_path):
         assert dist == pytest.approx(np.linalg.norm(v - q @ (q.conj().T @ v)), rel=1e-12)
 
 
-@pytest.mark.parametrize("kind,nd,d,rel", [("complex_gaussian", 100, 50, 1e-12),
-                                             # kappa(B)^2 is about 3e4 at d = nd - 1
-                                             ("bernoulli", 200, 199, 1e-8),
-                                             # Y is folded in row blocks of at most
-                                             # 2^17 words: 327, 327 and 46 rows
-                                             ("bernoulli", 700, 400, 1e-12),
-                                             ("complex_gaussian", 700, 400, 1e-12)])
+# X and Y are folded in row blocks of at most 2^18 words each, and G is
+# solved in two halves split at h = d // 2
+_DISTANCE_SHAPES = [(100, 50, 1e-12),
+                    # kappa(B)^2 is about 3e4 at d = nd - 1
+                    (200, 199, 1e-8),
+                    # row blocks of 655 and 45 rows
+                    (700, 400, 1e-12),
+                    # d = 1: G11 is 0 x 0 and S is G itself
+                    (100, 1, 1e-12),
+                    # an odd split: G11 is 25 x 25 and S is 26 x 26
+                    (101, 51, 1e-12),
+                    # row blocks of 436, 436 and 28 rows
+                    (900, 600, 1e-12)]
+
+
+@pytest.mark.parametrize("kind,nd,d,rel", [(kind, *shape) for shape in _DISTANCE_SHAPES
+                                             for kind in ("bernoulli", "complex_gaussian")])
 def test_tails_distances_match_complete_qr(tmp_path, kind, nd, d, rel):
     from esdlab.ensembles import sample_array
     from esdlab.harness import experiments as ex
@@ -387,11 +398,11 @@ def test_cli_zero_distance_row_exits_three(tmp_path, monkeypatch):
 
 
 def test_tails_distance_memory(tmp_path):
-    # the run holds X whole but Y only in row blocks: at its peak X, the rows
-    # V with C = B*V, one real d x d accumulator W of G and one product
-    # buffer, about 1.2 times the bytes of the complex basis, and never Y
-    # whole or a copy of [B | V].  At this shape the d x d arrays dominate:
-    # two real accumulators of G read 1.38 times
+    # X and Y are drawn in row blocks: at its peak the run holds the rows V,
+    # C = B*V, one real d x d accumulator W of G, one product buffer and one
+    # row block each of X, Y and X + Y, about 0.87 times the bytes of the
+    # complex basis, and never X, Y or G whole or a copy of [B | V].
+    # Holding X whole read 1.21 times
     import tracemalloc
     nd, d = 2000, 1000
     raw = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
@@ -405,7 +416,7 @@ def test_tails_distance_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * nd * d * 16
+    assert peak < 0.9 * nd * d * 16
 
 
 _TAILS_RSS_CHILD = """
@@ -432,25 +443,43 @@ def test_tails_distance_peak_rss(tmp_path):
     # on one thread: from the second run on, glibc's raised mmap threshold
     # puts every array on the heap, and the order of the allocations decides
     # how far it grows.  The child reads its own peak (VmHWM): ru_maxrss
-    # would carry over the peak of the process that spawned it.  Its peak
-    # grew 48.05-48.11 MB over its RSS after import in 6 runs (numpy 2.4,
-    # OpenBLAS 0.3.31, glibc, x86-64); the bound leaves 2.4 MB of headroom.
-    # Two real accumulators of G read 53.2-53.3 MB, and a fresh d x d
-    # product per Y block 58.8-59.0 MB
+    # would carry over the peak of the process that spawned it.  The heap the
+    # imports leave differs with and without esdlab's cached bytecode, so the
+    # child runs on a bytecode-free copy of the package, first as it is and
+    # then after an import has written its bytecode.  In 6 runs each (numpy
+    # 2.4, OpenBLAS 0.3.31, glibc, x86-64) its peak grew 37.69-37.81 MB over
+    # its RSS after import without bytecode and 41.36-41.46 MB with it; the
+    # bounds leave 2.5-2.7 MB of headroom.  Holding X whole and solving G
+    # whole read 48.2 and 68.8 MB; solving G11 once against [G12 | c1]
+    # instead of twice read 39.3 and 44.5 MB
     raw = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
            "n_list": [10], "trials": 2, "dist_x": {"kind": "bernoulli"},
            "base": {"kind": "zero"}, "distance_n": 2000, "distance_d": 1000,
            "distance_trials": 200, "threads": 1}
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = [src, os.environ.get("PYTHONPATH", "")]
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = tmp_path / "src"
+    shutil.copytree(os.path.join(os.path.dirname(tests), "src"), src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", _TAILS_RSS_CHILD, json.dumps(raw),
-                           str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    growth_mb = int(proc.stdout.split()[-1]) / 1024
-    assert growth_mb < 50.5
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
+
+    def growth_mb():
+        proc = subprocess.run([sys.executable, "-c", _TAILS_RSS_CHILD, json.dumps(raw),
+                               str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout.split()[-1]) / 1024
+
+    cold = growth_mb()
+    writing = {k: v for k, v in env.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([sys.executable, "-c", "import esdlab.harness"], env=writing, check=True,
+                   timeout=300)
+    assert list((src / "esdlab" / "harness").glob("__pycache__/experiments.*.pyc"))
+    cached = growth_mb()
+    assert cold < 40.5 and cached < 44.0, (cold, cached)
 
 
 @pytest.mark.xfail(strict=True, reason="known stream-key collisions in the tails suite "

@@ -1,5 +1,7 @@
 """Stream generator: golden vectors, determinism, independence."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,23 @@ def test_split_raw_across_block_boundary_matches_one_draw(a, b):
     s.raw(a + 5)
     s.rewind(5)
     assert np.array_equal(s.raw(b), whole[a:])
+
+
+@pytest.mark.parametrize("k,m", [(BLOCK + 7, 20), (3, BLOCK + 2), (2 * BLOCK - 1, BLOCK + 1)])
+def test_skip_then_raw_matches_the_tail_of_one_draw(k, m):
+    whole = RngStream(9, 3).raw(k + m)
+    s = RngStream(9, 3)
+    later = copy.copy(s)
+    later.skip(k)
+    assert later.position == k
+    assert np.array_equal(later.raw(m), whole[k:])
+    # the copy is a second cursor: the original still starts at word 0
+    assert s.position == 0
+    assert np.array_equal(s.raw(k), whole[:k])
+
+
+def test_skip_rejects_a_negative_count():
+    s = RngStream(5, 5)
+    with pytest.raises(ConfigurationError):
+        s.skip(-1)
+    assert s.position == 0
