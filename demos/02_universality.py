@@ -49,7 +49,7 @@ ENSEMBLES = {
         "dist_x": {"kind": "bernoulli"},
         "dist_y": {"kind": "real_gaussian"},
         "base": {"kind": "zero"},
-        "profile": {"kind": "ramp", "low": 0.5, "high": 2.0},
+        "profile": {"low": 0.5, "high": 2.0},
     },
 }
 

@@ -31,10 +31,6 @@ class SingularityError(NumericalFailureError):
 class SolverFailureError(NumericalFailureError):
     """A solver did not reach the requested residual."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class BranchError(SolverFailureError):
     """A solution is not on the upper-half-plane branch, or not the only one."""

@@ -6,10 +6,11 @@ to a default.  Resolved thresholds (defaults merged with overrides) are
 echoed into the run manifest.
 
 Each experiment has one field table in ``FIELDS`` and one of gate
-thresholds in ``THRESHOLDS``; each entry law, base-matrix kind and
-profile kind has one too.  A table entry states a key's parser (range
-checks included), its default and its dump form once; parsing,
-unknown-key rejection and the canonical dump are loops over the table.
+thresholds in ``THRESHOLDS``; each entry law and base-matrix kind has
+one too, and so has the profile of hadamard_profile mode.  A table
+entry states a key's parser (range checks included), its default and
+its dump form once; parsing, unknown-key rejection and the canonical
+dump are loops over the table.
 The rules that tie two fields together are in ``_check_cross_fields``.
 """
 
@@ -20,6 +21,8 @@ import json
 import math
 import numbers
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from ..ensembles import (
     ASSEMBLY_MODES,
@@ -233,10 +236,9 @@ _BASE_KINDS = {
     ),
 }
 
-_PROFILE_FIELDS = {
-    "constant": (Field("value", _POSITIVE_FLOAT, 1.0),),
-    "ramp": (Field("low", _POSITIVE_FLOAT), Field("high", _as_float)),
-}
+# the entrywise scale C of hadamard_profile mode ramps from low to high
+# along the antidiagonals
+_PROFILE_FIELDS = (Field("low", _POSITIVE_FLOAT), Field("high", _as_float))
 
 # Gate thresholds.  A tolerance (a `<` gate) is positive, a pass fraction
 # is in [0, 1], and a slack scale (a `<=` gate) or a lower bound is at least 0.
@@ -257,8 +259,6 @@ THRESHOLDS = {
     "ds_solve": (
         Field("oracle_gap", _POSITIVE_FLOAT, 1e-8),
         Field("density_sup_error", _POSITIVE_FLOAT, 1e-2),
-        Field("mass_low", _NONNEGATIVE_FLOAT, 0.98),
-        Field("mass_high", _POSITIVE_FLOAT, 1.02),
     ),
     "tails": (
         Field("sigma_min_exponent", _POSITIVE_FLOAT, 10.0),  # floor n ** -exponent
@@ -296,7 +296,10 @@ def scalar_distribution(kind, **params):
 _entry_law_dump = _spec_dump(_ENTRY_LAWS)
 _base = _spec_parser(BaseMatrixSpec, _BASE_KINDS)
 _base_dump = _spec_dump(_BASE_KINDS)
-_profile = _spec_parser(lambda kind, **kw: {"kind": kind, **kw}, _PROFILE_FIELDS)
+
+
+def _profile(value, what):
+    return _parse_fields(_as_object(value, what), _PROFILE_FIELDS, what)
 
 
 def _common_fields(experiment):
@@ -346,7 +349,6 @@ _OWN_FIELDS = {
         Field("x_step", _POSITIVE_FLOAT, 1.0 / 400.0),
         Field("eta_schedule", _tuple_of(_as_float), DEFAULT_ETA_SCHEDULE, list),
         Field("agreement_tol", _POSITIVE_FLOAT, 1e-3),
-        Field("mass_check", _as_bool, False),
         Field("mp_oracle", _as_bool, False),
     ),
     "tails": _MATRIX_FIELDS + (
@@ -365,12 +367,16 @@ FIELDS = {name: _common_fields(name) + own for name, own in _OWN_FIELDS.items()}
 EXPERIMENTS = tuple(FIELDS)
 
 
-def ds_grid_count(x_min, x_max, x_step):
-    """Points of the ds_solve x grid; more than 2^20 is a ConfigurationError."""
+# where the ds_solve mp_oracle gates compare against the Marchenko-Pastur law
+MP_WINDOW = (0.1, 3.9)
+
+
+def ds_grid(x_min, x_max, x_step):
+    """The ds_solve x grid; more than 2^20 points is a ConfigurationError."""
     steps = (x_max - x_min) / x_step
     if not steps < 2**20 - 0.5:  # round(steps) + 1 > 2^20, or steps is inf
         raise ConfigurationError(f"ds_solve grid has more than 2^20 points ({steps:.3g} steps)")
-    return int(round(steps)) + 1
+    return np.linspace(x_min, x_max, int(round(steps)) + 1)
 
 
 def _resolve_thresholds(experiment, overrides):
@@ -381,12 +387,6 @@ def _resolve_thresholds(experiment, overrides):
 def _check_cross_fields(kw):
     """The rules that tie two fields of one experiment together."""
     experiment = kw["experiment"]
-    # the closed interval of an `in` gate must not be empty, or the gate can never pass
-    thr = _resolve_thresholds(experiment, kw["thresholds"])
-    for low, high in (("mass_low", "mass_high"), ("mean_dist2_low", "mean_dist2_high")):
-        if low in thr and thr[low] > thr[high]:
-            raise ConfigurationError(f"threshold {low} ({thr[low]:g}) exceeds "
-                                     f"{high} ({thr[high]:g})")
     # sandwich factors are built without a stream
     for name in ("base", "sandwich_k", "sandwich_l"):
         if kw.get(name) is not None:
@@ -402,9 +402,8 @@ def _check_cross_fields(kw):
                                          f"not in {kw['mode']} mode")
         if kw["mode"] == "hadamard_profile" and kw["profile"] is None:
             raise ConfigurationError("hadamard_profile mode requires a profile spec")
-        profile = kw["profile"]
-        if profile is not None and profile["kind"] == "ramp" and profile["low"] > profile["high"]:
-            raise ConfigurationError("ramp profile needs low <= high")
+        if kw["profile"] is not None and kw["profile"]["low"] > kw["profile"]["high"]:
+            raise ConfigurationError("profile needs low <= high")
         if kw["mode"] == "sandwich" and (kw["sandwich_k"] is None or kw["sandwich_l"] is None):
             raise ConfigurationError("sandwich mode requires sandwich_k and sandwich_l")
     elif experiment == "ds_solve":
@@ -412,33 +411,39 @@ def _check_cross_fields(kw):
             raise ConfigurationError("h_weights must match h_atoms")
         if not kw["x_min"] < kw["x_max"]:
             raise ConfigurationError("ds_solve needs x_min < x_max")
-        ds_grid_count(kw["x_min"], kw["x_max"], kw["x_step"])
-        if kw["mp_oracle"] and (kw["h_atoms"] != (0.0,) or kw["c"] != 1.0):
-            raise ConfigurationError("mp_oracle gates require H = delta_0 and c = 1")
+        grid = ds_grid(kw["x_min"], kw["x_max"], kw["x_step"])
+        if kw["mp_oracle"]:
+            if kw["h_atoms"] != (0.0,) or kw["c"] != 1.0:
+                raise ConfigurationError("mp_oracle gates require H = delta_0 and c = 1")
+            low, high = MP_WINDOW
+            if not np.any((grid >= low) & (grid <= high)):
+                raise ConfigurationError(f"the mp_oracle density gate needs a grid point "
+                                         f"in [{low:g}, {high:g}]")
+        elif kw["thresholds"]:
+            # every ds_solve threshold belongs to an mp_oracle gate
+            raise ConfigurationError(f"thresholds {sorted(kw['thresholds'])} are read only "
+                                     f"with mp_oracle")
     elif experiment == "tails":
         # the ratio gates read sigma_{n-i} with 1 <= i <= n - 1
         if min(kw["n_list"]) < 2:
             raise ConfigurationError("tails needs every n_list entry to be at least 2")
         if not 1 <= kw["distance_d"] < kw["distance_n"]:
             raise ConfigurationError("tails needs 1 <= distance_d < distance_n")
-
-
-def _attribute(f):
-    """ExperimentConfig attribute of a field; its default is the parsed
-    table default (None for a required or optional field)."""
-    if f.default is REQUIRED or f.default is None:
-        return f.name, object, None
-    return f.name, object, dataclasses.field(default_factory=lambda: f.parse(f.default, f.name))
+        # the closed interval of the `in` gate must not be empty, or it can never pass
+        thr = _resolve_thresholds(experiment, kw["thresholds"])
+        if thr["mean_dist2_low"] > thr["mean_dist2_high"]:
+            raise ConfigurationError(f"threshold mean_dist2_low ({thr['mean_dist2_low']:g}) "
+                                     f"exceeds mean_dist2_high ({thr['mean_dist2_high']:g})")
 
 
 def _resolved_thresholds(self):
     return _resolve_thresholds(self.experiment, self.thresholds)
 
 
-# one attribute per key of any experiment; tables that share a key share its default
+# one attribute per key of any experiment; a key outside the experiment's own table is None
 ExperimentConfig = dataclasses.make_dataclass(
     "ExperimentConfig",
-    [_attribute(f) for f in {f.name: f for table in FIELDS.values() for f in table}.values()],
+    [(name, object, None) for name in dict.fromkeys(f.name for t in FIELDS.values() for f in t)],
     frozen=True,
     namespace={"__doc__": "Validated configuration for one experiment run.",
                "__module__": __name__, "resolved_thresholds": _resolved_thresholds})

@@ -65,7 +65,7 @@ from ..numerics import (
     verify_weyl,
 )
 from ..rng import RngStream, stream_origin
-from .config import config_to_dict, ds_grid_count
+from .config import MP_WINDOW, config_to_dict, ds_grid
 from .emit import (
     scatter_svg,
     write_ds_csv,
@@ -168,8 +168,6 @@ def _trial_matrix(cfg, n, t, dist=None, role=ROLE_X, mode="shift", **factors):
 
 
 def _profile_matrix(profile, n):
-    if profile["kind"] == "constant":
-        return np.full((n, n), profile["value"])
     lo, hi = profile["low"], profile["high"]
     ramp = (np.arange(n)[:, None] + np.arange(n)[None, :]) / max(2 * n - 2, 1)
     return lo + (hi - lo) * ramp
@@ -314,35 +312,32 @@ def run_ds_solve(cfg, out_dir):
     thr = cfg.resolved_thresholds()
     result = ExperimentResult("ds_solve")
     h = MeasureH(np.array(cfg.h_atoms), np.array(cfg.h_weights))
-    count = ds_grid_count(cfg.x_min, cfg.x_max, cfg.x_step)
-    grid = np.linspace(cfg.x_min, cfg.x_max, count)
+    grid = ds_grid(cfg.x_min, cfg.x_max, cfg.x_step)
     solution = invert_stieltjes(lambda w: solve_ds(h, cfg.c, w), grid,
                                 cfg.eta_schedule, cfg.agreement_tol)
     path = os.path.join(out_dir, "ds.csv")
     write_ds_csv(path, solution)
     result.artifacts.append(path)
     metrics = {
-        "grid_points": count,
+        "grid_points": grid.size,
         "eta_final": solution.eta,
         "total_mass": solution.total_mass(),
         "min_density": float(np.min(solution.density)),
     }
     result.gates.append(GateResult("density_nonnegative", metrics["min_density"], ">=", 0.0))
-    if cfg.mass_check:
-        result.gates.append(GateResult("total_mass", metrics["total_mass"], "in",
-                                       (thr["mass_low"], thr["mass_high"])))
     if cfg.mp_oracle:
-        oracle_w = np.linspace(0.1, 3.9, 50) + 1e-3j
+        low, high = MP_WINDOW
+        oracle_w = np.linspace(low, high, 50) + 1e-3j
         gaps = np.abs(solve_ds(h, 1.0, oracle_w) - [mp_reference(w) for w in oracle_w])
         metrics["oracle_gap_max"] = float(np.max(gaps))
-        window = (grid >= 0.1) & (grid <= 3.9)
+        window = (grid >= low) & (grid <= high)
         sup_err = float(np.max(np.abs(solution.density[window] - mp_density(grid[window]))))
         metrics["density_sup_error"] = sup_err
         result.gates += [
             GateResult("mp_oracle_gap", metrics["oracle_gap_max"], "<", thr["oracle_gap"]),
             GateResult("mp_density_sup_error", sup_err, "<", thr["density_sup_error"]),
         ]
-    result.records.append(TrialRecord("ds_solve", count, 0,
+    result.records.append(TrialRecord("ds_solve", grid.size, 0,
                                       stream_origin(cfg.master_seed, 0), metrics))
     return result
 

@@ -24,7 +24,7 @@ _ROUNDTRIP = {
                      "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},
                      "base": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.5, "split": 0.5,
                               "scale_by_sqrt_n": True},
-                     "profile": {"kind": "ramp", "low": 0.5, "high": 2.0}},
+                     "profile": {"low": 0.5, "high": 2.0}},
     "hermitize": {"schema_version": 1, "experiment": "hermitize", "master_seed": 3,
                   "n_list": [64], "trials": 2, "dist_x": {"kind": "real_gaussian"},
                   "base": {"kind": "zero"}, "z_grid": [0.0, [0.5, 0.5]],
@@ -86,11 +86,10 @@ _FULL = {
                   "reference": "ds", "eps_exponent": 0.25},
     "ds_solve": {"schema_version": 1, "experiment": "ds_solve", "master_seed": 5,
                  "output_dir": "runs/ds", "threads": 2,
-                 "thresholds": {"oracle_gap": 1e-6, "mass_low": 0.9, "mass_high": 1.1,
-                                "density_sup_error": 0.5},
+                 "thresholds": {},
                  "h_atoms": [0.5, 2], "h_weights": [0.25, 0.75], "c": 1, "x_min": 0.2,
-                 "x_max": 5, "x_step": 0.05, "eta_schedule": [0.1, 0.01, 0.001],
-                 "agreement_tol": 0.01, "mass_check": True, "mp_oracle": False},
+                 "x_max": 5, "x_step": 0.05, "eta_schedule": [0.01, 0.001],
+                 "agreement_tol": 0.01, "mp_oracle": False},
     "tails": {"schema_version": 1, "experiment": "tails", "master_seed": 12,
               "output_dir": "runs/tails", "threads": 2,
               "thresholds": {"sigma_min_exponent": 8, "distance_constant": 0.25,
@@ -110,7 +109,10 @@ VALID = {**{f"roundtrip_{k}": v for k, v in _ROUNDTRIP.items()},
          **{f"full_{k}": v for k, v in _FULL.items()}}
 
 # json.dumps(config_to_dict(cfg), sort_keys=True) of each VALID config,
-# recorded before the field tables replaced the per-experiment parsing.
+# recorded before the field tables replaced the per-experiment parsing;
+# the ds_solve and hadamard_profile entries lost the deleted keys since
+# (mass_check, the mass thresholds, the profile kind and the first two
+# default eta levels, which no artifact byte read).
 PINNED = {
     "bench_circular_t2": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"},'
@@ -118,8 +120,8 @@ PINNED = {
         ' "output_dir": "out", "schema_version": 1, "threads": 2, "thresholds": {},'
         ' "trials": 2}'),
     "bench_ds_mp": (
-        '{"agreement_tol": 0.001, "c": 1.0, "eta_schedule": [0.1, 0.01, 0.001, 0.0001],'
-        ' "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0], "mass_check": false,'
+        '{"agreement_tol": 0.001, "c": 1.0, "eta_schedule": [0.001, 0.0001],'
+        ' "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0],'
         ' "master_seed": 20260808, "mp_oracle": true, "output_dir": "out",'
         ' "schema_version": 1, "threads": 1, "thresholds": {}, "x_max": 3.9, "x_min": 0.1,'
         ' "x_step": 0.0025}'),
@@ -140,11 +142,10 @@ PINNED = {
         ' "output_dir": "runs/circ", "schema_version": 1, "threads": 2,'
         ' "thresholds": {"in_disk_radius": 2.0, "radial_ks": 0.1}, "trials": 3}'),
     "full_ds_solve": (
-        '{"agreement_tol": 0.01, "c": 1.0, "eta_schedule": [0.1, 0.01, 0.001],'
+        '{"agreement_tol": 0.01, "c": 1.0, "eta_schedule": [0.01, 0.001],'
         ' "experiment": "ds_solve", "h_atoms": [0.5, 2.0], "h_weights": [0.25, 0.75],'
-        ' "mass_check": true, "master_seed": 5, "mp_oracle": false, "output_dir": "runs/ds",'
-        ' "schema_version": 1, "threads": 2, "thresholds": {"density_sup_error": 0.5,'
-        ' "mass_high": 1.1, "mass_low": 0.9, "oracle_gap": 1e-06}, "x_max": 5.0, "x_min": 0.2,'
+        ' "master_seed": 5, "mp_oracle": false, "output_dir": "runs/ds",'
+        ' "schema_version": 1, "threads": 2, "thresholds": {}, "x_max": 5.0, "x_min": 0.2,'
         ' "x_step": 0.05}'),
     "full_hermitize": (
         '{"base": {"kind": "low_rank", "magnitude": 0.5, "rank": 1},'
@@ -179,8 +180,8 @@ PINNED = {
         ' "master_seed": 7, "n_list": [50], "output_dir": "out", "schema_version": 1,'
         ' "threads": 1, "thresholds": {}, "trials": 2}'),
     "roundtrip_ds_solve": (
-        '{"agreement_tol": 0.001, "c": 1.0, "eta_schedule": [0.1, 0.01, 0.001, 0.0001],'
-        ' "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0], "mass_check": false,'
+        '{"agreement_tol": 0.001, "c": 1.0, "eta_schedule": [0.001, 0.0001],'
+        ' "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0],'
         ' "master_seed": 3, "mp_oracle": true, "output_dir": "out", "schema_version": 1,'
         ' "threads": 1, "thresholds": {}, "x_max": 3.9, "x_min": 0.1, "x_step": 0.0025}'),
     "roundtrip_hermitize": (
@@ -200,8 +201,8 @@ PINNED = {
         '{"base": {"a": 1.0, "b": 2.5, "kind": "two_block_diagonal", "scale_by_sqrt_n": true,'
         ' "split": 0.5}, "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},'
         ' "experiment": "universality", "master_seed": 3, "mode": "hadamard_profile",'
-        ' "n_list": [40, 80], "output_dir": "out", "profile": {"high": 2.0, "kind": "ramp",'
-        ' "low": 0.5}, "schema_version": 1, "threads": 1, "thresholds": {}, "trials": 2}'),
+        ' "n_list": [40, 80], "output_dir": "out", "profile": {"high": 2.0, "low": 0.5},'
+        ' "schema_version": 1, "threads": 1, "thresholds": {}, "trials": 2}'),
 }
 
 
@@ -218,8 +219,7 @@ _THRESHOLD_DEFAULTS = {
     "universality": {"final_median_bl": 0.1},
     "hermitize": {"potential_gap": 0.05, "potential_pass_fraction": 0.9,
                   "regularization_gap": 0.02},
-    "ds_solve": {"oracle_gap": 1e-8, "density_sup_error": 1e-2, "mass_low": 0.98,
-                 "mass_high": 1.02},
+    "ds_solve": {"oracle_gap": 1e-8, "density_sup_error": 1e-2},
     "tails": {"sigma_min_exponent": 10.0, "distance_constant": 0.5, "mean_dist2_low": 0.95,
               "mean_dist2_high": 1.05},
     "lemmas": {"det_identity": 1e-6, "neg_second_moment": 1e-9,
@@ -236,6 +236,14 @@ def test_threshold_defaults_pinned(experiment):
     assert all(type(v) is float for v in resolved.values())
 
 
+@pytest.mark.parametrize("experiment", sorted(_ROUNDTRIP))
+def test_keys_of_other_experiments_are_none(experiment):
+    cfg = config_from_dict(_ROUNDTRIP[experiment])
+    own = {f.name for f in FIELDS[experiment]}
+    other = {f.name for table in FIELDS.values() for f in table} - own
+    assert other and all(getattr(cfg, name) is None for name in other)
+
+
 @pytest.mark.parametrize("experiment", ["circular", "hermitize"])
 def test_shift_mode_key_is_unknown_outside_universality(experiment):
     with pytest.raises(ConfigurationError, match="unknown keys"):
@@ -244,7 +252,7 @@ def test_shift_mode_key_is_unknown_outside_universality(experiment):
 
 def test_readme_names_every_key():
     readme = README.read_text(encoding="utf-8")
-    for tables in (FIELDS, _ENTRY_LAWS, _BASE_KINDS, _PROFILE_FIELDS):
+    for tables in (FIELDS, _ENTRY_LAWS, _BASE_KINDS, {"profile": _PROFILE_FIELDS}):
         for table in tables.values():
             for f in table:
                 assert f"`{f.name}`" in readme, f.name
@@ -252,7 +260,7 @@ def test_readme_names_every_key():
 
 def test_readme_names_every_kind():
     readme = README.read_text(encoding="utf-8")
-    for table in (_ENTRY_LAWS, _BASE_KINDS, _PROFILE_FIELDS):
+    for table in (_ENTRY_LAWS, _BASE_KINDS):
         for kind in table:
             assert f"`{kind}`" in readme, kind
 

@@ -1,5 +1,6 @@
 """Config parsing, emission formats, runners, CLI exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -67,7 +68,7 @@ def test_schema_version_and_experiment_checks():
      "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},
      "base": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.5, "split": 0.5,
               "scale_by_sqrt_n": True},
-     "profile": {"kind": "ramp", "low": 0.5, "high": 2.0}},
+     "profile": {"low": 0.5, "high": 2.0}},
     {"schema_version": 1, "experiment": "hermitize", "master_seed": 3,
      "n_list": [64], "trials": 2, "dist_x": {"kind": "real_gaussian"},
      "base": {"kind": "zero"}, "z_grid": [0.0, [0.5, 0.5]], "reference": "circular",
@@ -181,7 +182,7 @@ def test_universality_zero_base_shift_builds_and_adds_no_base(tmp_path, monkeypa
     ("sandwich", {"sandwich_k": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0},
                   "sandwich_l": {"kind": "two_block_diagonal", "a": 1.0, "b": 3.0}},
      ["K", "L", "K", "L"]),
-    ("hadamard_profile", {"profile": {"kind": "ramp", "low": 0.5, "high": 2.0}}, []),
+    ("hadamard_profile", {"profile": {"low": 0.5, "high": 2.0}}, []),
 ])
 def test_universality_factors_built_and_proven_once_per_size(tmp_path, monkeypatch, mode,
                                                              extra, proven):
@@ -565,7 +566,7 @@ _TINY_RUNS = {
                   "n_list": [10], "trials": 2, "dist_x": {"kind": "bernoulli"},
                   "z_grid": [0.0, [0.5, 0.5]]},
     "ds_solve": {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
-                 "x_step": 0.1, "mass_check": True, "mp_oracle": True},
+                 "x_step": 0.1, "mp_oracle": True},
     "tails": {"schema_version": 1, "experiment": "tails", "master_seed": 3, "n_list": [20],
               "trials": 3, "dist_x": {"kind": "bernoulli"}, "distance_n": 40,
               "distance_d": 20, "distance_trials": 5},
@@ -709,7 +710,7 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     ("circular", _circular_raw(trials=True)),
     ("circular", _circular_raw(seed=True)),
     ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
-                  "mass_check": "no"}),
+                  "mp_oracle": "no"}),
     ("circular", _circular_raw(base={"kind": "two_block_diagonal", "a": 1.0, "b": 1.0,
                                      "scale_by_sqrt_n": "false"})),
     ("hermitize", {**_HERMITIZE_RAW, "z_grid": [True]}),
@@ -740,7 +741,7 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     # the universality gates read the medians in list order
     ("universality", {**_UNIVERSALITY_RAW, "n_list": [120, 30]}),
     ("universality", {**_UNIVERSALITY_RAW, "n_list": [60, 60]}),
-    # an eta schedule can never agree within a tolerance <= 0
+    # two eta levels can never agree within a tolerance <= 0
     ("ds-solve", {**_DS_RAW, "agreement_tol": -1.0}),
     ("ds-solve", {**_DS_RAW, "agreement_tol": 0}),
     # sides of 2^29 and more are rejected when parsed, before any allocation
@@ -756,6 +757,15 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     ("lemmas", {**_LEMMAS_RAW, "output_dir": "o_\u0000x"}),
     # universality always compares against an independent draw of dist_y
     ("universality", {k: v for k, v in _UNIVERSALITY_RAW.items() if k != "dist_y"}),
+    # the total-mass gate and the profile kinds are gone: no config
+    # outside the tests set them
+    ("ds-solve", {**_DS_RAW, "mp_oracle": True, "mass_check": True}),
+    ("ds-solve", {**_DS_RAW, "mp_oracle": True, "thresholds": {"mass_low": 0.9}}),
+    ("ds-solve", {**_DS_RAW, "mp_oracle": True, "thresholds": {"mass_high": 1.1}}),
+    ("universality", {**_UNIVERSALITY_RAW, "mode": "hadamard_profile",
+                      "profile": {"kind": "ramp", "low": 0.5, "high": 2.0}}),
+    ("universality", {**_UNIVERSALITY_RAW, "mode": "hadamard_profile",
+                      "profile": {"kind": "constant", "value": 1.0}}),
 ])
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)
@@ -781,11 +791,9 @@ _THRESHOLD_RUNS = {"circular": _circular_raw(), "universality": _UNIVERSALITY_RA
     ("hermitize", "regularization_gap", 0),
     ("ds-solve", "oracle_gap", 0),
     ("ds-solve", "density_sup_error", -1e-2),
-    ("ds-solve", "mass_low", -0.5),            # lower bounds are at least 0
-    ("ds-solve", "mass_high", 0),
     ("tails", "sigma_min_exponent", 0),
     ("tails", "distance_constant", -0.5),
-    ("tails", "mean_dist2_low", -1),
+    ("tails", "mean_dist2_low", -1),           # lower bounds are at least 0
     ("tails", "mean_dist2_high", 0),
     ("lemmas", "det_identity", 0),
     ("lemmas", "neg_second_moment", -1e-9),
@@ -800,8 +808,8 @@ def test_cli_out_of_range_threshold_exits_two(tmp_path, command, name, value):
 
 
 @pytest.mark.parametrize("command,thresholds", [
-    ("ds-solve", {"mass_low": 1.5}),  # above the default mass_high, 1.02
-    ("ds-solve", {"mass_low": 1.1, "mass_high": 1.05}),
+    ("tails", {"mean_dist2_low": 1.5}),  # above the default mean_dist2_high, 1.05
+    ("tails", {"mean_dist2_low": 1.1, "mean_dist2_high": 1.05}),
     ("tails", {"mean_dist2_high": 0.5}),  # below the default mean_dist2_low, 0.95
     ("tails", {"mean_dist2_low": 2.0, "mean_dist2_high": 1.5}),
 ])
@@ -813,9 +821,7 @@ def test_cli_empty_threshold_interval_exits_two(tmp_path, command, thresholds):
     assert cli_main([command, "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
     # a one-point interval is a valid gate
-    low, high = (("mass_low", "mass_high") if command == "ds-solve"
-                 else ("mean_dist2_low", "mean_dist2_high"))
-    config_from_dict({**raw, "thresholds": {low: 1.0, high: 1.0}})
+    config_from_dict({**raw, "thresholds": {"mean_dist2_low": 1.0, "mean_dist2_high": 1.0}})
 
 
 @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100_000, b'{"a": ' * 100_000],
@@ -848,6 +854,11 @@ def test_cli_unallocatable_sizes_exit_two_without_output(tmp_path):
     # finite entries whose singular values overflow to inf
     ("tails", {**_TAILS_N1_RAW, "n_list": [2], "base": {
         "kind": "explicit", "entries": [[1.7e308, 1.7e308], [1.7e308, -1.7e308]]}}, 3),
+    # the inversion reads exactly two eta levels
+    ("ds-solve", {**_DS_RAW, "eta_schedule": [0.1, 0.01, 0.001]}, 2),
+    # no grid point in the Marchenko-Pastur window [0.1, 3.9] of the density gate
+    ("ds-solve", {**_DS_RAW, "mp_oracle": True, "x_min": 0.01, "x_max": 0.05,
+                  "x_step": 0.01, "agreement_tol": 100.0}, 2),
 ])
 def test_cli_failed_run_leaves_no_empty_output_dir(tmp_path, command, raw, code):
     path = _write_config(tmp_path, raw)
@@ -863,7 +874,7 @@ def test_cli_tails_size_below_two_exits_two_without_output(tmp_path):
     assert not out.exists()
 
 
-_PROFILE = {"kind": "ramp", "low": 0.5, "high": 2.0}
+_PROFILE = {"low": 0.5, "high": 2.0}
 _FACTOR = {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0}
 
 
@@ -881,6 +892,34 @@ def test_cli_universality_factor_outside_its_mode_exits_two(tmp_path, raw):
     out = tmp_path / "out"
     assert cli_main(["universality", "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["oracle_gap", "density_sup_error"])
+def test_cli_oracle_threshold_without_oracle_exits_two(tmp_path, name):
+    # every ds_solve threshold belongs to an mp_oracle gate: without the
+    # oracle it would be echoed in the manifest although it shaped no byte
+    raw = {**_DS_RAW, "x_step": 0.1, "thresholds": {name: 0.5}}
+    path = _write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert cli_main(["ds-solve", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    config_from_dict({**raw, "mp_oracle": True})
+
+
+# sha256 of the artifacts of the default mp_oracle run at seed 20260808,
+# recorded while the inversion still solved four eta levels and read the
+# last two
+_DS_MP_SHA256 = {
+    "ds.csv": "f1a55f61ee5adb6702debbb8755a8d8b32b4a712a4ae690d45f08b268ca73484",
+    "trials.csv": "a1ecf5c0782b4a24200c1395d05bb7eeac756b28fc3b5a03bb96e29f686436f8",
+}
+
+
+def test_default_mp_oracle_run_bytes_pinned(tmp_path):
+    raw = {**_DS_RAW, "master_seed": 20260808, "mp_oracle": True}
+    run_experiment(config_from_dict(raw), tmp_path)
+    for name, digest in _DS_MP_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 _EYE3 = {"kind": "explicit", "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
@@ -933,7 +972,7 @@ def test_cli_singular_sandwich_factor_exits_three(tmp_path):
 def test_cli_numerical_failure_exits_three(tmp_path):
     raw = {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
            "x_min": 0.05, "x_max": 0.15, "x_step": 0.05,
-           "eta_schedule": [1e-1, 1e-2, 1e-3], "agreement_tol": 1e-9}
+           "eta_schedule": [1e-2, 1e-3], "agreement_tol": 1e-9}
     path = _write_config(tmp_path, raw)
     assert cli_main(["ds-solve", "--config", path, "--out", str(tmp_path / "out")]) == 3
 

@@ -184,17 +184,29 @@ def test_inversion_mass_on_wide_grid():
     # agreement gate must be relaxed; total mass still lands near 1
     grid = np.linspace(0.0, 4.0, 1601)
     sol = invert_stieltjes(lambda w: solve_ds(DELTA0, 1.0, w), grid,
-                           eta_schedule=(1e-1, 1e-2, 1e-3), agreement_tol=10.0)
+                           eta_schedule=(1e-2, 1e-3), agreement_tol=10.0)
     assert abs(sol.total_mass() - 1.0) <= 0.02
 
 
 def test_inversion_default_spec_schedule_trips_gate_near_hard_edge():
-    # the three-level schedule ending at 1e-3 changes the density near
-    # x = 0.1 by ~4e-3 between its last two levels, beyond the 1e-3 gate
+    # the density near x = 0.1 changes by ~4e-3 between eta = 1e-2 and
+    # 1e-3, beyond the 1e-3 gate
     grid = np.linspace(0.1, 3.9, 96)
     with pytest.raises(SolverFailureError):
         invert_stieltjes(lambda w: solve_ds(DELTA0, 1.0, w), grid,
-                         eta_schedule=(1e-1, 1e-2, 1e-3), agreement_tol=1e-3)
+                         eta_schedule=(1e-2, 1e-3), agreement_tol=1e-3)
+
+
+def test_inversion_solves_once_per_level():
+    heights = []
+
+    def solve(w):
+        heights.append(float(w.imag[0]))
+        return solve_ds(DELTA0, 1.0, w)
+
+    sol = invert_stieltjes(solve, np.linspace(0.1, 3.9, 1521))
+    assert heights == [1e-3, 1e-4]
+    assert sol.eta == 1e-4
 
 
 def test_inversion_schedule_validation():
@@ -205,6 +217,8 @@ def test_inversion_schedule_validation():
         invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-3, 0.0))
     with pytest.raises(ConfigurationError):
         invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-3,))
+    with pytest.raises(ConfigurationError):  # only the last two levels would be read
+        invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-1, 1e-2, 1e-3))
     # no floor on the final eta: at 1e-8 the direct solver meets the MP density
     grid = np.linspace(0.1, 3.9, 1521)
     sol = invert_stieltjes(solve, grid, eta_schedule=(1e-6, 1e-8))
