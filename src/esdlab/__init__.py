@@ -10,14 +10,7 @@ Submodules:
   harness        experiment configs, runners, CSV/SVG emission, CLI
 """
 
-from .ensembles import (
-    BaseMatrixSpec,
-    ScalarDistribution,
-    assemble,
-    build_base_matrix,
-    build_iid_matrix,
-    sample_array,
-)
+from .ensembles import assemble, build_base_matrix, build_iid_matrix, sample_array
 from .errors import (
     BranchError,
     ConfigurationError,
@@ -27,7 +20,7 @@ from .errors import (
     SingularityError,
     SolverFailureError,
 )
-from .harness.config import scalar_distribution
+from .harness.config import BaseMatrixSpec, ScalarDistribution, scalar_distribution
 from .hermitization import (
     girko_kernel,
     girko_reconstruct,

@@ -1,16 +1,15 @@
 """Random-matrix ensembles: entry distributions, base matrices, assembly.
 
-All built-in scalar distributions are normalized at construction to mean
-zero and unit variance, so matrix-level normalization is purely the
-global 1/sqrt(n) applied when spectra are measured.  Matrix entries are
-always drawn in row-major order from the supplied stream; the order is
-contractual because reordering changes realizations.
+Every entry law is drawn with mean zero and unit variance, so
+matrix-level normalization is purely the global 1/sqrt(n) applied when
+spectra are measured.  Matrix entries are always drawn in row-major
+order from the supplied stream; the order is contractual because
+reordering changes realizations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,18 +25,6 @@ SCALAR_KINDS = (
     "two_point_asymmetric",
     "pareto_symmetrized",
 )
-
-@dataclass(frozen=True)
-class ScalarDistribution:
-    """A named, seedable random variable with mean zero and unit variance.
-
-    ``p`` (two_point_asymmetric) and ``exponent`` (pareto_symmetrized)
-    are None for the kinds that do not take them.
-    """
-
-    kind: str
-    p: float | None = None
-    exponent: float | None = None
 
 
 def _fill_polar(rng, out):
@@ -86,11 +73,9 @@ def sample_array(dist, rng, count):
     ``rng.BLOCK`` words, so a draw allocates its output plus O(BLOCK)
     scratch, whatever ``count`` is.
     """
-    if not isinstance(dist, ScalarDistribution):
-        raise ConfigurationError("dist must be a ScalarDistribution")
-    kind = dist.kind
+    kind = getattr(dist, "kind", None)
     if kind not in SCALAR_KINDS:
-        raise ConfigurationError(f"unknown scalar distribution kind {kind!r}")
+        raise ConfigurationError(f"not a scalar distribution: {dist!r}")
     if kind == "bernoulli":
         # the top bit of each word picks the sign (1 -> +1.0, 0 -> -1.0),
         # converted in place in the memory of the words
@@ -131,28 +116,6 @@ def build_iid_matrix(n, dist, rng):
     return sample_array(dist, rng, n * n).reshape(n, n)
 
 
-@dataclass(frozen=True)
-class BaseMatrixSpec:
-    """Deterministic base matrix family M_n.
-
-    The base-matrix table of ``esdlab.harness.config`` states which
-    fields each kind takes and their defaults; the others are None.
-    With ``scale_by_sqrt_n`` the two-block diagonal realizes
-    sqrt(n) * diag(a,..,a,b,..,b), the form that survives the global
-    1/sqrt(n) normalization as an O(1) shift.
-    """
-
-    kind: str
-    a: float | None = None
-    b: float | None = None
-    split: float | None = None
-    rank: int | None = None
-    magnitude: float | None = None
-    atoms: tuple | None = None
-    entries: tuple | None = None
-    scale_by_sqrt_n: bool | None = None
-
-
 def require_buildable(name, spec, n, stream=True):
     """Raise ConfigurationError unless ``spec`` can be realized at size n,
     with an RngStream when ``stream``."""
@@ -160,9 +123,6 @@ def require_buildable(name, spec, n, stream=True):
         raise ConfigurationError("matrix size must be at least 1")
     if spec.kind == "low_rank" and spec.rank > n:
         raise ConfigurationError(f"{name}: low_rank rank {spec.rank} exceeds matrix size {n}")
-    if spec.kind == "explicit" and len(spec.entries) != n:
-        raise ConfigurationError(
-            f"{name}: explicit entries have {len(spec.entries)} rows, expected {n}")
     if spec.kind == "diagonal_from_measure" and not stream:
         raise ConfigurationError(f"{name}: diagonal_from_measure requires an RngStream")
 
@@ -195,8 +155,6 @@ def build_base_matrix(spec, n, rng=None):
         atoms = np.asarray(spec.atoms)
         idx = (rng.uniforms(n) * len(atoms)).astype(np.int64)
         return np.diag(atoms[idx] * math.sqrt(n))
-    if spec.kind == "explicit":
-        return np.array(spec.entries)
     raise ConfigurationError(f"unknown base matrix kind {spec.kind!r}")
 
 

@@ -10,7 +10,8 @@ thresholds in ``THRESHOLDS``; each entry law and base-matrix kind has
 one too, and so has the profile of hadamard_profile mode.  A table
 entry states a key's parser (range checks included), its default and
 its dump form once; parsing, unknown-key rejection and the canonical
-dump are loops over the table.
+dump are loops over the table, and the record types (``ExperimentConfig``,
+``ScalarDistribution``, ``BaseMatrixSpec``) are built from the tables.
 The rules that tie two fields together are in ``_check_cross_fields``.
 """
 
@@ -24,13 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..ensembles import (
-    ASSEMBLY_MODES,
-    SCALAR_KINDS,
-    BaseMatrixSpec,
-    ScalarDistribution,
-    require_buildable,
-)
+from ..ensembles import ASSEMBLY_MODES, SCALAR_KINDS, require_buildable
 from ..errors import ConfigurationError
 from ..limits import DEFAULT_ETA_SCHEDULE
 
@@ -199,6 +194,15 @@ def _spec_dump(kinds):
     return lambda spec: {"kind": spec.kind, **_dump_fields(spec, kinds[spec.kind])}
 
 
+def _record(name, doc, tables, required=(), **methods):
+    """Frozen dataclass ``name``: the ``required`` attributes, then one per
+    key that any field table in ``tables`` names, None by default."""
+    keys = dict.fromkeys(f.name for table in tables for f in table)
+    return dataclasses.make_dataclass(
+        name, [*required, *((key, object, None) for key in keys)], frozen=True,
+        namespace={"__doc__": doc, "__module__": __name__, **methods})
+
+
 # Entry laws, each of mean zero and unit variance (ensembles.sample_array
 # draws them):
 #   bernoulli             +1 or -1 with probability 1/2 each
@@ -217,6 +221,9 @@ _ENTRY_LAWS = {kind: () for kind in SCALAR_KINDS} | {
     ),
 }
 
+# Base matrices M_n (ensembles.build_base_matrix realizes them).  With
+# scale_by_sqrt_n the two-block diagonal is sqrt(n) diag(a,..,a,b,..,b),
+# the form that survives the global 1/sqrt(n) normalization as an O(1) shift.
 _BASE_KINDS = {
     "zero": (),
     "two_block_diagonal": (
@@ -227,13 +234,6 @@ _BASE_KINDS = {
     ),
     "low_rank": (Field("rank", _POSITIVE_INT), Field("magnitude", _as_float)),
     "diagonal_from_measure": (Field("atoms", _nonempty(_as_complex), dump=_complex_list),),
-    "explicit": (
-        Field("entries",
-              _checked(_tuple_of(_tuple_of(_as_complex)),
-                       lambda rows: bool(rows) and all(len(r) == len(rows) for r in rows),
-                       "a nonempty square list of rows"),
-              dump=lambda rows: [_complex_list(row) for row in rows]),
-    ),
 }
 
 # the entrywise scale C of hadamard_profile mode ramps from low to high
@@ -285,6 +285,13 @@ def _overrides(fields):
     return parse
 
 
+# a parameter that the spec's kind does not take is None
+ScalarDistribution = _record(
+    "ScalarDistribution", "An entry law of mean zero and unit variance.",
+    _ENTRY_LAWS.values(), ["kind"])
+BaseMatrixSpec = _record(
+    "BaseMatrixSpec", "A deterministic base matrix family M_n.", _BASE_KINDS.values(), ["kind"])
+
 entry_law = _spec_parser(ScalarDistribution, _ENTRY_LAWS)
 
 
@@ -310,7 +317,9 @@ def _common_fields(experiment):
         Field("master_seed", _checked(_as_int, lambda s: 0 <= s < 2**64,
                                       "a 64-bit unsigned integer")),
         Field("output_dir", _as_str, "out"),
-        Field("threads", _POSITIVE_INT, 1),
+        # _fold_trials starts min(threads, trials) OS threads
+        Field("threads", _checked(_as_int, lambda n: 1 <= n <= 64, "at least 1 and at most 64"),
+              1),
         Field("thresholds", _overrides(THRESHOLDS[experiment]), {}, dict),
     )
 
@@ -441,12 +450,8 @@ def _resolved_thresholds(self):
 
 
 # one attribute per key of any experiment; a key outside the experiment's own table is None
-ExperimentConfig = dataclasses.make_dataclass(
-    "ExperimentConfig",
-    [(name, object, None) for name in dict.fromkeys(f.name for t in FIELDS.values() for f in t)],
-    frozen=True,
-    namespace={"__doc__": "Validated configuration for one experiment run.",
-               "__module__": __name__, "resolved_thresholds": _resolved_thresholds})
+ExperimentConfig = _record("ExperimentConfig", "Validated configuration for one experiment run.",
+                           FIELDS.values(), resolved_thresholds=_resolved_thresholds)
 
 
 def config_from_dict(raw):

@@ -2,6 +2,7 @@
 mutation property and the README's lists of keys, kinds and thresholds."""
 
 import copy
+import dataclasses
 import json
 import pathlib
 
@@ -9,9 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esdlab import ConfigurationError
+from esdlab import (
+    BaseMatrixSpec,
+    ConfigurationError,
+    RngStream,
+    ScalarDistribution,
+    sample_array,
+)
 from esdlab.harness import config_from_dict, config_to_dict
-from esdlab.harness.config import _BASE_KINDS, _ENTRY_LAWS, _PROFILE_FIELDS, FIELDS, THRESHOLDS
+from esdlab.harness.config import (
+    _BASE_KINDS,
+    _ENTRY_LAWS,
+    _POSITIVE_FLOAT,
+    _PROFILE_FIELDS,
+    FIELDS,
+    THRESHOLDS,
+    Field,
+    _record,
+    _spec_dump,
+    _spec_parser,
+)
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -75,7 +93,8 @@ _FULL = {
                      "base": {"kind": "two_block_diagonal", "a": 1, "b": 2.5, "split": 0.25,
                               "scale_by_sqrt_n": False},
                      "sandwich_k": {"kind": "low_rank", "rank": 2, "magnitude": 3},
-                     "sandwich_l": {"kind": "explicit", "entries": [[1, [0, 1]], [2.5, -1]]}},
+                     "sandwich_l": {"kind": "two_block_diagonal", "a": 1, "b": -0.5,
+                                    "scale_by_sqrt_n": True}},
     "hermitize": {"schema_version": 1, "experiment": "hermitize", "master_seed": 11,
                   "output_dir": "runs/herm", "threads": 1,
                   "thresholds": {"potential_gap": 0.1, "potential_pass_fraction": 0.5,
@@ -112,7 +131,8 @@ VALID = {**{f"roundtrip_{k}": v for k, v in _ROUNDTRIP.items()},
 # recorded before the field tables replaced the per-experiment parsing;
 # the ds_solve and hadamard_profile entries lost the deleted keys since
 # (mass_check, the mass thresholds, the profile kind and the first two
-# default eta levels, which no artifact byte read).
+# default eta levels, which no artifact byte read), and full_universality's
+# sandwich_l is no longer of the deleted explicit kind.
 PINNED = {
     "bench_circular_t2": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"},'
@@ -172,7 +192,8 @@ PINNED = {
         ' "dist_y": {"kind": "complex_gaussian"}, "experiment": "universality",'
         ' "master_seed": 0, "mode": "sandwich", "n_list": [2], "output_dir": "runs/univ",'
         ' "sandwich_k": {"kind": "low_rank", "magnitude": 3.0, "rank": 2},'
-        ' "sandwich_l": {"entries": [[1.0, [0.0, 1.0]], [2.5, -1.0]], "kind": "explicit"},'
+        ' "sandwich_l": {"a": 1.0, "b": -0.5, "kind": "two_block_diagonal",'
+        ' "scale_by_sqrt_n": true, "split": 0.5},'
         ' "schema_version": 1, "threads": 3,'
         ' "thresholds": {"final_median_bl": 0.2}, "trials": 4}'),
     "roundtrip_circular": (
@@ -242,6 +263,35 @@ def test_keys_of_other_experiments_are_none(experiment):
     own = {f.name for f in FIELDS[experiment]}
     other = {f.name for table in FIELDS.values() for f in table} - own
     assert other and all(getattr(cfg, name) is None for name in other)
+
+
+def test_spec_types_are_built_from_the_kind_tables():
+    for spec, kinds in ((ScalarDistribution, _ENTRY_LAWS), (BaseMatrixSpec, _BASE_KINDS)):
+        params = [f.name for table in kinds.values() for f in table]
+        assert [f.name for f in dataclasses.fields(spec)] == ["kind", *dict.fromkeys(params)]
+    # a new kind with a new parameter is one table entry and nothing else
+    kinds = {**_ENTRY_LAWS, "sparse": (Field("theta", _POSITIVE_FLOAT, 0.5),)}
+    spec = _record("Law", "An entry law.", kinds.values(), ["kind"])
+    parse, dump = _spec_parser(spec, kinds), _spec_dump(kinds)
+    law = parse({"kind": "sparse", "theta": 2}, "law")
+    assert law == spec("sparse", theta=2.0) and law.p is None
+    assert dump(law) == {"kind": "sparse", "theta": 2.0}
+    assert parse(json.loads(json.dumps(dump(law))), "law") == law
+    assert dump(parse({"kind": "sparse"}, "law")) == {"kind": "sparse", "theta": 0.5}
+    with pytest.raises(ConfigurationError):
+        parse({"kind": "bernoulli", "theta": 2}, "law")
+    # the sampler takes a spec, not the name of its kind
+    with pytest.raises(ConfigurationError):
+        sample_array("bernoulli", RngStream(1, 0), 3)
+
+
+def test_threads_above_the_ceiling_are_rejected_when_parsed():
+    # parsing only: no thread is started
+    assert config_from_dict({**_ROUNDTRIP["lemmas"], "threads": 64}).threads == 64
+    for threads in (65, 2**20 - 1):
+        with pytest.raises(ConfigurationError, match="at most 64"):
+            config_from_dict({**_ROUNDTRIP["circular"], "threads": threads,
+                              "trials": 2**20 - 1})
 
 
 @pytest.mark.parametrize("experiment", ["circular", "hermitize"])

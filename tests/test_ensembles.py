@@ -265,13 +265,6 @@ def test_diagonal_from_measure_scaling_and_rng():
     assert np.array_equal(m, build_base_matrix(spec, 8, RngStream(1, 2)))
 
 
-def test_explicit_base_shape_check():
-    spec = BaseMatrixSpec("explicit", entries=((1, 2), (3, 4)))
-    assert np.array_equal(build_base_matrix(spec, 2), [[1, 2], [3, 4]])
-    with pytest.raises(ConfigurationError):
-        build_base_matrix(spec, 3)
-
-
 # ----------------------------------------------------------------- assembly
 
 def test_assemble_shift_zero_base():

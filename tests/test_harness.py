@@ -703,7 +703,8 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
                   "h_atoms": 3}),
     ("circular", _circular_raw(base={"kind": "two_block_diagonal", "b": 1.0})),
-    ("circular", _circular_raw(base={"kind": "explicit", "entries": [[1, 2], [3]]})),
+    # the explicit base kind is gone: it tied a config to one matrix size
+    ("circular", _circular_raw(base={"kind": "explicit", "entries": [[1.0]]})),
     ("circular", _circular_raw(dist_x={"kind": "two_point_asymmetric", "p": "x"})),
     ("circular", {**_circular_raw(), "n_list": [50.9]}),
     ("circular", _circular_raw(threads=1.9)),
@@ -732,7 +733,7 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
                                      "split": 1.5})),
     ("circular", _circular_raw(base={"kind": "low_rank", "rank": 0, "magnitude": 1.0})),
     ("circular", _circular_raw(base={"kind": "diagonal_from_measure", "atoms": []})),
-    ("circular", _circular_raw(base={"kind": "explicit", "entries": []})),
+    ("circular", _circular_raw(base={"kind": "low_rank", "rank": 1.5, "magnitude": 1.0})),
     ("circular", _circular_raw(dist_x={"kind": "two_point_asymmetric", "p": 1.0})),
     ("circular", _circular_raw(dist_x={"kind": "pareto_symmetrized", "exponent": 2.0})),
     ("tails", _TAILS_N1_RAW),
@@ -852,8 +853,8 @@ def test_cli_unallocatable_sizes_exit_two_without_output(tmp_path):
     # eps = 10^-20 is below the rounding floor of the Gram matrix
     ("hermitize", {**_HERMITIZE_RAW, "eps_exponent": 20}, 3),
     # finite entries whose singular values overflow to inf
-    ("tails", {**_TAILS_N1_RAW, "n_list": [2], "base": {
-        "kind": "explicit", "entries": [[1.7e308, 1.7e308], [1.7e308, -1.7e308]]}}, 3),
+    ("tails", {**_TAILS_N1_RAW, "n_list": [2],
+               "base": {"kind": "low_rank", "rank": 1, "magnitude": 1.7e308}}, 3),
     # the inversion reads exactly two eta levels
     ("ds-solve", {**_DS_RAW, "eta_schedule": [0.1, 0.01, 0.001]}, 2),
     # no grid point in the Marchenko-Pastur window [0.1, 3.9] of the density gate
@@ -922,17 +923,15 @@ def test_default_mp_oracle_run_bytes_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-_EYE3 = {"kind": "explicit", "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
-
-
 @pytest.mark.parametrize("command,raw", [
-    ("circular", {**_circular_raw(base=_EYE3), "n_list": [3, 40]}),
+    ("circular", {**_circular_raw(base={"kind": "low_rank", "rank": 4, "magnitude": 1.0}),
+                  "n_list": [3, 40]}),
     ("hermitize", {**_HERMITIZE_RAW, "n_list": [4, 5],
                    "base": {"kind": "low_rank", "rank": 5, "magnitude": 1.0}}),
     ("universality", {"schema_version": 1, "experiment": "universality", "master_seed": 3,
                       "n_list": [3, 40], "trials": 2, "mode": "sandwich",
                       "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},
-                      "sandwich_k": _EYE3,
+                      "sandwich_k": _FACTOR,
                       "sandwich_l": {"kind": "diagonal_from_measure", "atoms": [1.0]}}),
 ])
 def test_cli_base_unbuildable_at_some_size_exits_two_and_writes_nothing(tmp_path, command,
