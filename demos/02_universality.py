@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Universality of the limiting spectrum in the entry distribution.
 
-Three ensembles sharing a deterministic part are compared entrywise
-against their Gaussian twins through the bounded-Lipschitz distance
-between eigenvalue ESDs and a KS distance between Hermitian-dilation
-spectra:
+Four ensembles are compared entrywise against their Gaussian twins
+through the bounded-Lipschitz distance between eigenvalue ESDs and a KS
+distance between Hermitian-dilation spectra:
 
   * a two-block diagonal shift sqrt(n) diag(1,..,1, 2.5,..,2.5), the
     picture with two overlapping disks;
-  * a sandwich A + K X L with block-diagonal K = L;
+  * symmetrized Pareto entries with no shift;
+  * a sandwich M + K X L with the diagonal K = L = diag(1,..,1, 2,..,2);
   * a Hadamard variance profile with entrywise scales ramping over
     [0.5, 2].
 

@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError
-from .numerics import singular_values
+from .errors import ConfigurationError
 from .rng import BLOCK, words_to_uniforms
 
 SCALAR_KINDS = (
@@ -116,15 +115,25 @@ def build_iid_matrix(n, dist, rng):
     return sample_array(dist, rng, n * n).reshape(n, n)
 
 
-def require_buildable(name, spec, n, stream=True):
-    """Raise ConfigurationError unless ``spec`` can be realized at size n,
-    with an RngStream when ``stream``."""
+def require_buildable(name, spec, n):
+    """Raise ConfigurationError unless ``spec`` can be realized at size n."""
     if n < 1:
         raise ConfigurationError("matrix size must be at least 1")
     if spec.kind == "low_rank" and spec.rank > n:
         raise ConfigurationError(f"{name}: low_rank rank {spec.rank} exceeds matrix size {n}")
-    if spec.kind == "diagonal_from_measure" and not stream:
-        raise ConfigurationError(f"{name}: diagonal_from_measure requires an RngStream")
+
+
+def two_blocks(spec, n):
+    """The values (a, b, times sqrt(n) with scale_by_sqrt_n) and lengths
+    (round(split n), the rest) of a two_block_diagonal's blocks at size n."""
+    n_a = int(round(spec.split * n))
+    scale = math.sqrt(n) if spec.scale_by_sqrt_n else 1.0
+    return np.array([spec.a, spec.b]) * scale, np.array([n_a, n - n_a])
+
+
+def factor_diagonal(spec, n):
+    """The diagonal of a two_block_diagonal spec at size n (a sandwich factor)."""
+    return np.repeat(*two_blocks(spec, n))
 
 
 def build_base_matrix(spec, n, rng=None):
@@ -134,15 +143,11 @@ def build_base_matrix(spec, n, rng=None):
     scales the diagonal by sqrt(n); it therefore requires an RngStream.
     All other kinds are deterministic in (spec, n).
     """
-    require_buildable("base matrix", spec, n, rng is not None)
+    require_buildable("base matrix", spec, n)
     if spec.kind == "zero":
         return np.zeros((n, n))
     if spec.kind == "two_block_diagonal":
-        n_a = int(round(spec.split * n))
-        d = np.concatenate([np.full(n_a, spec.a), np.full(n - n_a, spec.b)])
-        if spec.scale_by_sqrt_n:
-            d = d * math.sqrt(n)
-        return np.diag(d)
+        return np.diag(factor_diagonal(spec, n))
     if spec.kind == "low_rank":
         i = np.arange(n)
         m = np.zeros((n, n))
@@ -152,6 +157,8 @@ def build_base_matrix(spec, n, rng=None):
             m[np.ix_(mask, mask)] = spec.magnitude
         return m
     if spec.kind == "diagonal_from_measure":
+        if rng is None:
+            raise ConfigurationError("base matrix: diagonal_from_measure requires an RngStream")
         atoms = np.asarray(spec.atoms)
         idx = (rng.uniforms(n) * len(atoms)).astype(np.int64)
         return np.diag(atoms[idx] * math.sqrt(n))
@@ -161,22 +168,12 @@ def build_base_matrix(spec, n, rng=None):
 ASSEMBLY_MODES = ("shift", "sandwich", "hadamard_profile")
 
 
-def require_invertible(name, m):
-    """Return m, a matrix from ``build_base_matrix``, once it is proven
-    invertible: its smallest singular value exceeds 1e-12 of its norm."""
-    s = singular_values(m)
-    scale = np.linalg.norm(m)  # Hilbert-Schmidt
-    if scale == 0.0 or s[-1] < 1e-12 * scale:
-        raise DegenerateInputError(f"{name} is numerically singular (smallest sv {s[-1]:.3e})")
-    return m
-
-
 def assemble(m_base, x, mode, k=None, l=None, c=None):
     """Combine base and noise matrices; no 1/sqrt(n) is applied here.
     A base of None is the zero base: it is neither built nor added.
 
     shift             -> M + X
-    sandwich          -> M + K X L       (K, L invertible: see require_invertible)
+    sandwich          -> M + K X L       (K = diag(k), L = diag(l): (k l^T) * X)
     hadamard_profile  -> M + C * X       (entrywise; C positive entries)
     """
     x = np.asarray(x)
@@ -186,19 +183,14 @@ def assemble(m_base, x, mode, k=None, l=None, c=None):
             m_base is not None and np.shape(m_base) != x.shape):
         raise ConfigurationError("base and noise must be square matrices of equal size")
     if mode == "sandwich":
-        if k is None or l is None:
-            raise ConfigurationError("sandwich mode requires K and L")
-        k = np.asarray(k)
-        l = np.asarray(l)
-        if k.shape != x.shape or l.shape != x.shape:
-            raise ConfigurationError("K and L must match the noise matrix size")
-        x = k @ x @ l
+        k, l = np.asarray(k), np.asarray(l)  # None has shape ()
+        if k.shape != x.shape[:1] or l.shape != x.shape[:1]:
+            raise ConfigurationError("sandwich mode requires diagonals k and l of the noise size")
+        x = (k[:, None] * x) * l[None, :]
     elif mode == "hadamard_profile":
-        if c is None:
-            raise ConfigurationError("hadamard_profile mode requires a profile matrix C")
         c = np.asarray(c)
         if c.shape != x.shape:
-            raise ConfigurationError("profile C must match the noise matrix size")
+            raise ConfigurationError("hadamard_profile mode requires a noise-sized profile C")
         if np.iscomplexobj(c) or np.min(c) <= 0.0:
             raise ConfigurationError("profile C must have real entries in [a, b] with a > 0")
         x = c * x

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..ensembles import ASSEMBLY_MODES, SCALAR_KINDS, require_buildable
+from ..ensembles import ASSEMBLY_MODES, SCALAR_KINDS, require_buildable, two_blocks
 from ..errors import ConfigurationError
 from ..limits import DEFAULT_ETA_SCHEDULE
 
@@ -303,6 +303,8 @@ def scalar_distribution(kind, **params):
 _entry_law_dump = _spec_dump(_ENTRY_LAWS)
 _base = _spec_parser(BaseMatrixSpec, _BASE_KINDS)
 _base_dump = _spec_dump(_BASE_KINDS)
+# a sandwich factor is diagonal: K X L is then the entrywise product (k l^T) * X
+_factor = _spec_parser(BaseMatrixSpec, {"two_block_diagonal": _BASE_KINDS["two_block_diagonal"]})
 
 
 def _profile(value, what):
@@ -341,8 +343,8 @@ _OWN_FIELDS = {
         Field("mode", _one_of(*ASSEMBLY_MODES), "shift"),
         Field("dist_y", entry_law, dump=_entry_law_dump),
         Field("profile", _profile, None, dict),
-        Field("sandwich_k", _base, None, _base_dump),
-        Field("sandwich_l", _base, None, _base_dump),
+        Field("sandwich_k", _factor, None, _base_dump),
+        Field("sandwich_l", _factor, None, _base_dump),
     ),
     "hermitize": _MATRIX_FIELDS + (
         Field("z_grid", _nonempty(_as_complex), dump=_complex_list),
@@ -396,11 +398,9 @@ def _resolve_thresholds(experiment, overrides):
 def _check_cross_fields(kw):
     """The rules that tie two fields of one experiment together."""
     experiment = kw["experiment"]
-    # sandwich factors are built without a stream
-    for name in ("base", "sandwich_k", "sandwich_l"):
-        if kw.get(name) is not None:
-            for n in kw["n_list"]:
-                require_buildable(name, kw[name], n, stream=name == "base")
+    if kw.get("base") is not None:
+        for n in kw["n_list"]:
+            require_buildable("base", kw["base"], n)
     if experiment == "universality":
         # a factor the mode never reads would be echoed in the manifest
         # although it shaped no byte
@@ -413,8 +413,14 @@ def _check_cross_fields(kw):
             raise ConfigurationError("hadamard_profile mode requires a profile spec")
         if kw["profile"] is not None and kw["profile"]["low"] > kw["profile"]["high"]:
             raise ConfigurationError("profile needs low <= high")
-        if kw["mode"] == "sandwich" and (kw["sandwich_k"] is None or kw["sandwich_l"] is None):
-            raise ConfigurationError("sandwich mode requires sandwich_k and sandwich_l")
+        for name in ("sandwich_k", "sandwich_l") if kw["mode"] == "sandwich" else ():
+            if kw[name] is None:
+                raise ConfigurationError(f"sandwich mode requires {name}")
+            # singular iff a nonempty block is zero (n may be too large to build the diagonal)
+            for n in kw["n_list"]:
+                values, lengths = two_blocks(kw[name], n)
+                if 0.0 in values[lengths > 0]:
+                    raise ConfigurationError(f"{name} has a zero diagonal entry at n = {n}")
     elif experiment == "ds_solve":
         if len(kw["h_weights"]) != len(kw["h_atoms"]):
             raise ConfigurationError("h_weights must match h_atoms")

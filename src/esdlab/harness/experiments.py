@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ensembles import assemble, build_base_matrix, build_iid_matrix, require_invertible
+from ..ensembles import assemble, build_base_matrix, build_iid_matrix, factor_diagonal
 from ..errors import ConfigurationError, NumericalFailureError
 from ..hermitization import log_det_at, regularized_log_det
 from ..limits import (
@@ -156,7 +156,7 @@ def _fold_trials(cfg, result, n, trial_fn):
 
 def _trial_matrix(cfg, n, t, dist=None, role=ROLE_X, mode="shift", **factors):
     """The assembled matrix of trial t at size n: M + X in shift mode,
-    M + K X L in sandwich mode, M + C * X in hadamard_profile mode, with
+    M + (k l^T) * X in sandwich mode, M + C * X in hadamard_profile mode, with
     ``factors`` carrying k and l, or c.  X is drawn from ``dist`` (dist_x
     by default) on the stream of ``role``.  The zero base is never built;
     in shift mode with the zero base the result is X itself."""
@@ -225,8 +225,8 @@ def run_universality(cfg, out_dir):
     for n in cfg.n_list:
         factors = {}
         if cfg.mode == "sandwich":
-            factors = {"k": require_invertible("K", build_base_matrix(cfg.sandwich_k, n)),
-                       "l": require_invertible("L", build_base_matrix(cfg.sandwich_l, n))}
+            factors = {"k": factor_diagonal(cfg.sandwich_k, n),
+                       "l": factor_diagonal(cfg.sandwich_l, n)}
         elif cfg.mode == "hadamard_profile":
             factors = {"c": _profile_matrix(cfg.profile, n)}
 

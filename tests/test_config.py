@@ -92,7 +92,7 @@ _FULL = {
                      "dist_y": {"kind": "complex_gaussian"},
                      "base": {"kind": "two_block_diagonal", "a": 1, "b": 2.5, "split": 0.25,
                               "scale_by_sqrt_n": False},
-                     "sandwich_k": {"kind": "low_rank", "rank": 2, "magnitude": 3},
+                     "sandwich_k": {"kind": "two_block_diagonal", "a": 3, "b": 3, "split": 1},
                      "sandwich_l": {"kind": "two_block_diagonal", "a": 1, "b": -0.5,
                                     "scale_by_sqrt_n": True}},
     "hermitize": {"schema_version": 1, "experiment": "hermitize", "master_seed": 11,
@@ -132,7 +132,8 @@ VALID = {**{f"roundtrip_{k}": v for k, v in _ROUNDTRIP.items()},
 # the ds_solve and hadamard_profile entries lost the deleted keys since
 # (mass_check, the mass thresholds, the profile kind and the first two
 # default eta levels, which no artifact byte read), and full_universality's
-# sandwich_l is no longer of the deleted explicit kind.
+# sandwich_l is no longer of the deleted explicit kind, nor its sandwich_k
+# of the low_rank kind, which a sandwich factor no longer takes.
 PINNED = {
     "bench_circular_t2": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"},'
@@ -191,7 +192,8 @@ PINNED = {
         ' "split": 0.25}, "dist_x": {"exponent": 5.0, "kind": "pareto_symmetrized"},'
         ' "dist_y": {"kind": "complex_gaussian"}, "experiment": "universality",'
         ' "master_seed": 0, "mode": "sandwich", "n_list": [2], "output_dir": "runs/univ",'
-        ' "sandwich_k": {"kind": "low_rank", "magnitude": 3.0, "rank": 2},'
+        ' "sandwich_k": {"a": 3.0, "b": 3.0, "kind": "two_block_diagonal",'
+        ' "scale_by_sqrt_n": false, "split": 1.0},'
         ' "sandwich_l": {"a": 1.0, "b": -0.5, "kind": "two_block_diagonal",'
         ' "scale_by_sqrt_n": true, "split": 0.5},'
         ' "schema_version": 1, "threads": 3,'

@@ -10,7 +10,6 @@ import pytest
 from esdlab import (
     BaseMatrixSpec,
     ConfigurationError,
-    DegenerateInputError,
     RngStream,
     assemble,
     build_base_matrix,
@@ -18,7 +17,7 @@ from esdlab import (
     sample_array,
     scalar_distribution,
 )
-from esdlab.ensembles import require_invertible
+from esdlab.ensembles import factor_diagonal
 
 ALL_KINDS = ("bernoulli", "real_gaussian", "complex_gaussian", "uniform_centered",
              "two_point_asymmetric", "pareto_symmetrized")
@@ -275,9 +274,22 @@ def test_assemble_shift_zero_base():
 def test_assemble_sandwich_identity_reduces_to_shift():
     x = build_iid_matrix(6, scalar_distribution("real_gaussian"), RngStream(2, 1))
     m = build_base_matrix(BaseMatrixSpec("two_block_diagonal", a=1.0, b=2.0, split=0.5), 6)
-    eye = np.eye(6)
-    assert np.allclose(assemble(m, x, "sandwich", k=eye, l=eye),
-                       assemble(m, x, "shift"), rtol=0, atol=0)
+    ones = np.ones(6)
+    assert np.array_equal(assemble(m, x, "sandwich", k=ones, l=ones), assemble(m, x, "shift"))
+
+
+# K = diag(k) and L = diag(l) of a mixed sign, one scaled by sqrt(n)
+_K = BaseMatrixSpec("two_block_diagonal", a=1.0, b=-0.5, split=0.3, scale_by_sqrt_n=True)
+_L = BaseMatrixSpec("two_block_diagonal", a=2.0, b=3.0, split=0.5)
+
+
+@pytest.mark.parametrize("n", [7, 64])
+@pytest.mark.parametrize("kind", ["real_gaussian", "complex_gaussian", "pareto_symmetrized"])
+def test_assemble_sandwich_equals_the_dense_product_bit_for_bit(kind, n):
+    x = build_iid_matrix(n, scalar_distribution(kind), RngStream(2, 4))
+    k, l = factor_diagonal(_K, n), factor_diagonal(_L, n)
+    assert assemble(None, x, "sandwich", k=k, l=l).tobytes() == (
+        np.diag(k) @ x @ np.diag(l)).tobytes()
 
 
 def test_assemble_hadamard_all_ones_equals_shift():
@@ -295,25 +307,21 @@ def test_assemble_validation():
         assemble(x, x, "unknown")
     with pytest.raises(ConfigurationError):
         assemble(None, np.zeros((2, 3)), "shift")
-    with pytest.raises(ConfigurationError):
-        assemble(x, x, "hadamard_profile", c=np.zeros((3, 3)))
+    for c in (np.zeros((3, 3)), None):
+        with pytest.raises(ConfigurationError):
+            assemble(x, x, "hadamard_profile", c=c)
+    for k, l in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones(4)), (np.eye(3), np.ones(3)),
+                 (None, np.ones(3))):
+        with pytest.raises(ConfigurationError):
+            assemble(x, x, "sandwich", k=k, l=l)
 
 
 @pytest.mark.parametrize("mode,factors", [
     ("shift", {}),
-    ("sandwich", {"k": np.diag([1.0, 2.0, 3.0, 4.0]), "l": np.tri(4)}),
+    ("sandwich", {"k": np.array([1.0, 2.0, 3.0, 4.0]), "l": np.array([0.5, -1.0, 2.0, 3.0])}),
     ("hadamard_profile", {"c": np.full((4, 4), 1.5)}),
 ])
 def test_assemble_without_base_equals_zero_base(mode, factors):
     x = build_iid_matrix(4, scalar_distribution("real_gaussian"), RngStream(2, 3))
     assert np.array_equal(assemble(None, x, mode, **factors),
                           assemble(np.zeros((4, 4)), x, mode, **factors))
-
-
-def test_require_invertible():
-    k = build_base_matrix(BaseMatrixSpec("two_block_diagonal", a=1.0, b=2.0, split=0.5), 4)
-    assert require_invertible("K", k) is k
-    rank_one = BaseMatrixSpec("low_rank", rank=1, magnitude=1.0)
-    for singular in (np.zeros((3, 3)), build_base_matrix(rank_one, 3)):
-        with pytest.raises(DegenerateInputError):
-            require_invertible("K", singular)

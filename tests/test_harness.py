@@ -178,21 +178,21 @@ def test_universality_zero_base_shift_builds_and_adds_no_base(tmp_path, monkeypa
     assert calls == {"build_base_matrix": 0, "assemble": 0}
 
 
-@pytest.mark.parametrize("mode,extra,proven", [
+@pytest.mark.parametrize("mode,extra,diagonals", [
     ("sandwich", {"sandwich_k": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0},
                   "sandwich_l": {"kind": "two_block_diagonal", "a": 1.0, "b": 3.0}},
-     ["K", "L", "K", "L"]),
+     [(2.0, 12), (3.0, 12), (2.0, 16), (3.0, 16)]),
     ("hadamard_profile", {"profile": {"low": 0.5, "high": 2.0}}, []),
 ])
-def test_universality_factors_built_and_proven_once_per_size(tmp_path, monkeypatch, mode,
-                                                             extra, proven):
-    # K and L are built and proven invertible once per size, and the zero
-    # base is never built: per trial, only X and Y are drawn and assembled
+def test_universality_factor_diagonals_built_once_per_size(tmp_path, monkeypatch, mode, extra,
+                                                           diagonals):
+    # the diagonals of K and L are built once per size, and the zero base
+    # is never built: per trial, only X and Y are drawn and assembled
     from esdlab.harness import experiments as ex
-    calls = {"build_base_matrix": [], "assemble": [], "require_invertible": []}
+    calls = {"build_base_matrix": [], "assemble": [], "factor_diagonal": []}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(ex, name), **kwargs):
-            calls[_name].append(args[0])
+            calls[_name].append(args[:2])
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(ex, name, counting)
@@ -201,10 +201,9 @@ def test_universality_factors_built_and_proven_once_per_size(tmp_path, monkeypat
            "dist_y": {"kind": "real_gaussian"}, "base": {"kind": "zero"}, **extra}
     result = run_experiment(config_from_dict(raw), tmp_path)
     assert len(result.records) == 6
-    kinds = [spec.kind for spec in calls["build_base_matrix"]]
-    assert kinds == ["two_block_diagonal"] * len(proven)
-    assert calls["require_invertible"] == proven
-    assert calls["assemble"] == [None] * 12
+    assert [(spec.b, n) for spec, n in calls["factor_diagonal"]] == diagonals
+    assert calls["build_base_matrix"] == []
+    assert [m_base for m_base, _ in calls["assemble"]] == [None] * 12
 
 
 def test_threading_does_not_change_results(tmp_path):
@@ -958,14 +957,28 @@ def test_unwritable_artifact_is_a_configuration_error(tmp_path):
         write_trials_csv(str(a_file / "trials.csv"), [])
 
 
-def test_cli_singular_sandwich_factor_exits_three(tmp_path):
-    raw = {"schema_version": 1, "experiment": "universality", "master_seed": 3,
-           "n_list": [12], "trials": 2, "mode": "sandwich", "dist_x": {"kind": "bernoulli"},
-           "dist_y": {"kind": "real_gaussian"},
-           "sandwich_k": {"kind": "low_rank", "rank": 1, "magnitude": 1.0},
-           "sandwich_l": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0}}
-    path = _write_config(tmp_path, raw)
-    assert cli_main(["universality", "--config", path, "--out", str(tmp_path / "out")]) == 3
+_ZERO_BLOCK = {"kind": "two_block_diagonal", "a": 0.0, "b": 2.0, "split": 0.05}
+_SANDWICH_RAW = {"schema_version": 1, "experiment": "universality", "master_seed": 3,
+                 "n_list": [8, 12], "trials": 2, "mode": "sandwich",
+                 "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},
+                 "sandwich_l": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0}}
+
+
+@pytest.mark.parametrize("factor", [
+    _ZERO_BLOCK, {"kind": "low_rank", "rank": 1, "magnitude": 1.0}], ids=["zero_entry", "low_rank"])
+def test_cli_singular_sandwich_factor_exits_two_and_writes_nothing(tmp_path, factor):
+    path = _write_config(tmp_path, {**_SANDWICH_RAW, "sandwich_k": factor})
+    out = tmp_path / "out"
+    assert cli_main(["universality", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_sandwich_factor_is_singular_only_where_a_zero_block_is_nonempty(tmp_path):
+    # split 0.05 gives the a block round(0.4) = 0 entries at n = 8 and one at n = 12
+    config_from_dict({**_SANDWICH_RAW, "n_list": [8], "sandwich_k": _ZERO_BLOCK})
+    # a tiny entry is exactly invertible, and scaling by it rounds once: it runs
+    cfg = config_from_dict({**_SANDWICH_RAW, "sandwich_k": {**_ZERO_BLOCK, "a": 1e-300}})
+    assert len(run_experiment(cfg, tmp_path).records) == 4
 
 
 def test_cli_numerical_failure_exits_three(tmp_path):
