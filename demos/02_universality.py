@@ -36,16 +36,14 @@ ENSEMBLES = {
         "base": {"kind": "zero"},
     },
     "sandwich": {
-        "mode": "sandwich",
         "dist_x": {"kind": "bernoulli"},
         "dist_y": {"kind": "real_gaussian"},
         "base": {"kind": "two_block_diagonal", "a": 1.0, "b": 5.0, "split": 0.5,
                  "scale_by_sqrt_n": True},
-        "sandwich_k": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0, "split": 0.5},
-        "sandwich_l": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0, "split": 0.5},
+        "sandwich_k": {"a": 1.0, "b": 2.0, "split": 0.5},
+        "sandwich_l": {"a": 1.0, "b": 2.0, "split": 0.5},
     },
     "variance_profile": {
-        "mode": "hadamard_profile",
         "dist_x": {"kind": "bernoulli"},
         "dist_y": {"kind": "real_gaussian"},
         "base": {"kind": "zero"},

@@ -165,32 +165,29 @@ def build_base_matrix(spec, n, rng=None):
     raise ConfigurationError(f"unknown base matrix kind {spec.kind!r}")
 
 
-ASSEMBLY_MODES = ("shift", "sandwich", "hadamard_profile")
-
-
-def assemble(m_base, x, mode, k=None, l=None, c=None):
+def assemble(m_base, x, k=None, l=None, c=None):
     """Combine base and noise matrices; no 1/sqrt(n) is applied here.
     A base of None is the zero base: it is neither built nor added.
 
-    shift             -> M + X
-    sandwich          -> M + K X L       (K = diag(k), L = diag(l): (k l^T) * X)
-    hadamard_profile  -> M + C * X       (entrywise; C positive entries)
+    k and l given  -> M + K X L   (K = diag(k), L = diag(l): (k l^T) * X)
+    c given        -> M + C * X   (entrywise; C positive entries)
+    neither        -> M + X
     """
     x = np.asarray(x)
-    if mode not in ASSEMBLY_MODES:
-        raise ConfigurationError(f"unknown assembly mode {mode!r}")
     if x.ndim != 2 or x.shape[0] != x.shape[1] or (
             m_base is not None and np.shape(m_base) != x.shape):
         raise ConfigurationError("base and noise must be square matrices of equal size")
-    if mode == "sandwich":
+    if c is not None and (k is not None or l is not None):
+        raise ConfigurationError("a profile C excludes the sandwich diagonals k and l")
+    if k is not None or l is not None:
         k, l = np.asarray(k), np.asarray(l)  # None has shape ()
         if k.shape != x.shape[:1] or l.shape != x.shape[:1]:
-            raise ConfigurationError("sandwich mode requires diagonals k and l of the noise size")
+            raise ConfigurationError("a sandwich requires diagonals k and l of the noise size")
         x = (k[:, None] * x) * l[None, :]
-    elif mode == "hadamard_profile":
+    elif c is not None:
         c = np.asarray(c)
         if c.shape != x.shape:
-            raise ConfigurationError("hadamard_profile mode requires a noise-sized profile C")
+            raise ConfigurationError("a profile C must have the noise size")
         if np.iscomplexobj(c) or np.min(c) <= 0.0:
             raise ConfigurationError("profile C must have real entries in [a, b] with a > 0")
         x = c * x

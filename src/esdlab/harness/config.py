@@ -7,7 +7,7 @@ echoed into the run manifest.
 
 Each experiment has one field table in ``FIELDS`` and one of gate
 thresholds in ``THRESHOLDS``; each entry law and base-matrix kind has
-one too, and so has the profile of hadamard_profile mode.  A table
+one too, and so have the profile and the sandwich factors.  A table
 entry states a key's parser (range checks included), its default and
 its dump form once; parsing, unknown-key rejection and the canonical
 dump are loops over the table, and the record types (``ExperimentConfig``,
@@ -25,9 +25,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..ensembles import ASSEMBLY_MODES, SCALAR_KINDS, require_buildable, two_blocks
+from ..ensembles import SCALAR_KINDS, require_buildable, two_blocks
 from ..errors import ConfigurationError
-from ..limits import DEFAULT_ETA_SCHEDULE
 
 SCHEMA_VERSION = 1
 
@@ -236,8 +235,8 @@ _BASE_KINDS = {
     "diagonal_from_measure": (Field("atoms", _nonempty(_as_complex), dump=_complex_list),),
 }
 
-# the entrywise scale C of hadamard_profile mode ramps from low to high
-# along the antidiagonals
+# the entrywise scale C of the profile assembly M + C * X ramps from low to
+# high along the antidiagonals
 _PROFILE_FIELDS = (Field("low", _POSITIVE_FLOAT), Field("high", _as_float))
 
 # Gate thresholds.  A tolerance (a `<` gate) is positive, a pass fraction
@@ -303,8 +302,18 @@ def scalar_distribution(kind, **params):
 _entry_law_dump = _spec_dump(_ENTRY_LAWS)
 _base = _spec_parser(BaseMatrixSpec, _BASE_KINDS)
 _base_dump = _spec_dump(_BASE_KINDS)
-# a sandwich factor is diagonal: K X L is then the entrywise product (k l^T) * X
-_factor = _spec_parser(BaseMatrixSpec, {"two_block_diagonal": _BASE_KINDS["two_block_diagonal"]})
+# a sandwich factor is a two-block diagonal written without its kind, so
+# K X L is the entrywise product (k l^T) * X
+_TWO_BLOCKS = _BASE_KINDS["two_block_diagonal"]
+
+
+def _factor(value, what):
+    return BaseMatrixSpec("two_block_diagonal",
+                          **_parse_fields(_as_object(value, what), _TWO_BLOCKS, what))
+
+
+def _factor_dump(spec):
+    return _dump_fields(spec, _TWO_BLOCKS)
 
 
 def _profile(value, what):
@@ -340,11 +349,10 @@ _MATRIX_FIELDS = (
 _OWN_FIELDS = {
     "circular": _MATRIX_FIELDS,
     "universality": _MATRIX_FIELDS + (
-        Field("mode", _one_of(*ASSEMBLY_MODES), "shift"),
         Field("dist_y", entry_law, dump=_entry_law_dump),
         Field("profile", _profile, None, dict),
-        Field("sandwich_k", _factor, None, _base_dump),
-        Field("sandwich_l", _factor, None, _base_dump),
+        Field("sandwich_k", _factor, None, _factor_dump),
+        Field("sandwich_l", _factor, None, _factor_dump),
     ),
     "hermitize": _MATRIX_FIELDS + (
         Field("z_grid", _nonempty(_as_complex), dump=_complex_list),
@@ -358,7 +366,7 @@ _OWN_FIELDS = {
         Field("x_min", _as_float, 0.1),
         Field("x_max", _as_float, 3.9),
         Field("x_step", _POSITIVE_FLOAT, 1.0 / 400.0),
-        Field("eta_schedule", _tuple_of(_as_float), DEFAULT_ETA_SCHEDULE, list),
+        Field("eta_schedule", _tuple_of(_as_float), [0.001, 0.0001], list),
         Field("agreement_tol", _POSITIVE_FLOAT, 1e-3),
         Field("mp_oracle", _as_bool, False),
     ),
@@ -402,20 +410,15 @@ def _check_cross_fields(kw):
         for n in kw["n_list"]:
             require_buildable("base", kw["base"], n)
     if experiment == "universality":
-        # a factor the mode never reads would be echoed in the manifest
-        # although it shaped no byte
-        for name, mode in (("profile", "hadamard_profile"), ("sandwich_k", "sandwich"),
-                           ("sandwich_l", "sandwich")):
-            if kw[name] is not None and kw["mode"] != mode:
-                raise ConfigurationError(f"{name} is read only in {mode} mode, "
-                                         f"not in {kw['mode']} mode")
-        if kw["mode"] == "hadamard_profile" and kw["profile"] is None:
-            raise ConfigurationError("hadamard_profile mode requires a profile spec")
+        # the keys set select the assembly: a profile, both sandwich factors, or neither
+        factors = [name for name in ("sandwich_k", "sandwich_l") if kw[name] is not None]
+        if len(factors) == 1:
+            raise ConfigurationError("sandwich_k and sandwich_l must be set together")
+        if factors and kw["profile"] is not None:
+            raise ConfigurationError("a profile excludes sandwich_k and sandwich_l")
         if kw["profile"] is not None and kw["profile"]["low"] > kw["profile"]["high"]:
             raise ConfigurationError("profile needs low <= high")
-        for name in ("sandwich_k", "sandwich_l") if kw["mode"] == "sandwich" else ():
-            if kw[name] is None:
-                raise ConfigurationError(f"sandwich mode requires {name}")
+        for name in factors:
             # singular iff a nonempty block is zero (n may be too large to build the diagonal)
             for n in kw["n_list"]:
                 values, lengths = two_blocks(kw[name], n)

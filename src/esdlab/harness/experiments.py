@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ensembles import assemble, build_base_matrix, build_iid_matrix, factor_diagonal
+from ..ensembles import assemble, build_base_matrix, build_iid_matrix, factor_diagonal, two_blocks
 from ..errors import ConfigurationError, NumericalFailureError
 from ..hermitization import log_det_at, regularized_log_det
 from ..limits import (
@@ -154,17 +154,17 @@ def _fold_trials(cfg, result, n, trial_fn):
     return {name: np.array([m[name] for m in outcomes]) for name in outcomes[0]}
 
 
-def _trial_matrix(cfg, n, t, dist=None, role=ROLE_X, mode="shift", **factors):
-    """The assembled matrix of trial t at size n: M + X in shift mode,
-    M + (k l^T) * X in sandwich mode, M + C * X in hadamard_profile mode, with
-    ``factors`` carrying k and l, or c.  X is drawn from ``dist`` (dist_x
-    by default) on the stream of ``role``.  The zero base is never built;
-    in shift mode with the zero base the result is X itself."""
+def _trial_matrix(cfg, n, t, dist=None, role=ROLE_X, **factors):
+    """The assembled matrix of trial t at size n: M + (k l^T) * X when
+    ``factors`` carries k and l, M + C * X when it carries c, and M + X
+    when it is empty.  X is drawn from ``dist`` (dist_x by default) on the
+    stream of ``role``.  The zero base is never built; with the zero base
+    and no factors the result is X itself."""
     x = build_iid_matrix(n, dist or cfg.dist_x, _stream(cfg, n, t, role))
     if cfg.base.kind == "zero":
-        return x if mode == "shift" else assemble(None, x, mode, **factors)
+        return assemble(None, x, **factors) if factors else x
     m = build_base_matrix(cfg.base, n, _stream(cfg, n, t, ROLE_BASE))
-    return assemble(m, x, mode, **factors)
+    return assemble(m, x, **factors)
 
 
 def _profile_matrix(profile, n):
@@ -173,11 +173,13 @@ def _profile_matrix(profile, n):
     return lo + (hi - lo) * ramp
 
 
-def _auto_center(cfg):
-    """Fig.1 convention: a scaled identity shift recenters the disk at a."""
-    b = cfg.base
-    if b.kind == "two_block_diagonal" and b.scale_by_sqrt_n and b.a == b.b:
-        return complex(b.a)
+def _auto_center(base, n):
+    """Fig.1 convention: a base that is a scaled identity at size n (its
+    nonempty blocks there share one value) recenters the disk at that value."""
+    if base.kind == "two_block_diagonal" and base.scale_by_sqrt_n:
+        values = {v for v, length in zip((base.a, base.b), two_blocks(base, n)[1]) if length}
+        if len(values) == 1:
+            return complex(*values)
     return 0j
 
 
@@ -185,12 +187,12 @@ def _auto_center(cfg):
 
 def run_circular_law(cfg, out_dir):
     thr = cfg.resolved_thresholds()
-    center = _auto_center(cfg)
     result = ExperimentResult("circular")
     for n in cfg.n_list:
+        center = _auto_center(cfg.base, n)
         paths = [os.path.join(out_dir, f"circular_n{n}_trial{t}.svg") for t in range(cfg.trials)]
 
-        def trial_fn(t, n=n, paths=paths):
+        def trial_fn(t, n=n, paths=paths, center=center):
             # the freshly drawn trial matrix has no other reader
             mu = esd_eigen(_trial_matrix(cfg, n, t), overwrite_a=True)
             write_svg(paths[t], scatter_svg(mu, center))
@@ -224,15 +226,15 @@ def run_universality(cfg, out_dir):
     medians = []
     for n in cfg.n_list:
         factors = {}
-        if cfg.mode == "sandwich":
+        if cfg.sandwich_k is not None:
             factors = {"k": factor_diagonal(cfg.sandwich_k, n),
                        "l": factor_diagonal(cfg.sandwich_l, n)}
-        elif cfg.mode == "hadamard_profile":
+        elif cfg.profile is not None:
             factors = {"c": _profile_matrix(cfg.profile, n)}
 
         def trial_fn(t, n=n, factors=factors):
-            a = _trial_matrix(cfg, n, t, cfg.dist_x, ROLE_X, cfg.mode, **factors)
-            b = _trial_matrix(cfg, n, t, cfg.dist_y, ROLE_Y, cfg.mode, **factors)
+            a = _trial_matrix(cfg, n, t, cfg.dist_x, ROLE_X, **factors)
+            b = _trial_matrix(cfg, n, t, cfg.dist_y, ROLE_Y, **factors)
             return {"bl_distance": bl_distance(esd_eigen(a), esd_eigen(b)),
                     "dilation_ks": ks_two_sample(dilation_esd(a), dilation_esd(b))}
         col = _fold_trials(cfg, result, n, trial_fn)

@@ -159,9 +159,6 @@ def mp_cdf(x):
 
 # -------------------------------------------------------- Stieltjes inversion
 
-DEFAULT_ETA_SCHEDULE = (1e-3, 1e-4)
-
-
 @dataclass(frozen=True)
 class StieltjesSolution:
     """Sampled m along Im w = eta plus the recovered real-line density."""
@@ -185,7 +182,7 @@ class StieltjesSolution:
         return float(np.trapezoid(self.density, self.x_grid))
 
 
-def invert_stieltjes(solve, x_grid, eta_schedule=DEFAULT_ETA_SCHEDULE, agreement_tol=1e-3):
+def invert_stieltjes(solve, x_grid, eta_schedule, agreement_tol):
     """Recover density(x) = (1/pi) Im m(x + i eta) at the lower of two eta levels.
 
     ``eta_schedule`` is the pair (eta_coarse, eta_fine), positive and

@@ -74,8 +74,7 @@ _UNIVERSALITY_PAIRS = {
     "pareto": {"dist_x": {"kind": "pareto_symmetrized", "exponent": 2.5},
                "dist_y": {"kind": "real_gaussian"}, "base": {"kind": "zero"}},
     "hadamard": {"dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},
-                 "base": {"kind": "zero"}, "mode": "hadamard_profile",
-                 "profile": {"low": 0.5, "high": 2.0}},
+                 "base": {"kind": "zero"}, "profile": {"low": 0.5, "high": 2.0}},
 }
 
 

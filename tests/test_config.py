@@ -38,7 +38,7 @@ _ROUNDTRIP = {
                  "n_list": [50], "trials": 2, "dist_x": {"kind": "bernoulli"},
                  "base": {"kind": "zero"}},
     "universality": {"schema_version": 1, "experiment": "universality", "master_seed": 3,
-                     "n_list": [40, 80], "trials": 2, "mode": "hadamard_profile",
+                     "n_list": [40, 80], "trials": 2,
                      "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},
                      "base": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.5, "split": 0.5,
                               "scale_by_sqrt_n": True},
@@ -87,14 +87,13 @@ _FULL = {
     "universality": {"schema_version": 1, "experiment": "universality", "master_seed": 0,
                      "output_dir": "runs/univ", "threads": 3,
                      "thresholds": {"final_median_bl": 0.2},
-                     "n_list": [2], "trials": 4, "mode": "sandwich",
+                     "n_list": [2], "trials": 4,
                      "dist_x": {"kind": "pareto_symmetrized", "exponent": 5},
                      "dist_y": {"kind": "complex_gaussian"},
                      "base": {"kind": "two_block_diagonal", "a": 1, "b": 2.5, "split": 0.25,
                               "scale_by_sqrt_n": False},
-                     "sandwich_k": {"kind": "two_block_diagonal", "a": 3, "b": 3, "split": 1},
-                     "sandwich_l": {"kind": "two_block_diagonal", "a": 1, "b": -0.5,
-                                    "scale_by_sqrt_n": True}},
+                     "sandwich_k": {"a": 3, "b": 3, "split": 1},
+                     "sandwich_l": {"a": 1, "b": -0.5, "scale_by_sqrt_n": True}},
     "hermitize": {"schema_version": 1, "experiment": "hermitize", "master_seed": 11,
                   "output_dir": "runs/herm", "threads": 1,
                   "thresholds": {"potential_gap": 0.1, "potential_pass_fraction": 0.5,
@@ -133,7 +132,8 @@ VALID = {**{f"roundtrip_{k}": v for k, v in _ROUNDTRIP.items()},
 # (mass_check, the mass thresholds, the profile kind and the first two
 # default eta levels, which no artifact byte read), and full_universality's
 # sandwich_l is no longer of the deleted explicit kind, nor its sandwich_k
-# of the low_rank kind, which a sandwich factor no longer takes.
+# of the low_rank kind, which a sandwich factor no longer takes.  Both
+# universality entries lost the deleted mode key, and the factors their kind.
 PINNED = {
     "bench_circular_t2": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"},'
@@ -191,11 +191,9 @@ PINNED = {
         '{"base": {"a": 1.0, "b": 2.5, "kind": "two_block_diagonal", "scale_by_sqrt_n": false,'
         ' "split": 0.25}, "dist_x": {"exponent": 5.0, "kind": "pareto_symmetrized"},'
         ' "dist_y": {"kind": "complex_gaussian"}, "experiment": "universality",'
-        ' "master_seed": 0, "mode": "sandwich", "n_list": [2], "output_dir": "runs/univ",'
-        ' "sandwich_k": {"a": 3.0, "b": 3.0, "kind": "two_block_diagonal",'
-        ' "scale_by_sqrt_n": false, "split": 1.0},'
-        ' "sandwich_l": {"a": 1.0, "b": -0.5, "kind": "two_block_diagonal",'
-        ' "scale_by_sqrt_n": true, "split": 0.5},'
+        ' "master_seed": 0, "n_list": [2], "output_dir": "runs/univ",'
+        ' "sandwich_k": {"a": 3.0, "b": 3.0, "scale_by_sqrt_n": false, "split": 1.0},'
+        ' "sandwich_l": {"a": 1.0, "b": -0.5, "scale_by_sqrt_n": true, "split": 0.5},'
         ' "schema_version": 1, "threads": 3,'
         ' "thresholds": {"final_median_bl": 0.2}, "trials": 4}'),
     "roundtrip_circular": (
@@ -223,8 +221,8 @@ PINNED = {
     "roundtrip_universality": (
         '{"base": {"a": 1.0, "b": 2.5, "kind": "two_block_diagonal", "scale_by_sqrt_n": true,'
         ' "split": 0.5}, "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},'
-        ' "experiment": "universality", "master_seed": 3, "mode": "hadamard_profile",'
-        ' "n_list": [40, 80], "output_dir": "out", "profile": {"high": 2.0, "low": 0.5},'
+        ' "experiment": "universality", "master_seed": 3, "n_list": [40, 80],'
+        ' "output_dir": "out", "profile": {"high": 2.0, "low": 0.5},'
         ' "schema_version": 1, "threads": 1, "thresholds": {}, "trials": 2}'),
 }
 
@@ -296,7 +294,8 @@ def test_threads_above_the_ceiling_are_rejected_when_parsed():
                               "trials": 2**20 - 1})
 
 
-@pytest.mark.parametrize("experiment", ["circular", "hermitize"])
+# universality lost its mode key too: the keys set select its assembly
+@pytest.mark.parametrize("experiment", sorted(_ROUNDTRIP))
 def test_shift_mode_key_is_unknown_outside_universality(experiment):
     with pytest.raises(ConfigurationError, match="unknown keys"):
         config_from_dict({**_ROUNDTRIP[experiment], "mode": "shift"})

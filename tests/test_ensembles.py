@@ -268,14 +268,14 @@ def test_diagonal_from_measure_scaling_and_rng():
 
 def test_assemble_shift_zero_base():
     x = build_iid_matrix(5, scalar_distribution("bernoulli"), RngStream(2, 0))
-    assert np.array_equal(assemble(np.zeros((5, 5)), x, "shift"), x)
+    assert np.array_equal(assemble(np.zeros((5, 5)), x), x)
 
 
 def test_assemble_sandwich_identity_reduces_to_shift():
     x = build_iid_matrix(6, scalar_distribution("real_gaussian"), RngStream(2, 1))
     m = build_base_matrix(BaseMatrixSpec("two_block_diagonal", a=1.0, b=2.0, split=0.5), 6)
     ones = np.ones(6)
-    assert np.array_equal(assemble(m, x, "sandwich", k=ones, l=ones), assemble(m, x, "shift"))
+    assert np.array_equal(assemble(m, x, k=ones, l=ones), assemble(m, x))
 
 
 # K = diag(k) and L = diag(l) of a mixed sign, one scaled by sqrt(n)
@@ -288,40 +288,40 @@ _L = BaseMatrixSpec("two_block_diagonal", a=2.0, b=3.0, split=0.5)
 def test_assemble_sandwich_equals_the_dense_product_bit_for_bit(kind, n):
     x = build_iid_matrix(n, scalar_distribution(kind), RngStream(2, 4))
     k, l = factor_diagonal(_K, n), factor_diagonal(_L, n)
-    assert assemble(None, x, "sandwich", k=k, l=l).tobytes() == (
+    assert assemble(None, x, k=k, l=l).tobytes() == (
         np.diag(k) @ x @ np.diag(l)).tobytes()
 
 
 def test_assemble_hadamard_all_ones_equals_shift():
     x = build_iid_matrix(7, scalar_distribution("complex_gaussian"), RngStream(2, 2))
     m = build_base_matrix(BaseMatrixSpec("two_block_diagonal", a=0.5, b=1.5, split=0.5), 7)
-    assert np.array_equal(assemble(m, x, "hadamard_profile", c=np.ones((7, 7))),
-                          assemble(m, x, "shift"))
+    assert np.array_equal(assemble(m, x, c=np.ones((7, 7))), assemble(m, x))
 
 
 def test_assemble_validation():
     x = np.zeros((3, 3))
     with pytest.raises(ConfigurationError):
-        assemble(np.zeros((2, 2)), x, "shift")
+        assemble(np.zeros((2, 2)), x)
     with pytest.raises(ConfigurationError):
-        assemble(x, x, "unknown")
+        # a profile C together with the sandwich diagonals k and l
+        assemble(x, x, k=np.ones(3), l=np.ones(3), c=np.ones((3, 3)))
     with pytest.raises(ConfigurationError):
-        assemble(None, np.zeros((2, 3)), "shift")
-    for c in (np.zeros((3, 3)), None):
+        assemble(None, np.zeros((2, 3)))
+    for c in (np.zeros((3, 3)), np.ones((3, 2))):
         with pytest.raises(ConfigurationError):
-            assemble(x, x, "hadamard_profile", c=c)
+            assemble(x, x, c=c)
     for k, l in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones(4)), (np.eye(3), np.ones(3)),
                  (None, np.ones(3))):
         with pytest.raises(ConfigurationError):
-            assemble(x, x, "sandwich", k=k, l=l)
+            assemble(x, x, k=k, l=l)
 
 
-@pytest.mark.parametrize("mode,factors", [
-    ("shift", {}),
-    ("sandwich", {"k": np.array([1.0, 2.0, 3.0, 4.0]), "l": np.array([0.5, -1.0, 2.0, 3.0])}),
-    ("hadamard_profile", {"c": np.full((4, 4), 1.5)}),
-])
-def test_assemble_without_base_equals_zero_base(mode, factors):
+@pytest.mark.parametrize("factors", [
+    {},
+    {"k": np.array([1.0, 2.0, 3.0, 4.0]), "l": np.array([0.5, -1.0, 2.0, 3.0])},
+    {"c": np.full((4, 4), 1.5)},
+], ids=["shift", "sandwich", "profile"])
+def test_assemble_without_base_equals_zero_base(factors):
     x = build_iid_matrix(4, scalar_distribution("real_gaussian"), RngStream(2, 3))
-    assert np.array_equal(assemble(None, x, mode, **factors),
-                          assemble(np.zeros((4, 4)), x, mode, **factors))
+    assert np.array_equal(assemble(None, x, **factors),
+                          assemble(np.zeros((4, 4)), x, **factors))

@@ -64,7 +64,7 @@ def test_schema_version_and_experiment_checks():
 @pytest.mark.parametrize("raw", [
     _circular_raw(),
     {"schema_version": 1, "experiment": "universality", "master_seed": 3,
-     "n_list": [40, 80], "trials": 2, "mode": "hadamard_profile",
+     "n_list": [40, 80], "trials": 2,
      "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},
      "base": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.5, "split": 0.5,
               "scale_by_sqrt_n": True},
@@ -134,27 +134,33 @@ def test_scatter_svg_point_mass_at_center():
 
 def test_circular_identity_shift_recenters_disk(tmp_path):
     # scaled identity base: the cloud fills a disk centered at (1, 0) and
-    # the KS statistics are taken about that center automatically
-    raw = {"schema_version": 1, "experiment": "circular", "master_seed": 8,
-           "n_list": [400], "trials": 1, "dist_x": {"kind": "bernoulli"},
-           "base": {"kind": "two_block_diagonal", "a": 1.0, "b": 1.0, "split": 0.5,
-                    "scale_by_sqrt_n": True}}
-    result = run_experiment(config_from_dict(raw), tmp_path)
-    assert all(g.passed for g in result.gates)
-    rec = result.records[0]
-    assert rec.metrics["radial_ks"] < 0.08
-    # second moment of the shifted cloud sits near 1 + 1/2, not 1/2
-    assert 1.2 < rec.metrics["second_moment"] < 1.8
+    # the KS statistics are taken about that center automatically.  With
+    # split 1 or 0 only one block is nonempty, so b or a is never read and
+    # the base is the same scaled identity.
+    metrics = []
+    for a, b, split in ((1.0, 1.0, 0.5), (1.0, 3.0, 1.0), (3.0, 1.0, 0.0)):
+        raw = {"schema_version": 1, "experiment": "circular", "master_seed": 8,
+               "n_list": [400], "trials": 1, "dist_x": {"kind": "bernoulli"},
+               "base": {"kind": "two_block_diagonal", "a": a, "b": b, "split": split,
+                        "scale_by_sqrt_n": True}}
+        result = run_experiment(config_from_dict(raw), tmp_path / f"split{split}")
+        assert all(g.passed for g in result.gates)
+        rec = result.records[0]
+        assert rec.metrics["radial_ks"] < 0.08
+        # second moment of the shifted cloud sits near 1 + 1/2, not 1/2
+        assert 1.2 < rec.metrics["second_moment"] < 1.8
+        metrics.append(rec.metrics)
+    assert metrics[1] == metrics[0] and metrics[2] == metrics[0]
 
 
 def test_universality_sandwich_mode_runs(tmp_path):
     raw = {"schema_version": 1, "experiment": "universality", "master_seed": 4,
-           "n_list": [24], "trials": 2, "mode": "sandwich",
+           "n_list": [24], "trials": 2,
            "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},
            "base": {"kind": "two_block_diagonal", "a": 1.0, "b": 5.0, "split": 0.5,
                     "scale_by_sqrt_n": True},
-           "sandwich_k": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0, "split": 0.5},
-           "sandwich_l": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0, "split": 0.5}}
+           "sandwich_k": {"a": 1.0, "b": 2.0, "split": 0.5},
+           "sandwich_l": {"a": 1.0, "b": 2.0, "split": 0.5}}
     result = run_experiment(config_from_dict(raw), tmp_path)
     assert all(r.metrics["bl_distance"] > 0.0 for r in result.records)
 
@@ -178,13 +184,12 @@ def test_universality_zero_base_shift_builds_and_adds_no_base(tmp_path, monkeypa
     assert calls == {"build_base_matrix": 0, "assemble": 0}
 
 
-@pytest.mark.parametrize("mode,extra,diagonals", [
-    ("sandwich", {"sandwich_k": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0},
-                  "sandwich_l": {"kind": "two_block_diagonal", "a": 1.0, "b": 3.0}},
+@pytest.mark.parametrize("extra,diagonals", [
+    ({"sandwich_k": {"a": 1.0, "b": 2.0}, "sandwich_l": {"a": 1.0, "b": 3.0}},
      [(2.0, 12), (3.0, 12), (2.0, 16), (3.0, 16)]),
-    ("hadamard_profile", {"profile": {"low": 0.5, "high": 2.0}}, []),
-])
-def test_universality_factor_diagonals_built_once_per_size(tmp_path, monkeypatch, mode, extra,
+    ({"profile": {"low": 0.5, "high": 2.0}}, []),
+], ids=["sandwich", "profile"])
+def test_universality_factor_diagonals_built_once_per_size(tmp_path, monkeypatch, extra,
                                                            diagonals):
     # the diagonals of K and L are built once per size, and the zero base
     # is never built: per trial, only X and Y are drawn and assembled
@@ -197,7 +202,7 @@ def test_universality_factor_diagonals_built_once_per_size(tmp_path, monkeypatch
 
         monkeypatch.setattr(ex, name, counting)
     raw = {"schema_version": 1, "experiment": "universality", "master_seed": 3,
-           "n_list": [12, 16], "trials": 3, "mode": mode, "dist_x": {"kind": "bernoulli"},
+           "n_list": [12, 16], "trials": 3, "dist_x": {"kind": "bernoulli"},
            "dist_y": {"kind": "real_gaussian"}, "base": {"kind": "zero"}, **extra}
     result = run_experiment(config_from_dict(raw), tmp_path)
     assert len(result.records) == 6
@@ -593,9 +598,9 @@ def test_manifest_gate_records_are_the_comparison(tmp_path, experiment):
 
 
 _RERUNS = {**_TINY_RUNS, "universality_sandwich": {
-    **_TINY_RUNS["universality"], "mode": "sandwich",
-    "sandwich_k": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0, "split": 0.5},
-    "sandwich_l": {"kind": "two_block_diagonal", "a": 1.0, "b": 3.0, "split": 0.5}}}
+    **_TINY_RUNS["universality"],
+    "sandwich_k": {"a": 1.0, "b": 2.0, "split": 0.5},
+    "sandwich_l": {"a": 1.0, "b": 3.0, "split": 0.5}}}
 
 
 @pytest.mark.parametrize("experiment", sorted(_RERUNS))
@@ -762,10 +767,8 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     ("ds-solve", {**_DS_RAW, "mp_oracle": True, "mass_check": True}),
     ("ds-solve", {**_DS_RAW, "mp_oracle": True, "thresholds": {"mass_low": 0.9}}),
     ("ds-solve", {**_DS_RAW, "mp_oracle": True, "thresholds": {"mass_high": 1.1}}),
-    ("universality", {**_UNIVERSALITY_RAW, "mode": "hadamard_profile",
-                      "profile": {"kind": "ramp", "low": 0.5, "high": 2.0}}),
-    ("universality", {**_UNIVERSALITY_RAW, "mode": "hadamard_profile",
-                      "profile": {"kind": "constant", "value": 1.0}}),
+    ("universality", {**_UNIVERSALITY_RAW, "profile": {"kind": "ramp", "low": 0.5, "high": 2.0}}),
+    ("universality", {**_UNIVERSALITY_RAW, "profile": {"kind": "constant", "value": 1.0}}),
 ])
 def test_cli_malformed_field_exits_two(tmp_path, command, raw):
     path = _write_config(tmp_path, raw)
@@ -875,18 +878,20 @@ def test_cli_tails_size_below_two_exits_two_without_output(tmp_path):
 
 
 _PROFILE = {"low": 0.5, "high": 2.0}
-_FACTOR = {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0}
+_FACTOR = {"a": 1.0, "b": 2.0}
 
 
+# The keys set select the assembly: a profile, both sandwich factors, or
+# neither.  Any other mix, and a factor that names a kind, exits 2.
 @pytest.mark.parametrize("raw", [
-    {**_UNIVERSALITY_RAW, "profile": _PROFILE},
-    {**_UNIVERSALITY_RAW, "mode": "sandwich", "profile": _PROFILE,
-     "sandwich_k": _FACTOR, "sandwich_l": _FACTOR},
-    {**_UNIVERSALITY_RAW, "mode": "hadamard_profile", "profile": _PROFILE,
-     "sandwich_k": _FACTOR},
+    {**_UNIVERSALITY_RAW, "profile": _PROFILE, "sandwich_k": _FACTOR, "sandwich_l": _FACTOR},
+    {**_UNIVERSALITY_RAW, "profile": _PROFILE, "sandwich_k": _FACTOR},
     {**_UNIVERSALITY_RAW, "sandwich_l": _FACTOR},
-], ids=["profile_in_shift", "profile_in_sandwich", "sandwich_k_in_hadamard",
-        "sandwich_l_in_shift"])
+    {**_UNIVERSALITY_RAW, "sandwich_k": _FACTOR},
+    {**_UNIVERSALITY_RAW, "sandwich_k": _FACTOR,
+     "sandwich_l": {"kind": "two_block_diagonal", **_FACTOR}},
+], ids=["profile_in_sandwich", "sandwich_k_in_hadamard", "sandwich_l_in_shift",
+        "sandwich_k_in_shift", "factor_with_kind"])
 def test_cli_universality_factor_outside_its_mode_exits_two(tmp_path, raw):
     path = _write_config(tmp_path, raw)
     out = tmp_path / "out"
@@ -928,10 +933,10 @@ def test_default_mp_oracle_run_bytes_pinned(tmp_path):
     ("hermitize", {**_HERMITIZE_RAW, "n_list": [4, 5],
                    "base": {"kind": "low_rank", "rank": 5, "magnitude": 1.0}}),
     ("universality", {"schema_version": 1, "experiment": "universality", "master_seed": 3,
-                      "n_list": [3, 40], "trials": 2, "mode": "sandwich",
+                      "n_list": [3, 40], "trials": 2,
                       "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},
-                      "sandwich_k": _FACTOR,
-                      "sandwich_l": {"kind": "diagonal_from_measure", "atoms": [1.0]}}),
+                      "base": {"kind": "low_rank", "rank": 4, "magnitude": 1.0},
+                      "sandwich_k": _FACTOR, "sandwich_l": _FACTOR}),
 ])
 def test_cli_base_unbuildable_at_some_size_exits_two_and_writes_nothing(tmp_path, command,
                                                                          raw):
@@ -957,11 +962,11 @@ def test_unwritable_artifact_is_a_configuration_error(tmp_path):
         write_trials_csv(str(a_file / "trials.csv"), [])
 
 
-_ZERO_BLOCK = {"kind": "two_block_diagonal", "a": 0.0, "b": 2.0, "split": 0.05}
+_ZERO_BLOCK = {"a": 0.0, "b": 2.0, "split": 0.05}
 _SANDWICH_RAW = {"schema_version": 1, "experiment": "universality", "master_seed": 3,
-                 "n_list": [8, 12], "trials": 2, "mode": "sandwich",
+                 "n_list": [8, 12], "trials": 2,
                  "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},
-                 "sandwich_l": {"kind": "two_block_diagonal", "a": 1.0, "b": 2.0}}
+                 "sandwich_l": {"a": 1.0, "b": 2.0}}
 
 
 @pytest.mark.parametrize("factor", [

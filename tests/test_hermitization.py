@@ -204,7 +204,7 @@ def test_regularized_floor_grows_with_the_shift():
     n, z = 200, 8.0
     base = build_base_matrix(BaseMatrixSpec("two_block_diagonal", a=8.0, b=8.0, split=0.5,
                                             scale_by_sqrt_n=True), n)
-    a = assemble(base, _gaussian(n, 7), "shift")
+    a = assemble(base, _gaussian(n, 7))
     norm_s = float(np.linalg.norm(a / math.sqrt(n)))
     floor = n * 2.0 ** -53 * (norm_s + math.sqrt(n) * z) ** 2
     assert floor > 100.0 * n * 2.0 ** -53 * float(np.linalg.norm(scaled_shift(a, z))) ** 2

@@ -174,7 +174,7 @@ def test_solver_against_oracle_sweep():
 
 def test_inversion_recovers_mp_density():
     grid = np.linspace(0.1, 3.9, 381)
-    sol = invert_stieltjes(lambda w: solve_ds(DELTA0, 1.0, w), grid)
+    sol = invert_stieltjes(lambda w: solve_ds(DELTA0, 1.0, w), grid, (1e-3, 1e-4), 1e-3)
     assert np.all(sol.density >= 0.0)
     assert np.max(np.abs(sol.density - mp_density(grid))) < 1e-2
 
@@ -204,7 +204,7 @@ def test_inversion_solves_once_per_level():
         heights.append(float(w.imag[0]))
         return solve_ds(DELTA0, 1.0, w)
 
-    sol = invert_stieltjes(solve, np.linspace(0.1, 3.9, 1521))
+    sol = invert_stieltjes(solve, np.linspace(0.1, 3.9, 1521), (1e-3, 1e-4), 1e-3)
     assert heights == [1e-3, 1e-4]
     assert sol.eta == 1e-4
 
@@ -212,23 +212,27 @@ def test_inversion_solves_once_per_level():
 def test_inversion_schedule_validation():
     solve = lambda w: solve_ds(DELTA0, 1.0, w)
     with pytest.raises(ConfigurationError):
-        invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-3, 1e-2))
+        invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-3, 1e-2),
+                         agreement_tol=1e-3)
     with pytest.raises(ConfigurationError):
-        invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-3, 0.0))
+        invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-3, 0.0),
+                         agreement_tol=1e-3)
     with pytest.raises(ConfigurationError):
-        invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-3,))
+        invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-3,),
+                         agreement_tol=1e-3)
     with pytest.raises(ConfigurationError):  # only the last two levels would be read
-        invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-1, 1e-2, 1e-3))
+        invert_stieltjes(solve, np.array([1.0]), eta_schedule=(1e-1, 1e-2, 1e-3),
+                         agreement_tol=1e-3)
     # no floor on the final eta: at 1e-8 the direct solver meets the MP density
     grid = np.linspace(0.1, 3.9, 1521)
-    sol = invert_stieltjes(solve, grid, eta_schedule=(1e-6, 1e-8))
+    sol = invert_stieltjes(solve, grid, eta_schedule=(1e-6, 1e-8), agreement_tol=1e-3)
     assert sol.eta == 1e-8
     assert np.max(np.abs(sol.density - mp_density(grid))) < 1e-12
 
 
 def test_stieltjes_cdf_helper():
     grid = np.linspace(0.1, 3.9, 381)
-    sol = invert_stieltjes(lambda w: solve_ds(DELTA0, 1.0, w), grid)
+    sol = invert_stieltjes(lambda w: solve_ds(DELTA0, 1.0, w), grid, (1e-3, 1e-4), 1e-3)
     cdf_vals = sol.cdf(np.array([0.0, 2.0, 5.0]))
     assert cdf_vals[0] == 0.0
     assert cdf_vals[2] <= 1.0

@@ -292,7 +292,7 @@ _ENTRIES = {
     "log_abs_det": (log_abs_det, tuple(_MALFORMED)),
     "verify_interlacing": (lambda a: verify_interlacing(a, 1), tuple(_MALFORMED)),
     "verify_weyl": (verify_weyl, tuple(_MALFORMED)),
-    "assemble": (lambda a: assemble(None, a, "shift"), ("non_square", "one_d")),
+    "assemble": (lambda a: assemble(None, a), ("non_square", "one_d")),
 }
 
 
