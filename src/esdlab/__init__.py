@@ -11,15 +11,7 @@ Submodules:
 """
 
 from .ensembles import assemble, build_base_matrix, build_iid_matrix, sample_array
-from .errors import (
-    BranchError,
-    ConfigurationError,
-    DegenerateInputError,
-    EsdLabError,
-    NumericalFailureError,
-    SingularityError,
-    SolverFailureError,
-)
+from .errors import ConfigurationError, EsdLabError, NumericalFailureError
 from .harness.config import BaseMatrixSpec, ScalarDistribution, scalar_distribution
 from .hermitization import (
     girko_kernel,

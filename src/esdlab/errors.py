@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the laboratory.
 
-The CLI maps these onto exit codes: configuration errors exit 2,
-numerical failures (degenerate inputs, the Girko kernel at its jump
-s = Re w, and solver breakdowns) exit 3.
+The two error classes are the CLI's exit codes: configuration errors
+exit 2, numerical failures (degenerate inputs, the Girko kernel at its
+jump s = Re w, and solver breakdowns) exit 3.
 """
 
 
@@ -16,21 +16,3 @@ class ConfigurationError(EsdLabError):
 
 class NumericalFailureError(EsdLabError):
     """A numerical kernel failed to converge or produce usable output."""
-
-
-class DegenerateInputError(NumericalFailureError):
-    """Input matrix violates a rank or invertibility precondition."""
-
-
-class SingularityError(NumericalFailureError):
-    """``girko_kernel`` evaluated at s = Re w, where sgn(s - Re w) jumps.
-    An atom of a measure at the evaluation point is no error: the
-    log-potential there is -inf."""
-
-
-class SolverFailureError(NumericalFailureError):
-    """A solver did not reach the requested residual."""
-
-
-class BranchError(SolverFailureError):
-    """A solution is not on the upper-half-plane branch, or not the only one."""

@@ -1,10 +1,13 @@
 """Command-line face of the laboratory.
 
-    esdlab <circular|universality|hermitize|ds-solve|tails|lemmas>
-           --config <file.json> [--out <dir>] [--seed <u64>] [--threads <k>]
+    esdlab --config <file.json> [--out <dir>]
+
+The config file is the whole run, its `experiment` key included; `--out`
+says only where the artifacts go, so no artifact depends on it.
 
 Exit codes: 0 all assertions passed, 1 assertion failure,
-2 configuration error, 3 numerical failure.
+2 configuration error (``ConfigurationError``, or a flag that argparse
+rejects), 3 numerical failure (``NumericalFailureError``).
 """
 
 from __future__ import annotations
@@ -13,41 +16,18 @@ import argparse
 import sys
 
 from ..errors import ConfigurationError, NumericalFailureError
-from .config import EXPERIMENTS, config_from_dict, read_config_json
+from .config import config_from_dict, read_config_json
 from .experiments import run_experiment
-
-_SUBCOMMANDS = {name.replace("_", "-"): name for name in EXPERIMENTS}
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(prog="esdlab",
-                                     description="spectral distribution laboratory")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", required=True, help="JSON experiment configuration")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=None, help="trial-level thread count")
-    return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog="esdlab",
+                                     description="spectral distribution laboratory")
+    parser.add_argument("--config", required=True, help="JSON experiment configuration")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    args = parser.parse_args(argv)
     try:
-        raw = read_config_json(args.config)
-        if args.seed is not None:
-            raw["master_seed"] = args.seed
-        if args.out is not None:
-            raw["output_dir"] = args.out
-        if args.threads is not None:
-            raw["threads"] = args.threads
-        cfg = config_from_dict(raw)
-        expected = _SUBCOMMANDS[args.command]
-        if cfg.experiment != expected:
-            raise ConfigurationError(
-                f"config is for experiment {cfg.experiment!r}, subcommand wants {expected!r}")
-        result = run_experiment(cfg)
+        result = run_experiment(config_from_dict(read_config_json(args.config)), args.out)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -327,10 +327,6 @@ def _common_fields(experiment):
         Field("experiment", _one_of(experiment)),
         Field("master_seed", _checked(_as_int, lambda s: 0 <= s < 2**64,
                                       "a 64-bit unsigned integer")),
-        Field("output_dir", _as_str, "out"),
-        # _fold_trials starts min(threads, trials) OS threads
-        Field("threads", _checked(_as_int, lambda n: 1 <= n <= 64, "at least 1 and at most 64"),
-              1),
         Field("thresholds", _overrides(THRESHOLDS[experiment]), {}, dict),
     )
 
@@ -344,6 +340,8 @@ _MATRIX_FIELDS = (
     Field("trials", _TRIAL_COUNT),
     Field("dist_x", entry_law, dump=_entry_law_dump),
     Field("base", _base, {"kind": "zero"}, _base_dump),
+    # _fold_trials starts min(threads, trials) OS threads
+    Field("threads", _checked(_as_int, lambda n: 1 <= n <= 64, "at least 1 and at most 64"), 1),
 )
 
 _OWN_FIELDS = {

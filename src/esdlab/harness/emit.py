@@ -34,31 +34,32 @@ def _write_text(path, text):
         raise ConfigurationError(f"cannot write artifact {path}: {exc}") from exc
 
 
+def _write_csv(path, header, rows):
+    """A CSV table: the header, then one line per row; a cell that is not
+    a string is printed by ``format_number``."""
+    lines = [header]
+    lines += [",".join(c if isinstance(c, str) else format_number(c) for c in row)
+              for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
 def write_trials_csv(path, records):
     """Long-format trial table: (experiment, n, trial, seed, metric, value)."""
-    lines = ["experiment,n,trial,seed,metric,value"]
-    for rec in records:
-        for metric, value in rec.metrics.items():
-            lines.append(f"{rec.experiment},{rec.n},{rec.trial},{rec.seed},"
-                         f"{metric},{format_number(value)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "experiment,n,trial,seed,metric,value",
+               ((rec.experiment, rec.n, rec.trial, rec.seed, metric, value)
+                for rec in records for metric, value in rec.metrics.items()))
 
 
 def write_field_csv(path, rows):
     """Log-potential field table: (re_z, im_z, f_n, f_reg, reference, gap)."""
-    lines = ["re_z,im_z,f_n,f_reg,reference,gap"]
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "re_z,im_z,f_n,f_reg,reference,gap", rows)
 
 
 def write_ds_csv(path, solution):
     """Stieltjes solution table: (x, eta, re_m, im_m, density)."""
-    lines = ["x,eta,re_m,im_m,density"]
-    for x, m, rho in zip(solution.x_grid, solution.m_values, solution.density):
-        lines.append(",".join(format_number(v)
-                              for v in (x, solution.eta, m.real, m.imag, rho)))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "x,eta,re_m,im_m,density",
+               ((x, solution.eta, m.real, m.imag, rho) for x, m, rho
+                in zip(solution.x_grid, solution.m_values, solution.density)))
 
 
 def scatter_svg(mu, center=0j):

@@ -174,13 +174,20 @@ def _profile_matrix(profile, n):
 
 
 def _auto_center(base, n):
-    """Fig.1 convention: a base that is a scaled identity at size n (its
-    nonempty blocks there share one value) recenters the disk at that value."""
-    if base.kind == "two_block_diagonal" and base.scale_by_sqrt_n:
-        values = {v for v, length in zip((base.a, base.b), two_blocks(base, n)[1]) if length}
-        if len(values) == 1:
-            return complex(*values)
-    return 0j
+    """Fig.1 convention: a base equal to c I at size n recenters the disk at
+    c/sqrt(n), where it moves the spectrum of (M + X)/sqrt(n).  A kind that
+    scales by sqrt(n) gives its value itself, so no rounding moves the centre."""
+    if base.kind == "two_block_diagonal":
+        scale = 1.0 if base.scale_by_sqrt_n else math.sqrt(n)
+        values = {v / scale for v, length in zip((base.a, base.b), two_blocks(base, n)[1])
+                  if length}
+    elif base.kind == "diagonal_from_measure":  # sqrt(n) times atoms drawn from the list
+        values = set(base.atoms)
+    elif base.kind == "low_rank" and base.rank == n:  # n blocks of one entry each
+        values = {base.magnitude / math.sqrt(n)}
+    else:  # the zero base, or a low_rank base below full rank
+        values = set()
+    return complex(*values) if len(values) == 1 else 0j
 
 
 # ------------------------------------------------------------------ circular
@@ -584,9 +591,8 @@ RUNNERS = {
 }
 
 
-def run_experiment(cfg, out_dir=None):
-    """Run one experiment, write all artifacts and the manifest."""
-    out_dir = out_dir or cfg.output_dir
+def run_experiment(cfg, out_dir):
+    """Run one experiment, write all artifacts and the manifest into ``out_dir``."""
     created = not os.path.isdir(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailureError, SingularityError
+from .errors import ConfigurationError, NumericalFailureError
 from .numerics import log_product, lu_log_abs_det, scaled_shift, singular_values
 
 
@@ -137,13 +137,14 @@ def log_potential(mu, z):
 
 def girko_kernel(w, s, u, v):
     """Closed form of the inner t-integral of Girko's identity:
-    pi sgn(s - Re w) e^{-v |s - Re w|} e^{ius} e^{iv Im w}, valid for v > 0."""
+    pi sgn(s - Re w) e^{-v |s - Re w|} e^{ius} e^{iv Im w}, valid for v > 0.
+    At s = Re w, where the sign jumps, it raises NumericalFailureError."""
     if v <= 0.0:
         raise ConfigurationError("girko_kernel requires v > 0 (printed kernel diverges otherwise)")
     w = complex(w)
     gap = s - w.real
     if gap == 0.0:
-        raise SingularityError("kernel is singular at s = Re(w)")
+        raise NumericalFailureError("kernel is singular at s = Re(w)")
     sign = 1.0 if gap > 0.0 else -1.0
     return complex(math.pi * sign * math.exp(-v * abs(gap)) * cmath.exp(1j * (u * s + v * w.imag)))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, ConfigurationError, SolverFailureError
+from .errors import ConfigurationError, NumericalFailureError
 
 
 # ---------------------------------------------------------------- circular law
@@ -94,7 +94,7 @@ def _solve_block(h, c, w):
     branch = (roots.imag > 0.0) & ((w * roots).imag > 0.0)
     bad = branch.sum(axis=1) != 1
     if bad.any():
-        raise BranchError(f"not one root with Im m > 0, Im(w m) > 0 at w={w[bad][0, 0]}")
+        raise NumericalFailureError(f"not one root with Im m > 0, Im(w m) > 0 at w={w[bad][0, 0]}")
     m = roots[branch]
     # one Newton step on m - RHS(m), where d RHS/dm = -c sum_j a_j / (u - p_j)^2
     slope = 1.0 + c * np.sum(residues / (1.0 + c * m[:, None] - poles) ** 2, axis=1)
@@ -105,8 +105,9 @@ def solve_ds(h, c, w):
     """Upper-half-plane solution m(w) of the self-consistent equation, at a
     scalar w or elementwise on an array of w: the one eigenvalue of an
     arrowhead matrix per point (one batched ``np.linalg.eigvals`` per block)
-    with Im m > 0 and Im(w m) > 0, else BranchError, after one Newton step.
-    The residual, at most 1e-10 max(1, |m|), is the only acceptance test.
+    with Im m > 0 and Im(w m) > 0, else NumericalFailureError, after one
+    Newton step.  The residual, at most 1e-10 max(1, |m|), is the only
+    acceptance test.
     """
     if not isinstance(h, MeasureH):
         raise ConfigurationError("h must be a MeasureH")
@@ -122,7 +123,7 @@ def solve_ds(h, c, w):
     residual = np.abs(m - ds_rhs(m, h, c, flat)) / np.maximum(1.0, np.abs(m))
     if not np.all(residual <= 1e-10):
         worst = float(np.max(residual))
-        raise SolverFailureError(f"relative residual {worst:.3e} > 1e-10")
+        raise NumericalFailureError(f"relative residual {worst:.3e} > 1e-10")
     return complex(m[0]) if w.ndim == 0 else m.reshape(w.shape)
 
 
@@ -139,7 +140,7 @@ def mp_reference(w):
     for m in roots:
         if m.imag > 0.0:
             return m
-    raise BranchError(f"no Im m > 0 root at w={w}")
+    raise NumericalFailureError(f"no Im m > 0 root at w={w}")
 
 
 def mp_density(x):
@@ -170,7 +171,7 @@ class StieltjesSolution:
 
     def __post_init__(self):
         if np.any(np.asarray(self.m_values).imag <= 0.0):
-            raise BranchError("StieltjesSolution requires Im m > 0 on the whole grid")
+            raise NumericalFailureError("StieltjesSolution requires Im m > 0 on the whole grid")
 
     def cdf(self, x):
         """Cumulative trapezoid of the recovered density, clipped to [0, 1]."""
@@ -202,7 +203,7 @@ def invert_stieltjes(solve, x_grid, eta_schedule, agreement_tol):
     gap = np.abs(density - coarse.imag / math.pi)
     sup_diff = float(np.max(gap))
     if sup_diff > agreement_tol:
-        raise SolverFailureError(
+        raise NumericalFailureError(
             f"eta levels not converged: their densities differ by {sup_diff:.3e} "
             f"(worst at x={x[int(np.argmax(gap))]:.6g}, tol {agreement_tol:.3e})")
     return StieltjesSolution(etas[1], x, fine, density)

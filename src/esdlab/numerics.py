@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, NumericalFailureError
+from .errors import ConfigurationError, NumericalFailureError
 
 MINUS_INFINITY = float("-inf")
 
@@ -167,7 +167,7 @@ def leave_one_out_distances(a):
         raise ConfigurationError("leave-one-out requires n' <= n (wide or square matrix)")
     s = singular_values(m)
     if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
-        raise DegenerateInputError("leave-one-out identity requires a full-rank matrix")
+        raise NumericalFailureError("leave-one-out identity requires a full-rank matrix")
     d = np.empty(rows)
     idx = np.arange(rows)
     for j in range(rows):

@@ -79,13 +79,13 @@ _BENCH = {
 # stand in for some floats, and every base and distribution kind appears.
 _FULL = {
     "circular": {"schema_version": 1, "experiment": "circular", "master_seed": 2**64 - 1,
-                 "output_dir": "runs/circ", "threads": 2,
+                 "threads": 2,
                  "thresholds": {"radial_ks": 0.1, "in_disk_radius": 2},
                  "n_list": [30, 60.0], "trials": 3,
                  "dist_x": {"kind": "two_point_asymmetric", "p": 0.25},
                  "base": {"kind": "diagonal_from_measure", "atoms": [1, [0.5, -0.5]]}},
     "universality": {"schema_version": 1, "experiment": "universality", "master_seed": 0,
-                     "output_dir": "runs/univ", "threads": 3,
+                     "threads": 3,
                      "thresholds": {"final_median_bl": 0.2},
                      "n_list": [2], "trials": 4,
                      "dist_x": {"kind": "pareto_symmetrized", "exponent": 5},
@@ -95,7 +95,7 @@ _FULL = {
                      "sandwich_k": {"a": 3, "b": 3, "split": 1},
                      "sandwich_l": {"a": 1, "b": -0.5, "scale_by_sqrt_n": True}},
     "hermitize": {"schema_version": 1, "experiment": "hermitize", "master_seed": 11,
-                  "output_dir": "runs/herm", "threads": 1,
+                  "threads": 1,
                   "thresholds": {"potential_gap": 0.1, "potential_pass_fraction": 0.5,
                                  "regularization_gap": 1},
                   "n_list": [16, 32], "trials": 1, "dist_x": {"kind": "uniform_centered"},
@@ -103,20 +103,18 @@ _FULL = {
                   "z_grid": [0, [0.5, 0.5], -1.5, [0.0, 2]],
                   "reference": "ds", "eps_exponent": 0.25},
     "ds_solve": {"schema_version": 1, "experiment": "ds_solve", "master_seed": 5,
-                 "output_dir": "runs/ds", "threads": 2,
                  "thresholds": {},
                  "h_atoms": [0.5, 2], "h_weights": [0.25, 0.75], "c": 1, "x_min": 0.2,
                  "x_max": 5, "x_step": 0.05, "eta_schedule": [0.01, 0.001],
                  "agreement_tol": 0.01, "mp_oracle": False},
     "tails": {"schema_version": 1, "experiment": "tails", "master_seed": 12,
-              "output_dir": "runs/tails", "threads": 2,
+              "threads": 2,
               "thresholds": {"sigma_min_exponent": 8, "distance_constant": 0.25,
                              "mean_dist2_low": 0.9, "mean_dist2_high": 1.1},
               "n_list": [10, 20], "trials": 5, "dist_x": {"kind": "real_gaussian"},
               "base": {"kind": "zero"}, "distance_n": 300, "distance_d": 100,
               "distance_trials": 7},
     "lemmas": {"schema_version": 1, "experiment": "lemmas", "master_seed": 13,
-               "output_dir": "runs/lemmas", "threads": 4,
                "thresholds": {"det_identity": 1e-5, "neg_second_moment": 1e-8,
                               "interlacing_slack_scale": 1e-7, "weyl_slack_scale": 1e-7},
                "lemma_cases": 20, "max_size": 6},
@@ -134,95 +132,97 @@ VALID = {**{f"roundtrip_{k}": v for k, v in _ROUNDTRIP.items()},
 # sandwich_l is no longer of the deleted explicit kind, nor its sandwich_k
 # of the low_rank kind, which a sandwich factor no longer takes.  Both
 # universality entries lost the deleted mode key, and the factors their kind.
+# Every entry lost output_dir, which is no config key, and the ds_solve and
+# lemmas entries lost threads, which only experiments that fold trials take.
 PINNED = {
     "bench_circular_t2": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"},'
         ' "experiment": "circular", "master_seed": 20260808, "n_list": [1000],'
-        ' "output_dir": "out", "schema_version": 1, "threads": 2, "thresholds": {},'
+        ' "schema_version": 1, "threads": 2, "thresholds": {},'
         ' "trials": 2}'),
     "bench_ds_mp": (
         '{"agreement_tol": 0.001, "c": 1.0, "eta_schedule": [0.001, 0.0001],'
         ' "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0],'
-        ' "master_seed": 20260808, "mp_oracle": true, "output_dir": "out",'
-        ' "schema_version": 1, "threads": 1, "thresholds": {}, "x_max": 3.9, "x_min": 0.1,'
+        ' "master_seed": 20260808, "mp_oracle": true,'
+        ' "schema_version": 1, "thresholds": {}, "x_max": 3.9, "x_min": 0.1,'
         ' "x_step": 0.0025}'),
     "bench_hermitize_t1": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"}, "eps_exponent": 0.1,'
         ' "experiment": "hermitize", "master_seed": 20260808, "n_list": [600],'
-        ' "output_dir": "out", "reference": "circular", "schema_version": 1, "threads": 1,'
+        ' "reference": "circular", "schema_version": 1, "threads": 1,'
         ' "thresholds": {}, "trials": 2, "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}'),
     "bench_tails_t1": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "bernoulli"}, "distance_d": 1000,'
         ' "distance_n": 2000, "distance_trials": 200, "experiment": "tails",'
-        ' "master_seed": 20260808, "n_list": [100, 200, 400], "output_dir": "out",'
+        ' "master_seed": 20260808, "n_list": [100, 200, 400],'
         ' "schema_version": 1, "threads": 1, "thresholds": {}, "trials": 100}'),
     "full_circular": (
         '{"base": {"atoms": [1.0, [0.5, -0.5]], "kind": "diagonal_from_measure"},'
         ' "dist_x": {"kind": "two_point_asymmetric", "p": 0.25},'
         ' "experiment": "circular", "master_seed": 18446744073709551615, "n_list": [30, 60],'
-        ' "output_dir": "runs/circ", "schema_version": 1, "threads": 2,'
+        ' "schema_version": 1, "threads": 2,'
         ' "thresholds": {"in_disk_radius": 2.0, "radial_ks": 0.1}, "trials": 3}'),
     "full_ds_solve": (
         '{"agreement_tol": 0.01, "c": 1.0, "eta_schedule": [0.01, 0.001],'
         ' "experiment": "ds_solve", "h_atoms": [0.5, 2.0], "h_weights": [0.25, 0.75],'
-        ' "master_seed": 5, "mp_oracle": false, "output_dir": "runs/ds",'
-        ' "schema_version": 1, "threads": 2, "thresholds": {}, "x_max": 5.0, "x_min": 0.2,'
+        ' "master_seed": 5, "mp_oracle": false,'
+        ' "schema_version": 1, "thresholds": {}, "x_max": 5.0, "x_min": 0.2,'
         ' "x_step": 0.05}'),
     "full_hermitize": (
         '{"base": {"kind": "low_rank", "magnitude": 0.5, "rank": 1},'
         ' "dist_x": {"kind": "uniform_centered"}, "eps_exponent": 0.25,'
         ' "experiment": "hermitize", "master_seed": 11, "n_list": [16, 32],'
-        ' "output_dir": "runs/herm", "reference": "ds", "schema_version": 1, "threads": 1,'
+        ' "reference": "ds", "schema_version": 1, "threads": 1,'
         ' "thresholds": {"potential_gap": 0.1, "potential_pass_fraction": 0.5,'
         ' "regularization_gap": 1.0}, "trials": 1, "z_grid": [0.0, [0.5, 0.5], -1.5, [0.0,'
         ' 2.0]]}'),
     "full_lemmas": (
         '{"experiment": "lemmas", "lemma_cases": 20, "master_seed": 13, "max_size": 6,'
-        ' "output_dir": "runs/lemmas", "schema_version": 1, "threads": 4,'
+        ' "schema_version": 1,'
         ' "thresholds": {"det_identity": 1e-05, "interlacing_slack_scale": 1e-07,'
         ' "neg_second_moment": 1e-08, "weyl_slack_scale": 1e-07}}'),
     "full_tails": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"}, "distance_d": 100,'
         ' "distance_n": 300, "distance_trials": 7, "experiment": "tails", "master_seed": 12,'
-        ' "n_list": [10, 20], "output_dir": "runs/tails", "schema_version": 1, "threads": 2,'
+        ' "n_list": [10, 20], "schema_version": 1, "threads": 2,'
         ' "thresholds": {"distance_constant": 0.25, "mean_dist2_high": 1.1,'
         ' "mean_dist2_low": 0.9, "sigma_min_exponent": 8.0}, "trials": 5}'),
     "full_universality": (
         '{"base": {"a": 1.0, "b": 2.5, "kind": "two_block_diagonal", "scale_by_sqrt_n": false,'
         ' "split": 0.25}, "dist_x": {"exponent": 5.0, "kind": "pareto_symmetrized"},'
         ' "dist_y": {"kind": "complex_gaussian"}, "experiment": "universality",'
-        ' "master_seed": 0, "n_list": [2], "output_dir": "runs/univ",'
+        ' "master_seed": 0, "n_list": [2],'
         ' "sandwich_k": {"a": 3.0, "b": 3.0, "scale_by_sqrt_n": false, "split": 1.0},'
         ' "sandwich_l": {"a": 1.0, "b": -0.5, "scale_by_sqrt_n": true, "split": 0.5},'
         ' "schema_version": 1, "threads": 3,'
         ' "thresholds": {"final_median_bl": 0.2}, "trials": 4}'),
     "roundtrip_circular": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "bernoulli"}, "experiment": "circular",'
-        ' "master_seed": 7, "n_list": [50], "output_dir": "out", "schema_version": 1,'
+        ' "master_seed": 7, "n_list": [50], "schema_version": 1,'
         ' "threads": 1, "thresholds": {}, "trials": 2}'),
     "roundtrip_ds_solve": (
         '{"agreement_tol": 0.001, "c": 1.0, "eta_schedule": [0.001, 0.0001],'
         ' "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0],'
-        ' "master_seed": 3, "mp_oracle": true, "output_dir": "out", "schema_version": 1,'
-        ' "threads": 1, "thresholds": {}, "x_max": 3.9, "x_min": 0.1, "x_step": 0.0025}'),
+        ' "master_seed": 3, "mp_oracle": true, "schema_version": 1,'
+        ' "thresholds": {}, "x_max": 3.9, "x_min": 0.1, "x_step": 0.0025}'),
     "roundtrip_hermitize": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"}, "eps_exponent": 1.5,'
-        ' "experiment": "hermitize", "master_seed": 3, "n_list": [64], "output_dir": "out",'
+        ' "experiment": "hermitize", "master_seed": 3, "n_list": [64],'
         ' "reference": "circular", "schema_version": 1, "threads": 1, "thresholds": {},'
         ' "trials": 2, "z_grid": [0.0, [0.5, 0.5]]}'),
     "roundtrip_lemmas": (
         '{"experiment": "lemmas", "lemma_cases": 10, "master_seed": 3, "max_size": 8,'
-        ' "output_dir": "out", "schema_version": 1, "threads": 1, "thresholds": {}}'),
+        ' "schema_version": 1, "thresholds": {}}'),
     "roundtrip_tails": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "bernoulli"}, "distance_d": 50,'
         ' "distance_n": 100, "distance_trials": 5, "experiment": "tails", "master_seed": 3,'
-        ' "n_list": [50], "output_dir": "out", "schema_version": 1, "threads": 1,'
+        ' "n_list": [50], "schema_version": 1, "threads": 1,'
         ' "thresholds": {}, "trials": 3}'),
     "roundtrip_universality": (
         '{"base": {"a": 1.0, "b": 2.5, "kind": "two_block_diagonal", "scale_by_sqrt_n": true,'
         ' "split": 0.5}, "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},'
         ' "experiment": "universality", "master_seed": 3, "n_list": [40, 80],'
-        ' "output_dir": "out", "profile": {"high": 2.0, "low": 0.5},'
+        ' "profile": {"high": 2.0, "low": 0.5},'
         ' "schema_version": 1, "threads": 1, "thresholds": {}, "trials": 2}'),
 }
 
@@ -287,7 +287,7 @@ def test_spec_types_are_built_from_the_kind_tables():
 
 def test_threads_above_the_ceiling_are_rejected_when_parsed():
     # parsing only: no thread is started
-    assert config_from_dict({**_ROUNDTRIP["lemmas"], "threads": 64}).threads == 64
+    assert config_from_dict({**_ROUNDTRIP["tails"], "threads": 64}).threads == 64
     for threads in (65, 2**20 - 1):
         with pytest.raises(ConfigurationError, match="at most 64"):
             config_from_dict({**_ROUNDTRIP["circular"], "threads": threads,

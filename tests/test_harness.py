@@ -153,6 +153,23 @@ def test_circular_identity_shift_recenters_disk(tmp_path):
     assert metrics[1] == metrics[0] and metrics[2] == metrics[0]
 
 
+# a base equal to c I at size n centres the disk at c/sqrt(n), whatever its kind
+@pytest.mark.parametrize("base,center", [
+    ({"kind": "diagonal_from_measure", "atoms": [1.0]}, 1.0),
+    ({"kind": "diagonal_from_measure", "atoms": [[0.5, 0.5], [0.5, 0.5]]}, 0.5 + 0.5j),
+    ({"kind": "low_rank", "rank": 300, "magnitude": 5.0}, 5.0 / math.sqrt(300)),
+    ({"kind": "two_block_diagonal", "a": 1.0, "b": 1.0}, 1.0 / math.sqrt(300)),
+], ids=["one_atom", "one_complex_atom", "full_rank_low_rank", "unscaled_two_block"])
+def test_circular_scalar_base_recenters_disk(tmp_path, base, center):
+    from esdlab.harness.experiments import _auto_center
+    raw = {"schema_version": 1, "experiment": "circular", "master_seed": 7,
+           "n_list": [300], "trials": 2, "dist_x": {"kind": "real_gaussian"}, "base": base}
+    cfg = config_from_dict(raw)
+    assert _auto_center(cfg.base, 300) == center
+    result = run_experiment(cfg, tmp_path)
+    assert all(g.passed for g in result.gates), [str(g) for g in result.gates]
+
+
 def test_universality_sandwich_mode_runs(tmp_path):
     raw = {"schema_version": 1, "experiment": "universality", "master_seed": 4,
            "n_list": [24], "trials": 2,
@@ -244,6 +261,8 @@ def test_manifest_contents(tmp_path):
     run_experiment(cfg, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["experiment"] == "circular"
+    # where the run was written is not part of it
+    assert "output_dir" not in manifest["config"]
     assert manifest["thresholds_resolved"]["radial_ks"] == 0.05
     assert "trials.csv" in manifest["artifacts"]
     assert all(len(h) == 64 for h in manifest["artifacts"].values())
@@ -398,7 +417,7 @@ def test_cli_zero_distance_row_exits_three(tmp_path, monkeypatch):
         np.zeros(count) if count == nd else draw(dist, rng, count)))
     path = _write_config(tmp_path, _TINY_RUNS["tails"])
     out = tmp_path / "out"
-    assert cli_main(["tails", "--config", path, "--out", str(out)]) == 3
+    assert cli_main(["--config", path, "--out", str(out)]) == 3
     assert not out.exists()
 
 
@@ -647,7 +666,7 @@ def _write_config(tmp_path, raw, name="cfg.json"):
 def test_cli_pass_and_exit_zero(tmp_path, capsys):
     path = _write_config(tmp_path, {"schema_version": 1, "experiment": "lemmas",
                                     "master_seed": 5, "lemma_cases": 15, "max_size": 10})
-    code = cli_main(["lemmas", "--config", path, "--out", str(tmp_path / "out")])
+    code = cli_main(["--config", path, "--out", str(tmp_path / "out")])
     assert code == 0
     assert "GATE det_triple_identity: PASS" in capsys.readouterr().out
 
@@ -656,29 +675,42 @@ def test_cli_gate_failure_exits_one(tmp_path):
     raw = _circular_raw(n=40, trials=2)
     raw["thresholds"] = {"radial_ks": 1e-9}
     path = _write_config(tmp_path, raw)
-    code = cli_main(["circular", "--config", path, "--out", str(tmp_path / "out")])
+    code = cli_main(["--config", path, "--out", str(tmp_path / "out")])
     assert code == 1
 
 
 def test_cli_config_error_exits_two(tmp_path):
     path = _write_config(tmp_path, _circular_raw(bogus=1))
-    assert cli_main(["circular", "--config", path]) == 2
-    # experiment / subcommand mismatch is also a configuration error
+    assert cli_main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+    # the config is the whole run: a flag that would set a config value, or
+    # an experiment name before --config, is an argument error (exit 2)
     path = _write_config(tmp_path, _circular_raw(), name="c2.json")
-    assert cli_main(["lemmas", "--config", path]) == 2
+    for extra in (["--seed", "1"], ["--threads", "2"], ["circular"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*extra, "--config", path, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+    assert sorted(os.listdir(tmp_path)) == ["c2.json", "cfg.json"]
+
+
+def test_cli_manifest_does_not_depend_on_the_output_directory(tmp_path):
+    path = _write_config(tmp_path, _LEMMAS_RAW)
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert cli_main(["--config", path, "--out", str(out1)]) == 0
+    assert cli_main(["--config", path, "--out", str(out2)]) == 0
+    assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
 
 def test_cli_missing_dist_x_exits_two(tmp_path):
     raw = _circular_raw()
     del raw["dist_x"]
     path = _write_config(tmp_path, raw)
-    assert cli_main(["circular", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert cli_main(["--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_cli_non_integer_lemma_cases_exits_two(tmp_path):
     path = _write_config(tmp_path, {"schema_version": 1, "experiment": "lemmas",
                                     "master_seed": 5, "lemma_cases": "x"})
-    assert cli_main(["lemmas", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert cli_main(["--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
 _DS_RAW = {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3}
@@ -696,7 +728,9 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
                  "distance_n": 20, "distance_d": 10, "distance_trials": 2}
 
 
-@pytest.mark.parametrize("command,raw", [
+# In the CLI tests below, the label of a case names its experiment in the
+# test ID and in the failure message.
+@pytest.mark.parametrize("label,raw", [
     ("hermitize", {**_HERMITIZE_RAW, "eps_exponent": "x"}),
     ("circular", _circular_raw(threads="x")),
     ("circular", {**_circular_raw(), "n_list": ["x"]}),
@@ -756,10 +790,11 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     ("hermitize", {**_HERMITIZE_RAW, "n_list": [2**31 - 1]}),
     ("tails", {**_TAILS_N1_RAW, "n_list": [10], "distance_n": 2**39}),
     ("lemmas", {**_LEMMAS_RAW, "max_size": 2**39}),
-    # output directories the OS cannot take, passed through --out: a lone
-    # surrogate cannot be encoded, and a NUL cannot be in a path
-    ("lemmas", {**_LEMMAS_RAW, "output_dir": "o_\ud800"}),
-    ("lemmas", {**_LEMMAS_RAW, "output_dir": "o_\u0000x"}),
+    # output directories the OS cannot take, given in "--out" (which the
+    # test passes through --out, not in the config): a lone surrogate
+    # cannot be encoded, and a NUL cannot be in a path
+    ("lemmas", {**_LEMMAS_RAW, "--out": "o_\ud800"}),
+    ("lemmas", {**_LEMMAS_RAW, "--out": "o_\u0000x"}),
     # universality always compares against an independent draw of dist_y
     ("universality", {k: v for k, v in _UNIVERSALITY_RAW.items() if k != "dist_y"}),
     # the total-mass gate and the profile kinds are gone: no config
@@ -769,11 +804,17 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     ("ds-solve", {**_DS_RAW, "mp_oracle": True, "thresholds": {"mass_high": 1.1}}),
     ("universality", {**_UNIVERSALITY_RAW, "profile": {"kind": "ramp", "low": 0.5, "high": 2.0}}),
     ("universality", {**_UNIVERSALITY_RAW, "profile": {"kind": "constant", "value": 1.0}}),
+    # the output directory is not part of the config, and threads is read
+    # only where trials are folded
+    ("circular", _circular_raw(output_dir="out")),
+    ("ds-solve", {**_DS_RAW, "threads": 1}),
+    ("lemmas", {**_LEMMAS_RAW, "threads": 1}),
 ])
-def test_cli_malformed_field_exits_two(tmp_path, command, raw):
+def test_cli_malformed_field_exits_two(tmp_path, label, raw):
+    raw = dict(raw)
+    out = str(tmp_path / raw.pop("--out", "out"))
     path = _write_config(tmp_path, raw)
-    out = str(tmp_path / raw.get("output_dir", "out"))
-    assert cli_main([command, "--config", path, "--out", out]) == 2
+    assert cli_main(["--config", path, "--out", out]) == 2, label
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
@@ -782,7 +823,7 @@ _THRESHOLD_RUNS = {"circular": _circular_raw(), "universality": _UNIVERSALITY_RA
                    "tails": {**_TAILS_N1_RAW, "n_list": [10]}, "lemmas": _LEMMAS_RAW}
 
 
-@pytest.mark.parametrize("command,name,value", [
+@pytest.mark.parametrize("label,name,value", [
     ("circular", "radial_ks", 0),              # tolerances are positive
     ("circular", "angular_ks", -0.05),
     ("circular", "ks_pass_fraction", 1.5),     # pass fractions are in [0, 1]
@@ -803,25 +844,25 @@ _THRESHOLD_RUNS = {"circular": _circular_raw(), "universality": _UNIVERSALITY_RA
     ("lemmas", "interlacing_slack_scale", -1e-8),  # slack scales are at least 0
     ("lemmas", "weyl_slack_scale", -1e-8),
 ])
-def test_cli_out_of_range_threshold_exits_two(tmp_path, command, name, value):
-    path = _write_config(tmp_path, {**_THRESHOLD_RUNS[command], "thresholds": {name: value}})
+def test_cli_out_of_range_threshold_exits_two(tmp_path, label, name, value):
+    path = _write_config(tmp_path, {**_THRESHOLD_RUNS[label], "thresholds": {name: value}})
     out = tmp_path / "out"
-    assert cli_main([command, "--config", path, "--out", str(out)]) == 2
+    assert cli_main(["--config", path, "--out", str(out)]) == 2
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,thresholds", [
+@pytest.mark.parametrize("label,thresholds", [
     ("tails", {"mean_dist2_low": 1.5}),  # above the default mean_dist2_high, 1.05
     ("tails", {"mean_dist2_low": 1.1, "mean_dist2_high": 1.05}),
     ("tails", {"mean_dist2_high": 0.5}),  # below the default mean_dist2_low, 0.95
     ("tails", {"mean_dist2_low": 2.0, "mean_dist2_high": 1.5}),
 ])
-def test_cli_empty_threshold_interval_exits_two(tmp_path, command, thresholds):
+def test_cli_empty_threshold_interval_exits_two(tmp_path, label, thresholds):
     # an `in` gate over [low, high] with low > high can never pass
-    raw = {**_THRESHOLD_RUNS[command], "thresholds": thresholds}
+    raw = {**_THRESHOLD_RUNS[label], "thresholds": thresholds}
     path = _write_config(tmp_path, raw)
     out = tmp_path / "out"
-    assert cli_main([command, "--config", path, "--out", str(out)]) == 2
+    assert cli_main(["--config", path, "--out", str(out)]) == 2
     assert not out.exists()
     # a one-point interval is a valid gate
     config_from_dict({**raw, "thresholds": {"mean_dist2_low": 1.0, "mean_dist2_high": 1.0}})
@@ -832,20 +873,20 @@ def test_cli_empty_threshold_interval_exits_two(tmp_path, command, thresholds):
 def test_cli_undecodable_or_too_deep_config_exits_two(tmp_path, text):
     path = tmp_path / "cfg.json"
     path.write_bytes(text)
-    assert cli_main(["lemmas", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert cli_main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_cli_unallocatable_sizes_exit_two_without_output(tmp_path):
     path = _write_config(tmp_path, _circular_raw(n=20_000_000))
     out = tmp_path / "out"
-    assert cli_main(["circular", "--config", path, "--out", str(out)]) == 2
+    assert cli_main(["--config", path, "--out", str(out)]) == 2
     assert not out.exists()
     out.mkdir()  # a directory the caller made is kept
-    assert cli_main(["circular", "--config", path, "--out", str(out)]) == 2
+    assert cli_main(["--config", path, "--out", str(out)]) == 2
     assert out.is_dir()
 
 
-@pytest.mark.parametrize("command,raw,code", [
+@pytest.mark.parametrize("label,raw,code", [
     ("ds-solve", {**_DS_RAW, "h_weights": [0.5]}, 2),
     ("ds-solve", {**_DS_RAW, "h_atoms": [-1.0]}, 2),
     ("ds-solve", {**_DS_RAW, "c": 0}, 2),
@@ -863,17 +904,17 @@ def test_cli_unallocatable_sizes_exit_two_without_output(tmp_path):
     ("ds-solve", {**_DS_RAW, "mp_oracle": True, "x_min": 0.01, "x_max": 0.05,
                   "x_step": 0.01, "agreement_tol": 100.0}, 2),
 ])
-def test_cli_failed_run_leaves_no_empty_output_dir(tmp_path, command, raw, code):
+def test_cli_failed_run_leaves_no_empty_output_dir(tmp_path, label, raw, code):
     path = _write_config(tmp_path, raw)
     out = tmp_path / "out"
-    assert cli_main([command, "--config", path, "--out", str(out)]) == code
+    assert cli_main(["--config", path, "--out", str(out)]) == code, label
     assert not out.exists()
 
 
 def test_cli_tails_size_below_two_exits_two_without_output(tmp_path):
     path = _write_config(tmp_path, _TAILS_N1_RAW)
     out = tmp_path / "out"
-    assert cli_main(["tails", "--config", path, "--out", str(out)]) == 2
+    assert cli_main(["--config", path, "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -895,7 +936,7 @@ _FACTOR = {"a": 1.0, "b": 2.0}
 def test_cli_universality_factor_outside_its_mode_exits_two(tmp_path, raw):
     path = _write_config(tmp_path, raw)
     out = tmp_path / "out"
-    assert cli_main(["universality", "--config", path, "--out", str(out)]) == 2
+    assert cli_main(["--config", path, "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -906,7 +947,7 @@ def test_cli_oracle_threshold_without_oracle_exits_two(tmp_path, name):
     raw = {**_DS_RAW, "x_step": 0.1, "thresholds": {name: 0.5}}
     path = _write_config(tmp_path, raw)
     out = tmp_path / "out"
-    assert cli_main(["ds-solve", "--config", path, "--out", str(out)]) == 2
+    assert cli_main(["--config", path, "--out", str(out)]) == 2
     assert not out.exists()
     config_from_dict({**raw, "mp_oracle": True})
 
@@ -927,7 +968,7 @@ def test_default_mp_oracle_run_bytes_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-@pytest.mark.parametrize("command,raw", [
+@pytest.mark.parametrize("label,raw", [
     ("circular", {**_circular_raw(base={"kind": "low_rank", "rank": 4, "magnitude": 1.0}),
                   "n_list": [3, 40]}),
     ("hermitize", {**_HERMITIZE_RAW, "n_list": [4, 5],
@@ -938,11 +979,11 @@ def test_default_mp_oracle_run_bytes_pinned(tmp_path):
                       "base": {"kind": "low_rank", "rank": 4, "magnitude": 1.0},
                       "sandwich_k": _FACTOR, "sandwich_l": _FACTOR}),
 ])
-def test_cli_base_unbuildable_at_some_size_exits_two_and_writes_nothing(tmp_path, command,
+def test_cli_base_unbuildable_at_some_size_exits_two_and_writes_nothing(tmp_path, label,
                                                                          raw):
     path = _write_config(tmp_path, raw)
     out = tmp_path / "out"
-    assert cli_main([command, "--config", path, "--out", str(out)]) == 2
+    assert cli_main(["--config", path, "--out", str(out)]) == 2, label
     assert not out.exists()
 
 
@@ -951,8 +992,8 @@ def test_cli_uncreatable_output_dir_exits_two(tmp_path):
                                     "master_seed": 5, "lemma_cases": 2, "max_size": 6})
     a_file = tmp_path / "a_file"
     a_file.write_text("")
-    assert cli_main(["lemmas", "--config", path, "--out", str(a_file)]) == 2
-    assert cli_main(["lemmas", "--config", path, "--out", str(a_file / "sub")]) == 2
+    assert cli_main(["--config", path, "--out", str(a_file)]) == 2
+    assert cli_main(["--config", path, "--out", str(a_file / "sub")]) == 2
 
 
 def test_unwritable_artifact_is_a_configuration_error(tmp_path):
@@ -974,7 +1015,7 @@ _SANDWICH_RAW = {"schema_version": 1, "experiment": "universality", "master_seed
 def test_cli_singular_sandwich_factor_exits_two_and_writes_nothing(tmp_path, factor):
     path = _write_config(tmp_path, {**_SANDWICH_RAW, "sandwich_k": factor})
     out = tmp_path / "out"
-    assert cli_main(["universality", "--config", path, "--out", str(out)]) == 2
+    assert cli_main(["--config", path, "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -991,23 +1032,4 @@ def test_cli_numerical_failure_exits_three(tmp_path):
            "x_min": 0.05, "x_max": 0.15, "x_step": 0.05,
            "eta_schedule": [1e-2, 1e-3], "agreement_tol": 1e-9}
     path = _write_config(tmp_path, raw)
-    assert cli_main(["ds-solve", "--config", path, "--out", str(tmp_path / "out")]) == 3
-
-
-_LENIENT = {"radial_ks": 1.1, "angular_ks": 1.1, "in_disk_fraction": 0.0}
-
-
-def test_cli_seed_override_changes_output(tmp_path):
-    path = _write_config(tmp_path, _circular_raw(thresholds=_LENIENT))
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert cli_main(["circular", "--config", path, "--out", str(out1), "--seed", "123"]) == 0
-    assert cli_main(["circular", "--config", path, "--out", str(out2), "--seed", "124"]) == 0
-    assert (out1 / "trials.csv").read_bytes() != (out2 / "trials.csv").read_bytes()
-
-
-def test_cli_threads_option_lands_in_manifest(tmp_path):
-    path = _write_config(tmp_path, _circular_raw(n=30, trials=2, thresholds=_LENIENT))
-    out = tmp_path / "o"
-    assert cli_main(["circular", "--config", path, "--out", str(out), "--threads", "2"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["threads"] == 2
+    assert cli_main(["--config", path, "--out", str(tmp_path / "out")]) == 3

@@ -8,7 +8,7 @@ import pytest
 from esdlab import (
     ConfigurationError,
     MeasureH,
-    SolverFailureError,
+    NumericalFailureError,
     circular_log_potential,
     invert_stieltjes,
     mp_cdf,
@@ -192,7 +192,7 @@ def test_inversion_default_spec_schedule_trips_gate_near_hard_edge():
     # the density near x = 0.1 changes by ~4e-3 between eta = 1e-2 and
     # 1e-3, beyond the 1e-3 gate
     grid = np.linspace(0.1, 3.9, 96)
-    with pytest.raises(SolverFailureError):
+    with pytest.raises(NumericalFailureError, match="eta levels not converged"):
         invert_stieltjes(lambda w: solve_ds(DELTA0, 1.0, w), grid,
                          eta_schedule=(1e-2, 1e-3), agreement_tol=1e-3)
 

@@ -8,7 +8,6 @@ import pytest
 from esdlab import (
     MINUS_INFINITY,
     ConfigurationError,
-    DegenerateInputError,
     NumericalFailureError,
     assemble,
     dilation_esd,
@@ -211,7 +210,7 @@ def test_negative_second_moment_identity(shape):
 
 def test_leave_one_out_requires_full_rank():
     a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(NumericalFailureError, match="requires a full-rank matrix"):
         leave_one_out_distances(a)
     with pytest.raises(ConfigurationError):
         leave_one_out_distances(np.ones((4, 2)))
