@@ -4,7 +4,8 @@ Submodules:
   rng            counter-based splittable random streams
   ensembles      entry distributions, base matrices, matrix assembly
   numerics       dense spectral kernels and linear-algebra identity checks
-  measures       ESDs, transforms, bounded-Lipschitz and KS distances
+  measures       ESDs as atom arrays, transforms, bounded-Lipschitz and KS
+                 distances
   hermitization  log-determinant fields and Girko's identity
   limits         circular law, Dozier-Silverstein solver, Stieltjes inversion
   harness        experiment configs, runners, CSV/SVG emission, CLI
@@ -33,8 +34,6 @@ from .limits import (
     solve_ds,
 )
 from .measures import (
-    EmpiricalMeasure2D,
-    TestFunctionDictionary,
     bl_distance,
     characteristic_function,
     dilation_esd,

@@ -63,10 +63,10 @@ def write_ds_csv(path, solution):
 
 
 def scatter_svg(mu, center=0j):
-    """SVG scatter of a plane measure, 500 px on viewBox [-2.5, 2.5]^2: one
-    one-pixel glyph per atom, axes, and a unit-circle overlay at the
-    given center.  A scale(1,-1) group keeps the imaginary axis
-    pointing up."""
+    """SVG scatter of a plane ESD given as its atom array mu, 500 px on
+    viewBox [-2.5, 2.5]^2: one one-pixel glyph per atom, axes, and a
+    unit-circle overlay at the given center.  A scale(1,-1) group keeps
+    the imaginary axis pointing up."""
     center = complex(center)
     size_px, view = 500, 2.5
     px = 2.0 * view / size_px  # one rendered pixel, in plane units
@@ -87,7 +87,7 @@ def scatter_svg(mu, center=0j):
         f'<circle cx="{fmt(center.real)}" cy="{fmt(center.imag)}" r="1" '
         f'fill="none" stroke="#d62728" stroke-width="{fmt(1.5 * px)}"/>',
     ]
-    for z in mu.atoms:
+    for z in mu:
         parts.append(f'<circle cx="{fmt(z.real)}" cy="{fmt(z.imag)}" r="{fmt(px)}" '
                      'fill="#1f77b4"/>')
     parts.extend(["</g>", "</svg>"])

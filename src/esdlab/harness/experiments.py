@@ -207,7 +207,7 @@ def run_circular_law(cfg, out_dir):
             return {
                 "radial_ks": rks,
                 "angular_ks": aks,
-                "in_disk_fraction": float(np.mean(np.abs(mu.atoms - center)
+                "in_disk_fraction": float(np.mean(np.abs(mu - center)
                                                   <= thr["in_disk_radius"])),
                 "second_moment": second_moment(mu),
             }
@@ -266,8 +266,11 @@ def _ds_reference_potential(z):
     taken on a geometrically graded grid down to 1e-12, at eta = 1e-8,
     where the Poisson-smoothing bias is below 1e-3.
     """
-    h = MeasureH.point(abs(complex(z)) ** 2)
-    t_max = (abs(complex(z)) + 2.0) ** 2 + 1.0
+    r = abs(complex(z))
+    t_max = (r + 2.0) * (r + 2.0) + 1.0  # inf, not OverflowError, for a huge z
+    if t_max == math.inf:
+        raise NumericalFailureError(f"the Gram spectrum at z={z} overflows float64")
+    h = MeasureH.point(r * r)
     grid = np.unique(np.concatenate([np.geomspace(1e-12, 1.0, 4000),
                                      np.linspace(1.0, t_max, 8000)]))
     m = solve_ds(h, 1.0, grid + 1e-8j)

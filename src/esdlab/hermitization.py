@@ -11,6 +11,8 @@ the ESD of B B*.  f_n(z) has two readings, and both are here:
 ``log_det_at`` reduces nu_z to one LU factorization of B, and
 ``log_potential`` of the eigenvalue ESD integrates log|w - z| over the
 eigenvalues, so one eigendecomposition gives f_n on a whole lattice.
+An ESD here is its atom array, as ``measures.esd_eigen`` returns it;
+``log_potential`` and ``girko_reconstruct`` take that array.
 The regularized value takes one Gram product per matrix and one LU
 factorization of B B* + eps I per shift.  None of them takes an SVD.
 Each validates A once, in ``numerics.scaled_shift``, and both readings
@@ -87,7 +89,8 @@ def regularized_log_det(a, zs, eps, *, overwrite_a=False):
     values = []
     for z in zs:
         z = complex(z)
-        floor = n * 2.0 ** -53 * (norm_s + math.sqrt(n) * abs(z)) ** 2
+        scale = norm_s + math.sqrt(n) * abs(z)
+        floor = n * 2.0 ** -53 * (scale * scale)  # inf, not OverflowError, for a huge z
         if eps < floor:
             raise NumericalFailureError(
                 f"eps={eps:.3g} is below the rounding of the Gram matrix at z={z} "
@@ -127,10 +130,10 @@ def _shifted_gram(s, gram_s, z):
 
 
 def log_potential(mu, z):
-    """int log|w - z| dmu(w) for an empirical measure, MINUS_INFINITY when
+    """int log|w - z| dmu(w) for the ESD with atoms mu, MINUS_INFINITY when
     z collides with an atom.  For the eigenvalue ESD of A this is f_n(z),
     and one eigendecomposition serves every z."""
-    return log_product(np.abs(mu.atoms - complex(z))) / mu.size
+    return log_product(np.abs(mu - complex(z))) / mu.size
 
 
 # ------------------------------------------------------------ Girko identity
@@ -171,12 +174,11 @@ _GIRKO_FINE_STEP = 1.0 / 16.0
 _GIRKO_REL_TOL = 1e-2
 
 
-def _girko_outer_integral(mu, u, v, step, r):
+def _girko_outer_integral(atoms, u, v, step, r):
     """Trapezoid of the cutoff kernel sum on the grid of spacing ``step``
     and every atom's real part, each sgn(s - Re w) taken at a segment's
     midpoint (exact one-sided limits at jumps), as one (atoms x segments)
     broadcast: about 4 MB per complex array at 200 atoms."""
-    atoms = mu.atoms
     r2 = r * r
     lo, hi = -2.0 * r2, 2.0 * r2
     nodes = np.unique(np.concatenate([np.arange(lo, hi + step / 2, step),
@@ -194,8 +196,8 @@ def _girko_outer_integral(mu, u, v, step, r):
 
 
 def girko_reconstruct(mu, u, v):
-    """Recover the characteristic function of mu at (u, v) from its
-    Stieltjes-like transform through Girko's identity.
+    """Recover the characteristic function of the ESD with atoms mu at
+    (u, v) from its Stieltjes-like transform through Girko's identity.
 
     Requires nonzero u and v > 0.  The two refinement levels must agree
     to ``_GIRKO_REL_TOL``; the returned value is the Richardson

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailureError
+from .numerics import eigenvalues
 
 
 # ---------------------------------------------------------------- circular law
@@ -90,7 +91,7 @@ def _solve_block(h, c, w):
     # arrowhead [[1, v^T], [v, diag(p)]] with v_j^2 = c a_j
     arrow = np.eye(poles.shape[1] + 1) * np.concatenate([np.ones_like(w), poles], axis=1)[:, None]
     arrow[:, 0, 1:] = arrow[:, 1:, 0] = np.sqrt(c * residues)
-    roots = (np.linalg.eigvals(arrow) - 1.0) / c
+    roots = (eigenvalues(arrow) - 1.0) / c  # an overflowed pole raises there
     branch = (roots.imag > 0.0) & ((w * roots).imag > 0.0)
     bad = branch.sum(axis=1) != 1
     if bad.any():
@@ -104,7 +105,7 @@ def _solve_block(h, c, w):
 def solve_ds(h, c, w):
     """Upper-half-plane solution m(w) of the self-consistent equation, at a
     scalar w or elementwise on an array of w: the one eigenvalue of an
-    arrowhead matrix per point (one batched ``np.linalg.eigvals`` per block)
+    arrowhead matrix per point (one batched ``numerics.eigenvalues`` per block)
     with Im m > 0 and Im(w m) > 0, else NumericalFailureError, after one
     Newton step.  The residual, at most 1e-10 max(1, |m|), is the only
     acceptance test.

@@ -62,8 +62,10 @@ def _as_square(a):
 
 def eigenvalues(m):
     """All eigenvalues with multiplicity, unsorted (multiset semantics),
-    of a square ``m`` from ``as_matrix`` or ``scaled_shift``.  A finite
-    ``m`` whose eigenvalues overflow is a NumericalFailureError."""
+    of a square ``m`` from ``as_matrix`` or ``scaled_shift``, or of each
+    matrix of the stack of arrowheads in ``limits.solve_ds``.  A finite
+    ``m`` whose eigenvalues overflow, or an arrowhead whose poles
+    overflowed, is a NumericalFailureError."""
     try:
         lam = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from esdlab import (
-    EmpiricalMeasure2D,
     MeasureH,
     RngStream,
     build_iid_matrix,
@@ -151,8 +150,8 @@ def test_criterion_6_girko_identity():
     started = time.time()
     uv_pairs = ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0))
     cases = {
-        "delta_0": EmpiricalMeasure2D(np.array([0j])),
-        "delta_1+i": EmpiricalMeasure2D(np.array([1.0 + 1.0j])),
+        "delta_0": np.array([0j]),
+        "delta_1+i": np.array([1.0 + 1.0j]),
     }
     rng = np.random.default_rng(4)
     m4 = rng.standard_normal((4, 4))

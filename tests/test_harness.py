@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from esdlab import ConfigurationError, EmpiricalMeasure2D, RngStream
+from esdlab import ConfigurationError, RngStream
 from esdlab.harness import (
     config_from_dict,
     config_to_dict,
@@ -123,7 +123,7 @@ def test_trials_csv_fixed_order(tmp_path):
 
 
 def test_scatter_svg_point_mass_at_center():
-    svg = scatter_svg(EmpiricalMeasure2D(np.array([0j])), center=0j)
+    svg = scatter_svg(np.array([0j]), center=0j)
     assert '<circle cx="0" cy="0" r="0.01" fill=' in svg  # glyph at the canvas center
     assert 'viewBox="-2.5 -2.5 5 5"' in svg
     assert svg.count("<circle") == 2  # one atom glyph + the overlay circle
@@ -903,6 +903,12 @@ def test_cli_unallocatable_sizes_exit_two_without_output(tmp_path):
     # no grid point in the Marchenko-Pastur window [0.1, 3.9] of the density gate
     ("ds-solve", {**_DS_RAW, "mp_oracle": True, "x_min": 0.01, "x_max": 0.05,
                   "x_step": 0.01, "agreement_tol": 100.0}, 2),
+    # |z|^2 overflows: the eps floor of the Gram matrix, and the support
+    # of the Dozier-Silverstein reference
+    ("hermitize", {**_HERMITIZE_RAW, "z_grid": [0.0, 1e200], "reference": "circular"}, 3),
+    ("hermitize", {**_HERMITIZE_RAW, "z_grid": [0.0, 1e200], "reference": "ds"}, 3),
+    # a finite support whose Dozier-Silverstein poles overflow
+    ("hermitize", {**_HERMITIZE_RAW, "z_grid": [0.0, 1e100], "reference": "ds"}, 3),
 ])
 def test_cli_failed_run_leaves_no_empty_output_dir(tmp_path, label, raw, code):
     path = _write_config(tmp_path, raw)

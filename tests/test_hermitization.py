@@ -9,7 +9,6 @@ import pytest
 from esdlab import (
     BaseMatrixSpec,
     ConfigurationError,
-    EmpiricalMeasure2D,
     MINUS_INFINITY,
     NumericalFailureError,
     RngStream,
@@ -253,13 +252,13 @@ def test_log_potential_of_esd_matches_field():
 # ---------------------------------------------------------------- log-potential
 
 def test_log_potential_point_masses():
-    assert log_potential(EmpiricalMeasure2D(np.array([0j])), math.e) == pytest.approx(1.0)
-    mu = EmpiricalMeasure2D(np.array([1.0 + 0j, -1.0 + 0j]))
+    assert log_potential(np.array([0j]), math.e) == pytest.approx(1.0)
+    mu = np.array([1.0 + 0j, -1.0 + 0j])
     assert log_potential(mu, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_log_potential_atom_collision():
-    assert log_potential(EmpiricalMeasure2D(np.array([1.0 + 0j])), 1.0) == MINUS_INFINITY
+    assert log_potential(np.array([1.0 + 0j]), 1.0) == MINUS_INFINITY
 
 
 # -------------------------------------------------------------- girko kernel
@@ -310,12 +309,12 @@ def test_kernel_matches_t_quadrature_oracle():
 # --------------------------------------------------------- girko reconstruct
 
 def test_reconstruct_point_mass_at_origin():
-    mu = EmpiricalMeasure2D(np.array([0j]))
+    mu = np.array([0j])
     assert abs(girko_reconstruct(mu, 1.0, 1.0) - 1.0) < 1e-3
 
 
 def test_reconstruct_shifted_point_mass():
-    mu = EmpiricalMeasure2D(np.array([1.0 + 1.0j]))
+    mu = np.array([1.0 + 1.0j])
     assert abs(girko_reconstruct(mu, 1.0, 2.0) - cmath.exp(3j)) < 1e-3
 
 
@@ -331,7 +330,7 @@ def test_reconstruct_small_esd_matches_characteristic_function():
 
 
 def test_reconstruct_domain_checks():
-    mu = EmpiricalMeasure2D(np.array([0j]))
+    mu = np.array([0j])
     with pytest.raises(ConfigurationError):
         girko_reconstruct(mu, 0.0, 1.0)
     with pytest.raises(ConfigurationError):

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from esdlab import (
-    EmpiricalMeasure2D,
+    ConfigurationError,
     RngStream,
-    TestFunctionDictionary,
     bl_distance,
     build_iid_matrix,
     characteristic_function,
@@ -25,6 +24,7 @@ from esdlab import (
     shifted_singular_values,
 )
 from esdlab.limits import circular_radial_cdf
+from esdlab.measures import bump_means
 from esdlab.numerics import singular_values
 
 
@@ -37,17 +37,25 @@ def _gaussian_matrix(n, stream):
 def test_esd_eigen_scaled_identity():
     n = 4
     mu = esd_eigen(math.sqrt(n) * np.eye(n))
-    assert np.allclose(mu.atoms, 1.0)
+    assert np.allclose(mu, 1.0)
 
 
 def test_esd_eigen_zero_matrix():
-    assert np.allclose(esd_eigen(np.zeros((5, 5))).atoms, 0.0)
+    assert np.allclose(esd_eigen(np.zeros((5, 5))), 0.0)
 
 
 def test_esd_eigen_normalization_applied_once():
     n = 9
     mu = esd_eigen(math.sqrt(n) * np.diag([2.0] * n))
-    assert np.allclose(mu.atoms, 2.0)
+    assert np.allclose(mu, 2.0)
+
+
+def test_esd_eigen_real_spectrum_is_complex128():
+    # LAPACK returns float64 eigenvalues when all of them are real
+    for a in (np.array([[3.0]]), math.sqrt(3) * np.diag([1.0, -2.0, 0.5])):
+        assert np.linalg.eigvals(a).dtype == np.float64
+        mu = esd_eigen(a)
+        assert mu.dtype == np.complex128 and mu.shape == (a.shape[0],)
 
 
 def test_esd_eigen_in_place_allocates_no_matrix_copy():
@@ -98,38 +106,37 @@ def test_esd_gram_second_moment_trace_identity():
 # ----------------------------------------------------- characteristic function
 
 def test_char_fn_origin_is_one():
-    mu = EmpiricalMeasure2D(np.array([0.3 + 1j, -2.0, 5j]))
+    mu = np.array([0.3 + 1j, -2.0, 5j])
     assert characteristic_function(mu, 0.0, 0.0) == pytest.approx(1.0)
 
 
 def test_char_fn_point_mass():
-    mu = EmpiricalMeasure2D(np.array([1.0 + 0j]))
+    mu = np.array([1.0 + 0j])
     assert characteristic_function(mu, math.pi, 0.0) == pytest.approx(-1.0)
 
 
 def test_char_fn_two_points_cosine():
-    mu = EmpiricalMeasure2D(np.array([1.0 + 0j, -1.0 + 0j]))
+    mu = np.array([1.0 + 0j, -1.0 + 0j])
     for t in (0.3, 1.0, 2.5):
         assert characteristic_function(mu, t, 0.0) == pytest.approx(math.cos(t), abs=1e-12)
 
 
 def test_char_fn_bounded_by_one():
     rng = np.random.default_rng(0)
-    mu = EmpiricalMeasure2D(rng.standard_normal(50) + 1j * rng.standard_normal(50))
+    mu = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     for u, v in [(0.5, -1.0), (3.0, 2.0), (-7.0, 0.1)]:
         assert abs(characteristic_function(mu, u, v)) <= 1.0 + 1e-12
 
 
 # ------------------------------------------------------------------ dictionary
 
-def _point_mass_means(d, z):
+def _point_mass_means(z):
     """Every dictionary member evaluated at z, in dictionary order."""
-    return d.member_means(EmpiricalMeasure2D(np.array([complex(z)])))
+    return bump_means(np.array([complex(z)]))
 
 
 def test_dictionary_size_and_order_fixed():
-    d = TestFunctionDictionary()
-    means = _point_mass_means(d, -3.0 - 3.0j)
+    means = _point_mass_means(-3.0 - 3.0j)
     assert means.size == 7 * 7 + 13 * 13 + 25 * 25 == 843
     # coarsest spacing first; a member peaks at h/sqrt(2) on its own center
     first = {1.0: 0, 0.5: 7 * 7, 0.25: 7 * 7 + 13 * 13}
@@ -137,36 +144,33 @@ def test_dictionary_size_and_order_fixed():
         assert means[i] == pytest.approx(h / math.sqrt(2.0), rel=1e-15)
     assert np.count_nonzero(means) == 3
     # centers lexicographic in (cx, cy): cy runs fastest
-    assert np.flatnonzero(_point_mass_means(d, -3.0 - 2.0j))[0] == 1
-    assert np.flatnonzero(_point_mass_means(d, -2.0 - 3.0j))[0] == 7
+    assert np.flatnonzero(_point_mass_means(-3.0 - 2.0j))[0] == 1
+    assert np.flatnonzero(_point_mass_means(-2.0 - 3.0j))[0] == 7
 
 
 def test_dictionary_members_bounded_and_lipschitz():
-    d = TestFunctionDictionary()
     rng = np.random.default_rng(2)
     z1 = rng.uniform(-4, 4, 200) + 1j * rng.uniform(-4, 4, 200)
     z2 = z1 + rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200)
     for a, b in zip(z1, z2):
-        f1 = _point_mass_means(d, a)
-        f2 = _point_mass_means(d, b)
+        f1 = _point_mass_means(a)
+        f2 = _point_mass_means(b)
         assert np.max(np.abs(f1)) <= 1.0
         assert np.all(np.abs(f1 - f2) <= abs(a - b) + 1e-12)
 
 
 def test_bl_distance_identical_measures():
-    mu = EmpiricalMeasure2D(np.array([0.2 + 0.1j, -1.0, 0.5j]))
+    mu = np.array([0.2 + 0.1j, -1.0, 0.5j])
     assert bl_distance(mu, mu) == 0.0
 
 
 def test_bl_distance_lipschitz_bound():
-    assert bl_distance(EmpiricalMeasure2D(np.array([0j])),
-                       EmpiricalMeasure2D(np.array([0.1 + 0j]))) <= 0.1
+    assert bl_distance(np.array([0j]), np.array([0.1 + 0j])) <= 0.1
 
 
 def test_bl_distance_pseudometric():
     rng = np.random.default_rng(3)
-    ms = [EmpiricalMeasure2D(rng.standard_normal(30) + 1j * rng.standard_normal(30))
-          for _ in range(3)]
+    ms = [rng.standard_normal(30) + 1j * rng.standard_normal(30) for _ in range(3)]
     d01 = bl_distance(ms[0], ms[1])
     d10 = bl_distance(ms[1], ms[0])
     assert d01 == d10
@@ -187,12 +191,12 @@ def test_radial_ks_quantile_construction():
     n = 200
     j = np.arange(1, n + 1)
     atoms = np.sqrt(j / n) * np.exp(2j * math.pi * j / n)
-    rks, _ = radial_angular_ks(EmpiricalMeasure2D(atoms), circular_radial_cdf)
+    rks, _ = radial_angular_ks(atoms, circular_radial_cdf)
     assert rks <= 1.0 / n + 1e-12
 
 
 def test_radial_ks_point_mass_saturates():
-    rks, _ = radial_angular_ks(EmpiricalMeasure2D(np.array([0j])), circular_radial_cdf)
+    rks, _ = radial_angular_ks(np.array([0j]), circular_radial_cdf)
     assert rks == pytest.approx(1.0)
 
 
@@ -210,8 +214,8 @@ def test_ks_two_sample_basics():
 # ---------------------------------------------------------------- second moment
 
 def test_second_moment_point_masses():
-    assert second_moment(EmpiricalMeasure2D(np.array([1.0 + 0j]))) == 1.0
-    assert second_moment(EmpiricalMeasure2D(np.array([0j]))) == 0.0
+    assert second_moment(np.array([1.0 + 0j])) == 1.0
+    assert second_moment(np.array([0j])) == 0.0
 
 
 def test_second_moment_tightness_gate():
@@ -246,7 +250,8 @@ def test_dilation_symmetry_and_positive_part():
 # ---------------------------------------------------------------- validation
 
 def test_measure_validation():
-    with pytest.raises(Exception):
-        EmpiricalMeasure2D(np.array([]))
-    with pytest.raises(Exception):
-        EmpiricalMeasure2D(np.array([np.inf]))
+    # an ESD is validated where it is made: scaled_shift rejects the matrix
+    with pytest.raises(ConfigurationError):
+        esd_eigen(np.empty((0, 0)))
+    with pytest.raises(ConfigurationError):
+        esd_eigen(np.array([[np.inf]]))

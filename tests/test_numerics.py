@@ -380,7 +380,7 @@ def test_zero_shift_is_bitwise_a_over_sqrt_n(cplx):
     a[np.diag_indices(n)] = complex(-0.0, -0.0) if cplx else -0.0
     assert np.all(np.signbit(a.diagonal().real))
     scaled = a / math.sqrt(n)
-    assert np.array_equal(esd_eigen(a).atoms, np.linalg.eigvals(scaled))
+    assert np.array_equal(esd_eigen(a), np.linalg.eigvals(scaled))
     s = np.linalg.svd(scaled, compute_uv=False)
     assert np.array_equal(dilation_esd(a), np.concatenate([-s, s[::-1]]))
     # overwrite_a gives the copy's bits, and reuses a exactly when the
@@ -422,7 +422,7 @@ def test_other_dtypes_are_converted_to_double_precision(dtype):
     double = a.astype(np.complex128 if np.dtype(dtype).kind == "c" else np.float64)
     assert numerics.as_matrix(a).dtype == double.dtype
     # LAPACK sees the same double-precision entries, so the atoms agree bit for bit
-    assert np.array_equal(esd_eigen(a).atoms, esd_eigen(double).atoms)
+    assert np.array_equal(esd_eigen(a), esd_eigen(double))
 
 
 # ------------------------------------------------------------------ hs norm
