@@ -1,17 +1,17 @@
 """Strict JSON experiment configuration.
 
 Configs round-trip losslessly through JSON; unknown keys are rejected at
-every level so a typo in a threshold name can never silently fall back
-to a default.  Resolved thresholds (defaults merged with overrides) are
-echoed into the run manifest.
+every level so a typo in a key name can never silently fall back to a
+default.  Gate thresholds are no config key: they are constants of the
+claims, in ``experiments.THRESHOLDS``.
 
-Each experiment has one field table in ``FIELDS`` and one of gate
-thresholds in ``THRESHOLDS``; each entry law and base-matrix kind has
-one too, and so have the profile and the sandwich factors.  A table
-entry states a key's parser (range checks included), its default and
-its dump form once; parsing, unknown-key rejection and the canonical
-dump are loops over the table, and the record types (``ExperimentConfig``,
-``ScalarDistribution``, ``BaseMatrixSpec``) are built from the tables.
+Each experiment has one field table in ``FIELDS``; each entry law and
+base-matrix kind has one too, and so have the profile and the sandwich
+factors.  A table entry states a key's parser (range checks included),
+its default and its dump form once; parsing, unknown-key rejection and
+the canonical dump are loops over the table, and the record types
+(``ExperimentConfig``, ``ScalarDistribution``, ``BaseMatrixSpec``) are
+built from the tables.
 The rules that tie two fields together are in ``_check_cross_fields``.
 """
 
@@ -123,7 +123,6 @@ _POSITIVE_INT = _checked(_as_int, lambda n: n >= 1, "at least 1")
 _POSITIVE_FLOAT = _checked(_as_float, lambda x: x > 0.0, "positive")
 # trial and case indices are packed below the size bits of the stream index
 _TRIAL_COUNT = _checked(_as_int, lambda n: 1 <= n < 2**20, "at least 1 and below 2^20")
-_NONNEGATIVE_FLOAT = _checked(_as_float, lambda x: x >= 0.0, "at least 0")
 _FRACTION = _checked(_as_float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 # numpy counts bytes in int64: an n-by-n complex array with 16 n^2 >= 2^63
 # raises ValueError, not the MemoryError of a size too large for memory
@@ -193,13 +192,13 @@ def _spec_dump(kinds):
     return lambda spec: {"kind": spec.kind, **_dump_fields(spec, kinds[spec.kind])}
 
 
-def _record(name, doc, tables, required=(), **methods):
+def _record(name, doc, tables, required=()):
     """Frozen dataclass ``name``: the ``required`` attributes, then one per
     key that any field table in ``tables`` names, None by default."""
     keys = dict.fromkeys(f.name for table in tables for f in table)
     return dataclasses.make_dataclass(
         name, [*required, *((key, object, None) for key in keys)], frozen=True,
-        namespace={"__doc__": doc, "__module__": __name__, **methods})
+        namespace={"__doc__": doc, "__module__": __name__})
 
 
 # Entry laws, each of mean zero and unit variance (ensembles.sample_array
@@ -238,51 +237,6 @@ _BASE_KINDS = {
 # the entrywise scale C of the profile assembly M + C * X ramps from low to
 # high along the antidiagonals
 _PROFILE_FIELDS = (Field("low", _POSITIVE_FLOAT), Field("high", _as_float))
-
-# Gate thresholds.  A tolerance (a `<` gate) is positive, a pass fraction
-# is in [0, 1], and a slack scale (a `<=` gate) or a lower bound is at least 0.
-THRESHOLDS = {
-    "circular": (
-        Field("radial_ks", _POSITIVE_FLOAT, 0.05),
-        Field("angular_ks", _POSITIVE_FLOAT, 0.05),
-        Field("ks_pass_fraction", _FRACTION, 0.9),
-        Field("in_disk_radius", _POSITIVE_FLOAT, 1.05),
-        Field("in_disk_fraction", _FRACTION, 0.99),
-    ),
-    "universality": (Field("final_median_bl", _POSITIVE_FLOAT, 0.1),),
-    "hermitize": (
-        Field("potential_gap", _POSITIVE_FLOAT, 0.05),
-        Field("potential_pass_fraction", _FRACTION, 0.9),
-        Field("regularization_gap", _POSITIVE_FLOAT, 0.02),
-    ),
-    "ds_solve": (
-        Field("oracle_gap", _POSITIVE_FLOAT, 1e-8),
-        Field("density_sup_error", _POSITIVE_FLOAT, 1e-2),
-    ),
-    "tails": (
-        Field("sigma_min_exponent", _POSITIVE_FLOAT, 10.0),  # floor n ** -exponent
-        Field("distance_constant", _NONNEGATIVE_FLOAT, 0.5),
-        Field("mean_dist2_low", _NONNEGATIVE_FLOAT, 0.95),
-        Field("mean_dist2_high", _POSITIVE_FLOAT, 1.05),
-    ),
-    "lemmas": (
-        Field("det_identity", _POSITIVE_FLOAT, 1e-6),
-        Field("neg_second_moment", _POSITIVE_FLOAT, 1e-9),
-        Field("interlacing_slack_scale", _NONNEGATIVE_FLOAT, 1e-8),
-        Field("weyl_slack_scale", _NONNEGATIVE_FLOAT, 1e-8),
-    ),
-}
-
-
-def _overrides(fields):
-    """Parser of an object that sets some keys of ``fields``; it returns those alone."""
-    by_name = {f.name: f for f in fields}
-
-    def parse(value, what):
-        _reject_unknown(_as_object(value, what), by_name, what)
-        return {k: by_name[k].parse(v, f"threshold {k}") for k, v in value.items()}
-    return parse
-
 
 # a parameter that the spec's kind does not take is None
 ScalarDistribution = _record(
@@ -327,7 +281,6 @@ def _common_fields(experiment):
         Field("experiment", _one_of(experiment)),
         Field("master_seed", _checked(_as_int, lambda s: 0 <= s < 2**64,
                                       "a 64-bit unsigned integer")),
-        Field("thresholds", _overrides(THRESHOLDS[experiment]), {}, dict),
     )
 
 
@@ -396,11 +349,6 @@ def ds_grid(x_min, x_max, x_step):
     return np.linspace(x_min, x_max, int(round(steps)) + 1)
 
 
-def _resolve_thresholds(experiment, overrides):
-    """The gate thresholds of ``experiment``: the table defaults merged with ``overrides``."""
-    return {**_parse_fields({}, THRESHOLDS[experiment], "thresholds"), **overrides}
-
-
 def _check_cross_fields(kw):
     """The rules that tie two fields of one experiment together."""
     experiment = kw["experiment"]
@@ -435,30 +383,17 @@ def _check_cross_fields(kw):
             if not np.any((grid >= low) & (grid <= high)):
                 raise ConfigurationError(f"the mp_oracle density gate needs a grid point "
                                          f"in [{low:g}, {high:g}]")
-        elif kw["thresholds"]:
-            # every ds_solve threshold belongs to an mp_oracle gate
-            raise ConfigurationError(f"thresholds {sorted(kw['thresholds'])} are read only "
-                                     f"with mp_oracle")
     elif experiment == "tails":
         # the ratio gates read sigma_{n-i} with 1 <= i <= n - 1
         if min(kw["n_list"]) < 2:
             raise ConfigurationError("tails needs every n_list entry to be at least 2")
         if not 1 <= kw["distance_d"] < kw["distance_n"]:
             raise ConfigurationError("tails needs 1 <= distance_d < distance_n")
-        # the closed interval of the `in` gate must not be empty, or it can never pass
-        thr = _resolve_thresholds(experiment, kw["thresholds"])
-        if thr["mean_dist2_low"] > thr["mean_dist2_high"]:
-            raise ConfigurationError(f"threshold mean_dist2_low ({thr['mean_dist2_low']:g}) "
-                                     f"exceeds mean_dist2_high ({thr['mean_dist2_high']:g})")
-
-
-def _resolved_thresholds(self):
-    return _resolve_thresholds(self.experiment, self.thresholds)
 
 
 # one attribute per key of any experiment; a key outside the experiment's own table is None
 ExperimentConfig = _record("ExperimentConfig", "Validated configuration for one experiment run.",
-                           FIELDS.values(), resolved_thresholds=_resolved_thresholds)
+                           FIELDS.values())
 
 
 def config_from_dict(raw):

@@ -78,20 +78,25 @@ def _solve_block(h, c, w):
     # atom t > 0: h u / (t + b u - w u^2) = sum of a_r / (u - r) over the roots
     # r of w u^2 - b u - t, taken without cancellation; atom 0: one pole b / w
     t, ht = h.atoms[h.atoms > 0.0], h.weights[h.atoms > 0.0]
-    s = np.sqrt(b * b + 4.0 * w * t)
-    q = b + np.where(b * s.real >= 0.0, s, -s)
-    r1, r2 = q / (2.0 * w), -2.0 * t / q
-    poles, residues = [r1, r2], [ht * r1 / (w * (r2 - r1)), ht * r2 / (w * (r1 - r2))]
-    h0 = h.weights[h.atoms == 0.0].sum()
-    if h0 > 0.0:
-        poles.append(b / w)
-        residues.append(-h0 / w)
-    poles, residues = np.concatenate(poles, axis=1), np.concatenate(residues, axis=1)
+    # a huge w t overflows here; the finiteness check below reports it once
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = np.sqrt(b * b + 4.0 * w * t)
+        q = b + np.where(b * s.real >= 0.0, s, -s)
+        r1, r2 = q / (2.0 * w), -2.0 * t / q
+        poles, residues = [r1, r2], [ht * r1 / (w * (r2 - r1)), ht * r2 / (w * (r1 - r2))]
+        h0 = h.weights[h.atoms == 0.0].sum()
+        if h0 > 0.0:
+            poles.append(b / w)
+            residues.append(-h0 / w)
+        poles, residues = np.concatenate(poles, axis=1), np.concatenate(residues, axis=1)
+    bad = ~np.all(np.isfinite(poles) & np.isfinite(residues), axis=1)
+    if bad.any():
+        raise NumericalFailureError(f"the poles overflow at w={w[bad][0, 0]}")
     # u - 1 = c sum_j a_j / (u - p_j) holds at the eigenvalues u of the
     # arrowhead [[1, v^T], [v, diag(p)]] with v_j^2 = c a_j
     arrow = np.eye(poles.shape[1] + 1) * np.concatenate([np.ones_like(w), poles], axis=1)[:, None]
     arrow[:, 0, 1:] = arrow[:, 1:, 0] = np.sqrt(c * residues)
-    roots = (eigenvalues(arrow) - 1.0) / c  # an overflowed pole raises there
+    roots = (eigenvalues(arrow) - 1.0) / c
     branch = (roots.imag > 0.0) & ((w * roots).imag > 0.0)
     bad = branch.sum(axis=1) != 1
     if bad.any():

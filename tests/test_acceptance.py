@@ -183,8 +183,7 @@ def test_criterion_8_determinism(tmp_path):
     configs = [
         {"schema_version": 1, "experiment": "circular", "master_seed": 20260808,
          "n_list": [50], "trials": 2, "dist_x": {"kind": "bernoulli"},
-         "base": {"kind": "zero"},
-         "thresholds": {"radial_ks": 1.1, "angular_ks": 1.1, "in_disk_fraction": 0.0}},
+         "base": {"kind": "zero"}},
         {"schema_version": 1, "experiment": "lemmas", "master_seed": 20260808,
          "lemma_cases": 30, "max_size": 10},
         {"schema_version": 1, "experiment": "ds_solve", "master_seed": 20260808,

@@ -1,4 +1,4 @@
-"""Config field tables: pinned canonical dumps and threshold defaults, a
+"""Config field tables: pinned canonical dumps and gate thresholds, a
 mutation property and the README's lists of keys, kinds and thresholds."""
 
 import copy
@@ -18,13 +18,13 @@ from esdlab import (
     sample_array,
 )
 from esdlab.harness import config_from_dict, config_to_dict
+from esdlab.harness.experiments import THRESHOLDS
 from esdlab.harness.config import (
     _BASE_KINDS,
     _ENTRY_LAWS,
     _POSITIVE_FLOAT,
     _PROFILE_FIELDS,
     FIELDS,
-    THRESHOLDS,
     Field,
     _record,
     _spec_dump,
@@ -79,15 +79,11 @@ _BENCH = {
 # stand in for some floats, and every base and distribution kind appears.
 _FULL = {
     "circular": {"schema_version": 1, "experiment": "circular", "master_seed": 2**64 - 1,
-                 "threads": 2,
-                 "thresholds": {"radial_ks": 0.1, "in_disk_radius": 2},
-                 "n_list": [30, 60.0], "trials": 3,
+                 "threads": 2, "n_list": [30, 60.0], "trials": 3,
                  "dist_x": {"kind": "two_point_asymmetric", "p": 0.25},
                  "base": {"kind": "diagonal_from_measure", "atoms": [1, [0.5, -0.5]]}},
     "universality": {"schema_version": 1, "experiment": "universality", "master_seed": 0,
-                     "threads": 3,
-                     "thresholds": {"final_median_bl": 0.2},
-                     "n_list": [2], "trials": 4,
+                     "threads": 3, "n_list": [2], "trials": 4,
                      "dist_x": {"kind": "pareto_symmetrized", "exponent": 5},
                      "dist_y": {"kind": "complex_gaussian"},
                      "base": {"kind": "two_block_diagonal", "a": 1, "b": 2.5, "split": 0.25,
@@ -95,28 +91,21 @@ _FULL = {
                      "sandwich_k": {"a": 3, "b": 3, "split": 1},
                      "sandwich_l": {"a": 1, "b": -0.5, "scale_by_sqrt_n": True}},
     "hermitize": {"schema_version": 1, "experiment": "hermitize", "master_seed": 11,
-                  "threads": 1,
-                  "thresholds": {"potential_gap": 0.1, "potential_pass_fraction": 0.5,
-                                 "regularization_gap": 1},
-                  "n_list": [16, 32], "trials": 1, "dist_x": {"kind": "uniform_centered"},
+                  "threads": 1, "n_list": [16, 32], "trials": 1,
+                  "dist_x": {"kind": "uniform_centered"},
                   "base": {"kind": "low_rank", "rank": 1, "magnitude": 0.5},
                   "z_grid": [0, [0.5, 0.5], -1.5, [0.0, 2]],
                   "reference": "ds", "eps_exponent": 0.25},
     "ds_solve": {"schema_version": 1, "experiment": "ds_solve", "master_seed": 5,
-                 "thresholds": {},
                  "h_atoms": [0.5, 2], "h_weights": [0.25, 0.75], "c": 1, "x_min": 0.2,
                  "x_max": 5, "x_step": 0.05, "eta_schedule": [0.01, 0.001],
                  "agreement_tol": 0.01, "mp_oracle": False},
     "tails": {"schema_version": 1, "experiment": "tails", "master_seed": 12,
-              "threads": 2,
-              "thresholds": {"sigma_min_exponent": 8, "distance_constant": 0.25,
-                             "mean_dist2_low": 0.9, "mean_dist2_high": 1.1},
-              "n_list": [10, 20], "trials": 5, "dist_x": {"kind": "real_gaussian"},
+              "threads": 2, "n_list": [10, 20], "trials": 5,
+              "dist_x": {"kind": "real_gaussian"},
               "base": {"kind": "zero"}, "distance_n": 300, "distance_d": 100,
               "distance_trials": 7},
     "lemmas": {"schema_version": 1, "experiment": "lemmas", "master_seed": 13,
-               "thresholds": {"det_identity": 1e-5, "neg_second_moment": 1e-8,
-                              "interlacing_slack_scale": 1e-7, "weyl_slack_scale": 1e-7},
                "lemma_cases": 20, "max_size": 6},
 }
 
@@ -134,96 +123,85 @@ VALID = {**{f"roundtrip_{k}": v for k, v in _ROUNDTRIP.items()},
 # universality entries lost the deleted mode key, and the factors their kind.
 # Every entry lost output_dir, which is no config key, and the ds_solve and
 # lemmas entries lost threads, which only experiments that fold trials take.
+# Every entry lost thresholds: the gate thresholds are no config key.
 PINNED = {
     "bench_circular_t2": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"},'
         ' "experiment": "circular", "master_seed": 20260808, "n_list": [1000],'
-        ' "schema_version": 1, "threads": 2, "thresholds": {},'
-        ' "trials": 2}'),
+        ' "schema_version": 1, "threads": 2, "trials": 2}'),
     "bench_ds_mp": (
         '{"agreement_tol": 0.001, "c": 1.0, "eta_schedule": [0.001, 0.0001],'
         ' "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0],'
-        ' "master_seed": 20260808, "mp_oracle": true,'
-        ' "schema_version": 1, "thresholds": {}, "x_max": 3.9, "x_min": 0.1,'
-        ' "x_step": 0.0025}'),
+        ' "master_seed": 20260808, "mp_oracle": true, "schema_version": 1, "x_max": 3.9,'
+        ' "x_min": 0.1, "x_step": 0.0025}'),
     "bench_hermitize_t1": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"}, "eps_exponent": 0.1,'
         ' "experiment": "hermitize", "master_seed": 20260808, "n_list": [600],'
-        ' "reference": "circular", "schema_version": 1, "threads": 1,'
-        ' "thresholds": {}, "trials": 2, "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}'),
+        ' "reference": "circular", "schema_version": 1, "threads": 1, "trials": 2,'
+        ' "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}'),
     "bench_tails_t1": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "bernoulli"}, "distance_d": 1000,'
         ' "distance_n": 2000, "distance_trials": 200, "experiment": "tails",'
-        ' "master_seed": 20260808, "n_list": [100, 200, 400],'
-        ' "schema_version": 1, "threads": 1, "thresholds": {}, "trials": 100}'),
+        ' "master_seed": 20260808, "n_list": [100, 200, 400], "schema_version": 1,'
+        ' "threads": 1, "trials": 100}'),
     "full_circular": (
         '{"base": {"atoms": [1.0, [0.5, -0.5]], "kind": "diagonal_from_measure"},'
-        ' "dist_x": {"kind": "two_point_asymmetric", "p": 0.25},'
-        ' "experiment": "circular", "master_seed": 18446744073709551615, "n_list": [30, 60],'
-        ' "schema_version": 1, "threads": 2,'
-        ' "thresholds": {"in_disk_radius": 2.0, "radial_ks": 0.1}, "trials": 3}'),
+        ' "dist_x": {"kind": "two_point_asymmetric", "p": 0.25}, "experiment": "circular",'
+        ' "master_seed": 18446744073709551615, "n_list": [30, 60], "schema_version": 1,'
+        ' "threads": 2, "trials": 3}'),
     "full_ds_solve": (
         '{"agreement_tol": 0.01, "c": 1.0, "eta_schedule": [0.01, 0.001],'
         ' "experiment": "ds_solve", "h_atoms": [0.5, 2.0], "h_weights": [0.25, 0.75],'
-        ' "master_seed": 5, "mp_oracle": false,'
-        ' "schema_version": 1, "thresholds": {}, "x_max": 5.0, "x_min": 0.2,'
-        ' "x_step": 0.05}'),
+        ' "master_seed": 5, "mp_oracle": false, "schema_version": 1, "x_max": 5.0,'
+        ' "x_min": 0.2, "x_step": 0.05}'),
     "full_hermitize": (
         '{"base": {"kind": "low_rank", "magnitude": 0.5, "rank": 1},'
         ' "dist_x": {"kind": "uniform_centered"}, "eps_exponent": 0.25,'
-        ' "experiment": "hermitize", "master_seed": 11, "n_list": [16, 32],'
-        ' "reference": "ds", "schema_version": 1, "threads": 1,'
-        ' "thresholds": {"potential_gap": 0.1, "potential_pass_fraction": 0.5,'
-        ' "regularization_gap": 1.0}, "trials": 1, "z_grid": [0.0, [0.5, 0.5], -1.5, [0.0,'
-        ' 2.0]]}'),
+        ' "experiment": "hermitize", "master_seed": 11, "n_list": [16, 32], "reference": "ds",'
+        ' "schema_version": 1, "threads": 1, "trials": 1, "z_grid": [0.0, [0.5, 0.5], -1.5,'
+        ' [0.0, 2.0]]}'),
     "full_lemmas": (
         '{"experiment": "lemmas", "lemma_cases": 20, "master_seed": 13, "max_size": 6,'
-        ' "schema_version": 1,'
-        ' "thresholds": {"det_identity": 1e-05, "interlacing_slack_scale": 1e-07,'
-        ' "neg_second_moment": 1e-08, "weyl_slack_scale": 1e-07}}'),
+        ' "schema_version": 1}'),
     "full_tails": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"}, "distance_d": 100,'
         ' "distance_n": 300, "distance_trials": 7, "experiment": "tails", "master_seed": 12,'
-        ' "n_list": [10, 20], "schema_version": 1, "threads": 2,'
-        ' "thresholds": {"distance_constant": 0.25, "mean_dist2_high": 1.1,'
-        ' "mean_dist2_low": 0.9, "sigma_min_exponent": 8.0}, "trials": 5}'),
+        ' "n_list": [10, 20], "schema_version": 1, "threads": 2, "trials": 5}'),
     "full_universality": (
-        '{"base": {"a": 1.0, "b": 2.5, "kind": "two_block_diagonal", "scale_by_sqrt_n": false,'
-        ' "split": 0.25}, "dist_x": {"exponent": 5.0, "kind": "pareto_symmetrized"},'
-        ' "dist_y": {"kind": "complex_gaussian"}, "experiment": "universality",'
-        ' "master_seed": 0, "n_list": [2],'
+        '{"base": {"a": 1.0, "b": 2.5, "kind": "two_block_diagonal",'
+        ' "scale_by_sqrt_n": false, "split": 0.25}, "dist_x": {"exponent": 5.0,'
+        ' "kind": "pareto_symmetrized"}, "dist_y": {"kind": "complex_gaussian"},'
+        ' "experiment": "universality", "master_seed": 0, "n_list": [2],'
         ' "sandwich_k": {"a": 3.0, "b": 3.0, "scale_by_sqrt_n": false, "split": 1.0},'
         ' "sandwich_l": {"a": 1.0, "b": -0.5, "scale_by_sqrt_n": true, "split": 0.5},'
-        ' "schema_version": 1, "threads": 3,'
-        ' "thresholds": {"final_median_bl": 0.2}, "trials": 4}'),
+        ' "schema_version": 1, "threads": 3, "trials": 4}'),
     "roundtrip_circular": (
-        '{"base": {"kind": "zero"}, "dist_x": {"kind": "bernoulli"}, "experiment": "circular",'
-        ' "master_seed": 7, "n_list": [50], "schema_version": 1,'
-        ' "threads": 1, "thresholds": {}, "trials": 2}'),
+        '{"base": {"kind": "zero"}, "dist_x": {"kind": "bernoulli"},'
+        ' "experiment": "circular", "master_seed": 7, "n_list": [50], "schema_version": 1,'
+        ' "threads": 1, "trials": 2}'),
     "roundtrip_ds_solve": (
         '{"agreement_tol": 0.001, "c": 1.0, "eta_schedule": [0.001, 0.0001],'
-        ' "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0],'
-        ' "master_seed": 3, "mp_oracle": true, "schema_version": 1,'
-        ' "thresholds": {}, "x_max": 3.9, "x_min": 0.1, "x_step": 0.0025}'),
+        ' "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0], "master_seed": 3,'
+        ' "mp_oracle": true, "schema_version": 1, "x_max": 3.9, "x_min": 0.1,'
+        ' "x_step": 0.0025}'),
     "roundtrip_hermitize": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"}, "eps_exponent": 1.5,'
         ' "experiment": "hermitize", "master_seed": 3, "n_list": [64],'
-        ' "reference": "circular", "schema_version": 1, "threads": 1, "thresholds": {},'
-        ' "trials": 2, "z_grid": [0.0, [0.5, 0.5]]}'),
+        ' "reference": "circular", "schema_version": 1, "threads": 1, "trials": 2,'
+        ' "z_grid": [0.0, [0.5, 0.5]]}'),
     "roundtrip_lemmas": (
         '{"experiment": "lemmas", "lemma_cases": 10, "master_seed": 3, "max_size": 8,'
-        ' "schema_version": 1, "thresholds": {}}'),
+        ' "schema_version": 1}'),
     "roundtrip_tails": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "bernoulli"}, "distance_d": 50,'
         ' "distance_n": 100, "distance_trials": 5, "experiment": "tails", "master_seed": 3,'
-        ' "n_list": [50], "schema_version": 1, "threads": 1,'
-        ' "thresholds": {}, "trials": 3}'),
+        ' "n_list": [50], "schema_version": 1, "threads": 1, "trials": 3}'),
     "roundtrip_universality": (
         '{"base": {"a": 1.0, "b": 2.5, "kind": "two_block_diagonal", "scale_by_sqrt_n": true,'
         ' "split": 0.5}, "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},'
         ' "experiment": "universality", "master_seed": 3, "n_list": [40, 80],'
-        ' "profile": {"high": 2.0, "low": 0.5},'
-        ' "schema_version": 1, "threads": 1, "thresholds": {}, "trials": 2}'),
+        ' "profile": {"high": 2.0, "low": 0.5}, "schema_version": 1, "threads": 1,'
+        ' "trials": 2}'),
 }
 
 
@@ -233,8 +211,8 @@ def test_canonical_dump_pinned(name):
     assert dump == PINNED[name]
 
 
-# resolved_thresholds() of a config that overrides none
-_THRESHOLD_DEFAULTS = {
+# the gate thresholds, constants of the claims
+_THRESHOLD_VALUES = {
     "circular": {"radial_ks": 0.05, "angular_ks": 0.05, "ks_pass_fraction": 0.9,
                  "in_disk_radius": 1.05, "in_disk_fraction": 0.99},
     "universality": {"final_median_bl": 0.1},
@@ -244,17 +222,16 @@ _THRESHOLD_DEFAULTS = {
     "tails": {"sigma_min_exponent": 10.0, "distance_constant": 0.5, "mean_dist2_low": 0.95,
               "mean_dist2_high": 1.05},
     "lemmas": {"det_identity": 1e-6, "neg_second_moment": 1e-9,
-               "interlacing_slack_scale": 1e-8, "weyl_slack_scale": 1e-8},
+               "interlacing_slack_scale": 1e-8, "weyl_slack_scale": 1e-8,
+               "weyl_normal_equality": 1e-10, "weyl_nilpotent_mass": 1e-12},
 }
 
 
 @pytest.mark.parametrize("experiment", sorted(_ROUNDTRIP))
 def test_threshold_defaults_pinned(experiment):
-    cfg = config_from_dict(_ROUNDTRIP[experiment])
-    assert cfg.thresholds == {}
-    resolved = cfg.resolved_thresholds()
-    assert resolved == _THRESHOLD_DEFAULTS[experiment]
-    assert all(type(v) is float for v in resolved.values())
+    assert set(THRESHOLDS) == set(FIELDS)
+    assert THRESHOLDS[experiment] == _THRESHOLD_VALUES[experiment]
+    assert all(type(v) is float for v in THRESHOLDS[experiment].values())
 
 
 @pytest.mark.parametrize("experiment", sorted(_ROUNDTRIP))
@@ -319,14 +296,15 @@ def test_readme_names_every_kind():
 def test_readme_names_every_threshold():
     readme = README.read_text(encoding="utf-8")
     for table in THRESHOLDS.values():
-        for f in table:
-            assert f"`{f.name}`" in readme, f.name
+        for name in table:
+            assert f"`{name}`" in readme, name
 
 
 # --------------------------------------------------------- mutation property
 
-_KEYS = sorted({f.name for tables in (FIELDS, THRESHOLDS) for table in tables.values()
-                for f in table} | {"kind", "bogus"})
+_KEYS = sorted({f.name for table in FIELDS.values() for f in table}
+               | {name for table in THRESHOLDS.values() for name in table}
+               | {"kind", "bogus", "thresholds"})
 
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 2**65), st.floats(-1e3, 1e3),

@@ -39,8 +39,6 @@ def test_unknown_keys_rejected_everywhere():
     with pytest.raises(ConfigurationError):
         config_from_dict(_circular_raw(bogus=1))
     with pytest.raises(ConfigurationError):
-        config_from_dict(_circular_raw(thresholds={"not_a_threshold": 1.0}))
-    with pytest.raises(ConfigurationError):
         config_from_dict(_circular_raw(base={"kind": "zero", "spare": 2}))
     with pytest.raises(ConfigurationError):
         config_from_dict(_circular_raw(dist_x={"kind": "bernoulli", "p": 0.4}))
@@ -634,15 +632,6 @@ def test_rerun_is_byte_identical(tmp_path, experiment):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
-def test_weyl_slack_override_reaches_nilpotent_gates(tmp_path):
-    raw = {**_TINY_RUNS["lemmas"], "thresholds": {"weyl_slack_scale": 1e-7}}
-    run_experiment(config_from_dict(raw), tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    thresholds = {g["name"]: g["threshold"] for g in manifest["gates"]}
-    assert thresholds["weyl_nilpotent_moment"] == 1e-7
-    assert thresholds["weyl_nilpotent_product"] == 1e-7 * 8  # the nilpotent block is 8x8
-
-
 def test_lemma_cases_rotate_over_four_kinds():
     from esdlab.harness.experiments import _random_case_matrix
     kinds = []
@@ -671,12 +660,12 @@ def test_cli_pass_and_exit_zero(tmp_path, capsys):
     assert "GATE det_triple_identity: PASS" in capsys.readouterr().out
 
 
-def test_cli_gate_failure_exits_one(tmp_path):
-    raw = _circular_raw(n=40, trials=2)
-    raw["thresholds"] = {"radial_ks": 1e-9}
-    path = _write_config(tmp_path, raw)
+def test_cli_gate_failure_exits_one(tmp_path, capsys):
+    # the regularization clause at eps = n^-0.1 is red on purpose
+    path = _write_config(tmp_path, _HERMITIZE_RAW)
     code = cli_main(["--config", path, "--out", str(tmp_path / "out")])
     assert code == 1
+    assert "GATE regularization_gap_n10_z0: FAIL" in capsys.readouterr().out
 
 
 def test_cli_config_error_exits_two(tmp_path):
@@ -734,8 +723,8 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     ("hermitize", {**_HERMITIZE_RAW, "eps_exponent": "x"}),
     ("circular", _circular_raw(threads="x")),
     ("circular", {**_circular_raw(), "n_list": ["x"]}),
-    ("circular", _circular_raw(thresholds={"radial_ks": "x"})),
-    ("circular", _circular_raw(thresholds={"radial_ks": 10**400})),
+    ("circular", _circular_raw(base={"kind": "low_rank", "rank": 1, "magnitude": "x"})),
+    ("circular", _circular_raw(base={"kind": "low_rank", "rank": 1, "magnitude": 10**400})),
     ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
                   "x_step": "x"}),
     ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
@@ -759,10 +748,8 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
                   "x_min": -math.inf}),
     # the disk centre comes from the base alone: circular has no center key
     ("circular", _circular_raw(center=[0.25, -0.5])),
-    ("circular", _circular_raw(thresholds={"radial_ks": math.inf})),
-    ("tails", {"schema_version": 1, "experiment": "tails", "master_seed": 3,
-               "n_list": [100], "trials": 2, "dist_x": {"kind": "bernoulli"},
-               "thresholds": {"sigma_min_exponent": -400}}),
+    ("circular", _circular_raw(base={"kind": "low_rank", "rank": 1, "magnitude": math.inf})),
+    ("tails", {**_TAILS_N1_RAW, "n_list": [10], "distance_d": 20}),  # needs d < distance_n
     ("ds-solve", {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
                   "x_step": 1e-300}),
     # 2.84 PiB of Bernoulli entries: the allocation fails at once
@@ -797,11 +784,11 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     ("lemmas", {**_LEMMAS_RAW, "--out": "o_\u0000x"}),
     # universality always compares against an independent draw of dist_y
     ("universality", {k: v for k, v in _UNIVERSALITY_RAW.items() if k != "dist_y"}),
-    # the total-mass gate and the profile kinds are gone: no config
-    # outside the tests set them
+    # the total-mass gate is gone: no config outside the tests set it
     ("ds-solve", {**_DS_RAW, "mp_oracle": True, "mass_check": True}),
-    ("ds-solve", {**_DS_RAW, "mp_oracle": True, "thresholds": {"mass_low": 0.9}}),
-    ("ds-solve", {**_DS_RAW, "mp_oracle": True, "thresholds": {"mass_high": 1.1}}),
+    ("ds-solve", {**_DS_RAW, "x_min": 2.0, "x_max": 2.0}),
+    ("ds-solve", {**_DS_RAW, "mp_oracle": True, "c": 0.5}),  # the oracle needs c = 1
+    # the profile kinds are gone: no config outside the tests set them
     ("universality", {**_UNIVERSALITY_RAW, "profile": {"kind": "ramp", "low": 0.5, "high": 2.0}}),
     ("universality", {**_UNIVERSALITY_RAW, "profile": {"kind": "constant", "value": 1.0}}),
     # the output directory is not part of the config, and threads is read
@@ -818,54 +805,13 @@ def test_cli_malformed_field_exits_two(tmp_path, label, raw):
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
-_THRESHOLD_RUNS = {"circular": _circular_raw(), "universality": _UNIVERSALITY_RAW,
-                   "hermitize": _HERMITIZE_RAW, "ds-solve": _DS_RAW,
-                   "tails": {**_TAILS_N1_RAW, "n_list": [10]}, "lemmas": _LEMMAS_RAW}
-
-
-@pytest.mark.parametrize("label,name,value", [
-    ("circular", "radial_ks", 0),              # tolerances are positive
-    ("circular", "angular_ks", -0.05),
-    ("circular", "ks_pass_fraction", 1.5),     # pass fractions are in [0, 1]
-    ("circular", "in_disk_fraction", -0.01),
-    ("circular", "in_disk_radius", 0),
-    ("universality", "final_median_bl", 0),
-    ("hermitize", "potential_gap", -1),
-    ("hermitize", "potential_pass_fraction", 2),
-    ("hermitize", "regularization_gap", 0),
-    ("ds-solve", "oracle_gap", 0),
-    ("ds-solve", "density_sup_error", -1e-2),
-    ("tails", "sigma_min_exponent", 0),
-    ("tails", "distance_constant", -0.5),
-    ("tails", "mean_dist2_low", -1),           # lower bounds are at least 0
-    ("tails", "mean_dist2_high", 0),
-    ("lemmas", "det_identity", 0),
-    ("lemmas", "neg_second_moment", -1e-9),
-    ("lemmas", "interlacing_slack_scale", -1e-8),  # slack scales are at least 0
-    ("lemmas", "weyl_slack_scale", -1e-8),
-])
-def test_cli_out_of_range_threshold_exits_two(tmp_path, label, name, value):
-    path = _write_config(tmp_path, {**_THRESHOLD_RUNS[label], "thresholds": {name: value}})
+# gate thresholds are constants of the claims, not config keys
+@pytest.mark.parametrize("experiment", sorted(_TINY_RUNS))
+def test_cli_thresholds_key_exits_two(tmp_path, experiment):
+    path = _write_config(tmp_path, {**_TINY_RUNS[experiment], "thresholds": {}})
     out = tmp_path / "out"
     assert cli_main(["--config", path, "--out", str(out)]) == 2
     assert not out.exists()
-
-
-@pytest.mark.parametrize("label,thresholds", [
-    ("tails", {"mean_dist2_low": 1.5}),  # above the default mean_dist2_high, 1.05
-    ("tails", {"mean_dist2_low": 1.1, "mean_dist2_high": 1.05}),
-    ("tails", {"mean_dist2_high": 0.5}),  # below the default mean_dist2_low, 0.95
-    ("tails", {"mean_dist2_low": 2.0, "mean_dist2_high": 1.5}),
-])
-def test_cli_empty_threshold_interval_exits_two(tmp_path, label, thresholds):
-    # an `in` gate over [low, high] with low > high can never pass
-    raw = {**_THRESHOLD_RUNS[label], "thresholds": thresholds}
-    path = _write_config(tmp_path, raw)
-    out = tmp_path / "out"
-    assert cli_main(["--config", path, "--out", str(out)]) == 2
-    assert not out.exists()
-    # a one-point interval is a valid gate
-    config_from_dict({**raw, "thresholds": {"mean_dist2_low": 1.0, "mean_dist2_high": 1.0}})
 
 
 @pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100_000, b'{"a": ' * 100_000],
@@ -944,18 +890,6 @@ def test_cli_universality_factor_outside_its_mode_exits_two(tmp_path, raw):
     out = tmp_path / "out"
     assert cli_main(["--config", path, "--out", str(out)]) == 2
     assert not out.exists()
-
-
-@pytest.mark.parametrize("name", ["oracle_gap", "density_sup_error"])
-def test_cli_oracle_threshold_without_oracle_exits_two(tmp_path, name):
-    # every ds_solve threshold belongs to an mp_oracle gate: without the
-    # oracle it would be echoed in the manifest although it shaped no byte
-    raw = {**_DS_RAW, "x_step": 0.1, "thresholds": {name: 0.5}}
-    path = _write_config(tmp_path, raw)
-    out = tmp_path / "out"
-    assert cli_main(["--config", path, "--out", str(out)]) == 2
-    assert not out.exists()
-    config_from_dict({**raw, "mp_oracle": True})
 
 
 # sha256 of the artifacts of the default mp_oracle run at seed 20260808,

@@ -133,6 +133,19 @@ def test_solve_ds_validation():
         solve_ds(DELTA0, 0.0, 2.0 + 1e-3j)
 
 
+def test_solve_ds_huge_atom_fails_without_warnings():
+    # pytest turns a RuntimeWarning into an error: no overflowed value may
+    # reach the arrowhead.  At w = 0.5 the poles are finite (about 1e150),
+    # but Im m is below the resolution of u = 1 + m
+    with pytest.raises(NumericalFailureError):
+        solve_ds(MeasureH.point(1e300), 1.0, 0.5 + 1e-3j)
+    # 4 w t overflows: one message names the overflow and the first such w
+    with pytest.raises(NumericalFailureError, match=r"poles overflow at w=\(10000000000\+1j\)"):
+        solve_ds(MeasureH.point(1e300), 1.0, np.array([0.5 + 1e-3j, 1e10 + 1j]))
+    with pytest.raises(NumericalFailureError, match="poles overflow"):
+        solve_ds(MeasureH.point(1e308), 1.0, 1.0 + 1e-3j)
+
+
 def test_remark_b2_encoding_invariance():
     # two encodings of the same H give identical solutions
     merged = MeasureH(np.array([0.5]), np.array([1.0]))
