@@ -282,18 +282,22 @@ def _ds_reference_potential(z):
     pipeline: solve the self-consistent equation with H = delta_{|z|^2}
     and return (1/2) int log t dnu_z(t) for the recovered gram density.
 
-    The gram spectrum lives on [(|z|-2)^2, (|z|+2)^2]; for |z| <= 2 its
-    left edge is hard with a 1/sqrt(t) divergence, so the log moment is
-    taken on a geometrically graded grid down to 1e-12, at eta = 1e-8,
-    where the Poisson-smoothing bias is below 1e-3.
+    For |z| >= 2 the gram spectrum lives on [(|z|-2)^2, (|z|+2)^2]; for
+    |z| < 2 its left edge is hard, at 0, with a 1/sqrt(t) divergence, so
+    the log moment is taken on a geometrically graded grid from
+    t_min = max(1e-12, max(0, |z|-2)^2 - 1), at eta = 1e-8, where the
+    Poisson-smoothing bias is below 1e-3.  The grid starts one unit left
+    of the support, not at 1e-12: far left of it, at a large |z|, Im m
+    is below what the solver resolves.
     """
     r = abs(complex(z))
     t_max = (r + 2.0) * (r + 2.0) + 1.0  # inf, not OverflowError, for a huge z
     if t_max == math.inf:
         raise NumericalFailureError(f"the Gram spectrum at z={z} overflows float64")
     h = MeasureH.point(r * r)
-    grid = np.unique(np.concatenate([np.geomspace(1e-12, 1.0, 4000),
-                                     np.linspace(1.0, t_max, 8000)]))
+    t_min = max(1e-12, max(0.0, r - 2.0) ** 2 - 1.0)
+    graded = [np.geomspace(t_min, 1.0, 4000)] if t_min < 1.0 else []
+    grid = np.unique(np.concatenate(graded + [np.linspace(max(t_min, 1.0), t_max, 8000)]))
     m = solve_ds(h, 1.0, grid + 1e-8j)
     return 0.5 * float(np.trapezoid(np.log(grid) * m.imag, grid)) / math.pi
 

@@ -1,9 +1,11 @@
 """Dense complex linear algebra kernels and exact identity verifiers.
 
-Eigenvalues and singular values are delegated to LAPACK through numpy;
-the row-distance and leave-one-out routines are implemented directly so
-that the determinant and negative-second-moment identities are checked
-through genuinely distinct computational routes.
+Every decomposition is delegated to LAPACK through numpy: eigenvalues,
+singular values, LU and, for the row-distance and leave-one-out routines,
+a Householder QR whose |R| diagonal gives the distances.  The QR is a
+fourth factorization, distinct from LU, eig and SVD, so the determinant
+and negative-second-moment identities are still checked through
+genuinely distinct computational routes.
 
 Each matrix is validated once, by the entry it is given to
 (``scaled_shift``, ``log_abs_det``, ``hs_norm``,
@@ -132,52 +134,42 @@ def hs_norm(a):
 
 
 def row_distances(m):
-    """d_i = distance from row i to the span of rows 1..i-1, for a square
-    ``m`` from ``as_matrix`` or ``scaled_shift``.
+    """d_i = distance from row i to the span of rows 1..i-1, for an
+    n'-by-n ``m`` (n' <= n) from ``as_matrix`` or ``scaled_shift``.
 
-    Modified Gram-Schmidt with one reorthogonalization pass; d_1 is the
-    norm of the first row.  Rank-deficient prefixes produce d_i near 0,
-    which is data, not an error; such rows contribute no new direction.
+    d_i is |R_ii| of one Householder QR (LAPACK geqrf) of the transpose;
+    d_1 is the norm of the first row.  A row with d_i <= 1e-14 ||m||_F
+    adds no new direction: rank-deficient prefixes produce such d_i,
+    which are data, not an error.  Its value is kept, the first such row
+    is deleted and the QR of the remaining rows is taken again, so that
+    no reflector is built from a rounding residue; a full-rank ``m``
+    takes exactly one QR.
     """
-    m = m.astype(np.complex128, copy=False)
-    n = m.shape[0]
-    scale = np.linalg.norm(m)
-    q = np.empty((n, n), dtype=np.complex128)
-    used = 0
-    d = np.empty(n)
-    for i in range(n):
-        v = m[i].copy()
-        for _ in range(2):  # one reorthogonalization pass
-            if used:
-                v -= (q[:used].conj() @ v) @ q[:used]
-        d[i] = np.linalg.norm(v)
-        if d[i] > 1e-14 * max(scale, 1e-300):
-            q[used] = v / d[i]
-            used += 1
-    return d
+    cut = 1e-14 * np.linalg.norm(m)
+    rows = np.arange(m.shape[0])
+    d = np.empty(m.shape[0])
+    while True:
+        d[rows] = np.abs(np.diagonal(np.linalg.qr(m[rows].T, mode="r")))
+        dependent = rows[d[rows] <= cut]
+        if not dependent.size:
+            return d
+        rows = rows[rows != dependent[0]]
 
 
 def leave_one_out_distances(a):
     """dist(row_j, span of the other rows) for a full-rank n'-by-n matrix.
 
-    Computed by orthogonal projection against a QR basis of the other
-    rows, independently of any singular value computation.
+    d_j is the last row distance once row j is moved last, so each takes
+    one Householder QR, independently of any singular value computation.
     """
-    m = as_matrix(a).astype(np.complex128, copy=False)
+    m = as_matrix(a)
     rows, cols = m.shape
     if rows > cols:
         raise ConfigurationError("leave-one-out requires n' <= n (wide or square matrix)")
     s = singular_values(m)
     if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
         raise NumericalFailureError("leave-one-out identity requires a full-rank matrix")
-    d = np.empty(rows)
-    idx = np.arange(rows)
-    for j in range(rows):
-        others = m[idx != j]
-        qmat, _ = np.linalg.qr(others.T)  # orthonormal basis of the row span
-        v = m[j]
-        d[j] = np.linalg.norm(v - qmat @ (qmat.conj().T @ v))
-    return d
+    return np.array([row_distances(np.roll(m, -1 - j, axis=0))[-1] for j in range(rows)])
 
 
 def log_product(factors):

@@ -276,7 +276,7 @@ def test_hermitize_field_csv_schema(tmp_path):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("z", [0.0, 0.5, 0.5 + 0.5j, 2.0])
+@pytest.mark.parametrize("z", [0.0, 0.5, 0.5 + 0.5j, 2.0, 6.0, 10.0, 100.0, 1000.0])
 def test_ds_reference_potential_is_the_circular_potential(z):
     from esdlab.harness.experiments import _ds_reference_potential
     from esdlab.limits import circular_log_potential

@@ -178,6 +178,21 @@ def test_row_distances_rank_deficient_prefix():
     a = np.array([[1.0, 0.0], [2.0, 0.0]])
     d = row_distances(a)
     assert d[0] == 1.0 and d[1] < 1e-12
+    # a row that is a multiple of row 0 up to rounding adds no direction:
+    # every d_i, before and after it, is the least-squares residual of row
+    # i against the earlier rows (a reflector built from the dependent
+    # row's rounding residue would move every later d_i by O(1))
+    rng = np.random.default_rng(31)
+    for n in (3, 6, 20):
+        for cplx in (False, True):
+            for at in (1, n // 2):
+                a = _rand(rng, n, n, cplx=cplx)
+                a[at] = (0.3 + 0.7j if cplx else 0.3) * a[0]
+                d = row_distances(a)
+                for i in range(n):
+                    x = np.linalg.lstsq(a[:i].T, a[i])[0] if i else np.zeros(0)
+                    residual = np.linalg.norm(a[i] - a[:i].T @ x)
+                    assert abs(d[i] - residual) <= 1e-12 * np.linalg.norm(a), (n, cplx, at, i)
 
 
 # ----------------------------------------------------------- leave-one-out
