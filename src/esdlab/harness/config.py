@@ -340,6 +340,11 @@ EXPERIMENTS = tuple(FIELDS)
 # where the ds_solve mp_oracle gates compare against the Marchenko-Pastur law
 MP_WINDOW = (0.1, 3.9)
 
+# the largest |z| of a hermitize shift under reference "ds": the solve of
+# its Gram law holds to 1.1e-5 of log|z| up to here and fails from about
+# 6400, where Im w = 1e-8 is below what the solver resolves
+DS_REFERENCE_MAX_SHIFT = 3000.0
+
 
 def ds_grid(x_min, x_max, x_step):
     """The ds_solve x grid; more than 2^20 points is a ConfigurationError."""
@@ -370,6 +375,10 @@ def _check_cross_fields(kw):
                 values, lengths = two_blocks(kw[name], n)
                 if 0.0 in values[lengths > 0]:
                     raise ConfigurationError(f"{name} has a zero diagonal entry at n = {n}")
+    elif experiment == "hermitize":
+        if kw["reference"] == "ds" and max(map(abs, kw["z_grid"])) > DS_REFERENCE_MAX_SHIFT:
+            raise ConfigurationError(f"reference \"ds\" takes shifts with |z| <= "
+                                     f"{DS_REFERENCE_MAX_SHIFT:g}")
     elif experiment == "ds_solve":
         if len(kw["h_weights"]) != len(kw["h_atoms"]):
             raise ConfigurationError("h_weights must match h_atoms")

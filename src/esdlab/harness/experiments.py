@@ -26,6 +26,8 @@ of the CSV artifacts, which must be byte-identical across reruns.
 from __future__ import annotations
 
 import copy
+import ctypes
+import functools
 import math
 import operator
 import os
@@ -288,12 +290,11 @@ def _ds_reference_potential(z):
     t_min = max(1e-12, max(0, |z|-2)^2 - 1), at eta = 1e-8, where the
     Poisson-smoothing bias is below 1e-3.  The grid starts one unit left
     of the support, not at 1e-12: far left of it, at a large |z|, Im m
-    is below what the solver resolves.
+    is below what the solver resolves.  It solves for every |z| up to
+    ``config.DS_REFERENCE_MAX_SHIFT``, the bound a config is held to.
     """
     r = abs(complex(z))
-    t_max = (r + 2.0) * (r + 2.0) + 1.0  # inf, not OverflowError, for a huge z
-    if t_max == math.inf:
-        raise NumericalFailureError(f"the Gram spectrum at z={z} overflows float64")
+    t_max = (r + 2.0) * (r + 2.0) + 1.0
     h = MeasureH.point(r * r)
     t_min = max(1e-12, max(0.0, r - 2.0) ** 2 - 1.0)
     graded = [np.geomspace(t_min, 1.0, 4000)] if t_min < 1.0 else []
@@ -619,8 +620,48 @@ RUNNERS = {
 }
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _set_process_policy():
+    """Set, once per process, what a run needs of its allocator and BLAS.
+
+    glibc serves a block above its mmap threshold by a fresh mapping and
+    unmaps it on free, and it returns a free heap top above its trim
+    threshold to the system, so every trial's matrices and LAPACK's copies
+    were faulted in afresh (about 18,000 minor faults per hermitize_t1
+    run).  With the mmap threshold at 32 MiB and the trim threshold at
+    256 MiB, a freed block below 32 MiB stays in the heap and the next
+    trial reuses it; the process keeps its RSS at its high-water mark.
+    BLAS runs on one thread, so the bytes do not depend on the ambient
+    thread count.  Each half does nothing where its library or symbol is
+    missing; neither changes a value.
+    """
+    import glob  # here, so that importing esdlab loads no module more
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt
+        pass
+    else:
+        mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    # numpy's wheel ships its OpenBLAS beside the package, already loaded
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            set_threads(1)
+
+
 def run_experiment(cfg, out_dir):
     """Run one experiment, write all artifacts and the manifest into ``out_dir``."""
+    _set_process_policy()
     created = not os.path.isdir(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -83,6 +83,7 @@ def regularized_log_det(a, zs, eps, *, overwrite_a=False):
         raise ConfigurationError("regularization eps must be positive")
     s = scaled_shift(a, overwrite_a=overwrite_a)
     n = s.shape[0]
+    real = np.isrealobj(s)
     gram_s = s @ s.conj().T  # a real s's conj() is s itself, so this is one real syrk
     diagonal = np.diag_indices(n)
     norm_s = math.sqrt(float(np.sum(gram_s[diagonal].real)))  # ||S||_F
@@ -97,7 +98,11 @@ def regularized_log_det(a, zs, eps, *, overwrite_a=False):
                 f"(n 2^-53 (||S||_F + sqrt(n)|z|)^2 = {floor:.3g})")
         gram = _shifted_gram(s, gram_s, z)
         gram[diagonal] += z.real * z.real + z.imag * z.imag + eps
-        sign, logdet = np.linalg.slogdet(gram)
+        # from a real S the Gram matrix is exactly Hermitian, so its transpose,
+        # a Fortran-order view, has the same |det| bits, and slogdet's LAPACK
+        # copy of it needs no transpose; from a complex S it is Hermitian
+        # only up to rounding, and is factored as it is
+        sign, logdet = np.linalg.slogdet(gram.T if real else gram)
         del gram  # the factorization copied it; do not hold it into the next shift
         if not sign.real > 0.0:
             raise NumericalFailureError(
@@ -109,14 +114,18 @@ def regularized_log_det(a, zs, eps, *, overwrite_a=False):
 
 def _shifted_gram(s, gram_s, z):
     """S S* - conj(z) S - z S*, written into one new array with no n x n
-    temporary for a real S; float64 for a real S at a real z."""
+    temporary for a real S; float64 for a real S at a real z.  For a real
+    S at Re z = 0 the real part is a copy of S S*."""
     n = s.shape[0]
     if np.isrealobj(s):
         gram = np.empty((n, n), np.complex128 if z.imag else np.float64)
         re = gram.real  # gram itself when it is float64
-        np.add(s, s.T, out=re)
-        re *= -z.real
-        re += gram_s
+        if z.real:
+            np.add(s, s.T, out=re)
+            re *= -z.real
+            re += gram_s
+        else:
+            re[...] = gram_s
         if z.imag:
             im = gram.imag
             np.subtract(s, s.T, out=im)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from esdlab.harness import (
     scatter_svg,
 )
 from esdlab.harness.cli import main as cli_main
-from esdlab.harness.config import read_config_json
+from esdlab.harness.config import DS_REFERENCE_MAX_SHIFT, read_config_json
 from esdlab.harness.emit import write_manifest, write_trials_csv
 from esdlab.harness.experiments import GateResult, TrialRecord
 
@@ -504,6 +505,86 @@ def test_tails_distance_peak_rss(tmp_path):
     assert cold < 40.5 and cached < 44.0, (cold, cached)
 
 
+def _child_env(**extra):
+    """The environment of a child that imports esdlab from this checkout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p), **extra}
+
+
+_GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+_REFAULT_CHILD = """
+import json, resource, sys
+import numpy as np
+from esdlab.harness import config_from_dict, run_experiment
+
+run_experiment(config_from_dict(json.loads(sys.argv[1])), sys.argv[2])
+np.ones(1 << 20)  # 8 MB, allocated, filled and freed
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+np.ones(1 << 20)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _GLIBC, reason="sets glibc's allocator policy")
+def test_run_keeps_freed_blocks_in_the_heap(tmp_path):
+    # a run leaves the allocator keeping freed blocks below 32 MiB in the
+    # heap, so a second 8 MB block is reused with no fault.  With glibc's
+    # defaults (2.36, x86-64) the first was mapped and unmapped, and the
+    # second faulted in about 470 pages
+    proc = subprocess.run([sys.executable, "-c", _REFAULT_CHILD,
+                           json.dumps(_TINY_RUNS["hermitize"]), str(tmp_path / "out")],
+                          env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 100
+
+
+_POLICY_CHILD = """
+import json, os, sys
+from esdlab.harness import config_from_dict, experiments
+
+if sys.argv[1] == "off":
+    experiments._set_process_policy = lambda: None
+for name, raw in json.loads(sys.argv[2]).items():
+    experiments.run_experiment(config_from_dict(raw), os.path.join(sys.argv[3], name))
+"""
+
+
+@pytest.mark.skipif(not _GLIBC, reason="sets glibc's allocator policy")
+def test_allocator_policy_leaves_the_bytes(tmp_path):
+    # BLAS is on one thread in both children, so only the allocator differs
+    env = _child_env(OPENBLAS_NUM_THREADS="1")
+    for policy in ("off", "on"):
+        proc = subprocess.run([sys.executable, "-c", _POLICY_CHILD, policy,
+                               json.dumps(_TINY_RUNS), str(tmp_path / policy)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    for name in _TINY_RUNS:
+        manifest = (tmp_path / "on" / name / "manifest.json").read_bytes()
+        assert manifest == (tmp_path / "off" / name / "manifest.json").read_bytes(), name
+
+
+_CIRCULAR_N1000 = {"schema_version": 1, "experiment": "circular", "master_seed": 7,
+                   "n_list": [1000], "trials": 1, "dist_x": {"kind": "real_gaussian"}}
+
+
+def test_bytes_do_not_depend_on_ambient_blas_threads(tmp_path):
+    # a run pins BLAS to one thread; with two, the n = 1000 eigenvalues moved
+    # by about 1e-14, and with them trials.csv, the SVG and the manifest
+    path = _write_config(tmp_path, _CIRCULAR_N1000)
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        proc = subprocess.run([sys.executable, "-m", "esdlab.harness.cli", "--config", path,
+                               "--out", str(out)],
+                              env=_child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode in (0, 1), proc.stderr
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.xfail(strict=True, reason="known stream-key collisions in the tails suite "
                    "(ROADMAP item 3: no two purposes share a random stream); fixing them "
                    "changes every subspace_distance")
@@ -849,18 +930,32 @@ def test_cli_unallocatable_sizes_exit_two_without_output(tmp_path):
     # no grid point in the Marchenko-Pastur window [0.1, 3.9] of the density gate
     ("ds-solve", {**_DS_RAW, "mp_oracle": True, "x_min": 0.01, "x_max": 0.05,
                   "x_step": 0.01, "agreement_tol": 100.0}, 2),
-    # |z|^2 overflows: the eps floor of the Gram matrix, and the support
-    # of the Dozier-Silverstein reference
+    # |z|^2 overflows the eps floor of the Gram matrix
     ("hermitize", {**_HERMITIZE_RAW, "z_grid": [0.0, 1e200], "reference": "circular"}, 3),
-    ("hermitize", {**_HERMITIZE_RAW, "z_grid": [0.0, 1e200], "reference": "ds"}, 3),
-    # a finite support whose Dozier-Silverstein poles overflow
-    ("hermitize", {**_HERMITIZE_RAW, "z_grid": [0.0, 1e100], "reference": "ds"}, 3),
+    # shifts above the bound of the Dozier-Silverstein reference, rejected
+    # when the config is parsed
+    ("hermitize", {**_HERMITIZE_RAW, "z_grid": [0.0, 1e200], "reference": "ds"}, 2),
+    ("hermitize", {**_HERMITIZE_RAW, "z_grid": [0.0, 1e100], "reference": "ds"}, 2),
 ])
 def test_cli_failed_run_leaves_no_empty_output_dir(tmp_path, label, raw, code):
     path = _write_config(tmp_path, raw)
     out = tmp_path / "out"
     assert cli_main(["--config", path, "--out", str(out)]) == code, label
     assert not out.exists()
+
+
+# reference "ds" solves its Gram law for every |z| up to 3000 and fails
+# from about 6400: a shift above the bound exits 2 and writes nothing, and
+# a shift at it runs
+@pytest.mark.parametrize("z_grid,code", [([0.5, 3000.5], 2), ([[0.0, -3000.5]], 2),
+                                         ([[0.0, 3000.0]], 0)],
+                         ids=["above", "above_imaginary", "at"])
+def test_cli_ds_reference_shift_bound(tmp_path, z_grid, code):
+    assert DS_REFERENCE_MAX_SHIFT == 3000.0
+    path = _write_config(tmp_path, {**_HERMITIZE_RAW, "z_grid": z_grid, "reference": "ds"})
+    out = tmp_path / "out"
+    assert cli_main(["--config", path, "--out", str(out)]) == code
+    assert (out / "manifest.json").exists() == (code == 0)
 
 
 def test_cli_tails_size_below_two_exits_two_without_output(tmp_path):
