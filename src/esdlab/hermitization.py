@@ -13,7 +13,7 @@ the ESD of B B*.  f_n(z) has two readings, and both are here:
 eigenvalues, so one eigendecomposition gives f_n on a whole lattice.
 An ESD here is its atom array, as ``measures.esd_eigen`` returns it;
 ``log_potential`` and ``girko_reconstruct`` take that array.
-The regularized value takes one Gram product per matrix and one LU
+The regularized value takes one Gram product per matrix and one Cholesky
 factorization of B B* + eps I per shift.  None of them takes an SVD.
 Each validates A once, in ``numerics.scaled_shift``, and both readings
 of f_n take their -inf rule from ``numerics``: an exactly zero LU pivot
@@ -56,7 +56,7 @@ def log_det_at(a, z):
 def regularized_log_det(a, zs, eps, *, overwrite_a=False):
     """(1/2n) log det(B B* + eps I) with B = A/sqrt(n) - zI at every shift
     z of ``zs``, one value per shift, from one Gram product S S* of
-    S = A/sqrt(n) and one LU factorization per shift.
+    S = A/sqrt(n) and one Cholesky factorization per shift.
 
     Each shift's Gram matrix is an O(n^2) update of S S*:
     B B* = S S* - conj(z) S - z S* + |z|^2 I.  For a real S this is
@@ -71,8 +71,9 @@ def regularized_log_det(a, zs, eps, *, overwrite_a=False):
     n 2^-53 (||S||_F + sqrt(n) |z|)^2, which is n 2^-53 ||B||_F^2 at
     z = 0: below it the small factors s^2 + eps lose their accuracy, so
     such an eps raises NumericalFailureError instead of returning a wrong
-    value.  The determinant of this Hermitian matrix is real, so its sign
-    is +1 up to rounding in its phase; any other sign raises
+    value.  The matrix is Hermitian positive definite, so the value is
+    (1/n) sum log L_ii of its Cholesky factor L; a matrix on which the
+    factorization breaks down in floating point raises
     NumericalFailureError too.
 
     With ``overwrite_a`` the caller gives up ``a``, and S may be formed in
@@ -83,7 +84,6 @@ def regularized_log_det(a, zs, eps, *, overwrite_a=False):
         raise ConfigurationError("regularization eps must be positive")
     s = scaled_shift(a, overwrite_a=overwrite_a)
     n = s.shape[0]
-    real = np.isrealobj(s)
     gram_s = s @ s.conj().T  # a real s's conj() is s itself, so this is one real syrk
     diagonal = np.diag_indices(n)
     norm_s = math.sqrt(float(np.sum(gram_s[diagonal].real)))  # ||S||_F
@@ -98,17 +98,17 @@ def regularized_log_det(a, zs, eps, *, overwrite_a=False):
                 f"(n 2^-53 (||S||_F + sqrt(n)|z|)^2 = {floor:.3g})")
         gram = _shifted_gram(s, gram_s, z)
         gram[diagonal] += z.real * z.real + z.imag * z.imag + eps
-        # from a real S the Gram matrix is exactly Hermitian, so its transpose,
-        # a Fortran-order view, has the same |det| bits, and slogdet's LAPACK
-        # copy of it needs no transpose; from a complex S it is Hermitian
-        # only up to rounding, and is factored as it is
-        sign, logdet = np.linalg.slogdet(gram.T if real else gram)
-        del gram  # the factorization copied it; do not hold it into the next shift
-        if not sign.real > 0.0:
+        # the factorization is the positive-definiteness check; it reads one
+        # triangle, so a complex Gram matrix that is Hermitian only up to
+        # rounding is factored as the Hermitian matrix of that triangle
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
             raise NumericalFailureError(
                 f"B B* + eps I is not positive definite in floating point at z={z}, "
-                f"eps={eps:.3g}")
-        values.append(float(logdet) / (2.0 * n))
+                f"eps={eps:.3g}") from None
+        values.append(float(np.sum(np.log(factor.diagonal().real))) / n)
+        del gram, factor  # do not hold either into the next shift
     return values
 
 

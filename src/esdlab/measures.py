@@ -51,8 +51,10 @@ def dilation_esd(a):
 
 
 def second_moment(mu):
-    """Integral of |z|^2 against the ESD with atoms mu (tightness gauge)."""
-    return float(np.mean(np.abs(mu) ** 2))
+    """Integral of |z|^2 against the ESD with atoms mu (tightness gauge);
+    inf, without a warning, when |z|^2 overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.mean(np.abs(mu) ** 2))
 
 
 def characteristic_function(mu, u, v):

@@ -298,29 +298,37 @@ def test_hermitize_ds_reference_column(tmp_path):
 def test_hermitize_takes_no_svd(tmp_path, monkeypatch):
     from esdlab import hermitization
     svd_calls = []
-    factored_complex = []
+    factored = []
     svd = hermitization.singular_values
     slogdet = np.linalg.slogdet
+    cholesky = np.linalg.cholesky
 
     def counting_svd(m):
         svd_calls.append(m.shape)
         return svd(m)
 
     def spying_slogdet(m):
-        factored_complex.append(np.iscomplexobj(m))
+        factored.append(("lu", np.iscomplexobj(m)))
         return slogdet(m)
+
+    def spying_cholesky(m):
+        factored.append(("cholesky", np.iscomplexobj(m)))
+        return cholesky(m)
 
     monkeypatch.setattr(hermitization, "singular_values", counting_svd)
     monkeypatch.setattr(np.linalg, "slogdet", spying_slogdet)
+    monkeypatch.setattr(np.linalg, "cholesky", spying_cholesky)
     raw = {"schema_version": 1, "experiment": "hermitize", "master_seed": 3,
            "n_list": [30], "trials": 2, "dist_x": {"kind": "real_gaussian"},
            "base": {"kind": "zero"}, "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}
     run_experiment(config_from_dict(raw), tmp_path)
     assert svd_calls == []
-    # per trial: B at the 4 shifts, then B B* + eps I at the 4 shifts from one
-    # Gram product; 2 trials x 4 shifts x 2 factorizations, complex only at
-    # the non-real shift
-    assert factored_complex == [False, False, True, False] * 4
+    # per trial: one LU of B at each of the 4 shifts, then one Cholesky of
+    # B B* + eps I at each from one Gram product; complex only at the
+    # non-real shift
+    shifts = [False, False, True, False]
+    trial = [("lu", c) for c in shifts] + [("cholesky", c) for c in shifts]
+    assert factored == trial * 2
 
 
 def test_hermitize_records_an_exactly_singular_shift_as_infinite_gaps(tmp_path):
@@ -956,6 +964,31 @@ def test_cli_ds_reference_shift_bound(tmp_path, z_grid, code):
     out = tmp_path / "out"
     assert cli_main(["--config", path, "--out", str(out)]) == code
     assert (out / "manifest.json").exists() == (code == 0)
+
+
+def test_cli_gram_not_positive_definite_exits_three(tmp_path, monkeypatch):
+    # a Cholesky factorization that breaks down fails the run, exit 3
+    def breaking_down(m):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", breaking_down)
+    path = _write_config(tmp_path, _HERMITIZE_RAW)
+    out = tmp_path / "out"
+    assert cli_main(["--config", path, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_cli_circular_second_moment_overflow_warns_nothing(tmp_path):
+    # |z|^2 of these eigenvalues overflows: the second moment is inf, the
+    # gates fail (exit 1), and nothing is warned even with every
+    # RuntimeWarning an error
+    raw = _circular_raw(n=10, base={"kind": "two_block_diagonal", "a": 1e300, "b": -1e300})
+    path = _write_config(tmp_path, raw)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "esdlab.harness.cli", "--config", path, "--out", str(tmp_path / "out")],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_cli_tails_size_below_two_exits_two_without_output(tmp_path):

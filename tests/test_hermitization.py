@@ -1,6 +1,7 @@
 """Log-determinant fields, regularization, and Girko's identity."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -116,10 +117,13 @@ def test_shifted_singular_values_requires_square():
 
 
 def test_log_det_reductions_of_the_shared_spectrum():
-    # both LU reductions agree with the singular values of a complex SVD;
-    # the regularized values come from one Gram product over the whole grid
-    n, eps = 50, 50.0 ** -0.1
-    for law in ("real_gaussian", "complex_gaussian"):
+    # the LU reduction of B and the Cholesky reduction of B B* + eps I agree
+    # with the singular values of a complex SVD; the regularized values come
+    # from one Gram product over the whole grid.  The complex S S* from zgemm
+    # need not be exactly Hermitian (with BLAS on one thread it is not at
+    # any of these n), and the Cholesky factor reads one triangle of it
+    for n, law in itertools.product((7, 50, 123), ("real_gaussian", "complex_gaussian")):
+        eps = n ** -0.1
         a = build_iid_matrix(n, scalar_distribution(law), RngStream(99, 5))
         f_regs = regularized_log_det(a, _SHIFTS, eps)
         assert len(f_regs) == len(_SHIFTS)
@@ -139,13 +143,15 @@ def test_regularized_closed_form():
 
 def test_regularized_at_zero_shift_is_the_gram_of_a_over_sqrt_n():
     # at z = 0 the shifted Gram matrix is S S* itself, so the value is bit
-    # for bit that of one slogdet of S S* + eps I, for real and complex A
+    # for bit that of one Cholesky factor L of S S* + eps I, sum log L_ii / n,
+    # for real and complex A
     n, eps = 40, 1e-3
     for law in ("real_gaussian", "complex_gaussian"):
         a = build_iid_matrix(n, scalar_distribution(law), RngStream(99, 6))
         s = a / math.sqrt(n)
-        _, logdet = np.linalg.slogdet(s @ s.conj().T + eps * np.eye(n))
-        assert regularized_log_det(a, [0.0], eps)[0] == float(logdet) / (2.0 * n)
+        factor = np.linalg.cholesky(s @ s.conj().T + eps * np.eye(n))
+        expected = float(np.sum(np.log(factor.diagonal().real))) / n
+        assert regularized_log_det(a, [0.0], eps)[0] == expected
 
 
 def test_regularized_overwrite_a_gives_the_same_values():
@@ -171,6 +177,17 @@ def test_regularized_monotone_and_convergent():
 def test_regularized_requires_positive_eps():
     with pytest.raises(ConfigurationError):
         regularized_log_det(np.eye(2), [0.0], 0.0)
+
+
+def test_regularized_not_positive_definite_names_the_shift(monkeypatch):
+    # a Cholesky factorization that breaks down is the failure of the
+    # positive-definiteness check, reported with its shift and eps
+    def breaking_down(m):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", breaking_down)
+    with pytest.raises(NumericalFailureError, match=r"z=\(0\.5\+0\.5j\), eps=0\.001"):
+        regularized_log_det(_gaussian(10, 3), [0.5 + 0.5j], 1e-3)
 
 
 def test_regularized_rejects_eps_below_gram_rounding():

@@ -103,6 +103,12 @@ def test_esd_gram_second_moment_trace_identity():
     assert abs(float(np.mean(atoms)) - expected) <= 1e-10 * expected
 
 
+def test_second_moment_overflow_is_inf_without_a_warning():
+    # |1e200|^2 overflows; the moment records inf, and under the tier-1
+    # filter (every RuntimeWarning an error) it raises nothing
+    assert second_moment(np.array([1e200 + 0j])) == math.inf
+
+
 # ----------------------------------------------------- characteristic function
 
 def test_char_fn_origin_is_one():
