@@ -116,19 +116,34 @@ def build_iid_matrix(n, dist, rng):
 
 
 def require_buildable(name, spec, n):
-    """Raise ConfigurationError unless ``spec`` can be realized at size n."""
+    """Raise ConfigurationError unless ``spec`` can be realized at size n:
+    a low_rank rank is at most n, and every diagonal entry that a
+    two_block_diagonal or diagonal_from_measure can take is finite after
+    its sqrt(n) scaling."""
     if n < 1:
         raise ConfigurationError("matrix size must be at least 1")
     if spec.kind == "low_rank" and spec.rank > n:
         raise ConfigurationError(f"{name}: low_rank rank {spec.rank} exceeds matrix size {n}")
+    diagonal = ()
+    if spec.kind == "two_block_diagonal":
+        values, lengths = two_blocks(spec, n)
+        diagonal = values[lengths > 0]
+    elif spec.kind == "diagonal_from_measure":
+        with np.errstate(over="ignore"):
+            diagonal = np.asarray(spec.atoms) * math.sqrt(n)
+    if not np.all(np.isfinite(diagonal)):
+        raise ConfigurationError(f"{name}: a diagonal entry overflows at n = {n}")
 
 
 def two_blocks(spec, n):
     """The values (a, b, times sqrt(n) with scale_by_sqrt_n) and lengths
-    (round(split n), the rest) of a two_block_diagonal's blocks at size n."""
+    (round(split n), the rest) of a two_block_diagonal's blocks at size n.
+    A value that overflows is inf, without a warning."""
     n_a = int(round(spec.split * n))
     scale = math.sqrt(n) if spec.scale_by_sqrt_n else 1.0
-    return np.array([spec.a, spec.b]) * scale, np.array([n_a, n - n_a])
+    with np.errstate(over="ignore"):
+        values = np.array([spec.a, spec.b]) * scale
+    return values, np.array([n_a, n - n_a])
 
 
 def factor_diagonal(spec, n):
@@ -183,12 +198,17 @@ def assemble(m_base, x, k=None, l=None, c=None):
         k, l = np.asarray(k), np.asarray(l)  # None has shape ()
         if k.shape != x.shape[:1] or l.shape != x.shape[:1]:
             raise ConfigurationError("a sandwich requires diagonals k and l of the noise size")
-        x = (k[:, None] * x) * l[None, :]
     elif c is not None:
         c = np.asarray(c)
         if c.shape != x.shape:
             raise ConfigurationError("a profile C must have the noise size")
         if np.iscomplexobj(c) or np.min(c) <= 0.0:
             raise ConfigurationError("profile C must have real entries in [a, b] with a > 0")
-        x = c * x
-    return x if m_base is None else np.asarray(m_base) + x
+    # an entry that overflows stays inf (or NaN, in a complex product) for
+    # the finiteness check of numerics.as_matrix, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k is not None:
+            x = (k[:, None] * x) * l[None, :]
+        elif c is not None:
+            x = c * x
+        return x if m_base is None else np.asarray(m_base) + x

@@ -317,8 +317,6 @@ _OWN_FIELDS = {
         Field("x_min", _as_float, 0.1),
         Field("x_max", _as_float, 3.9),
         Field("x_step", _POSITIVE_FLOAT, 1.0 / 400.0),
-        Field("eta_schedule", _tuple_of(_as_float), [0.001, 0.0001], list),
-        Field("agreement_tol", _POSITIVE_FLOAT, 1e-3),
         Field("mp_oracle", _as_bool, False),
     ),
     "tails": _MATRIX_FIELDS + (
@@ -372,6 +370,7 @@ def _check_cross_fields(kw):
         for name in factors:
             # singular iff a nonempty block is zero (n may be too large to build the diagonal)
             for n in kw["n_list"]:
+                require_buildable(name, kw[name], n)
                 values, lengths = two_blocks(kw[name], n)
                 if 0.0 in values[lengths > 0]:
                     raise ConfigurationError(f"{name} has a zero diagonal entry at n = {n}")

@@ -136,7 +136,9 @@ THRESHOLDS = {
     "universality": {"final_median_bl": 0.1},
     "hermitize": {"potential_gap": 0.05, "potential_pass_fraction": 0.9,
                   "regularization_gap": 0.02},
-    "ds_solve": {"oracle_gap": 1e-8, "density_sup_error": 1e-2},
+    # agreement_tol bounds the sup-norm gap of the densities at the two
+    # DS_ETA_LEVELS; a wider gap is a numerical failure, not a failed gate
+    "ds_solve": {"oracle_gap": 1e-8, "density_sup_error": 1e-2, "agreement_tol": 1e-3},
     "tails": {"sigma_min_exponent": 10.0,  # floor n ** -exponent
               "distance_constant": 0.5, "mean_dist2_low": 0.95, "mean_dist2_high": 1.05},
     "lemmas": {"det_identity": 1e-6, "neg_second_moment": 1e-9,
@@ -346,13 +348,18 @@ def run_hermitization_check(cfg, out_dir):
 
 # ----------------------------------------------------------------- ds_solve
 
+# the heights eta of the Stieltjes inversion, coarse then fine: ds.csv is
+# the density at the fine one
+DS_ETA_LEVELS = (1e-3, 1e-4)
+
+
 def run_ds_solve(cfg, out_dir):
     thr = THRESHOLDS["ds_solve"]
     result = ExperimentResult("ds_solve")
     h = MeasureH(np.array(cfg.h_atoms), np.array(cfg.h_weights))
     grid = ds_grid(cfg.x_min, cfg.x_max, cfg.x_step)
     solution = invert_stieltjes(lambda w: solve_ds(h, cfg.c, w), grid,
-                                cfg.eta_schedule, cfg.agreement_tol)
+                                DS_ETA_LEVELS, thr["agreement_tol"])
     path = os.path.join(out_dir, "ds.csv")
     write_ds_csv(path, solution)
     result.artifacts.append(path)

@@ -3,6 +3,7 @@ mutation property and the README's lists of keys, kinds and thresholds."""
 
 import copy
 import dataclasses
+import importlib.util
 import json
 import pathlib
 
@@ -57,23 +58,21 @@ _ROUNDTRIP = {
                "lemma_cases": 10, "max_size": 8},
 }
 
-# The benchmark's workload configs, at its reference seed.
-_BENCH = {
-    "circular_t2": {"schema_version": 1, "experiment": "circular", "n_list": [1000],
-                    "trials": 2, "dist_x": {"kind": "real_gaussian"},
-                    "base": {"kind": "zero"}, "threads": 2, "master_seed": 20260808},
-    "hermitize_t1": {"schema_version": 1, "experiment": "hermitize", "n_list": [600],
-                     "trials": 2, "dist_x": {"kind": "real_gaussian"},
-                     "base": {"kind": "zero"}, "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0],
-                     "reference": "circular", "eps_exponent": 0.1, "threads": 1,
-                     "master_seed": 20260808},
-    "ds_mp": {"schema_version": 1, "experiment": "ds_solve", "mp_oracle": True,
-              "master_seed": 20260808},
-    "tails_t1": {"schema_version": 1, "experiment": "tails", "n_list": [100, 200, 400],
-                 "trials": 100, "dist_x": {"kind": "bernoulli"}, "base": {"kind": "zero"},
-                 "distance_n": 2000, "distance_d": 1000, "distance_trials": 200,
-                 "threads": 1, "master_seed": 20260808},
-}
+# The benchmark's workload configs, read from its own module, at its
+# reference seed: a key that a workload sets cannot leave the field tables
+# unnoticed.
+_WORKLOADS_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _load_workloads()
+_BENCH = {w: _WORKLOADS.config(w, _WORKLOADS.REFERENCE_SEED) for w in _WORKLOADS.CONFIGS}
 
 # One config of each experiment with every optional field set; integers
 # stand in for some floats, and every base and distribution kind appears.
@@ -98,8 +97,7 @@ _FULL = {
                   "reference": "ds", "eps_exponent": 0.25},
     "ds_solve": {"schema_version": 1, "experiment": "ds_solve", "master_seed": 5,
                  "h_atoms": [0.5, 2], "h_weights": [0.25, 0.75], "c": 1, "x_min": 0.2,
-                 "x_max": 5, "x_step": 0.05, "eta_schedule": [0.01, 0.001],
-                 "agreement_tol": 0.01, "mp_oracle": False},
+                 "x_max": 5, "x_step": 0.05, "mp_oracle": False},
     "tails": {"schema_version": 1, "experiment": "tails", "master_seed": 12,
               "threads": 2, "n_list": [10, 20], "trials": 5,
               "dist_x": {"kind": "real_gaussian"},
@@ -123,15 +121,16 @@ VALID = {**{f"roundtrip_{k}": v for k, v in _ROUNDTRIP.items()},
 # universality entries lost the deleted mode key, and the factors their kind.
 # Every entry lost output_dir, which is no config key, and the ds_solve and
 # lemmas entries lost threads, which only experiments that fold trials take.
-# Every entry lost thresholds: the gate thresholds are no config key.
+# Every entry lost thresholds: the gate thresholds are no config key.  The
+# ds_solve entries lost eta_schedule and agreement_tol: the eta levels and
+# the agreement tolerance of the Stieltjes inversion are constants.
 PINNED = {
     "bench_circular_t2": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"},'
         ' "experiment": "circular", "master_seed": 20260808, "n_list": [1000],'
         ' "schema_version": 1, "threads": 2, "trials": 2}'),
     "bench_ds_mp": (
-        '{"agreement_tol": 0.001, "c": 1.0, "eta_schedule": [0.001, 0.0001],'
-        ' "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0],'
+        '{"c": 1.0, "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0],'
         ' "master_seed": 20260808, "mp_oracle": true, "schema_version": 1, "x_max": 3.9,'
         ' "x_min": 0.1, "x_step": 0.0025}'),
     "bench_hermitize_t1": (
@@ -150,8 +149,7 @@ PINNED = {
         ' "master_seed": 18446744073709551615, "n_list": [30, 60], "schema_version": 1,'
         ' "threads": 2, "trials": 3}'),
     "full_ds_solve": (
-        '{"agreement_tol": 0.01, "c": 1.0, "eta_schedule": [0.01, 0.001],'
-        ' "experiment": "ds_solve", "h_atoms": [0.5, 2.0], "h_weights": [0.25, 0.75],'
+        '{"c": 1.0, "experiment": "ds_solve", "h_atoms": [0.5, 2.0], "h_weights": [0.25, 0.75],'
         ' "master_seed": 5, "mp_oracle": false, "schema_version": 1, "x_max": 5.0,'
         ' "x_min": 0.2, "x_step": 0.05}'),
     "full_hermitize": (
@@ -180,10 +178,9 @@ PINNED = {
         ' "experiment": "circular", "master_seed": 7, "n_list": [50], "schema_version": 1,'
         ' "threads": 1, "trials": 2}'),
     "roundtrip_ds_solve": (
-        '{"agreement_tol": 0.001, "c": 1.0, "eta_schedule": [0.001, 0.0001],'
-        ' "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0], "master_seed": 3,'
-        ' "mp_oracle": true, "schema_version": 1, "x_max": 3.9, "x_min": 0.1,'
-        ' "x_step": 0.0025}'),
+        '{"c": 1.0, "experiment": "ds_solve", "h_atoms": [0.0], "h_weights": [1.0],'
+        ' "master_seed": 3, "mp_oracle": true, "schema_version": 1, "x_max": 3.9,'
+        ' "x_min": 0.1, "x_step": 0.0025}'),
     "roundtrip_hermitize": (
         '{"base": {"kind": "zero"}, "dist_x": {"kind": "real_gaussian"}, "eps_exponent": 1.5,'
         ' "experiment": "hermitize", "master_seed": 3, "n_list": [64],'
@@ -211,6 +208,14 @@ def test_canonical_dump_pinned(name):
     assert dump == PINNED[name]
 
 
+# the benchmark's self-check runs these
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS.TINY_CONFIGS))
+def test_benchmark_tiny_configs_parse(workload):
+    raw = _WORKLOADS.config(workload, _WORKLOADS.REFERENCE_SEED, tiny=True)
+    canon = config_to_dict(config_from_dict(raw))
+    assert config_to_dict(config_from_dict(json.loads(json.dumps(canon)))) == canon
+
+
 # the gate thresholds, constants of the claims
 _THRESHOLD_VALUES = {
     "circular": {"radial_ks": 0.05, "angular_ks": 0.05, "ks_pass_fraction": 0.9,
@@ -218,7 +223,7 @@ _THRESHOLD_VALUES = {
     "universality": {"final_median_bl": 0.1},
     "hermitize": {"potential_gap": 0.05, "potential_pass_fraction": 0.9,
                   "regularization_gap": 0.02},
-    "ds_solve": {"oracle_gap": 1e-8, "density_sup_error": 1e-2},
+    "ds_solve": {"oracle_gap": 1e-8, "density_sup_error": 1e-2, "agreement_tol": 1e-3},
     "tails": {"sigma_min_exponent": 10.0, "distance_constant": 0.5, "mean_dist2_low": 0.95,
               "mean_dist2_high": 1.05},
     "lemmas": {"det_identity": 1e-6, "neg_second_moment": 1e-9,
@@ -304,7 +309,7 @@ def test_readme_names_every_threshold():
 
 _KEYS = sorted({f.name for table in FIELDS.values() for f in table}
                | {name for table in THRESHOLDS.values() for name in table}
-               | {"kind", "bogus", "thresholds"})
+               | {"kind", "bogus", "thresholds", "eta_schedule", "agreement_tol"})
 
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 2**65), st.floats(-1e3, 1e3),

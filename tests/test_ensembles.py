@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -325,3 +326,29 @@ def test_assemble_without_base_equals_zero_base(factors):
     x = build_iid_matrix(4, scalar_distribution("real_gaussian"), RngStream(2, 3))
     assert np.array_equal(assemble(None, x, **factors),
                           assemble(np.zeros((4, 4)), x, **factors))
+
+
+# an overflow that depends on the draw is left, without a warning, to the
+# finiteness check of numerics.as_matrix; in a complex product it makes a
+# NaN as well
+def test_assemble_overflow_is_not_finite_without_a_warning():
+    big = np.full((2, 2), 1e308)
+    x = np.array([[3 + 1j, 1 + 3j], [1j, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, noise, factors in ((None, x, {"k": np.full(2, 1e308), "l": np.ones(2)}),
+                                  (None, x, {"c": big}), (big, big, {})):
+            assert not np.all(np.isfinite(assemble(m, noise, **factors)))
+
+
+def test_diagonal_that_overflows_at_some_size_is_unbuildable():
+    blocks = BaseMatrixSpec("two_block_diagonal", a=1e308, b=1.0, split=0.5,
+                            scale_by_sqrt_n=True)
+    atoms = BaseMatrixSpec("diagonal_from_measure", atoms=(1.0, complex(0.0, 1e308)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # at n = 1 the a block is empty (round(0.5) = 0) and sqrt(1) scales nothing
+        for spec in (blocks, atoms):
+            build_base_matrix(spec, 1, RngStream(1, 2))
+            with pytest.raises(ConfigurationError, match="overflows at n = 4"):
+                build_base_matrix(spec, 4, RngStream(1, 2))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import platform
 import shutil
 import subprocess
@@ -660,7 +661,7 @@ def test_manifest_spells_non_finite_observed_as_strings(tmp_path):
     gates = [GateResult("a", math.inf, "<", 0.02), GateResult("b", -math.inf, ">=", 0.0),
              GateResult("c", math.nan, "in", (0.9, 1.1))]
     path = write_manifest(str(tmp_path), {}, {}, gates, [])
-    manifest = json.loads(open(path).read(), parse_constant=_raise_on_constant)
+    manifest = json.loads(pathlib.Path(path).read_text(), parse_constant=_raise_on_constant)
     assert manifest["schema_version"] == 2
     assert [g["observed"] for g in manifest["gates"]] == ["inf", "-inf", "nan"]
     assert [g["passed"] for g in manifest["gates"]] == [False, False, False]
@@ -856,9 +857,11 @@ _TAILS_N1_RAW = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
     # the universality gates read the medians in list order
     ("universality", {**_UNIVERSALITY_RAW, "n_list": [120, 30]}),
     ("universality", {**_UNIVERSALITY_RAW, "n_list": [60, 60]}),
-    # two eta levels can never agree within a tolerance <= 0
-    ("ds-solve", {**_DS_RAW, "agreement_tol": -1.0}),
-    ("ds-solve", {**_DS_RAW, "agreement_tol": 0}),
+    # the eta levels and the agreement tolerance of the Stieltjes inversion
+    # are constants: a tolerance that would let a hard-edge grid pass, and
+    # a schedule, are unknown keys
+    ("ds-solve", {**_DS_RAW, "agreement_tol": 100.0}),
+    ("ds-solve", {**_DS_RAW, "eta_schedule": [0.01, 0.001]}),
     # sides of 2^29 and more are rejected when parsed, before any allocation
     ("circular", {**_circular_raw(), "n_list": [3037000500]}),
     ("circular", {**_circular_raw(), "n_list": [2**39]}),
@@ -925,25 +928,30 @@ def test_cli_unallocatable_sizes_exit_two_without_output(tmp_path):
     ("ds-solve", {**_DS_RAW, "h_weights": [0.5]}, 2),
     ("ds-solve", {**_DS_RAW, "h_atoms": [-1.0]}, 2),
     ("ds-solve", {**_DS_RAW, "c": 0}, 2),
-    ("ds-solve", {**_DS_RAW, "eta_schedule": [0.01, 0.1]}, 2),
-    ("ds-solve", {**_DS_RAW, "eta_schedule": [0.1]}, 2),
-    ("ds-solve", {**_DS_RAW, "eta_schedule": [0.1, -0.01]}, 2),
+    # weights that sum to 1 with one negative: MeasureH rejects them at run time
+    ("ds-solve", {**_DS_RAW, "h_atoms": [0.0, 1.0], "h_weights": [1.5, -0.5]}, 2),
+    # the inversion's keys are unknown even at the values a run uses
+    ("ds-solve", {**_DS_RAW, "eta_schedule": [0.001, 0.0001]}, 2),
+    ("ds-solve", {**_DS_RAW, "agreement_tol": 0.001}, 2),
     # eps = 10^-20 is below the rounding floor of the Gram matrix
     ("hermitize", {**_HERMITIZE_RAW, "eps_exponent": 20}, 3),
     # finite entries whose singular values overflow to inf
     ("tails", {**_TAILS_N1_RAW, "n_list": [2],
                "base": {"kind": "low_rank", "rank": 1, "magnitude": 1.7e308}}, 3),
-    # the inversion reads exactly two eta levels
-    ("ds-solve", {**_DS_RAW, "eta_schedule": [0.1, 0.01, 0.001]}, 2),
+    ("ds-solve", {**_DS_RAW, "x_min": 3.9, "x_max": 0.1}, 2),
     # no grid point in the Marchenko-Pastur window [0.1, 3.9] of the density gate
     ("ds-solve", {**_DS_RAW, "mp_oracle": True, "x_min": 0.01, "x_max": 0.05,
-                  "x_step": 0.01, "agreement_tol": 100.0}, 2),
+                  "x_step": 0.01}, 2),
     # |z|^2 overflows the eps floor of the Gram matrix
     ("hermitize", {**_HERMITIZE_RAW, "z_grid": [0.0, 1e200], "reference": "circular"}, 3),
     # shifts above the bound of the Dozier-Silverstein reference, rejected
     # when the config is parsed
     ("hermitize", {**_HERMITIZE_RAW, "z_grid": [0.0, 1e200], "reference": "ds"}, 2),
     ("hermitize", {**_HERMITIZE_RAW, "z_grid": [0.0, 1e100], "reference": "ds"}, 2),
+    # profile entries times Pareto entries overflow in the draw: the
+    # assembled matrix is not finite, and no overflow warning is raised
+    ("universality", {**_UNIVERSALITY_RAW, "dist_x": {"kind": "pareto_symmetrized"},
+                      "profile": {"low": 0.5, "high": 1.7e308}}, 2),
 ])
 def test_cli_failed_run_leaves_no_empty_output_dir(tmp_path, label, raw, code):
     path = _write_config(tmp_path, raw)
@@ -1036,6 +1044,10 @@ def test_default_mp_oracle_run_bytes_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+_OVERFLOWING_BLOCKS = {"kind": "two_block_diagonal", "a": 1e308, "b": 1.0,
+                       "scale_by_sqrt_n": True}
+
+
 @pytest.mark.parametrize("label,raw", [
     ("circular", {**_circular_raw(base={"kind": "low_rank", "rank": 4, "magnitude": 1.0}),
                   "n_list": [3, 40]}),
@@ -1046,6 +1058,14 @@ def test_default_mp_oracle_run_bytes_pinned(tmp_path):
                       "dist_x": {"kind": "bernoulli"}, "dist_y": {"kind": "real_gaussian"},
                       "base": {"kind": "low_rank", "rank": 4, "magnitude": 1.0},
                       "sandwich_k": _FACTOR, "sandwich_l": _FACTOR}),
+    # sqrt(n) times a finite diagonal entry overflows
+    ("circular", _circular_raw(n=20, base=_OVERFLOWING_BLOCKS)),
+    ("hermitize", {**_HERMITIZE_RAW, "n_list": [20], "base": _OVERFLOWING_BLOCKS}),
+    ("tails", {**_TAILS_N1_RAW, "n_list": [20], "base": _OVERFLOWING_BLOCKS}),
+    ("tails", {**_TAILS_N1_RAW, "n_list": [20],
+               "base": {"kind": "diagonal_from_measure", "atoms": [1e308]}}),
+    ("universality", {**_UNIVERSALITY_RAW, "sandwich_k": _FACTOR,
+                      "sandwich_l": {"a": 1e308, "b": 1.0, "scale_by_sqrt_n": True}}),
 ])
 def test_cli_base_unbuildable_at_some_size_exits_two_and_writes_nothing(tmp_path, label,
                                                                          raw):
@@ -1095,9 +1115,10 @@ def test_sandwich_factor_is_singular_only_where_a_zero_block_is_nonempty(tmp_pat
     assert len(run_experiment(cfg, tmp_path).records) == 4
 
 
+# the grid reaches the hard edge at 0, where the densities at the two eta
+# levels cannot agree
 def test_cli_numerical_failure_exits_three(tmp_path):
     raw = {"schema_version": 1, "experiment": "ds_solve", "master_seed": 3,
-           "x_min": 0.05, "x_max": 0.15, "x_step": 0.05,
-           "eta_schedule": [1e-2, 1e-3], "agreement_tol": 1e-9}
+           "x_min": 0.0, "x_max": 0.1, "x_step": 0.05}
     path = _write_config(tmp_path, raw)
     assert cli_main(["--config", path, "--out", str(tmp_path / "out")]) == 3
