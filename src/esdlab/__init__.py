@@ -47,7 +47,6 @@ from .numerics import (
     MINUS_INFINITY,
     hs_norm,
     leave_one_out_distances,
-    log_abs_det,
     verify_interlacing,
     verify_weyl,
 )

@@ -61,7 +61,9 @@ from ..numerics import (
     eigenvalues,
     hs_norm,
     leave_one_out_distances,
-    log_abs_det,
+    log_product,
+    lu_log_abs_det,
+    row_distances,
     singular_values,
     verify_interlacing,
     verify_weyl,
@@ -401,7 +403,7 @@ def run_tail_suite(cfg, out_dir):
             s = singular_values(_trial_matrix(cfg, n, t))
             metrics = {"sigma_min": float(s[-1])}
             for label, i in i_values.items():
-                metrics[f"ratio_{label}"] = float(s[n - i - 1] / math.sqrt(n) * n / i)
+                metrics[f"ratio_{label}"] = float(s[n - i - 1]) / math.sqrt(n) * n / i
             return metrics
 
         col = _fold_trials(cfg, result, n, trial_fn)
@@ -561,15 +563,18 @@ def run_lemma_suite(cfg, out_dir):
         a = _random_case_matrix(rng, cfg.max_size, case)
         metrics = {}
         rows, cols = a.shape
+        sig = singular_values(a)
         if rows == cols:
-            routes = [log_abs_det(a, method) for method in
-                      ("via_lu", "via_eigenvalues", "via_singular", "via_distances")]
+            lam = np.abs(eigenvalues(a))
+            routes = [lu_log_abs_det(a), log_product(lam), log_product(sig),
+                      log_product(row_distances(a))]
             metrics["det_identity_resid"] = max(abs(x - y) for x in routes for y in routes)
-            scale = max(hs_norm(a), 1.0)
+            hs = hs_norm(a)
             for k in (1, 2, 3):
-                metrics[f"interlacing_k{k}"] = verify_interlacing(a, k) / scale
-            metrics["weyl_moment"], metrics["weyl_product"] = verify_weyl(a)
-        lhs = float(np.sum(singular_values(a)**-2.0))
+                s_sub = singular_values(a[: rows - k])
+                metrics[f"interlacing_k{k}"] = verify_interlacing(sig, s_sub) / max(hs, 1.0)
+            metrics["weyl_moment"], metrics["weyl_product"] = verify_weyl(lam, sig, hs)
+        lhs = float(np.sum(sig**-2.0))
         rhs = float(np.sum(leave_one_out_distances(a)**-2.0))
         metrics["neg_second_moment_resid"] = abs(lhs - rhs) / lhs
         result.records.append(TrialRecord("lemmas", rows, case,
@@ -583,10 +588,12 @@ def run_lemma_suite(cfg, out_dir):
     q, _ = np.linalg.qr((g[:64] - 0.5).reshape(8, 8) + 1j * (g[64:] - 0.5).reshape(8, 8))
     phases = np.exp(2j * math.pi * rng.uniforms(8)) * (0.5 + 1.5 * rng.uniforms(8))
     normal = q @ np.diag(phases) @ q.conj().T
-    normal_gap = abs(float(np.sum(np.abs(eigenvalues(normal)) ** 2)) - hs_norm(normal) ** 2) \
-        / hs_norm(normal) ** 2
+    normal_hs2 = hs_norm(normal) ** 2
+    normal_gap = abs(float(np.sum(np.abs(eigenvalues(normal)) ** 2)) - normal_hs2) / normal_hs2
     nilpotent = np.diag(np.ones(7), 1)
-    nil_moment, nil_product = verify_weyl(nilpotent)
+    nil_lam = eigenvalues(nilpotent)
+    nil_moment, nil_product = verify_weyl(nil_lam, singular_values(nilpotent),
+                                          hs_norm(nilpotent))
     result.records.append(TrialRecord("lemmas", 8, cfg.lemma_cases, 0,
                                       {"normal_weyl_equality_gap": normal_gap}))
 
@@ -596,7 +603,7 @@ def run_lemma_suite(cfg, out_dir):
 
     result.gates += [
         GateResult("weyl_normal_equality", normal_gap, "<=", thr["weyl_normal_equality"]),
-        GateResult("weyl_nilpotent_mass", float(np.sum(np.abs(eigenvalues(nilpotent)) ** 2)),
+        GateResult("weyl_nilpotent_mass", float(np.sum(np.abs(nil_lam) ** 2)),
                    "<=", thr["weyl_nilpotent_mass"]),
         GateResult("weyl_nilpotent_moment", nil_moment, "<=", thr["weyl_slack_scale"]),
         GateResult("weyl_nilpotent_product", nil_product, "<=",

@@ -84,18 +84,22 @@ def regularized_log_det(a, zs, eps, *, overwrite_a=False):
         raise ConfigurationError("regularization eps must be positive")
     s = scaled_shift(a, overwrite_a=overwrite_a)
     n = s.shape[0]
-    gram_s = s @ s.conj().T  # a real s's conj() is s itself, so this is one real syrk
-    diagonal = np.diag_indices(n)
-    norm_s = math.sqrt(float(np.sum(gram_s[diagonal].real)))  # ||S||_F
-    values = []
+    zs = [complex(z) for z in zs]
+    # every floor is checked before S S* is formed; ||S||_F is inf when it
+    # overflows, so a matrix whose Gram product would overflow fails here
+    with np.errstate(over="ignore"):
+        norm_s = float(np.linalg.norm(s))
     for z in zs:
-        z = complex(z)
         scale = norm_s + math.sqrt(n) * abs(z)
         floor = n * 2.0 ** -53 * (scale * scale)  # inf, not OverflowError, for a huge z
         if eps < floor:
             raise NumericalFailureError(
                 f"eps={eps:.3g} is below the rounding of the Gram matrix at z={z} "
                 f"(n 2^-53 (||S||_F + sqrt(n)|z|)^2 = {floor:.3g})")
+    gram_s = s @ s.conj().T  # a real s's conj() is s itself, so this is one real syrk
+    diagonal = np.diag_indices(n)
+    values = []
+    for z in zs:
         gram = _shifted_gram(s, gram_s, z)
         gram[diagonal] += z.real * z.real + z.imag * z.imag + eps
         # the factorization is the positive-definiteness check; it reads one

@@ -81,8 +81,9 @@ def bump_means(mu):
     for h in BL_SPACINGS:
         cs = np.linspace(-BL_EXTENT, BL_EXTENT, int(round(2.0 * BL_EXTENT / h)) + 1)
         amp = h / math.sqrt(2.0)
-        tx = np.clip(1.0 - np.abs((x[None, :] - cs[:, None]) / h), 0.0, None)
-        ty = np.clip(1.0 - np.abs((y[None, :] - cs[:, None]) / h), 0.0, None)
+        with np.errstate(over="ignore"):  # an infinite offset is a zero bump
+            tx = np.clip(1.0 - np.abs((x[None, :] - cs[:, None]) / h), 0.0, None)
+            ty = np.clip(1.0 - np.abs((y[None, :] - cs[:, None]) / h), 0.0, None)
         means = amp * (tx @ ty.T) / mu.size   # [cx, cy] -> mean_j tx*ty
         out.append(means.ravel())
     return np.concatenate(out)

@@ -8,25 +8,24 @@ and negative-second-moment identities are still checked through
 genuinely distinct computational routes.
 
 Each matrix is validated once, by the entry it is given to
-(``scaled_shift``, ``log_abs_det``, ``hs_norm``,
-``leave_one_out_distances``, ``verify_interlacing``, ``verify_weyl``),
-which calls only kernels on it; the kernels ``eigenvalues``,
-``singular_values``, ``row_distances`` and ``lu_log_abs_det`` trust their
-caller; ``eigenvalues`` and ``singular_values`` check only their result,
-so a finite matrix whose spectrum overflows is a NumericalFailureError
-rather than a row of inf.  ``scaled_shift`` is the one builder of
-A/sqrt(n) - zI, and every normalized ESD and log-determinant starts
-from it.  Its keyword-only ``overwrite_a`` (default False) lets a caller that owns A
+(``scaled_shift``, ``hs_norm``, ``leave_one_out_distances``), which calls
+only kernels on it; the kernels ``eigenvalues``, ``singular_values``,
+``row_distances`` and ``lu_log_abs_det`` trust their caller;
+``eigenvalues`` and ``singular_values`` check only their result, so a
+finite matrix whose spectrum overflows is a NumericalFailureError rather
+than a row of inf.  The identity verifiers ``verify_interlacing`` and
+``verify_weyl`` compare spectra their caller has taken, and take no
+matrix.  ``scaled_shift`` is the one builder of A/sqrt(n) - zI, and
+every normalized ESD and log-determinant starts from it.  Its
+keyword-only ``overwrite_a`` (default False) lets a caller that owns A
 have it scaled in place, bit for bit as the copy, so that an eigenvalue
 trial holds one n-by-n array besides LAPACK's working copy.  Singular
 matrices never yield a fake large-negative log-determinant.  This module
 holds every route to log|det| and its IEEE -inf marker (MINUS_INFINITY):
-``log_abs_det`` takes four independent routes, "via_lu" (the kernel
-``lu_log_abs_det``, also behind ``hermitization.log_det_at``), which
-returns the marker for an exactly zero LU pivot, and the factor routes
-"via_eigenvalues", "via_singular" and "via_distances", which reduce
-their factors through ``log_product``.
-``log_product`` returns the marker whenever a factor underflows the
+``lu_log_abs_det`` (one LU, also behind ``hermitization.log_det_at``)
+returns the marker for an exactly zero LU pivot, and ``log_product``
+reduces the factors of the other three routes (|eigenvalues|, singular
+values, row distances) and returns it whenever a factor underflows the
 representable range; ``hermitization.log_potential`` reduces the atom
 distances of an ESD through it too.
 """
@@ -52,13 +51,6 @@ def as_matrix(a):
         raise ConfigurationError(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ConfigurationError("matrix entries must be finite (no NaN/Inf)")
-    return m
-
-
-def _as_square(a):
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ConfigurationError(f"operation requires a square matrix, got {m.shape}")
     return m
 
 
@@ -110,8 +102,10 @@ def scaled_shift(a, z=0, *, overwrite_a=False):
     integer array, a real ``a`` at a non-real ``z``, a list) is copied
     as without the flag.
     """
-    m = _as_square(a)
+    m = as_matrix(a)
     n = m.shape[0]
+    if m.shape[1] != n:
+        raise ConfigurationError(f"operation requires a square matrix, got {m.shape}")
     z = complex(z)
     real_shift = z.imag == 0.0
     if real_shift:
@@ -189,36 +183,15 @@ def lu_log_abs_det(m):
     return MINUS_INFINITY if sign == 0 else float(logdet)
 
 
-def log_abs_det(a, method="via_singular"):
-    """log|det A| of a square A by one of four routes: "via_lu", the
-    ``lu_log_abs_det`` kernel; "via_eigenvalues", "via_singular" and
-    "via_distances", a sum of the logs of |eigenvalues|, singular values
-    or row distances, reduced by ``log_product``."""
-    m = _as_square(a)
-    if method == "via_lu":
-        return lu_log_abs_det(m)
-    if method == "via_eigenvalues":
-        factors = np.abs(eigenvalues(m))
-    elif method == "via_singular":
-        factors = singular_values(m)
-    elif method == "via_distances":
-        factors = row_distances(m)
-    else:
-        raise ConfigurationError(f"unknown method {method!r}")
-    return log_product(factors)
-
-
-def verify_interlacing(a, k):
+def verify_interlacing(s, s_sub):
     """Worst violation of sigma_i(A) >= sigma_i(A') >= sigma_{i+k}(A),
-    with A' the first n-k rows; at most 0 up to rounding."""
-    m = _as_square(a)
-    n = m.shape[0]
-    if not 1 <= k < n:
-        raise ConfigurationError("interlacing requires 1 <= k < n")
-    s = singular_values(m)
-    s_sub = singular_values(m[: n - k])
-    upper = np.max(s_sub - s[: n - k])        # sigma_i(A') <= sigma_i(A)
-    lower = np.max(s[k:] - s_sub)             # sigma_{i+k}(A) <= sigma_i(A')
+    given the decreasing singular values ``s`` of A and ``s_sub`` of A',
+    the first n-k rows of A; at most 0 up to rounding."""
+    n, rows = len(s), len(s_sub)
+    if not 1 <= rows < n:
+        raise ConfigurationError("interlacing requires a prefix of 1 to n-1 rows")
+    upper = np.max(s_sub - s[:rows])          # sigma_i(A') <= sigma_i(A)
+    lower = np.max(s[n - rows:] - s_sub)      # sigma_{i+k}(A) <= sigma_i(A')
     return float(max(upper, lower))
 
 
@@ -227,9 +200,11 @@ def _log_cumsum(values):
         return np.cumsum(np.log(values))
 
 
-def verify_weyl(a):
+def verify_weyl(lam, sig, hs):
     """(second-moment violation, product violation) of the comparison
-    inequalities; both are at most 0 up to rounding.
+    inequalities for a square A, given its eigenvalues (or their moduli)
+    ``lam``, its decreasing singular values ``sig`` and its Frobenius
+    norm ``hs``; both are at most 0 up to rounding.
 
     Second moment: sum |lambda_j|^2 <= sum sigma_j^2 = ||A||_2^2.
     Products: for every k, the product of the k largest |lambda| is at
@@ -237,10 +212,8 @@ def verify_weyl(a):
     sigma is at most that of the k smallest |lambda|.  The moment
     violation is relative to max(||A||_2^2, 1), the product violation is
     in log space."""
-    m = _as_square(a)
-    lam = np.sort(np.abs(eigenvalues(m)))     # ascending
-    sig = singular_values(m)                  # descending
-    hs2 = float(np.linalg.norm(m)) ** 2
+    lam = np.sort(np.abs(lam))                # ascending
+    hs2 = hs**2
     mom_scale = max(hs2, 1.0)
     second_moment_violation = float(max(
         (np.sum(lam**2) - np.sum(sig**2)) / mom_scale,

@@ -986,17 +986,38 @@ def test_cli_gram_not_positive_definite_exits_three(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_cli_circular_second_moment_overflow_warns_nothing(tmp_path):
-    # |z|^2 of these eigenvalues overflows: the second moment is inf, the
-    # gates fail (exit 1), and nothing is warned even with every
-    # RuntimeWarning an error
-    raw = _circular_raw(n=10, base={"kind": "two_block_diagonal", "a": 1e300, "b": -1e300})
+_HUGE_RUN = {"schema_version": 1, "master_seed": 1, "n_list": [4], "trials": 2,
+             "dist_x": {"kind": "bernoulli"}}
+# A/sqrt(n) is about 5e307 I: its bumps, its tail ratios
+_HUGE_IDENTITY = {"kind": "low_rank", "rank": 4, "magnitude": 1e308}
+
+
+# Entries near the float maximum overflow past assembly, and none of them
+# warns (a warning is an error in this suite): |z|^2 of the circular
+# eigenvalues (the second moment is inf and fails its gate, exit 1); S S*
+# and ||S||_F of the regularized log-determinant (its eps floor is inf,
+# exit 3); the bumps of the bounded-Lipschitz distance (an infinite offset
+# is a zero bump, exit 0); the tails ratios (inf fails its gate, exit 1).
+@pytest.mark.parametrize("raw,code", [
+    (_circular_raw(n=10, base={"kind": "two_block_diagonal", "a": 1e300, "b": -1e300}), 1),
+    ({**_HUGE_RUN, "experiment": "hermitize", "z_grid": [0, [0.5, 0.5]],
+      "base": {"kind": "low_rank", "rank": 2, "magnitude": 1e160}}, 3),
+    ({**_HUGE_RUN, "experiment": "hermitize", "z_grid": [0, [0.5, 0.5]],
+      "base": {"kind": "diagonal_from_measure", "atoms": [1e154, -1e154]}}, 3),
+    ({**_HUGE_RUN, "experiment": "universality", "dist_y": {"kind": "real_gaussian"},
+      "base": _HUGE_IDENTITY}, 0),
+    ({**_HUGE_RUN, "experiment": "tails", "distance_n": 4, "distance_d": 2,
+      "distance_trials": 2, "base": _HUGE_IDENTITY}, 1),
+], ids=["circular_second_moment", "hermitize_gram_product", "hermitize_gram_norm",
+        "universality_bumps", "tails_ratios"])
+def test_cli_overflow_warns_nothing(tmp_path, capsys, raw, code):
     path = _write_config(tmp_path, raw)
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
-                           "esdlab.harness.cli", "--config", path, "--out", str(tmp_path / "out")],
-                          env=_child_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1, proc.stderr
-    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+    assert cli_main(["--config", path, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err.startswith("numerical failure: eps=") and err.count("\n") == 1, err
+    else:
+        assert err == "", err
 
 
 def test_cli_tails_size_below_two_exits_two_without_output(tmp_path):
@@ -1041,6 +1062,22 @@ def test_default_mp_oracle_run_bytes_pinned(tmp_path):
     raw = {**_DS_RAW, "master_seed": 20260808, "mp_oracle": True}
     run_experiment(config_from_dict(raw), tmp_path)
     for name, digest in _DS_MP_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of the artifacts of acceptance criterion 8's lemma config, recorded
+# while each identity check still decomposed its case matrix again
+_LEMMAS_SHA256 = {
+    "manifest.json": "50068e2bb42b9d45f6c65404abe08cc95f84132c3f95bba2220b2b51f4a4a897",
+    "trials.csv": "fa27daeea73c2c361addb80d748f89a39968fdb151f63b665d872c131b9782c9",
+}
+
+
+def test_lemma_run_bytes_pinned(tmp_path):
+    raw = {"schema_version": 1, "experiment": "lemmas", "master_seed": 20260808,
+           "lemma_cases": 30, "max_size": 10}
+    run_experiment(config_from_dict(raw), tmp_path)
+    for name, digest in _LEMMAS_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 

@@ -14,7 +14,6 @@ from esdlab import (
     esd_eigen,
     hs_norm,
     leave_one_out_distances,
-    log_abs_det,
     log_det_at,
     regularized_log_det,
     shifted_singular_values,
@@ -23,8 +22,15 @@ from esdlab import (
 )
 import esdlab
 from esdlab import numerics
-from esdlab.harness import config_from_dict, run_experiment
-from esdlab.numerics import eigenvalues, row_distances, scaled_shift, singular_values
+from esdlab.harness import config_from_dict, experiments, run_experiment
+from esdlab.numerics import (
+    eigenvalues,
+    log_product,
+    lu_log_abs_det,
+    row_distances,
+    scaled_shift,
+    singular_values,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -233,37 +239,41 @@ def test_leave_one_out_requires_full_rank():
 
 # ------------------------------------------------------------- log|det|
 
+# the four routes to log|det A|: one LU, and log_product of |eigenvalues|,
+# of singular values and of row distances
+def _det_routes(a):
+    return {"lu": lu_log_abs_det(a), "eigenvalues": log_product(np.abs(eigenvalues(a))),
+            "singular": log_product(singular_values(a)),
+            "distances": log_product(row_distances(a))}
+
+
 def test_log_abs_det_closed_forms():
-    assert log_abs_det(np.eye(5)) == pytest.approx(0.0, abs=1e-12)
-    assert log_abs_det(np.diag([math.e, math.e**2])) == pytest.approx(3.0, rel=1e-12)
+    for route, value in _det_routes(np.eye(5)).items():
+        assert value == pytest.approx(0.0, abs=1e-12), route
+    for route, value in _det_routes(np.diag([math.e, math.e**2])).items():
+        assert value == pytest.approx(3.0, rel=1e-12), route
 
 
 def test_log_abs_det_methods_agree():
     rng = np.random.default_rng(10)
-    a = _rand(rng, 10, 10)
-    assert abs(log_abs_det(a, "via_singular") - log_abs_det(a, "via_distances")) < 1e-6
-    assert abs(log_abs_det(a, "via_lu") - log_abs_det(a, "via_singular")) < 1e-12
-    assert abs(log_abs_det(a, "via_eigenvalues") - log_abs_det(a, "via_singular")) < 1e-12
+    routes = _det_routes(_rand(rng, 10, 10))
+    assert abs(routes["singular"] - routes["distances"]) < 1e-6
+    assert abs(routes["lu"] - routes["singular"]) < 1e-12
+    assert abs(routes["eigenvalues"] - routes["singular"]) < 1e-12
 
 
 def test_log_abs_det_minus_infinity_marker():
     # the marker is reserved for exact (underflow-level) zeros, never a
     # smoothed large-negative float
-    assert log_abs_det(np.diag([1.0, 0.0])) == MINUS_INFINITY
-    assert log_abs_det(np.zeros((3, 3))) == MINUS_INFINITY
+    for singular in (np.diag([1.0, 0.0]), np.zeros((3, 3))):
+        assert set(_det_routes(singular).values()) == {MINUS_INFINITY}
     repeated_row = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert log_abs_det(repeated_row, "via_distances") == MINUS_INFINITY
-    assert log_abs_det(repeated_row, "via_lu") == MINUS_INFINITY  # an exactly zero pivot
-    assert log_abs_det(repeated_row, "via_eigenvalues") == MINUS_INFINITY
-    assert log_abs_det(np.diag([1.0, 0.0]), "via_eigenvalues") == MINUS_INFINITY
+    assert log_product(row_distances(repeated_row)) == MINUS_INFINITY
+    assert lu_log_abs_det(repeated_row) == MINUS_INFINITY  # an exactly zero pivot
+    assert log_product(np.abs(eigenvalues(repeated_row))) == MINUS_INFINITY
     # nearly singular but nonzero stays finite (and very negative)
-    nearly = np.array([[1.0, 2.0], [2.0, 4.0]])
-    assert math.isfinite(log_abs_det(nearly)) and log_abs_det(nearly) < -30.0
-    with pytest.raises(ConfigurationError):
-        log_abs_det(nearly, "via_magic")
-    for method in ("via_lu", "via_eigenvalues", "via_singular", "via_distances"):
-        with pytest.raises(ConfigurationError):
-            log_abs_det(np.ones((2, 3)), method)
+    nearly = log_product(singular_values(np.array([[1.0, 2.0], [2.0, 4.0]])))
+    assert math.isfinite(nearly) and nearly < -30.0
 
 
 # ---------------------------------------------- one validation per matrix
@@ -303,9 +313,6 @@ def test_normalized_matrix_is_validated(name, bad):
 _ENTRIES = {
     "hs_norm": (hs_norm, ("non_finite", "one_d")),
     "leave_one_out_distances": (leave_one_out_distances, ("non_finite", "one_d")),
-    "log_abs_det": (log_abs_det, tuple(_MALFORMED)),
-    "verify_interlacing": (lambda a: verify_interlacing(a, 1), tuple(_MALFORMED)),
-    "verify_weyl": (verify_weyl, tuple(_MALFORMED)),
     "assemble": (lambda a: assemble(None, a), ("non_square", "one_d")),
 }
 
@@ -324,14 +331,8 @@ _VALIDATIONS_PER_CALL = {
     "esd_eigen": (lambda: esd_eigen(_A), 1),
     "dilation_esd": (lambda: dilation_esd(_A), 1),
     "shifted_singular_values": (lambda: shifted_singular_values(_A, 0.5), 1),
-    "log_abs_det_via_lu": (lambda: log_abs_det(_A, "via_lu"), 1),
-    "log_abs_det_via_eigenvalues": (lambda: log_abs_det(_A, "via_eigenvalues"), 1),
-    "log_abs_det_via_singular": (lambda: log_abs_det(_A, "via_singular"), 1),
-    "log_abs_det_via_distances": (lambda: log_abs_det(_A, "via_distances"), 1),
     "hs_norm": (lambda: hs_norm(_A), 1),
     "leave_one_out_distances": (lambda: leave_one_out_distances(_A), 1),
-    "verify_interlacing": (lambda: verify_interlacing(_A, 1), 1),
-    "verify_weyl": (lambda: verify_weyl(_A), 1),
     # A in scaled_shift; its shifted B goes to the lu_log_abs_det kernel
     "log_det_at": (lambda: log_det_at(_A, 0.5), 1),
 }
@@ -361,10 +362,10 @@ _SIZES = {"schema_version": 1, "master_seed": 20260808, "dist_x": {"kind": "real
           "trials": 2}
 # validation passes of one run: the circular and universality trials
 # validate each matrix once per ESD, tails hands its drawn matrices to the
-# SVD kernel, lemmas validates each case once per entry it calls (ten for
-# each of the 26 square cases, one for each of the 24 wide ones, three for
-# the edge cases), and hermitize validates A for the Gram product and once
-# per log_det_at
+# SVD kernel, lemmas validates each case once per entry it calls (hs_norm
+# and leave_one_out_distances for each of the 26 square cases, the latter
+# for each of the 24 wide ones, hs_norm for the two edge cases), and
+# hermitize validates A for the Gram product and once per log_det_at
 _VALIDATIONS_PER_RUN = {
     "circular": ({**_SIZES, "experiment": "circular", "n_list": [40]}, 2),
     "universality": ({**_SIZES, "experiment": "universality", "n_list": [20],
@@ -372,7 +373,7 @@ _VALIDATIONS_PER_RUN = {
     "tails": ({**_SIZES, "experiment": "tails", "n_list": [20, 40], "distance_n": 100,
                "distance_d": 50, "distance_trials": 10}, 0),
     "lemmas": ({"schema_version": 1, "master_seed": 20260808, "experiment": "lemmas",
-                "lemma_cases": 50, "max_size": 8}, 287),
+                "lemma_cases": 50, "max_size": 8}, 78),
     "hermitize": ({**_SIZES, "experiment": "hermitize", "n_list": [30],
                    "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}, 10),
 }
@@ -385,6 +386,35 @@ def test_validations_per_run(monkeypatch, tmp_path, experiment):
     calls = count_validations(monkeypatch)
     run_experiment(cfg, tmp_path)
     assert len(calls) == expected
+
+
+def test_lemma_square_case_is_decomposed_once(monkeypatch, tmp_path):
+    # cases 0 and 1 are the complex and the real square case; each takes one
+    # eigendecomposition and two full-size SVDs (the shared one and the rank
+    # check of leave_one_out_distances)
+    cases, svd_args, eig_args = [], [], []
+    make_case, svd, eigvals = experiments._random_case_matrix, np.linalg.svd, np.linalg.eigvals
+
+    def recording(*args):
+        cases.append(make_case(*args))
+        return cases[-1]
+
+    def counting(record, decompose):
+        def call(m, *args, **kwargs):
+            record.append(np.array(m, copy=True))
+            return decompose(m, *args, **kwargs)
+        return call
+    monkeypatch.setattr(experiments, "_random_case_matrix", recording)
+    monkeypatch.setattr(np.linalg, "svd", counting(svd_args, svd))
+    monkeypatch.setattr(np.linalg, "eigvals", counting(eig_args, eigvals))
+    run_experiment(config_from_dict({"schema_version": 1, "master_seed": 20260808,
+                                     "experiment": "lemmas", "lemma_cases": 2,
+                                     "max_size": 10}), tmp_path)
+    assert [a.shape[0] == a.shape[1] for a in cases] == [True, True]
+    for a in cases:
+        def on_a(args):
+            return sum(m.shape == a.shape and np.array_equal(m, a) for m in args)
+        assert (on_a(svd_args), on_a(eig_args)) == (2, 1)
 
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
@@ -454,16 +484,21 @@ def _interlacing_slack(a):
     return 1e-9 * singular_values(a)[0]
 
 
+def _interlacing(a, k):
+    """Interlacing violation of A and its first n-k rows."""
+    return verify_interlacing(singular_values(a), singular_values(a[: a.shape[0] - k]))
+
+
 def test_interlacing_diag_chain():
     # removing the last row of diag(1,2,3): 3 >= 2 >= 2 >= 1 >= 1
     a = np.diag([1.0, 2.0, 3.0])
-    assert verify_interlacing(a, 1) <= _interlacing_slack(a)
+    assert _interlacing(a, 1) <= _interlacing_slack(a)
 
 
 def test_interlacing_single_row_norm():
     rng = np.random.default_rng(11)
     a = _rand(rng, 6, 6)
-    assert verify_interlacing(a, 5) <= _interlacing_slack(a)
+    assert _interlacing(a, 5) <= _interlacing_slack(a)
     assert singular_values(a)[0] >= np.linalg.norm(a[0]) - 1e-12
 
 
@@ -472,19 +507,26 @@ def test_interlacing_random_sweep(k):
     rng = np.random.default_rng(200 + k)
     for _ in range(200):
         a = _rand(rng, 8, 8)
-        assert verify_interlacing(a, k) <= _interlacing_slack(a)
+        assert _interlacing(a, k) <= _interlacing_slack(a)
 
 
 def test_interlacing_validation():
-    with pytest.raises(ConfigurationError):
-        verify_interlacing(np.eye(3), 3)
+    # the prefix keeps 1 to n-1 rows
+    s = singular_values(np.eye(3))
+    for s_sub in (s, s[:0]):
+        with pytest.raises(ConfigurationError):
+            verify_interlacing(s, s_sub)
 
 
 # --------------------------------------------------------------------- weyl
 
+def _weyl(a):
+    return verify_weyl(eigenvalues(a), singular_values(a), hs_norm(a))
+
+
 def _weyl_holds(a):
     """Both comparison violations within 1e-8 and 1e-8 n."""
-    moment, product = verify_weyl(a)
+    moment, product = _weyl(a)
     return moment <= 1e-8 and product <= 1e-8 * a.shape[0]
 
 
@@ -499,7 +541,7 @@ def test_weyl_equality_for_normal_matrices():
 
 
 def test_weyl_nilpotent():
-    moment, product = verify_weyl(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    moment, product = _weyl(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert moment <= 0.0 and product <= 1e-8 * 2
 
 
@@ -509,9 +551,9 @@ def test_weyl_random_sweep():
         assert _weyl_holds(_rand(rng, 10, 10))
 
 
-def test_weyl_compares_largest_with_largest(monkeypatch):
-    # an eigenvalue kernel that scales the top |lambda| by 3 and the bottom
-    # one by 1/3 keeps the determinant but breaks the k = 1 comparison
+def test_weyl_compares_largest_with_largest():
+    # eigenvalues with the top |lambda| scaled by 3 and the bottom one by
+    # 1/3 keep the determinant but break the k = 1 comparison
     # |lambda_1| <= sigma_1; comparing the smallest |lambda| with the
     # largest sigma would miss it
     rng = np.random.default_rng(12)
@@ -523,8 +565,7 @@ def test_weyl_compares_largest_with_largest(monkeypatch):
     skewed[order[0]] /= 3.0
     sigma_1 = singular_values(a)[0]
     assert 3.0 * np.abs(lam[order[-1]]) > sigma_1
-    monkeypatch.setattr(numerics, "eigenvalues", lambda m: skewed)
-    _, product = verify_weyl(a)
+    _, product = verify_weyl(skewed, singular_values(a), hs_norm(a))
     assert product >= math.log(3.0 * np.abs(lam[order[-1]]) / sigma_1) - 1e-12
 
 
