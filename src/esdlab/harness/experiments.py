@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._lapack import set_num_threads
 from ..ensembles import assemble, build_base_matrix, build_iid_matrix, factor_diagonal, two_blocks
 from ..errors import ConfigurationError, NumericalFailureError
 from ..hermitization import log_det_at, regularized_log_det
@@ -575,7 +576,7 @@ def run_lemma_suite(cfg, out_dir):
                 metrics[f"interlacing_k{k}"] = verify_interlacing(sig, s_sub) / max(hs, 1.0)
             metrics["weyl_moment"], metrics["weyl_product"] = verify_weyl(lam, sig, hs)
         lhs = float(np.sum(sig**-2.0))
-        rhs = float(np.sum(leave_one_out_distances(a)**-2.0))
+        rhs = float(np.sum(leave_one_out_distances(a, sig)**-2.0))
         metrics["neg_second_moment_resid"] = abs(lhs - rhs) / lhs
         result.records.append(TrialRecord("lemmas", rows, case,
                                           stream_origin(cfg.master_seed,
@@ -649,12 +650,11 @@ def _set_process_policy():
     run).  With the mmap threshold at 32 MiB and the trim threshold at
     256 MiB, a freed block below 32 MiB stays in the heap and the next
     trial reuses it; the process keeps its RSS at its high-water mark.
-    BLAS runs on one thread, so the bytes do not depend on the ambient
+    BLAS runs on one thread, set through ``_lapack``, the one owner of the
+    handle to numpy's OpenBLAS, so the bytes do not depend on the ambient
     thread count.  Each half does nothing where its library or symbol is
     missing; neither changes a value.
     """
-    import glob  # here, so that importing esdlab loads no module more
-
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt
@@ -663,14 +663,7 @@ def _set_process_policy():
         mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
         mallopt(_M_MMAP_THRESHOLD, 32 << 20)
         mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-    # numpy's wheel ships its OpenBLAS beside the package, already loaded
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
-    for path in glob.glob(libs):
-        set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
-        if set_threads is not None:
-            set_threads.argtypes = [ctypes.c_int]
-            set_threads.restype = None
-            set_threads(1)
+    set_num_threads(1)
 
 
 def run_experiment(cfg, out_dir):

@@ -15,6 +15,10 @@ An ESD here is its atom array, as ``measures.esd_eigen`` returns it;
 ``log_potential`` and ``girko_reconstruct`` take that array.
 The regularized value takes one Gram product per matrix and one Cholesky
 factorization of B B* + eps I per shift.  None of them takes an SVD.
+Both factorizations run in place, through the LAPACK bindings of ``_lapack``,
+on the one column-major matrix each shift builds: the LU on B, the
+Cholesky on B B* + eps I; numpy.linalg's copying wrappers take them where
+numpy ships no OpenBLAS of its own, with the same bits.
 Each validates A once, in ``numerics.scaled_shift``, and both readings
 of f_n take their -inf rule from ``numerics``: an exactly zero LU pivot
 in ``lu_log_abs_det``, an atom at z in ``log_product``.
@@ -31,6 +35,7 @@ import math
 
 import numpy as np
 
+from ._lapack import potrf
 from .errors import ConfigurationError, NumericalFailureError
 from .numerics import log_product, lu_log_abs_det, scaled_shift, singular_values
 
@@ -48,9 +53,10 @@ def shifted_singular_values(a, z):
 
 def log_det_at(a, z):
     """f_n(z) = (1/n) log |det(A/sqrt(n) - zI)|, from one LU factorization
-    of the shifted matrix; an exactly singular shift gives MINUS_INFINITY."""
-    b = scaled_shift(a, z)
-    return lu_log_abs_det(b) / b.shape[0]
+    of the shifted matrix, built column-major and factored in its own
+    memory; an exactly singular shift gives MINUS_INFINITY."""
+    b = scaled_shift(a, z, order="F")
+    return lu_log_abs_det(b, overwrite_m=True) / b.shape[0]
 
 
 def regularized_log_det(a, zs, eps, *, overwrite_a=False):
@@ -72,7 +78,9 @@ def regularized_log_det(a, zs, eps, *, overwrite_a=False):
     z = 0: below it the small factors s^2 + eps lose their accuracy, so
     such an eps raises NumericalFailureError instead of returning a wrong
     value.  The matrix is Hermitian positive definite, so the value is
-    (1/n) sum log L_ii of its Cholesky factor L; a matrix on which the
+    (1/n) sum log L_ii of its Cholesky factor L, which LAPACK's potrf
+    writes over the lower triangle of the column-major Gram matrix, the
+    triangle numpy's ``cholesky`` reads; a matrix on which the
     factorization breaks down in floating point raises
     NumericalFailureError too.
 
@@ -102,27 +110,32 @@ def regularized_log_det(a, zs, eps, *, overwrite_a=False):
     for z in zs:
         gram = _shifted_gram(s, gram_s, z)
         gram[diagonal] += z.real * z.real + z.imag * z.imag + eps
-        # the factorization is the positive-definiteness check; it reads one
-        # triangle, so a complex Gram matrix that is Hermitian only up to
-        # rounding is factored as the Hermitian matrix of that triangle
-        try:
-            factor = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
+        # the factorization is the positive-definiteness check; it reads the
+        # lower triangle, so a complex Gram matrix that is Hermitian only up
+        # to rounding is factored as the Hermitian matrix of that triangle
+        info = potrf(gram)
+        if info is None:  # no bundled OpenBLAS: numpy factors a copy
+            try:
+                gram = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                info = 1
+        if info:
             raise NumericalFailureError(
                 f"B B* + eps I is not positive definite in floating point at z={z}, "
-                f"eps={eps:.3g}") from None
-        values.append(float(np.sum(np.log(factor.diagonal().real))) / n)
-        del gram, factor  # do not hold either into the next shift
+                f"eps={eps:.3g}")
+        values.append(float(np.sum(np.log(gram.diagonal().real))) / n)
+        del gram  # do not hold it into the next shift
     return values
 
 
 def _shifted_gram(s, gram_s, z):
-    """S S* - conj(z) S - z S*, written into one new array with no n x n
-    temporary for a real S; float64 for a real S at a real z.  For a real
-    S at Re z = 0 the real part is a copy of S S*."""
+    """S S* - conj(z) S - z S*, written into one new column-major array,
+    the layout LAPACK factors in place, with no n x n temporary for a real
+    S; float64 for a real S at a real z.  For a real S at Re z = 0 the
+    real part is a copy of S S*."""
     n = s.shape[0]
     if np.isrealobj(s):
-        gram = np.empty((n, n), np.complex128 if z.imag else np.float64)
+        gram = np.empty((n, n), np.complex128 if z.imag else np.float64, order="F")
         re = gram.real  # gram itself when it is float64
         if z.real:
             np.add(s, s.T, out=re)
@@ -136,7 +149,7 @@ def _shifted_gram(s, gram_s, z):
             im *= z.imag
         return gram
     w = s * z.conjugate()
-    gram = gram_s - w
+    gram = np.subtract(gram_s, w, order="F")
     gram.real -= w.real.T  # minus (conj(z) S)*, without a conjugate copy
     gram.imag += w.imag.T
     return gram

@@ -1,11 +1,13 @@
 """Dense complex linear algebra kernels and exact identity verifiers.
 
-Every decomposition is delegated to LAPACK through numpy: eigenvalues,
-singular values, LU and, for the row-distance and leave-one-out routines,
-a Householder QR whose |R| diagonal gives the distances.  The QR is a
-fourth factorization, distinct from LU, eig and SVD, so the determinant
-and negative-second-moment identities are still checked through
-genuinely distinct computational routes.
+Every decomposition is LAPACK's: eigenvalues, singular values and, for
+the row-distance and leave-one-out routines, a Householder QR whose |R|
+diagonal gives the distances, through numpy; the LU of
+``lu_log_abs_det`` through ``_lapack``, which factors a column-major
+array in place (numpy's ``slogdet`` where numpy ships no OpenBLAS of its
+own).  The QR is a fourth factorization, distinct from LU, eig and SVD,
+so the determinant and negative-second-moment identities are still
+checked through genuinely distinct computational routes.
 
 Each matrix is validated once, by the entry it is given to
 (``scaled_shift``, ``hs_norm``, ``leave_one_out_distances``), which calls
@@ -14,20 +16,22 @@ only kernels on it; the kernels ``eigenvalues``, ``singular_values``,
 ``eigenvalues`` and ``singular_values`` check only their result, so a
 finite matrix whose spectrum overflows is a NumericalFailureError rather
 than a row of inf.  The identity verifiers ``verify_interlacing`` and
-``verify_weyl`` compare spectra their caller has taken, and take no
-matrix.  ``scaled_shift`` is the one builder of A/sqrt(n) - zI, and
-every normalized ESD and log-determinant starts from it.  Its
-keyword-only ``overwrite_a`` (default False) lets a caller that owns A
-have it scaled in place, bit for bit as the copy, so that an eigenvalue
-trial holds one n-by-n array besides LAPACK's working copy.  Singular
-matrices never yield a fake large-negative log-determinant.  This module
-holds every route to log|det| and its IEEE -inf marker (MINUS_INFINITY):
-``lu_log_abs_det`` (one LU, also behind ``hermitization.log_det_at``)
-returns the marker for an exactly zero LU pivot, and ``log_product``
-reduces the factors of the other three routes (|eigenvalues|, singular
-values, row distances) and returns it whenever a factor underflows the
-representable range; ``hermitization.log_potential`` reduces the atom
-distances of an ESD through it too.
+``verify_weyl``, and the rank check of ``leave_one_out_distances``,
+compare spectra their caller has taken.  ``scaled_shift`` is the one
+builder of A/sqrt(n) - zI, and every normalized ESD and log-determinant
+starts from it.  Its keyword-only ``overwrite_a`` (default False) lets a
+caller that owns A have it scaled in place, bit for bit as the copy, so
+that an eigenvalue trial holds one n-by-n array besides LAPACK's working
+copy, and its keyword-only ``order`` lays a new result out column-major
+for a factorization in place.  Singular matrices never yield a fake
+large-negative log-determinant.  This module holds every route to
+log|det| and its IEEE -inf marker (MINUS_INFINITY): ``lu_log_abs_det``
+(one LU, also behind ``hermitization.log_det_at``) returns the marker for
+an exactly zero LU pivot, and ``log_product`` reduces the factors of the
+other three routes (|eigenvalues|, singular values, row distances) and
+returns it whenever a factor underflows the representable range;
+``hermitization.log_potential`` reduces the atom distances of an ESD
+through it too.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import math
 
 import numpy as np
 
+from ._lapack import getrf
 from .errors import ConfigurationError, NumericalFailureError
 
 MINUS_INFINITY = float("-inf")
@@ -86,21 +91,23 @@ def _require_finite(values, what):
                                     "the decomposition)")
 
 
-def scaled_shift(a, z=0, *, overwrite_a=False):
+def scaled_shift(a, z=0, *, overwrite_a=False, order="C"):
     """A/sqrt(n) - zI for a finite square matrix ``a``, validated here.
 
     The matrix is scaled first and the shift is then subtracted on the
     diagonal, with no identity temporary; a real ``a`` at a real ``z``
     stays float64, and only a non-real ``z`` (or a complex ``a``) makes
     the result complex.  At z = 0 the result is bit for bit A/sqrt(n):
-    x - 0.0 is x for every finite x, -0.0 included.
+    x - 0.0 is x for every finite x, -0.0 included.  A new result is
+    laid out in ``order``, "C" (row-major) or "F" (column-major, the
+    matrix LAPACK reads in place), with the same bits either way.
 
     With ``overwrite_a`` the caller gives up ``a``: after validation, a
     writeable float64 or complex128 ndarray that already has the result's
-    dtype is scaled and shifted in place and returned, with the same bits
-    as the copy (the same IEEE division per entry).  Any other ``a`` (an
-    integer array, a real ``a`` at a non-real ``z``, a list) is copied
-    as without the flag.
+    dtype and layout is scaled and shifted in place and returned, with the
+    same bits as the copy (the same IEEE division per entry).  Any other
+    ``a`` (an integer array, a real ``a`` at a non-real ``z``, a list) is
+    copied as without the flag.
     """
     m = as_matrix(a)
     n = m.shape[0]
@@ -110,14 +117,18 @@ def scaled_shift(a, z=0, *, overwrite_a=False):
     real_shift = z.imag == 0.0
     if real_shift:
         z = z.real
-    reusable = (np.float64, np.complex128) if real_shift else (np.complex128,)
-    if overwrite_a and m is a and m.flags.writeable and m.dtype in reusable:
+    dtype = np.float64 if real_shift and m.dtype == np.float64 else np.complex128
+    in_order = m.flags.f_contiguous if order == "F" else m.flags.c_contiguous
+    if overwrite_a and m is a and m.flags.writeable and m.dtype == dtype and in_order:
         shifted = m
         shifted /= math.sqrt(n)
     else:
-        shifted = m / math.sqrt(n)
-        if not real_shift:
-            shifted = shifted.astype(np.complex128, copy=False)
+        shifted = np.empty((n, n), dtype, order=order)
+        if m.dtype == dtype:
+            np.divide(m, math.sqrt(n), out=shifted)
+        else:  # a real a at a non-real z: real division, as the real result casts
+            np.divide(m, math.sqrt(n), out=shifted.real)
+            shifted.imag = 0.0
     shifted[np.diag_indices(n)] -= z
     return shifted
 
@@ -150,17 +161,18 @@ def row_distances(m):
         rows = rows[rows != dependent[0]]
 
 
-def leave_one_out_distances(a):
-    """dist(row_j, span of the other rows) for a full-rank n'-by-n matrix.
+def leave_one_out_distances(a, s):
+    """dist(row_j, span of the other rows) for a full-rank n'-by-n matrix
+    ``a`` whose decreasing singular values ``s`` its caller has taken.
 
-    d_j is the last row distance once row j is moved last, so each takes
-    one Householder QR, independently of any singular value computation.
+    ``a`` is full-rank when s_min > 1e-10 s_max.  d_j is the last row
+    distance once row j is moved last, so each takes one Householder QR,
+    independently of any singular value computation.
     """
     m = as_matrix(a)
     rows, cols = m.shape
     if rows > cols:
         raise ConfigurationError("leave-one-out requires n' <= n (wide or square matrix)")
-    s = singular_values(m)
     if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
         raise NumericalFailureError("leave-one-out identity requires a full-rank matrix")
     return np.array([row_distances(np.roll(m, -1 - j, axis=0))[-1] for j in range(rows)])
@@ -176,11 +188,30 @@ def log_product(factors):
     return float(np.sum(np.log(factors)))
 
 
-def lu_log_abs_det(m):
-    """log|det m| from one LU (slogdet) of a square ``m`` from ``as_matrix``
-    or ``scaled_shift``; MINUS_INFINITY when a pivot is exactly zero."""
-    sign, logdet = np.linalg.slogdet(m)
-    return MINUS_INFINITY if sign == 0 else float(logdet)
+def lu_log_abs_det(m, *, overwrite_m=False):
+    """log|det m| from one LU of a square ``m`` from ``as_matrix`` or
+    ``scaled_shift``; MINUS_INFINITY when a pivot is exactly zero.
+
+    LAPACK factors the column-major matrix that numpy's ``slogdet``
+    copies, and log|det| is reduced as ``slogdet`` reduces it, a
+    sequential sum of log|u_ii| in pivot order, so the value is
+    ``slogdet``'s bit for bit.  ``m`` is left as it is: the factors
+    overwrite a column-major copy of it, or, with ``overwrite_m``, ``m``
+    itself, which must then be a column-major array its caller gives up
+    (``scaled_shift(..., order="F")``).  Where numpy ships no OpenBLAS
+    of its own, ``slogdet`` takes the LU.
+    """
+    lu = m if overwrite_m else np.array(m, order="F")
+    info = getrf(lu)
+    if info is None:
+        sign, logdet = np.linalg.slogdet(lu)
+        return MINUS_INFINITY if sign == 0 else float(logdet)
+    if info > 0:
+        return MINUS_INFINITY
+    total = 0.0
+    for pivot in lu.diagonal().tolist():  # slogdet's loop: C's log of each |u_ii|, in turn
+        total += math.log(abs(pivot))
+    return total
 
 
 def verify_interlacing(s, s_sub):

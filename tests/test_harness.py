@@ -297,36 +297,39 @@ def test_hermitize_ds_reference_column(tmp_path):
 
 
 def test_hermitize_takes_no_svd(tmp_path, monkeypatch):
-    from esdlab import hermitization
+    from esdlab import _lapack, hermitization, numerics
+    if _lapack.library() is None:
+        pytest.skip("numpy ships no OpenBLAS of its own here")
     svd_calls = []
     factored = []
     svd = hermitization.singular_values
-    slogdet = np.linalg.slogdet
-    cholesky = np.linalg.cholesky
 
     def counting_svd(m):
         svd_calls.append(m.shape)
         return svd(m)
 
-    def spying_slogdet(m):
-        factored.append(("lu", np.iscomplexobj(m)))
-        return slogdet(m)
+    def spying(kind, factor):
+        def call(m):
+            factored.append((kind, np.iscomplexobj(m)))
+            return factor(m)
+        return call
 
-    def spying_cholesky(m):
-        factored.append(("cholesky", np.iscomplexobj(m)))
-        return cholesky(m)
+    def copying(m, *args, **kwargs):
+        raise AssertionError("numpy.linalg factored a copy")
 
     monkeypatch.setattr(hermitization, "singular_values", counting_svd)
-    monkeypatch.setattr(np.linalg, "slogdet", spying_slogdet)
-    monkeypatch.setattr(np.linalg, "cholesky", spying_cholesky)
+    monkeypatch.setattr(numerics, "getrf", spying("lu", numerics.getrf))
+    monkeypatch.setattr(hermitization, "potrf", spying("cholesky", hermitization.potrf))
+    monkeypatch.setattr(np.linalg, "slogdet", copying)
+    monkeypatch.setattr(np.linalg, "cholesky", copying)
     raw = {"schema_version": 1, "experiment": "hermitize", "master_seed": 3,
            "n_list": [30], "trials": 2, "dist_x": {"kind": "real_gaussian"},
            "base": {"kind": "zero"}, "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}
     run_experiment(config_from_dict(raw), tmp_path)
     assert svd_calls == []
-    # per trial: one LU of B at each of the 4 shifts, then one Cholesky of
-    # B B* + eps I at each from one Gram product; complex only at the
-    # non-real shift
+    # per trial: one LU of B in place at each of the 4 shifts, then one
+    # Cholesky of B B* + eps I in place at each from one Gram product;
+    # complex only at the non-real shift
     shifts = [False, False, True, False]
     trial = [("lu", c) for c in shifts] + [("cholesky", c) for c in shifts]
     assert factored == trial * 2
@@ -451,7 +454,9 @@ def test_tails_distance_memory(tmp_path):
     assert peak < 0.9 * nd * d * 16
 
 
-_TAILS_RSS_CHILD = """
+# prints how far the child's peak RSS grew over its RSS after import while
+# it ran the config argv[1] argv[3] times into argv[2]
+_PEAK_RSS_CHILD = """
 import json, sys
 from esdlab.harness import config_from_dict, run_experiment
 
@@ -461,7 +466,7 @@ def status_kib(key):
 
 cfg = config_from_dict(json.loads(sys.argv[1]))
 after_import = status_kib("VmRSS:")
-for _ in range(2):
+for _ in range(int(sys.argv[3])):
     run_experiment(cfg, sys.argv[2])
 print(status_kib("VmHWM:") - after_import)
 """
@@ -499,8 +504,8 @@ def test_tails_distance_peak_rss(tmp_path):
     env.pop("PYTHONPYCACHEPREFIX", None)
 
     def growth_mb():
-        proc = subprocess.run([sys.executable, "-c", _TAILS_RSS_CHILD, json.dumps(raw),
-                               str(tmp_path / "out")],
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, json.dumps(raw),
+                               str(tmp_path / "out"), "2"],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return int(proc.stdout.split()[-1]) / 1024
@@ -512,6 +517,28 @@ def test_tails_distance_peak_rss(tmp_path):
     assert list((src / "esdlab" / "harness").glob("__pycache__/experiments.*.pyc"))
     cached = growth_mb()
     assert cold < 40.5 and cached < 44.0, (cold, cached)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/status; measured with glibc's heap")
+def test_hermitize_trial_peak_rss(tmp_path):
+    # one n = 600 trial at the benchmark's shifts, in a child with BLAS on
+    # one thread.  Each shift's LU and Cholesky run in place on the one
+    # column-major matrix the shift builds.  In 6 runs each (numpy 2.4,
+    # OpenBLAS 0.3.31, glibc, x86-64) the child's peak grew 14.76-14.96 MB
+    # over its RSS after import, with esdlab's bytecode cached or not;
+    # numpy's slogdet and cholesky, which copy each matrix and return the
+    # whole factor, read 25.85-25.95 MB.  The bound leaves 2 MB of headroom
+    raw = {"schema_version": 1, "experiment": "hermitize", "master_seed": 3,
+           "n_list": [600], "trials": 1, "dist_x": {"kind": "real_gaussian"},
+           "base": {"kind": "zero"}, "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0],
+           "reference": "circular", "eps_exponent": 0.1, "threads": 1}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, json.dumps(raw),
+                           str(tmp_path / "out"), "1"],
+                          env=_child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) / 1024 < 17.0
 
 
 def _child_env(**extra):
@@ -975,11 +1002,10 @@ def test_cli_ds_reference_shift_bound(tmp_path, z_grid, code):
 
 
 def test_cli_gram_not_positive_definite_exits_three(tmp_path, monkeypatch):
-    # a Cholesky factorization that breaks down fails the run, exit 3
-    def breaking_down(m):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-    monkeypatch.setattr(np.linalg, "cholesky", breaking_down)
+    # a Cholesky factorization that breaks down (LAPACK's info > 0) fails
+    # the run, exit 3
+    from esdlab import hermitization
+    monkeypatch.setattr(hermitization, "potrf", lambda gram: 1)
     path = _write_config(tmp_path, _HERMITIZE_RAW)
     out = tmp_path / "out"
     assert cli_main(["--config", path, "--out", str(out)]) == 3

@@ -27,7 +27,7 @@ from esdlab import (
     scalar_distribution,
     shifted_singular_values,
 )
-from esdlab import hermitization
+from esdlab import _lapack, hermitization
 from esdlab.numerics import scaled_shift
 
 
@@ -181,13 +181,20 @@ def test_regularized_requires_positive_eps():
 
 def test_regularized_not_positive_definite_names_the_shift(monkeypatch):
     # a Cholesky factorization that breaks down is the failure of the
-    # positive-definiteness check, reported with its shift and eps
-    def breaking_down(m):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    # positive-definiteness check, reported with its shift and eps, both by
+    # LAPACK's potrf in place and, with the library hidden, by numpy's
+    # cholesky: the Gram update here leaves B B* + eps I = -0.499 I
+    def negative_definite(s, gram_s, z):
+        return -np.eye(s.shape[0], dtype=complex, order="F")
 
-    monkeypatch.setattr(np.linalg, "cholesky", breaking_down)
-    with pytest.raises(NumericalFailureError, match=r"z=\(0\.5\+0\.5j\), eps=0\.001"):
-        regularized_log_det(_gaussian(10, 3), [0.5 + 0.5j], 1e-3)
+    monkeypatch.setattr(hermitization, "_shifted_gram", negative_definite)
+    for hidden in (False, True):
+        with monkeypatch.context() as patch:
+            if hidden:
+                patch.setattr(_lapack, "library", lambda: None)
+            with pytest.raises(NumericalFailureError,
+                               match=r"z=\(0\.5\+0\.5j\), eps=0\.001"):
+                regularized_log_det(_gaussian(10, 3), [0.5 + 0.5j], 1e-3)
 
 
 def test_regularized_rejects_eps_below_gram_rounding():

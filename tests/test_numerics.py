@@ -204,17 +204,17 @@ def test_row_distances_rank_deficient_prefix():
 # ----------------------------------------------------------- leave-one-out
 
 def test_leave_one_out_diagonal():
-    d = leave_one_out_distances(np.diag([1.0, 2.0]))
-    assert np.allclose(d, [1.0, 2.0])
     s = singular_values(np.diag([1.0, 2.0]))
+    d = leave_one_out_distances(np.diag([1.0, 2.0]), s)
+    assert np.allclose(d, [1.0, 2.0])
     assert abs(np.sum(s**-2.0) - 1.25) < 1e-14
 
 
 def test_leave_one_out_shear_identity():
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
-    d = leave_one_out_distances(a)
-    assert np.allclose(sorted(d), sorted([1.0, 1 / math.sqrt(2)]), rtol=1e-12)
     s = singular_values(a)
+    d = leave_one_out_distances(a, s)
+    assert np.allclose(sorted(d), sorted([1.0, 1 / math.sqrt(2)]), rtol=1e-12)
     assert abs(np.sum(d**-2.0) - 3.0) < 1e-12
     assert abs(np.sum(s**-2.0) - 3.0) < 1e-12
 
@@ -224,7 +224,7 @@ def test_negative_second_moment_identity(shape):
     rng = np.random.default_rng(sum(shape))
     a = _rand(rng, *shape)
     s = singular_values(a)
-    d = leave_one_out_distances(a)
+    d = leave_one_out_distances(a, s)
     lhs = np.sum(s**-2.0)
     assert abs(lhs - np.sum(d**-2.0)) <= 1e-9 * lhs
 
@@ -232,9 +232,9 @@ def test_negative_second_moment_identity(shape):
 def test_leave_one_out_requires_full_rank():
     a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
     with pytest.raises(NumericalFailureError, match="requires a full-rank matrix"):
-        leave_one_out_distances(a)
+        leave_one_out_distances(a, singular_values(a))
     with pytest.raises(ConfigurationError):
-        leave_one_out_distances(np.ones((4, 2)))
+        leave_one_out_distances(np.ones((4, 2)), np.ones(2))
 
 
 # ------------------------------------------------------------- log|det|
@@ -312,7 +312,9 @@ def test_normalized_matrix_is_validated(name, bad):
 # that decomposes its result
 _ENTRIES = {
     "hs_norm": (hs_norm, ("non_finite", "one_d")),
-    "leave_one_out_distances": (leave_one_out_distances, ("non_finite", "one_d")),
+    # a stand-in spectrum: the matrix is rejected before it is read
+    "leave_one_out_distances": (lambda a: leave_one_out_distances(a, np.ones(len(a))),
+                                ("non_finite", "one_d")),
     "assemble": (lambda a: assemble(None, a), ("non_square", "one_d")),
 }
 
@@ -332,7 +334,7 @@ _VALIDATIONS_PER_CALL = {
     "dilation_esd": (lambda: dilation_esd(_A), 1),
     "shifted_singular_values": (lambda: shifted_singular_values(_A, 0.5), 1),
     "hs_norm": (lambda: hs_norm(_A), 1),
-    "leave_one_out_distances": (lambda: leave_one_out_distances(_A), 1),
+    "leave_one_out_distances": (lambda: leave_one_out_distances(_A, singular_values(_A)), 1),
     # A in scaled_shift; its shifted B goes to the lu_log_abs_det kernel
     "log_det_at": (lambda: log_det_at(_A, 0.5), 1),
 }
@@ -390,13 +392,15 @@ def test_validations_per_run(monkeypatch, tmp_path, experiment):
 
 def test_lemma_square_case_is_decomposed_once(monkeypatch, tmp_path):
     # cases 0 and 1 are the complex and the real square case; each takes one
-    # eigendecomposition and two full-size SVDs (the shared one and the rank
-    # check of leave_one_out_distances)
-    cases, svd_args, eig_args = [], [], []
+    # eigendecomposition and one full-size SVD, which the rank check of
+    # leave_one_out_distances reads too.  No check overwrites the case
+    # matrix, though the LU of lu_log_abs_det runs in place
+    cases, drawn, svd_args, eig_args = [], [], [], []
     make_case, svd, eigvals = experiments._random_case_matrix, np.linalg.svd, np.linalg.eigvals
 
     def recording(*args):
         cases.append(make_case(*args))
+        drawn.append(cases[-1].copy())
         return cases[-1]
 
     def counting(record, decompose):
@@ -411,10 +415,11 @@ def test_lemma_square_case_is_decomposed_once(monkeypatch, tmp_path):
                                      "experiment": "lemmas", "lemma_cases": 2,
                                      "max_size": 10}), tmp_path)
     assert [a.shape[0] == a.shape[1] for a in cases] == [True, True]
-    for a in cases:
+    for a, copy in zip(cases, drawn):
         def on_a(args):
             return sum(m.shape == a.shape and np.array_equal(m, a) for m in args)
-        assert (on_a(svd_args), on_a(eig_args)) == (2, 1)
+        assert (on_a(svd_args), on_a(eig_args)) == (1, 1)
+        assert np.array_equal(a, copy)
 
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
