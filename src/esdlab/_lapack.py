@@ -1,7 +1,8 @@
 """In-place LAPACK factorizations from numpy's bundled OpenBLAS.
 
-numpy's wheel ships OpenBLAS in ``numpy.libs`` beside the package, built
-with 64-bit integers and a ``scipy_`` symbol prefix, and numpy.linalg
+numpy's Linux and Windows wheels ship OpenBLAS in ``numpy.libs`` beside
+the package, built with 64-bit integers and a ``scipy_`` symbol prefix
+(scipy_openblas64), and numpy.linalg
 calls its LAPACK routines after copying each matrix into a column-major
 buffer of its own.  ``getrf`` (LU with partial pivoting) and ``potrf``
 (Cholesky, lower triangle) call the same routines through ctypes on a
@@ -11,10 +12,12 @@ numpy would copy, they return the factors numpy's ``slogdet`` and
 ``cholesky`` compute.  ``set_num_threads`` sets the library's BLAS thread
 count.
 
-The library is loaded on first use, once per process.  Where numpy ships
-no such library (a numpy not built from a wheel) or a routine is
-missing, every function here returns None and leaves its array as it
-is, and the caller takes numpy.linalg's route instead.
+The library is loaded on first use, once per process.  Where
+``numpy.libs`` holds no scipy_openblas64 build (numpy's macOS wheels,
+which keep their libraries elsewhere or link Accelerate, or a numpy
+built from source) or a routine is missing, every function here returns
+None and leaves its array as it is, and the caller takes numpy.linalg's
+route instead.
 """
 
 from __future__ import annotations

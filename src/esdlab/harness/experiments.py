@@ -567,7 +567,7 @@ def run_lemma_suite(cfg, out_dir):
         sig = singular_values(a)
         if rows == cols:
             lam = np.abs(eigenvalues(a))
-            routes = [lu_log_abs_det(a), log_product(lam), log_product(sig),
+            routes = [lu_log_abs_det(np.array(a, order="F")), log_product(lam), log_product(sig),
                       log_product(row_distances(a))]
             metrics["det_identity_resid"] = max(abs(x - y) for x in routes for y in routes)
             hs = hs_norm(a)

@@ -18,7 +18,7 @@ factorization of B B* + eps I per shift.  None of them takes an SVD.
 Both factorizations run in place, through the LAPACK bindings of ``_lapack``,
 on the one column-major matrix each shift builds: the LU on B, the
 Cholesky on B B* + eps I; numpy.linalg's copying wrappers take them where
-numpy ships no OpenBLAS of its own, with the same bits.
+``_lapack`` finds no library to bind, with the same bits.
 Each validates A once, in ``numerics.scaled_shift``, and both readings
 of f_n take their -inf rule from ``numerics``: an exactly zero LU pivot
 in ``lu_log_abs_det``, an atom at z in ``log_product``.
@@ -55,8 +55,8 @@ def log_det_at(a, z):
     """f_n(z) = (1/n) log |det(A/sqrt(n) - zI)|, from one LU factorization
     of the shifted matrix, built column-major and factored in its own
     memory; an exactly singular shift gives MINUS_INFINITY."""
-    b = scaled_shift(a, z, order="F")
-    return lu_log_abs_det(b, overwrite_m=True) / b.shape[0]
+    b = scaled_shift(np.transpose(a), z).T  # B^T built row-major is B column-major
+    return lu_log_abs_det(b) / b.shape[0]
 
 
 def regularized_log_det(a, zs, eps, *, overwrite_a=False):
@@ -114,7 +114,7 @@ def regularized_log_det(a, zs, eps, *, overwrite_a=False):
         # lower triangle, so a complex Gram matrix that is Hermitian only up
         # to rounding is factored as the Hermitian matrix of that triangle
         info = potrf(gram)
-        if info is None:  # no bundled OpenBLAS: numpy factors a copy
+        if info is None:  # no library to bind: numpy factors a copy
             try:
                 gram = np.linalg.cholesky(gram)
             except np.linalg.LinAlgError:

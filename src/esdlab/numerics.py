@@ -4,8 +4,8 @@ Every decomposition is LAPACK's: eigenvalues, singular values and, for
 the row-distance and leave-one-out routines, a Householder QR whose |R|
 diagonal gives the distances, through numpy; the LU of
 ``lu_log_abs_det`` through ``_lapack``, which factors a column-major
-array in place (numpy's ``slogdet`` where numpy ships no OpenBLAS of its
-own).  The QR is a fourth factorization, distinct from LU, eig and SVD,
+array in place (numpy's ``slogdet`` where ``_lapack`` finds no library
+to bind).  The QR is a fourth factorization, distinct from LU, eig and SVD,
 so the determinant and negative-second-moment identities are still
 checked through genuinely distinct computational routes.
 
@@ -22,12 +22,11 @@ builder of A/sqrt(n) - zI, and every normalized ESD and log-determinant
 starts from it.  Its keyword-only ``overwrite_a`` (default False) lets a
 caller that owns A have it scaled in place, bit for bit as the copy, so
 that an eigenvalue trial holds one n-by-n array besides LAPACK's working
-copy, and its keyword-only ``order`` lays a new result out column-major
-for a factorization in place.  Singular matrices never yield a fake
-large-negative log-determinant.  This module holds every route to
-log|det| and its IEEE -inf marker (MINUS_INFINITY): ``lu_log_abs_det``
-(one LU, also behind ``hermitization.log_det_at``) returns the marker for
-an exactly zero LU pivot, and ``log_product`` reduces the factors of the
+copy.  Singular matrices never yield a fake large-negative
+log-determinant.  This module holds every route to log|det| and its
+IEEE -inf marker (MINUS_INFINITY): ``lu_log_abs_det`` (one LU in place,
+also behind ``hermitization.log_det_at``) returns the marker for an
+exactly zero LU pivot, and ``log_product`` reduces the factors of the
 other three routes (|eigenvalues|, singular values, row distances) and
 returns it whenever a factor underflows the representable range;
 ``hermitization.log_potential`` reduces the atom distances of an ESD
@@ -91,7 +90,7 @@ def _require_finite(values, what):
                                     "the decomposition)")
 
 
-def scaled_shift(a, z=0, *, overwrite_a=False, order="C"):
+def scaled_shift(a, z=0, *, overwrite_a=False):
     """A/sqrt(n) - zI for a finite square matrix ``a``, validated here.
 
     The matrix is scaled first and the shift is then subtracted on the
@@ -99,12 +98,12 @@ def scaled_shift(a, z=0, *, overwrite_a=False, order="C"):
     stays float64, and only a non-real ``z`` (or a complex ``a``) makes
     the result complex.  At z = 0 the result is bit for bit A/sqrt(n):
     x - 0.0 is x for every finite x, -0.0 included.  A new result is
-    laid out in ``order``, "C" (row-major) or "F" (column-major, the
-    matrix LAPACK reads in place), with the same bits either way.
+    row-major, so ``scaled_shift(a.T, z).T`` is the same matrix
+    column-major, with the same bits.
 
     With ``overwrite_a`` the caller gives up ``a``: after validation, a
     writeable float64 or complex128 ndarray that already has the result's
-    dtype and layout is scaled and shifted in place and returned, with the
+    dtype is scaled and shifted in place and returned, with the
     same bits as the copy (the same IEEE division per entry).  Any other
     ``a`` (an integer array, a real ``a`` at a non-real ``z``, a list) is
     copied as without the flag.
@@ -118,12 +117,11 @@ def scaled_shift(a, z=0, *, overwrite_a=False, order="C"):
     if real_shift:
         z = z.real
     dtype = np.float64 if real_shift and m.dtype == np.float64 else np.complex128
-    in_order = m.flags.f_contiguous if order == "F" else m.flags.c_contiguous
-    if overwrite_a and m is a and m.flags.writeable and m.dtype == dtype and in_order:
+    if overwrite_a and m is a and m.flags.writeable and m.dtype == dtype:
         shifted = m
         shifted /= math.sqrt(n)
     else:
-        shifted = np.empty((n, n), dtype, order=order)
+        shifted = np.empty((n, n), dtype)
         if m.dtype == dtype:
             np.divide(m, math.sqrt(n), out=shifted)
         else:  # a real a at a non-real z: real division, as the real result casts
@@ -188,28 +186,27 @@ def log_product(factors):
     return float(np.sum(np.log(factors)))
 
 
-def lu_log_abs_det(m, *, overwrite_m=False):
-    """log|det m| from one LU of a square ``m`` from ``as_matrix`` or
-    ``scaled_shift``; MINUS_INFINITY when a pivot is exactly zero.
+def lu_log_abs_det(m):
+    """log|det m| from one LU of ``m``, which it consumes: a writeable,
+    square, column-major float64 or complex128 array its caller gives up
+    (a column-major copy of a validated matrix, or
+    ``scaled_shift(a.T, z).T``); MINUS_INFINITY when a pivot is exactly
+    zero.
 
-    LAPACK factors the column-major matrix that numpy's ``slogdet``
-    copies, and log|det| is reduced as ``slogdet`` reduces it, a
-    sequential sum of log|u_ii| in pivot order, so the value is
-    ``slogdet``'s bit for bit.  ``m`` is left as it is: the factors
-    overwrite a column-major copy of it, or, with ``overwrite_m``, ``m``
-    itself, which must then be a column-major array its caller gives up
-    (``scaled_shift(..., order="F")``).  Where numpy ships no OpenBLAS
-    of its own, ``slogdet`` takes the LU.
+    LAPACK overwrites ``m`` with its LU factors, and log|det| is reduced
+    as numpy's ``slogdet`` reduces it, a sequential sum of log|u_ii| in
+    pivot order, so the value is ``slogdet``'s bit for bit.  Where
+    ``_lapack`` finds no library to bind, ``slogdet`` takes the LU of a
+    copy.
     """
-    lu = m if overwrite_m else np.array(m, order="F")
-    info = getrf(lu)
+    info = getrf(m)
     if info is None:
-        sign, logdet = np.linalg.slogdet(lu)
+        sign, logdet = np.linalg.slogdet(m)
         return MINUS_INFINITY if sign == 0 else float(logdet)
     if info > 0:
         return MINUS_INFINITY
     total = 0.0
-    for pivot in lu.diagonal().tolist():  # slogdet's loop: C's log of each |u_ii|, in turn
+    for pivot in m.diagonal().tolist():  # slogdet's loop: C's log of each |u_ii|, in turn
         total += math.log(abs(pivot))
     return total
 

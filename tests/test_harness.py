@@ -296,10 +296,11 @@ def test_hermitize_ds_reference_column(tmp_path):
     assert reference == format_number(_ds_reference_potential(0.5))
 
 
-def test_hermitize_takes_no_svd(tmp_path, monkeypatch):
+def _hermitize_factorizations(tmp_path, monkeypatch):
+    """The SVD shapes and the (kind, complex) of each LU and Cholesky that
+    a hermitize run of 2 trials at 4 shifts hands to the binding, which
+    passes them on to numpy.linalg where the library is missing."""
     from esdlab import _lapack, hermitization, numerics
-    if _lapack.library() is None:
-        pytest.skip("numpy ships no OpenBLAS of its own here")
     svd_calls = []
     factored = []
     svd = hermitization.singular_values
@@ -320,19 +321,37 @@ def test_hermitize_takes_no_svd(tmp_path, monkeypatch):
     monkeypatch.setattr(hermitization, "singular_values", counting_svd)
     monkeypatch.setattr(numerics, "getrf", spying("lu", numerics.getrf))
     monkeypatch.setattr(hermitization, "potrf", spying("cholesky", hermitization.potrf))
-    monkeypatch.setattr(np.linalg, "slogdet", copying)
-    monkeypatch.setattr(np.linalg, "cholesky", copying)
+    if _lapack.library() is not None:  # else the copying wrappers are the fallback
+        monkeypatch.setattr(np.linalg, "slogdet", copying)
+        monkeypatch.setattr(np.linalg, "cholesky", copying)
     raw = {"schema_version": 1, "experiment": "hermitize", "master_seed": 3,
            "n_list": [30], "trials": 2, "dist_x": {"kind": "real_gaussian"},
            "base": {"kind": "zero"}, "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}
     run_experiment(config_from_dict(raw), tmp_path)
+    return svd_calls, factored
+
+
+# per trial: one LU of B in place at each of the 4 shifts, then one
+# Cholesky of B B* + eps I in place at each from one Gram product;
+# complex only at the non-real shift
+_SHIFTS_COMPLEX = [False, False, True, False]
+_TRIAL_FACTORIZATIONS = ([("lu", c) for c in _SHIFTS_COMPLEX]
+                         + [("cholesky", c) for c in _SHIFTS_COMPLEX])
+
+
+def test_hermitize_takes_no_svd(tmp_path, monkeypatch):
+    svd_calls, factored = _hermitize_factorizations(tmp_path, monkeypatch)
     assert svd_calls == []
-    # per trial: one LU of B in place at each of the 4 shifts, then one
-    # Cholesky of B B* + eps I in place at each from one Gram product;
-    # complex only at the non-real shift
-    shifts = [False, False, True, False]
-    trial = [("lu", c) for c in shifts] + [("cholesky", c) for c in shifts]
-    assert factored == trial * 2
+    assert factored == _TRIAL_FACTORIZATIONS * 2
+
+
+def test_hermitize_fallback_takes_no_svd(tmp_path, monkeypatch):
+    # the same run with numpy's OpenBLAS hidden: numpy.linalg factors
+    from esdlab import _lapack
+    monkeypatch.setattr(_lapack, "library", lambda: None)
+    svd_calls, factored = _hermitize_factorizations(tmp_path, monkeypatch)
+    assert svd_calls == []
+    assert factored == _TRIAL_FACTORIZATIONS * 2
 
 
 def test_hermitize_records_an_exactly_singular_shift_as_infinite_gaps(tmp_path):

@@ -1,7 +1,7 @@
 """The in-place LAPACK bindings against numpy.linalg's copying wrappers.
 
 Each kernel that factors through ``esdlab._lapack`` falls back to
-numpy.linalg where numpy ships no OpenBLAS of its own; hiding the library
+numpy.linalg where it finds no library to bind; hiding the library
 runs that path here, and both must give the same bits.
 """
 
@@ -28,7 +28,7 @@ def _both_paths(monkeypatch, compute):
     """compute() through the binding, then with the library hidden, each
     as the bit patterns of its floats."""
     if _lapack.library() is None:
-        pytest.skip("numpy ships no OpenBLAS of its own here")
+        pytest.skip("numpy.libs holds no scipy_openblas64 build to bind here")
     through_binding = [float(v).hex() for v in compute()]
     with monkeypatch.context() as hidden:
         hidden.setattr(_lapack, "library", lambda: None)
@@ -47,7 +47,7 @@ def test_lu_log_abs_det_is_slogdet_bit_for_bit(monkeypatch, n, law):
     kept = a.copy()
 
     def compute():
-        return [lu_log_abs_det(a)] + [log_det_at(a, z) for z in _SHIFTS]
+        return [lu_log_abs_det(np.array(a, order="F"))] + [log_det_at(a, z) for z in _SHIFTS]
     binding, numpy = _both_paths(monkeypatch, compute)
     assert binding == numpy
     assert np.array_equal(a, kept)
@@ -68,7 +68,7 @@ def test_exactly_singular_is_minus_infinity_on_both_paths(monkeypatch):
     diagonal = math.sqrt(n) * np.diag([0.5, 1.5, 2.5])
 
     def compute():
-        return [lu_log_abs_det(np.array([[1.0, 0.0], [1.0, 0.0]])),
+        return [lu_log_abs_det(np.array([[1.0, 0.0], [1.0, 0.0]], order="F")),
                 log_det_at(diagonal, 0.5), log_det_at(diagonal.astype(complex), 0.5)]
     binding, numpy = _both_paths(monkeypatch, compute)
     assert binding == numpy == [MINUS_INFINITY.hex()] * 3

@@ -239,10 +239,12 @@ def test_leave_one_out_requires_full_rank():
 
 # ------------------------------------------------------------- log|det|
 
-# the four routes to log|det A|: one LU, and log_product of |eigenvalues|,
-# of singular values and of row distances
+# the four routes to log|det A|: one LU (of a column-major copy, which it
+# consumes), and log_product of |eigenvalues|, of singular values and of
+# row distances
 def _det_routes(a):
-    return {"lu": lu_log_abs_det(a), "eigenvalues": log_product(np.abs(eigenvalues(a))),
+    return {"lu": lu_log_abs_det(np.array(a, order="F")),
+            "eigenvalues": log_product(np.abs(eigenvalues(a))),
             "singular": log_product(singular_values(a)),
             "distances": log_product(row_distances(a))}
 
@@ -269,7 +271,7 @@ def test_log_abs_det_minus_infinity_marker():
         assert set(_det_routes(singular).values()) == {MINUS_INFINITY}
     repeated_row = np.array([[1.0, 0.0], [1.0, 0.0]])
     assert log_product(row_distances(repeated_row)) == MINUS_INFINITY
-    assert lu_log_abs_det(repeated_row) == MINUS_INFINITY  # an exactly zero pivot
+    assert lu_log_abs_det(np.array(repeated_row, order="F")) == MINUS_INFINITY  # an exactly zero pivot
     assert log_product(np.abs(eigenvalues(repeated_row))) == MINUS_INFINITY
     # nearly singular but nonzero stays finite (and very negative)
     nearly = log_product(singular_values(np.array([[1.0, 2.0], [2.0, 4.0]])))
@@ -394,7 +396,7 @@ def test_lemma_square_case_is_decomposed_once(monkeypatch, tmp_path):
     # cases 0 and 1 are the complex and the real square case; each takes one
     # eigendecomposition and one full-size SVD, which the rank check of
     # leave_one_out_distances reads too.  No check overwrites the case
-    # matrix, though the LU of lu_log_abs_det runs in place
+    # matrix, though lu_log_abs_det consumes the matrix it is given
     cases, drawn, svd_args, eig_args = [], [], [], []
     make_case, svd, eigvals = experiments._random_case_matrix, np.linalg.svd, np.linalg.eigvals
 
