@@ -2,22 +2,21 @@
 
 numpy's Linux and Windows wheels ship OpenBLAS in ``numpy.libs`` beside
 the package, built with 64-bit integers and a ``scipy_`` symbol prefix
-(scipy_openblas64), and numpy.linalg
-calls its LAPACK routines after copying each matrix into a column-major
-buffer of its own.  ``getrf`` (LU with partial pivoting) and ``potrf``
-(Cholesky, lower triangle) call the same routines through ctypes on a
-column-major array their caller owns, and overwrite it, so a caller that
-builds its matrix in that layout holds no second copy; given the matrix
-numpy would copy, they return the factors numpy's ``slogdet`` and
-``cholesky`` compute.  ``set_num_threads`` sets the library's BLAS thread
-count.
+(scipy_openblas64), and numpy.linalg calls its LAPACK routines after
+copying each matrix into a column-major buffer of its own.  ``getrf``
+(LU with partial pivoting), ``potrf`` (Cholesky, lower triangle) and
+``trtrs`` (a solve with that triangle) call the same routines through
+ctypes on column-major arrays their caller owns, and overwrite them, so
+a caller that builds its matrix in that layout holds no second copy.
+``set_num_threads`` sets the library's BLAS thread count.
 
 The library is loaded on first use, once per process.  Where
 ``numpy.libs`` holds no scipy_openblas64 build (numpy's macOS wheels,
 which keep their libraries elsewhere or link Accelerate, or a numpy
-built from source) or a routine is missing, every function here returns
-None and leaves its array as it is, and the caller takes numpy.linalg's
-route instead.
+built from source) or a routine is missing, ``potrf`` and ``trtrs``
+write numpy's ``cholesky`` (the same bits) and ``solve`` (the same to
+rounding) into their array, so no caller branches on the library.
+``getrf`` returns None there: numpy exposes no LU factors to write.
 """
 
 from __future__ import annotations
@@ -35,6 +34,9 @@ _ARGTYPES = {
     "getrf": [_INT_P, _INT_P, ctypes.c_void_p, _INT_P, ctypes.c_void_p, _INT_P],
     # ?potrf(uplo, n, a, lda, info)
     "potrf": [ctypes.c_char_p, _INT_P, ctypes.c_void_p, _INT_P, _INT_P],
+    # ?trtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info)
+    "trtrs": [ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, _INT_P, _INT_P,
+              ctypes.c_void_p, _INT_P, ctypes.c_void_p, _INT_P, _INT_P],
 }
 _SET_THREADS = "scipy_openblas_set_num_threads64_"
 
@@ -51,26 +53,27 @@ def library():
             lib = ctypes.CDLL(path)  # numpy has loaded it already
         except OSError:
             continue
-        for routine, argtypes in _ARGTYPES.items():
-            for prefix in "dz":
-                fn = getattr(lib, f"scipy_{prefix}{routine}_64_", None)
-                if fn is not None:
-                    fn.argtypes, fn.restype = argtypes, None
-        set_threads = getattr(lib, _SET_THREADS, None)
-        if set_threads is not None:
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        signatures = {f"scipy_{prefix}{routine}_64_": argtypes
+                      for routine, argtypes in _ARGTYPES.items() for prefix in "dz"}
+        for symbol, argtypes in {**signatures, _SET_THREADS: [ctypes.c_int]}.items():
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = argtypes, None
         return lib
     return None
 
 
-def _routine(routine, a):
+def _routine(routine, a, *rest):
     """The LAPACK routine for the dtype of ``a``, after checking that
-    ``a`` is an array LAPACK may overwrite; None where it is missing."""
-    if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[0] == a.shape[1]
-            and a.dtype in (np.float64, np.complex128) and a.flags.f_contiguous
-            and a.flags.writeable):
-        raise ValueError("LAPACK works in place on a writeable, square, column-major "
-                         "float64 or complex128 array")
+    ``a`` is a square array LAPACK may overwrite, and each of ``rest`` one
+    with as many rows in the same dtype; None where it is missing."""
+    arrays = (a, *rest)
+    if not (all(isinstance(m, np.ndarray) and m.ndim == 2 for m in arrays)
+            and a.dtype in (np.float64, np.complex128)
+            and all(m.shape[0] == a.shape[1] and m.dtype == a.dtype and m.flags.f_contiguous
+                    and m.flags.writeable for m in arrays)):
+        raise ValueError("LAPACK works in place on writeable, column-major float64 or "
+                         "complex128 arrays: a square one and any with as many rows")
     lib = library()
     prefix = "z" if a.dtype == np.complex128 else "d"
     return None if lib is None else getattr(lib, f"scipy_{prefix}{routine}_64_", None)
@@ -94,13 +97,35 @@ def getrf(a):
 def potrf(a):
     """Overwrite the lower triangle of the Hermitian ``a`` (only that
     triangle is read) with its Cholesky factor L, a = L L*, and return
-    LAPACK's info: 0, or k > 0 when the leading minor of order k is not
-    positive definite.  None where the routine is missing."""
+    LAPACK's info: 0, or k > 0 when its leading minor of order k is not
+    positive definite (1 by numpy's ``cholesky``, zeros above the diagonal)."""
     fn = _routine("potrf", a)
     if fn is None:
-        return None
+        try:
+            a[...] = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return 1
+        return 0
     info = _INT()
     fn(b"L", _INT(a.shape[0]), a.ctypes.data, _INT(max(a.shape[0], 1)), info)
+    return info.value
+
+
+def trtrs(a, b):
+    """Overwrite ``b``, a right-hand side per column in ``a``'s dtype,
+    with L⁻¹b for the lower triangle L of ``a`` (only that triangle is
+    read), and return LAPACK's info: 0, or k > 0, with ``b`` untouched,
+    when L_kk is the first exactly zero diagonal entry."""
+    fn = _routine("trtrs", a, b)
+    if fn is None:
+        zero = np.flatnonzero(a.diagonal() == 0.0)
+        if zero.size:
+            return int(zero[0]) + 1
+        b[...] = np.linalg.solve(np.tril(a), b)
+        return 0
+    info = _INT()
+    fn(b"L", b"N", b"N", _INT(a.shape[0]), _INT(b.shape[1]), a.ctypes.data,
+       _INT(max(a.shape[0], 1)), b.ctypes.data, _INT(max(b.shape[0], 1)), info)
     return info.value
 
 

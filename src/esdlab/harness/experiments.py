@@ -16,8 +16,9 @@ distinct streams.
 The tails suite's distance-to-subspace step is described where
 ``run_tail_suite`` computes it: why it takes no QR, how it draws the
 basis in row blocks through two cursors on the subspace stream, and how
-it solves the Gram system in two halves through a Schur complement
-without ever forming the Gram matrix.
+it takes every distance, to about κ(B)²·2⁻⁵³ relative, from one
+Cholesky factorization and one triangular solve in place (numpy's
+fallback agrees to rounding, not bit for bit).
 
 Wall-clock timings are printed to the console and deliberately kept out
 of the CSV artifacts, which must be byte-identical across reruns.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._lapack import set_num_threads
+from .. import _lapack
 from ..ensembles import assemble, build_base_matrix, build_iid_matrix, factor_diagonal, two_blocks
 from ..errors import ConfigurationError, NumericalFailureError
 from ..hermitization import log_det_at, regularized_log_det
@@ -318,7 +319,7 @@ def run_hermitization_check(cfg, out_dir):
 
         def trial_fn(t, n=n, eps=eps):
             a = _trial_matrix(cfg, n, t)
-            f_ns = [log_det_at(a, z) for z in cfg.z_grid]
+            f_ns = log_det_at(a, cfg.z_grid)
             # last, so that S = A/sqrt(n) may be scaled in the memory of A
             f_regs = regularized_log_det(a, cfg.z_grid, eps, overwrite_a=True)
             metrics = {}
@@ -450,10 +451,7 @@ def run_tail_suite(cfg, out_dir):
     #     W = Σ_r [(X_r − Y_r)ᵀ(X_r + Y_r)/2 − X_rᵀX_r] = (XᵀY − YᵀX − XᵀX − YᵀY)/2,
     # one syrk and one gemm per block into one product buffer.  Halving
     # X_r + Y_r is exact, so W is exactly half the sum of the full terms.
-    # At nd = 2000, d = 1000, blocks of 2^17 words read 1 MB less peak RSS
-    # and took about 50 ms longer; accumulating C in two real arrays and
-    # packing them as the fold ends read 2.4 MB more.
-    c = np.zeros((d, v.shape[1]), dtype=np.complex128)
+    c = np.zeros((d, v.shape[1]), dtype=np.complex128, order="F")
     w = np.zeros((d, d))
     product = np.empty((d, d))
     step = max(1, (1 << 18) // d)
@@ -472,49 +470,23 @@ def run_tail_suite(cfg, out_dir):
         np.subtract(x, y, out=y)
         w += np.matmul(y.T, half_sum, out=product)
     del v, x, y, half_sum, product
-    # G is never formed.  Its blocks G11, G12 and G22, split at h, are filled
-    # from W's symmetric and skew parts, Re G = −(W + Wᵀ) and Im G = W − Wᵀ,
-    # so G is exactly Hermitian; W's terms round on the scale of ‖B‖², as the
-    # products of G itself do.  The quadratic form is then
-    #     c*G⁻¹c = c₁*G11⁻¹c₁ + r*S⁻¹r,  r = c₂ − G12*G11⁻¹c₁,
-    # with the Schur complement S = G22 − G12*G11⁻¹G12, by two solves with
-    # G11 and one with S, each half the size of G.  G11 and S are Hermitian
-    # positive definite with condition numbers at most κ(G), so the
-    # κ(B)²·2⁻⁵³ bound above holds.  W is freed as soon as the blocks are
-    # filled, before the first solve.
-    # Solving G11 once against [G12 | c₁] instead of twice read 1.6 MB more
-    # peak RSS at nd = 2000, d = 1000, and 3.1 MB more with esdlab's
-    # bytecode cached.
-    h = d // 2
-    k = d - h
-    top, bottom = slice(0, h), slice(h, d)
-
-    def gram_block(out, rows, cols):
-        np.add(w[rows, cols], w[cols, rows].T, out=out.real)
-        np.negative(out.real, out=out.real)
-        np.subtract(w[rows, cols], w[cols, rows].T, out=out.imag)
-        return out
-
-    g12 = gram_block(np.empty((h, k), dtype=np.complex128), top, bottom)
-    g11 = gram_block(np.empty((h, h), dtype=np.complex128), top, top)
-    s = gram_block(np.empty((k, k), dtype=np.complex128), bottom, bottom)
+    # G is filled whole, column-major, from W's symmetric and skew parts,
+    # Re G = −(W + Wᵀ) and Im G = W − Wᵀ, so it is exactly Hermitian; W's
+    # terms round on the scale of ‖B‖², as the products of G itself do.
+    # With G = LL*, c*G⁻¹c = ‖L⁻¹c‖²: one Cholesky factorization and one
+    # triangular solve against all of C, both in place, give every quadratic
+    # form within the κ(B)²·2⁻⁵³ bound above; numpy's fallback, where
+    # _lapack finds no library to bind, agrees to rounding, not bit for bit.
+    g = np.empty((d, d), dtype=np.complex128, order="F")
+    np.add(w, w.T, out=g.real)
+    np.negative(g.real, out=g.real)
+    np.subtract(w, w.T, out=g.imag)
     del w
-    c1, r = c[top], c[bottom]
-    try:
-        g11_inv_g12 = np.linalg.solve(g11, g12)
-        g11_inv_c1 = np.linalg.solve(g11, c1)
-        quad = np.sum(c1.real * g11_inv_c1.real + c1.imag * g11_inv_c1.imag, axis=0)
-        # with G12 conjugated in place, G12* is its transpose, a view
-        np.conjugate(g12, out=g12)
-        s -= g12.T @ g11_inv_g12
-        r -= g12.T @ g11_inv_c1
-        del g12, g11_inv_g12, g11_inv_c1
-        s_inv_r = np.linalg.solve(s, r)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"the Gram matrix of the distance basis is singular: "
-                                    f"{exc}") from exc
-    quad += np.sum(r.real * s_inv_r.real + r.imag * s_inv_r.imag, axis=0)
-    dist2 = norm2 - quad
+    if _lapack.potrf(g):
+        raise NumericalFailureError("the Gram matrix of the distance basis is not positive "
+                                    "definite in floating point")
+    _lapack.trtrs(g, c)  # info 0: the factor's diagonal is positive
+    dist2 = norm2 - np.sum(c.real ** 2 + c.imag ** 2, axis=0)
     if not np.all(np.isfinite(dist2) & (dist2 > 0.0)):
         raise NumericalFailureError("a squared distance to the subspace is not finite and "
                                     "positive")
@@ -663,7 +635,7 @@ def _set_process_policy():
         mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
         mallopt(_M_MMAP_THRESHOLD, 32 << 20)
         mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-    set_num_threads(1)
+    _lapack.set_num_threads(1)
 
 
 def run_experiment(cfg, out_dir):

@@ -8,7 +8,7 @@ contour-integral kernel.
 The singular-value law nu_z of B = A/sqrt(n) - zI has one entry,
 ``shifted_singular_values``, from one SVD; its squares are the atoms of
 the ESD of B B*.  f_n(z) has two readings, and both are here:
-``log_det_at`` reduces nu_z to one LU factorization of B, and
+``log_det_at`` reduces nu_z to one LU factorization of B per shift, and
 ``log_potential`` of the eigenvalue ESD integrates log|w - z| over the
 eigenvalues, so one eigendecomposition gives f_n on a whole lattice.
 An ESD here is its atom array, as ``measures.esd_eigen`` returns it;
@@ -19,7 +19,8 @@ Both factorizations run in place, through the LAPACK bindings of ``_lapack``,
 on the one column-major matrix each shift builds: the LU on B, the
 Cholesky on B B* + eps I; numpy.linalg's copying wrappers take them where
 ``_lapack`` finds no library to bind, with the same bits.
-Each validates A once, in ``numerics.scaled_shift``, and both readings
+Each takes a list of shifts and validates A once, in
+``numerics.scaled_shift``, and both readings
 of f_n take their -inf rule from ``numerics``: an exactly zero LU pivot
 in ``lu_log_abs_det``, an atom at z in ``log_product``.
 
@@ -51,12 +52,21 @@ def shifted_singular_values(a, z):
     return singular_values(scaled_shift(a, z))
 
 
-def log_det_at(a, z):
-    """f_n(z) = (1/n) log |det(A/sqrt(n) - zI)|, from one LU factorization
-    of the shifted matrix, built column-major and factored in its own
-    memory; an exactly singular shift gives MINUS_INFINITY."""
-    b = scaled_shift(np.transpose(a), z).T  # B^T built row-major is B column-major
-    return lu_log_abs_det(b) / b.shape[0]
+def log_det_at(a, zs):
+    """f_n(z) = (1/n) log |det(A/sqrt(n) - zI)| at every shift z of ``zs``,
+    one value per shift, with A validated and scaled once; each shift's B
+    is a column-major copy of A/sqrt(n), shifted on its diagonal and LU
+    factored in its own memory, with the bits of ``scaled_shift(a, z)``.
+    An exactly singular shift gives MINUS_INFINITY."""
+    s = scaled_shift(a)
+    n = s.shape[0]
+    values = []
+    for z in map(complex, zs):
+        b = np.array(s, np.complex128 if z.imag else s.dtype, order="F")
+        b[np.diag_indices(n)] -= z if z.imag else z.real
+        values.append(lu_log_abs_det(b) / n)
+        del b  # do not hold it into the next shift
+    return values
 
 
 def regularized_log_det(a, zs, eps, *, overwrite_a=False):
@@ -113,13 +123,7 @@ def regularized_log_det(a, zs, eps, *, overwrite_a=False):
         # the factorization is the positive-definiteness check; it reads the
         # lower triangle, so a complex Gram matrix that is Hermitian only up
         # to rounding is factored as the Hermitian matrix of that triangle
-        info = potrf(gram)
-        if info is None:  # no library to bind: numpy factors a copy
-            try:
-                gram = np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
-                info = 1
-        if info:
+        if potrf(gram):
             raise NumericalFailureError(
                 f"B B* + eps I is not positive definite in floating point at z={z}, "
                 f"eps={eps:.3g}")

@@ -18,7 +18,7 @@ finite matrix whose spectrum overflows is a NumericalFailureError rather
 than a row of inf.  The identity verifiers ``verify_interlacing`` and
 ``verify_weyl``, and the rank check of ``leave_one_out_distances``,
 compare spectra their caller has taken.  ``scaled_shift`` is the one
-builder of A/sqrt(n) - zI, and every normalized ESD and log-determinant
+builder of A/sqrt(n), and every normalized ESD and log-determinant
 starts from it.  Its keyword-only ``overwrite_a`` (default False) lets a
 caller that owns A have it scaled in place, bit for bit as the copy, so
 that an eigenvalue trial holds one n-by-n array besides LAPACK's working
@@ -97,9 +97,7 @@ def scaled_shift(a, z=0, *, overwrite_a=False):
     diagonal, with no identity temporary; a real ``a`` at a real ``z``
     stays float64, and only a non-real ``z`` (or a complex ``a``) makes
     the result complex.  At z = 0 the result is bit for bit A/sqrt(n):
-    x - 0.0 is x for every finite x, -0.0 included.  A new result is
-    row-major, so ``scaled_shift(a.T, z).T`` is the same matrix
-    column-major, with the same bits.
+    x - 0.0 is x for every finite x, -0.0 included.
 
     With ``overwrite_a`` the caller gives up ``a``: after validation, a
     writeable float64 or complex128 ndarray that already has the result's
@@ -189,15 +187,14 @@ def log_product(factors):
 def lu_log_abs_det(m):
     """log|det m| from one LU of ``m``, which it consumes: a writeable,
     square, column-major float64 or complex128 array its caller gives up
-    (a column-major copy of a validated matrix, or
-    ``scaled_shift(a.T, z).T``); MINUS_INFINITY when a pivot is exactly
-    zero.
+    (a column-major copy of a validated matrix, or of one from
+    ``scaled_shift``); MINUS_INFINITY when a pivot is exactly zero.
 
     LAPACK overwrites ``m`` with its LU factors, and log|det| is reduced
     as numpy's ``slogdet`` reduces it, a sequential sum of log|u_ii| in
     pivot order, so the value is ``slogdet``'s bit for bit.  Where
     ``_lapack`` finds no library to bind, ``slogdet`` takes the LU of a
-    copy.
+    copy, for it returns no LU factors that ``getrf`` could write.
     """
     info = getrf(m)
     if info is None:

@@ -401,15 +401,15 @@ def test_tails_batched_distances_match_row_by_row(tmp_path):
 
 
 # X and Y are folded in row blocks of at most 2^18 words each, and G is
-# solved in two halves split at h = d // 2
+# factored whole
 _DISTANCE_SHAPES = [(100, 50, 1e-12),
                     # kappa(B)^2 is about 3e4 at d = nd - 1
                     (200, 199, 1e-8),
                     # row blocks of 655 and 45 rows
                     (700, 400, 1e-12),
-                    # d = 1: G11 is 0 x 0 and S is G itself
+                    # d = 1: G is 1 x 1
                     (100, 1, 1e-12),
-                    # an odd split: G11 is 25 x 25 and S is 26 x 26
+                    # an odd d
                     (101, 51, 1e-12),
                     # row blocks of 436, 436 and 28 rows
                     (900, 600, 1e-12)]
@@ -451,11 +451,73 @@ def test_cli_zero_distance_row_exits_three(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def _tails_distances(tmp_path, raw):
+    """The subspace distances and the gate verdicts of a tails run."""
+    result = run_experiment(config_from_dict(raw), tmp_path)
+    return ([r.metrics["subspace_distance"] for r in result.records
+             if "subspace_distance" in r.metrics],
+            [(g.name, g.passed) for g in result.gates])
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "complex_gaussian"])
+def test_tails_distances_agree_with_the_library_hidden(tmp_path, monkeypatch, kind):
+    # numpy's cholesky gives potrf's bits, and its solve with the triangle
+    # agrees with trtrs to rounding
+    from esdlab import _lapack
+    if _lapack.library() is None:
+        pytest.skip("numpy.libs holds no scipy_openblas64 build to bind here")
+    raw = {**_TINY_RUNS["tails"], "dist_x": {"kind": kind}}
+    distances, gates = _tails_distances(tmp_path / "binding", raw)
+    monkeypatch.setattr(_lapack, "library", lambda: None)
+    hidden_distances, hidden_gates = _tails_distances(tmp_path / "hidden", raw)
+    assert hidden_gates == gates
+    assert len(distances) == raw["distance_trials"]
+    np.testing.assert_allclose(hidden_distances, distances, rtol=1e-12, atol=0)
+
+
+def test_tails_distance_step_takes_one_cholesky_and_one_triangular_solve(tmp_path,
+                                                                          monkeypatch):
+    from esdlab import _lapack
+    calls = []
+
+    def spying(name, routine):
+        def call(*arrays):
+            calls.append((name, [m.shape for m in arrays]))
+            return routine(*arrays)
+        return call
+
+    def copying(*args, **kwargs):
+        raise AssertionError("numpy.linalg factored or solved a copy")
+
+    monkeypatch.setattr(_lapack, "potrf", spying("potrf", _lapack.potrf))
+    monkeypatch.setattr(_lapack, "trtrs", spying("trtrs", _lapack.trtrs))
+    if _lapack.library() is not None:  # else the copying wrappers are the fallback
+        monkeypatch.setattr(np.linalg, "cholesky", copying)
+        monkeypatch.setattr(np.linalg, "solve", copying)
+    raw = _TINY_RUNS["tails"]
+    d, trials = raw["distance_d"], raw["distance_trials"]
+    distances, _ = _tails_distances(tmp_path, raw)
+    assert len(distances) == trials
+    assert calls == [("potrf", [(d, d)]), ("trtrs", [(d, d), (d, trials)])]
+
+
+def test_cli_gram_not_positive_definite_exits_three(tmp_path, monkeypatch, capsys):
+    from esdlab import _lapack
+    monkeypatch.setattr(_lapack, "potrf", lambda a: 1)
+    path = _write_config(tmp_path, _TINY_RUNS["tails"])
+    out = tmp_path / "out"
+    assert cli_main(["--config", path, "--out", str(out)]) == 3
+    assert "not positive definite" in capsys.readouterr().err
+    assert not (out / "trials.csv").exists()
+
+
 def test_tails_distance_memory(tmp_path):
-    # X and Y are drawn in row blocks: at its peak the run holds the rows V,
-    # C = B*V, one real d x d accumulator W of G, one product buffer and one
-    # row block each of X, Y and X + Y, about 0.87 times the bytes of the
-    # complex basis, and never X, Y or G whole or a copy of [B | V].
+    # X and Y are drawn in row blocks: at its peak, in the fold, the run
+    # holds the rows V, C = B*V, one real d x d accumulator W of G, one
+    # product buffer and one row block each of X, Y and X + Y, about 0.87
+    # times the bytes of the complex basis, and never X or Y whole or a copy
+    # of [B | V].  G, half the bytes of the basis, is formed whole only once
+    # the fold has freed its buffers, and is factored in its own memory.
     # Holding X whole read 1.21 times
     import tracemalloc
     nd, d = 2000, 1000
@@ -503,11 +565,12 @@ def test_tails_distance_peak_rss(tmp_path):
     # imports leave differs with and without esdlab's cached bytecode, so the
     # child runs on a bytecode-free copy of the package, first as it is and
     # then after an import has written its bytecode.  In 6 runs each (numpy
-    # 2.4, OpenBLAS 0.3.31, glibc, x86-64) its peak grew 37.69-37.81 MB over
-    # its RSS after import without bytecode and 41.36-41.46 MB with it; the
-    # bounds leave 2.5-2.7 MB of headroom.  Holding X whole and solving G
-    # whole read 48.2 and 68.8 MB; solving G11 once against [G12 | c1]
-    # instead of twice read 39.3 and 44.5 MB
+    # 2.4, OpenBLAS 0.3.31, glibc, x86-64) its peak grew 38.04-38.10 MB over
+    # its RSS after import without bytecode and 36.76-36.82 MB with it, with
+    # G factored whole in place; the fold sets the peak.  Holding X whole
+    # read 48.2 MB, and numpy's solve of G whole, which copies G, 68.8 MB;
+    # the Schur split into half-size solves that preceded the in-place
+    # Cholesky read 37.81-37.87 and 41.52-41.58 MB
     raw = {"schema_version": 1, "experiment": "tails", "master_seed": 3,
            "n_list": [10], "trials": 2, "dist_x": {"kind": "bernoulli"},
            "base": {"kind": "zero"}, "distance_n": 2000, "distance_d": 1000,
@@ -543,11 +606,12 @@ def test_tails_distance_peak_rss(tmp_path):
 def test_hermitize_trial_peak_rss(tmp_path):
     # one n = 600 trial at the benchmark's shifts, in a child with BLAS on
     # one thread.  Each shift's LU and Cholesky run in place on the one
-    # column-major matrix the shift builds.  In 6 runs each (numpy 2.4,
-    # OpenBLAS 0.3.31, glibc, x86-64) the child's peak grew 14.76-14.96 MB
-    # over its RSS after import, with esdlab's bytecode cached or not;
-    # numpy's slogdet and cholesky, which copy each matrix and return the
-    # whole factor, read 25.85-25.95 MB.  The bound leaves 2 MB of headroom
+    # column-major matrix the shift builds, and log_det_at holds A/sqrt(n)
+    # once for all shifts.  In 6 runs each (numpy 2.4, OpenBLAS 0.3.31,
+    # glibc, x86-64) the child's peak grew 14.82-15.06 MB over its RSS after
+    # import, with esdlab's bytecode cached or not; holding each shift's B
+    # into the next shift read 20.3 MB, and numpy's slogdet and cholesky,
+    # which copy each matrix and return the whole factor, 25.85-25.95 MB
     raw = {"schema_version": 1, "experiment": "hermitize", "master_seed": 3,
            "n_list": [600], "trials": 1, "dist_x": {"kind": "real_gaussian"},
            "base": {"kind": "zero"}, "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0],

@@ -2,10 +2,13 @@
 
 Each kernel that factors through ``esdlab._lapack`` falls back to
 numpy.linalg where it finds no library to bind; hiding the library
-runs that path here, and both must give the same bits.
+runs that path here.  The factorizations give the same bits on both
+paths, and the triangular solve agrees to rounding.
 """
 
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
@@ -47,7 +50,7 @@ def test_lu_log_abs_det_is_slogdet_bit_for_bit(monkeypatch, n, law):
     kept = a.copy()
 
     def compute():
-        return [lu_log_abs_det(np.array(a, order="F"))] + [log_det_at(a, z) for z in _SHIFTS]
+        return [lu_log_abs_det(np.array(a, order="F"))] + log_det_at(a, _SHIFTS)
     binding, numpy = _both_paths(monkeypatch, compute)
     assert binding == numpy
     assert np.array_equal(a, kept)
@@ -69,12 +72,13 @@ def test_exactly_singular_is_minus_infinity_on_both_paths(monkeypatch):
 
     def compute():
         return [lu_log_abs_det(np.array([[1.0, 0.0], [1.0, 0.0]], order="F")),
-                log_det_at(diagonal, 0.5), log_det_at(diagonal.astype(complex), 0.5)]
+                log_det_at(diagonal, [0.5])[0], log_det_at(diagonal.astype(complex), [0.5])[0]]
     binding, numpy = _both_paths(monkeypatch, compute)
     assert binding == numpy == [MINUS_INFINITY.hex()] * 3
 
 
-@pytest.mark.parametrize("routine", [_lapack.getrf, _lapack.potrf])
+@pytest.mark.parametrize("routine", [_lapack.getrf, _lapack.potrf,
+                                     lambda a: _lapack.trtrs(a, np.ones((3, 1), order="F"))])
 def test_binding_takes_only_an_array_lapack_may_overwrite(routine):
     square = np.eye(3, order="F")
     for bad in (np.eye(3), np.ones((3, 2), order="F"), square.astype(np.float32),
@@ -84,3 +88,97 @@ def test_binding_takes_only_an_array_lapack_may_overwrite(routine):
     square.flags.writeable = False
     with pytest.raises(ValueError):
         routine(square)
+
+
+def test_trtrs_takes_only_a_right_hand_side_lapack_may_overwrite():
+    triangle = np.eye(3, order="F")
+    read_only = np.ones((3, 2), order="F")
+    read_only.flags.writeable = False
+    for bad in (np.ones((3, 2)), read_only, np.ones((4, 2), order="F"),
+                np.ones((3, 2), dtype=np.complex128, order="F"), np.ones(3)):
+        with pytest.raises(ValueError):
+            _lapack.trtrs(triangle, bad)
+
+
+@pytest.fixture(params=["binding", "hidden"])
+def path(request, monkeypatch):
+    """Runs a test through numpy's OpenBLAS, then with it hidden."""
+    if request.param == "binding":
+        if _lapack.library() is None:
+            pytest.skip("numpy.libs holds no scipy_openblas64 build to bind here")
+    else:
+        monkeypatch.setattr(_lapack, "library", lambda: None)
+    return request.param
+
+
+def _draw(shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    if dtype == np.complex128:
+        x = x + 1j * rng.standard_normal(shape)
+    return x
+
+
+def _hermitian_positive_definite(n, dtype):
+    x = _draw((n, n), dtype, n)
+    g = x @ x.conj().T + n * np.eye(n)
+    return np.asfortranarray((g + g.conj().T) / 2)
+
+
+_DTYPES = [np.float64, np.complex128]
+
+
+@pytest.mark.parametrize("dtype", _DTYPES)
+@pytest.mark.parametrize("n", [1, 7, 123])
+def test_potrf_writes_numpys_cholesky_bit_for_bit(path, n, dtype):
+    g = _hermitian_positive_definite(n, dtype)
+    expected = np.linalg.cholesky(g)
+    assert _lapack.potrf(g) == 0
+    assert np.array_equal(np.tril(g), expected)
+
+
+def test_potrf_reports_a_breakdown(path):
+    for dtype in _DTYPES:
+        assert _lapack.potrf(-np.eye(3, dtype=dtype, order="F")) == 1
+
+
+@pytest.mark.parametrize("columns", [1, 5])
+@pytest.mark.parametrize("dtype", _DTYPES)
+@pytest.mark.parametrize("n", [1, 7, 123])
+def test_trtrs_solves_with_the_lower_triangle(path, n, dtype, columns):
+    # the upper triangle is never read, so entries far larger than the
+    # factor's stand there
+    factor = np.linalg.cholesky(_hermitian_positive_definite(n, dtype))
+    a = np.asfortranarray(factor + 1e3 * np.triu(_draw((n, n), dtype, 1), 1))
+    kept = a.copy()
+    b = np.asfortranarray(_draw((n, columns), dtype, 2))
+    expected = np.linalg.solve(np.tril(a), b)
+    assert _lapack.trtrs(a, b) == 0
+    assert np.linalg.norm(b - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.array_equal(a, kept)
+
+
+def test_trtrs_reports_an_exactly_zero_diagonal(path):
+    # as LAPACK does, before it solves: info is the first zero's position
+    # and the right-hand side is left as it is
+    for dtype in _DTYPES:
+        a = np.asfortranarray(np.tril(np.ones((4, 4), dtype)))
+        a[2, 2] = a[3, 3] = 0.0
+        b = np.ones((4, 2), dtype, order="F")
+        assert _lapack.trtrs(a, b) == 3
+        assert np.array_equal(b, np.ones((4, 2)))
+
+
+def test_library_binds_every_routine_where_numpy_ships_openblas():
+    # a mistyped symbol would route every caller onto the fallback unseen
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "*scipy_openblas64*")
+    if not glob.glob(pattern):
+        pytest.skip("numpy.libs holds no scipy_openblas64 build here (numpy's macOS "
+                    "wheels and source builds), so the fallback is the only path")
+    assert _lapack.library() is not None
+    for routine, argtypes in _lapack._ARGTYPES.items():
+        for dtype in _DTYPES:
+            fn = _lapack._routine(routine, np.eye(2, dtype=dtype, order="F"))
+            assert fn is not None and list(fn.argtypes) == argtypes, (routine, dtype)
+    assert getattr(_lapack.library(), _lapack._SET_THREADS, None) is not None

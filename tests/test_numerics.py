@@ -296,7 +296,7 @@ _NORMALIZED = {
     "esd_eigen": esd_eigen,
     "dilation_esd": dilation_esd,
     "shifted_singular_values": lambda a: shifted_singular_values(a, 0.5),
-    "log_det_at": lambda a: log_det_at(a, 0.5),
+    "log_det_at": lambda a: log_det_at(a, [0.5]),
     "regularized_log_det": lambda a: regularized_log_det(a, [0.5], 0.1),
 }
 
@@ -337,8 +337,9 @@ _VALIDATIONS_PER_CALL = {
     "shifted_singular_values": (lambda: shifted_singular_values(_A, 0.5), 1),
     "hs_norm": (lambda: hs_norm(_A), 1),
     "leave_one_out_distances": (lambda: leave_one_out_distances(_A, singular_values(_A)), 1),
-    # A in scaled_shift; its shifted B goes to the lu_log_abs_det kernel
-    "log_det_at": (lambda: log_det_at(_A, 0.5), 1),
+    # A once in scaled_shift, however many shifts; each shifted B goes to
+    # the lu_log_abs_det kernel
+    "log_det_at": (lambda: log_det_at(_A, [0.0, 0.5, 0.5 + 0.5j]), 1),
 }
 
 
@@ -369,7 +370,8 @@ _SIZES = {"schema_version": 1, "master_seed": 20260808, "dist_x": {"kind": "real
 # SVD kernel, lemmas validates each case once per entry it calls (hs_norm
 # and leave_one_out_distances for each of the 26 square cases, the latter
 # for each of the 24 wide ones, hs_norm for the two edge cases), and
-# hermitize validates A for the Gram product and once per log_det_at
+# hermitize validates A once for log_det_at over all its shifts and once
+# for the Gram product
 _VALIDATIONS_PER_RUN = {
     "circular": ({**_SIZES, "experiment": "circular", "n_list": [40]}, 2),
     "universality": ({**_SIZES, "experiment": "universality", "n_list": [20],
@@ -379,7 +381,7 @@ _VALIDATIONS_PER_RUN = {
     "lemmas": ({"schema_version": 1, "master_seed": 20260808, "experiment": "lemmas",
                 "lemma_cases": 50, "max_size": 8}, 78),
     "hermitize": ({**_SIZES, "experiment": "hermitize", "n_list": [30],
-                   "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}, 10),
+                   "z_grid": [0.0, 0.5, [0.5, 0.5], 2.0]}, 4),
 }
 
 
