@@ -5,18 +5,24 @@ the package, built with 64-bit integers and a ``scipy_`` symbol prefix
 (scipy_openblas64), and numpy.linalg calls its LAPACK routines after
 copying each matrix into a column-major buffer of its own.  ``getrf``
 (LU with partial pivoting), ``potrf`` (Cholesky, lower triangle) and
-``trtrs`` (a solve with that triangle) call the same routines through
-ctypes on column-major arrays their caller owns, and overwrite them, so
-a caller that builds its matrix in that layout holds no second copy.
-``set_num_threads`` sets the library's BLAS thread count.
+``potrf_trtrs`` (that Cholesky, then a solve with its triangle) call the
+same routines through ctypes on column-major arrays their caller owns,
+and overwrite them, so a caller that builds its matrix in that layout
+holds no second copy.  ``set_num_threads`` sets the library's BLAS
+thread count.
 
 The library is loaded on first use, once per process.  Where
 ``numpy.libs`` holds no scipy_openblas64 build (numpy's macOS wheels,
 which keep their libraries elsewhere or link Accelerate, or a numpy
-built from source) or a routine is missing, ``potrf`` and ``trtrs``
-write numpy's ``cholesky`` (the same bits) and ``solve`` (the same to
-rounding) into their array, so no caller branches on the library.
-``getrf`` returns None there: numpy exposes no LU factors to write.
+built from source) or a routine is missing, each entry falls back on
+numpy.linalg itself, so no caller branches on the library:
+
+- ``potrf`` writes numpy's ``cholesky`` of the whole matrix into its
+  array, the same bits, through one copy of it;
+- ``potrf_trtrs`` factors and solves in column panels, through numpy's
+  ``cholesky`` and ``solve`` on one panel at a time, and holds no second
+  array of the matrix's size; it agrees to rounding, not bit for bit;
+- ``getrf`` returns None, for numpy exposes no LU factors to write.
 """
 
 from __future__ import annotations
@@ -98,7 +104,8 @@ def potrf(a):
     """Overwrite the lower triangle of the Hermitian ``a`` (only that
     triangle is read) with its Cholesky factor L, a = L L*, and return
     LAPACK's info: 0, or k > 0 when its leading minor of order k is not
-    positive definite (1 by numpy's ``cholesky``, zeros above the diagonal)."""
+    positive definite (1 where numpy factors, which writes zeros above the
+    diagonal)."""
     fn = _routine("potrf", a)
     if fn is None:
         try:
@@ -111,22 +118,50 @@ def potrf(a):
     return info.value
 
 
-def trtrs(a, b):
-    """Overwrite ``b``, a right-hand side per column in ``a``'s dtype,
-    with L⁻¹b for the lower triangle L of ``a`` (only that triangle is
-    read), and return LAPACK's info: 0, or k > 0, with ``b`` untouched,
-    when L_kk is the first exactly zero diagonal entry."""
-    fn = _routine("trtrs", a, b)
-    if fn is None:
-        zero = np.flatnonzero(a.diagonal() == 0.0)
-        if zero.size:
-            return int(zero[0]) + 1
-        b[...] = np.linalg.solve(np.tril(a), b)
-        return 0
-    info = _INT()
-    fn(b"L", b"N", b"N", _INT(a.shape[0]), _INT(b.shape[1]), a.ctypes.data,
-       _INT(max(a.shape[0], 1)), b.ctypes.data, _INT(max(b.shape[0], 1)), info)
+def potrf_trtrs(a, b):
+    """Overwrite the lower triangle of the Hermitian ``a`` (only that
+    triangle is read) with its Cholesky factor L, a = L L*, then ``b``, a
+    right-hand side per column in ``a``'s dtype, with L⁻¹b, and return
+    potrf's info: 0, or k > 0, with ``b`` not solved, when a leading
+    minor of order k is not positive definite (the first column of the
+    failing panel where numpy factors).  With the library, ``a``'s strict
+    upper triangle is left as it is; without it, its diagonal panels'
+    part is overwritten."""
+    factor, solve = _routine("potrf", a, b), _routine("trtrs", a, b)
+    if factor is None or solve is None:
+        return _potrf_trtrs_in_panels(a, b)
+    n, lda, info = _INT(a.shape[0]), _INT(max(a.shape[0], 1)), _INT()
+    factor(b"L", n, a.ctypes.data, lda, info)
+    if info.value == 0:  # a positive diagonal: trtrs reports no zero on it
+        solve(b"L", b"N", b"N", n, _INT(b.shape[1]), a.ctypes.data, lda, b.ctypes.data,
+              _INT(max(b.shape[0], 1)), info)
     return info.value
+
+
+_PANEL = 128  # columns of a panel of ``_potrf_trtrs_in_panels``
+
+
+def _potrf_trtrs_in_panels(a, b):
+    """``potrf_trtrs`` through numpy.linalg, left-looking in column panels
+    of ``_PANEL``: each panel takes the update of the columns before it,
+    numpy's ``cholesky`` factors its diagonal block, and ``solve`` with
+    that block gives the factor's rows below it and the panel's rows of
+    L⁻¹b.  No temporary has more than n x ``_PANEL`` entries."""
+    n = a.shape[0]
+    for j in range(0, n, _PANEL):
+        rows = slice(j, j + _PANEL)
+        panel = a[j:, rows]
+        panel -= a[j:, :j] @ a[rows, :j].conj().T
+        try:
+            block = np.linalg.cholesky(panel[:_PANEL])
+        except np.linalg.LinAlgError:
+            return j + 1
+        panel[:_PANEL] = block
+        # the rows below solve L21 L11* = A21, that is conj(L11) L21ᵀ = A21ᵀ
+        panel[_PANEL:] = np.linalg.solve(block.conj(), panel[_PANEL:].T).T
+        b[rows] -= a[rows, :j] @ b[:j]
+        b[rows] = np.linalg.solve(block, b[rows])
+    return 0
 
 
 def set_num_threads(count):

@@ -18,7 +18,7 @@ The tails suite's distance-to-subspace step is described where
 basis in row blocks through two cursors on the subspace stream, and how
 it takes every distance, to about κ(B)²·2⁻⁵³ relative, from one
 Cholesky factorization and one triangular solve in place (numpy's
-fallback agrees to rounding, not bit for bit).
+fallback works in column panels and agrees to rounding, not bit for bit).
 
 Wall-clock timings are printed to the console and deliberately kept out
 of the CSV artifacts, which must be byte-identical across reruns.
@@ -475,17 +475,17 @@ def run_tail_suite(cfg, out_dir):
     # terms round on the scale of ‖B‖², as the products of G itself do.
     # With G = LL*, c*G⁻¹c = ‖L⁻¹c‖²: one Cholesky factorization and one
     # triangular solve against all of C, both in place, give every quadratic
-    # form within the κ(B)²·2⁻⁵³ bound above; numpy's fallback, where
-    # _lapack finds no library to bind, agrees to rounding, not bit for bit.
+    # form within the κ(B)²·2⁻⁵³ bound above.  Where _lapack finds no library
+    # to bind, numpy factors and solves in column panels, holding no second
+    # d x d array, and agrees to rounding, not bit for bit.
     g = np.empty((d, d), dtype=np.complex128, order="F")
     np.add(w, w.T, out=g.real)
     np.negative(g.real, out=g.real)
     np.subtract(w, w.T, out=g.imag)
     del w
-    if _lapack.potrf(g):
+    if _lapack.potrf_trtrs(g, c):
         raise NumericalFailureError("the Gram matrix of the distance basis is not positive "
                                     "definite in floating point")
-    _lapack.trtrs(g, c)  # info 0: the factor's diagonal is positive
     dist2 = norm2 - np.sum(c.real ** 2 + c.imag ** 2, axis=0)
     if not np.all(np.isfinite(dist2) & (dist2 > 0.0)):
         raise NumericalFailureError("a squared distance to the subspace is not finite and "

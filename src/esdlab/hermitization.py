@@ -38,7 +38,7 @@ import numpy as np
 
 from ._lapack import potrf
 from .errors import ConfigurationError, NumericalFailureError
-from .numerics import log_product, lu_log_abs_det, scaled_shift, singular_values
+from .numerics import diagonal_shift, log_product, lu_log_abs_det, scaled_shift, singular_values
 
 
 def shifted_singular_values(a, z):
@@ -56,14 +56,16 @@ def log_det_at(a, zs):
     """f_n(z) = (1/n) log |det(A/sqrt(n) - zI)| at every shift z of ``zs``,
     one value per shift, with A validated and scaled once; each shift's B
     is a column-major copy of A/sqrt(n), shifted on its diagonal and LU
-    factored in its own memory, with the bits of ``scaled_shift(a, z)``.
-    An exactly singular shift gives MINUS_INFINITY."""
+    factored in its own memory: ``numerics.diagonal_shift`` gives it the
+    dtype and the bits of ``scaled_shift(a, z)``.  An exactly singular
+    shift gives MINUS_INFINITY."""
     s = scaled_shift(a)
     n = s.shape[0]
     values = []
-    for z in map(complex, zs):
-        b = np.array(s, np.complex128 if z.imag else s.dtype, order="F")
-        b[np.diag_indices(n)] -= z if z.imag else z.real
+    for z in zs:
+        dtype, shift = diagonal_shift(s.dtype, z)
+        b = np.array(s, dtype, order="F")
+        b[np.diag_indices(n)] -= shift
         values.append(lu_log_abs_det(b) / n)
         del b  # do not hold it into the next shift
     return values

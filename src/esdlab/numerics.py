@@ -18,11 +18,13 @@ finite matrix whose spectrum overflows is a NumericalFailureError rather
 than a row of inf.  The identity verifiers ``verify_interlacing`` and
 ``verify_weyl``, and the rank check of ``leave_one_out_distances``,
 compare spectra their caller has taken.  ``scaled_shift`` is the one
-builder of A/sqrt(n), and every normalized ESD and log-determinant
+builder of A/sqrt(n) - zI, and every normalized ESD and log-determinant
 starts from it.  Its keyword-only ``overwrite_a`` (default False) lets a
 caller that owns A have it scaled in place, bit for bit as the copy, so
 that an eigenvalue trial holds one n-by-n array besides LAPACK's working
-copy.  Singular matrices never yield a fake large-negative
+copy.  Its rule for the shift is ``diagonal_shift``, which
+``hermitization.log_det_at`` applies to a column-major copy of A/sqrt(n)
+at each shift.  Singular matrices never yield a fake large-negative
 log-determinant.  This module holds every route to log|det| and its
 IEEE -inf marker (MINUS_INFINITY): ``lu_log_abs_det`` (one LU in place,
 also behind ``hermitization.log_det_at``) returns the marker for an
@@ -110,11 +112,7 @@ def scaled_shift(a, z=0, *, overwrite_a=False):
     n = m.shape[0]
     if m.shape[1] != n:
         raise ConfigurationError(f"operation requires a square matrix, got {m.shape}")
-    z = complex(z)
-    real_shift = z.imag == 0.0
-    if real_shift:
-        z = z.real
-    dtype = np.float64 if real_shift and m.dtype == np.float64 else np.complex128
+    dtype, z = diagonal_shift(m.dtype, z)
     if overwrite_a and m is a and m.flags.writeable and m.dtype == dtype:
         shifted = m
         shifted /= math.sqrt(n)
@@ -127,6 +125,15 @@ def scaled_shift(a, z=0, *, overwrite_a=False):
             shifted.imag = 0.0
     shifted[np.diag_indices(n)] -= z
     return shifted
+
+
+def diagonal_shift(dtype, z):
+    """The dtype of A/sqrt(n) - zI for an A/sqrt(n) of ``dtype`` (float64
+    or complex128), and the number subtracted on its diagonal: a z with
+    Im z = 0 is subtracted as its real part, so a float64 matrix stays
+    float64, and only a non-real z makes it complex."""
+    z = complex(z)
+    return (dtype, z.real) if z.imag == 0.0 else (np.complex128, z)
 
 
 def hs_norm(a):

@@ -2,8 +2,9 @@
 
 Each kernel that factors through ``esdlab._lapack`` falls back to
 numpy.linalg where it finds no library to bind; hiding the library
-runs that path here.  The factorizations give the same bits on both
-paths, and the triangular solve agrees to rounding.
+runs that path here.  The LU and the Cholesky give the same bits on
+both paths; the Cholesky with a triangular solve, which numpy takes in
+column panels, agrees to rounding.
 """
 
 import glob
@@ -78,7 +79,7 @@ def test_exactly_singular_is_minus_infinity_on_both_paths(monkeypatch):
 
 
 @pytest.mark.parametrize("routine", [_lapack.getrf, _lapack.potrf,
-                                     lambda a: _lapack.trtrs(a, np.ones((3, 1), order="F"))])
+                                     lambda a: _lapack.potrf_trtrs(a, np.ones((3, 1), order="F"))])
 def test_binding_takes_only_an_array_lapack_may_overwrite(routine):
     square = np.eye(3, order="F")
     for bad in (np.eye(3), np.ones((3, 2), order="F"), square.astype(np.float32),
@@ -90,14 +91,14 @@ def test_binding_takes_only_an_array_lapack_may_overwrite(routine):
         routine(square)
 
 
-def test_trtrs_takes_only_a_right_hand_side_lapack_may_overwrite():
+def test_potrf_trtrs_takes_only_a_right_hand_side_lapack_may_overwrite():
     triangle = np.eye(3, order="F")
     read_only = np.ones((3, 2), order="F")
     read_only.flags.writeable = False
     for bad in (np.ones((3, 2)), read_only, np.ones((4, 2), order="F"),
                 np.ones((3, 2), dtype=np.complex128, order="F"), np.ones(3)):
         with pytest.raises(ValueError):
-            _lapack.trtrs(triangle, bad)
+            _lapack.potrf_trtrs(triangle, bad)
 
 
 @pytest.fixture(params=["binding", "hidden"])
@@ -142,31 +143,52 @@ def test_potrf_reports_a_breakdown(path):
         assert _lapack.potrf(-np.eye(3, dtype=dtype, order="F")) == 1
 
 
+def test_potrf_trtrs_reports_a_breakdown(path):
+    # LAPACK reports the order of the first minor that is not positive
+    # definite, numpy's panels the first column of the panel holding it
+    for dtype in _DTYPES:
+        assert _lapack.potrf_trtrs(-np.eye(3, dtype=dtype, order="F"),
+                                   np.ones((3, 1), dtype, order="F")) == 1
+        a = np.eye(300, dtype=dtype, order="F")
+        a[200, 200] = -1.0
+        info = _lapack.potrf_trtrs(a, np.ones((300, 1), dtype, order="F"))
+        assert info == (201 if path == "binding" else 200 // _lapack._PANEL * _lapack._PANEL + 1)
+
+
 @pytest.mark.parametrize("columns", [1, 5])
 @pytest.mark.parametrize("dtype", _DTYPES)
-@pytest.mark.parametrize("n", [1, 7, 123])
-def test_trtrs_solves_with_the_lower_triangle(path, n, dtype, columns):
+@pytest.mark.parametrize("n", [1, 7, 123, 300])
+def test_potrf_trtrs_factors_and_solves_with_the_lower_triangle(path, n, dtype, columns):
     # the upper triangle is never read, so entries far larger than the
-    # factor's stand there
-    factor = np.linalg.cholesky(_hermitian_positive_definite(n, dtype))
-    a = np.asfortranarray(factor + 1e3 * np.triu(_draw((n, n), dtype, 1), 1))
-    kept = a.copy()
+    # matrix's stand there; n = 300 spans three of the fallback's panels
+    g = _hermitian_positive_definite(n, dtype)
+    a = np.asfortranarray(np.tril(g) + 1e3 * np.triu(_draw((n, n), dtype, 1), 1))
     b = np.asfortranarray(_draw((n, columns), dtype, 2))
-    expected = np.linalg.solve(np.tril(a), b)
-    assert _lapack.trtrs(a, b) == 0
+    factor = np.linalg.cholesky(g)
+    expected = np.linalg.solve(factor, b)
+    assert _lapack.potrf_trtrs(a, b) == 0
+    if path == "binding":
+        assert np.array_equal(np.tril(a), factor)
+    else:
+        assert np.linalg.norm(np.tril(a) - factor) <= 1e-12 * np.linalg.norm(factor)
     assert np.linalg.norm(b - expected) <= 1e-12 * np.linalg.norm(expected)
-    assert np.array_equal(a, kept)
 
 
-def test_trtrs_reports_an_exactly_zero_diagonal(path):
-    # as LAPACK does, before it solves: info is the first zero's position
-    # and the right-hand side is left as it is
-    for dtype in _DTYPES:
-        a = np.asfortranarray(np.tril(np.ones((4, 4), dtype)))
-        a[2, 2] = a[3, 3] = 0.0
-        b = np.ones((4, 2), dtype, order="F")
-        assert _lapack.trtrs(a, b) == 3
-        assert np.array_equal(b, np.ones((4, 2)))
+def test_potrf_trtrs_fallback_holds_no_second_matrix(monkeypatch):
+    # numpy's cholesky returns a new factor as large as its input; the
+    # panels' temporaries stay well below that at 4 panels
+    import tracemalloc
+    monkeypatch.setattr(_lapack, "library", lambda: None)
+    n = 4 * _lapack._PANEL
+    a = _hermitian_positive_definite(n, np.complex128)
+    b = np.asfortranarray(_draw((n, 8), np.complex128, 2))
+    tracemalloc.start()
+    try:
+        assert _lapack.potrf_trtrs(a, b) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 2
 
 
 def test_library_binds_every_routine_where_numpy_ships_openblas():
